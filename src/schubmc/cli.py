@@ -16,11 +16,10 @@ import sys
 
 from . import conjectures as conj
 from . import mc as mcmod
-from .cohomology import cohomology, csm_expansion, csm_vector, h_polynomial
-from .hecke import mc_coefficients_oracle, t_word
+from .cohomology import cohomology, csm_expansion, csm_vector
+from .hecke import t_word
 from .hirzebruch import hirzebruch
 from .kclasses import ktheory
-from .laurent import YPolynomial
 from .roots import RootSystemError, parse_type, root_system
 
 
@@ -62,14 +61,21 @@ def _cache_path(kind, key):
 
 
 def _cached_json(kind, key, builder):
+    """The cached payload, or builder() when the cache file is missing or unreadable."""
     path = _cache_path(kind, key)
-    if path and os.path.exists(path):
-        with open(path) as fh:
-            return json.load(fh)
+    if path:
+        try:
+            with open(path) as fh:
+                return json.load(fh)
+        except (FileNotFoundError, ValueError):
+            pass
     payload = builder()
     if path:
-        with open(path, "w") as fh:
+        # a reader never sees a partly written file
+        tmp = f"{path}.{os.getpid()}.tmp"
+        with open(tmp, "w") as fh:
             json.dump(payload, fh, indent=2)
+        os.replace(tmp, path)
     return payload
 
 
@@ -189,11 +195,11 @@ def _run_mc_verify(args, rs, kt):
 def cmd_csm(args):
     rs = _root_system(args)
     w = rs.parse_element(args.cell)
+    pd = _parabolic(rs, args.parabolic)
     varnames = [f"a{i}" for i in range(1, rs.rank + 1)] + ["h"]
     if args.nonequivariant:
         kt = ktheory(rs)
         vec = csm_vector(kt, w)
-        pd = _parabolic(rs, args.parabolic)
         if pd is not None:
             keep = set(pd.min_reps)
             vec = {u: c for u, c in vec.items() if u in keep}
@@ -208,6 +214,8 @@ def cmd_csm(args):
             "coeffs": coeffs,
         }
     else:
+        if pd is not None:
+            raise ConfigError("--parabolic requires --nonequivariant: no equivariant G/P CSM route")
         ctx = cohomology(rs)
         exp = csm_expansion(ctx, w)
         coeffs = {
@@ -231,6 +239,8 @@ def cmd_csm(args):
 def cmd_hirzebruch(args):
     rs = _root_system(args)
     w = rs.parse_element(args.cell)
+    if args.cap is not None and args.cap < 0:
+        raise ConfigError(f"--cap must be nonnegative, got {args.cap}")
     cap = args.cap if args.cap is not None else 2 * rs.num_positive_roots
     hz = hirzebruch(rs, cap)
     cls = hz.hirzebruch_class(w, normalized=args.normalized, cap=cap)

@@ -16,8 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .laurent import LaurentPolynomial, YPolynomial, divide_exact
-from .polyring import Poly, exp_linear
-from .roots import neg_weight
+from .polyring import Poly, exp_linear, fraction_sum
+from .roots import neg_weight, triangular_solve
 
 
 class GKMError(ArithmeticError):
@@ -109,11 +109,6 @@ class Cohomology:
         second = self.si_auto(i, a)
         return first + second if dual else first - second
 
-    def apply_word(self, op, v, a):
-        for i in reversed(v.word):
-            a = op(i, a)
-        return a
-
     def w0_images(self):
         """Substitution images of the variables under the longest element.
 
@@ -203,20 +198,8 @@ class Cohomology:
 
     def integrate(self, a, extra_denominator=None):
         """Localization sum over fixed points; must clear to a polynomial."""
-        num = Poly.zero(self.nvars)
-        den = Poly.const(1, self.nvars)
-        for w, p in a.coeffs.items():
-            d = self.euler_at(w)
-            if extra_denominator is not None:
-                d = d * extra_denominator(w)
-            num = num * d + p * den
-            den = den * d
-        if not num:
-            return Poly.zero(self.nvars)
-        q = num.divide_exact(den)
-        if q is None:
-            raise GKMError("localization sum is not polynomial")
-        return q
+        pairs = _over_euler(a, self.euler_at, extra_denominator)
+        return _localization_sum(self, pairs, "localization sum")
 
     def pair(self, a, b, extra_denominator=None):
         return self.integrate(a * b, extra_denominator)
@@ -225,32 +208,23 @@ class Cohomology:
 
     def expand(self, a, opposite=False):
         """Triangular solve against the (opposite) Schubert classes."""
-        residual = dict(a.coeffs)
-        coeffs = {}
-        guard = len(self.rs.weyl_group()) + 1
-        while residual:
-            guard -= 1
-            if guard < 0:
-                raise GKMError("expansion did not terminate")
-            key = (lambda w: (w.length, w.word))
-            pivot = (min if opposite else max)(residual, key=key)
-            basis = (
-                self.opposite_schubert_class(pivot) if opposite else self.schubert_class(pivot)
-            )
-            c = residual[pivot].divide_exact(basis.coefficient(pivot))
+        basis = self.opposite_schubert_class if opposite else self.schubert_class
+
+        def solve(pivot, value):
+            c = value.divide_exact(basis(pivot).coefficient(pivot))
             if c is None:
                 raise GKMError(f"expansion coefficient at {pivot.name()} is not polynomial")
-            coeffs[pivot] = c
-            for u, p in basis.coeffs.items():
-                cur = residual.get(u, Poly.zero(self.nvars))
-                nxt = cur - c * p
-                if nxt:
-                    residual[u] = nxt
-                else:
-                    residual.pop(u, None)
-            if pivot in residual:
-                raise GKMError("pivot did not cancel")
-        return coeffs
+            return c
+
+        return triangular_solve(
+            a.coeffs,
+            min if opposite else max,
+            lambda w: basis(w).coeffs,
+            solve,
+            lambda cur, p, c: (cur - c * p) or None,
+            Poly.zero(self.nvars),
+            GKMError,
+        )
 
 
 class SegreMacPherson:
@@ -463,16 +437,12 @@ class NumericCohomology:
     def _transformed_twin(self):
         if self._twin is None:
             w0 = self.rs.longest_element()
-            images = tuple(
+            # the twin engine runs at the parameter values of the w0-images
+            twin_alphas = tuple(
                 self.weight_value(w0.act(self.rs.simple_root(j)))
                 for j in range(1, self.rs.rank + 1)
             )
-            # express in simple-root coordinates of the twin: the twin engine
-            # simply runs at the transformed parameter values
-            twin_alphas = []
-            for j in range(1, self.rs.rank + 1):
-                twin_alphas.append(self.weight_value(w0.act(self.rs.simple_root(j))))
-            self._twin = NumericCohomology(self.rs, tuple(twin_alphas), self.hbar)
+            self._twin = NumericCohomology(self.rs, twin_alphas, self.hbar)
         return self._twin
 
     def opposite_schubert(self, w):
@@ -638,26 +608,21 @@ class SchubertCalculus:
 
     def expand_in_sm_basis(self, kt, vec):
         """Triangular solve against the SM vectors of cells (diagonal 1)."""
-        residual = dict(vec)
-        out = {}
-        guard = len(self.cells) + 1
-        while residual:
-            guard -= 1
-            if guard < 0:
-                raise GKMError("SM expansion did not terminate")
-            pivot = max(residual, key=lambda w: (w.length, w.word))
-            c = residual[pivot]
-            basis = self.sm_of_cell(kt, pivot)
-            if basis.get(pivot) != 1:
+
+        def solve(pivot, value):
+            if self.sm_of_cell(kt, pivot).get(pivot) != 1:
                 raise GKMError("SM basis diagonal is not 1")
-            out[pivot] = c
-            for u, b in basis.items():
-                nxt = residual.get(u, 0) - c * b
-                if nxt:
-                    residual[u] = nxt
-                else:
-                    residual.pop(u, None)
-        return out
+            return value
+
+        return triangular_solve(
+            vec,
+            max,
+            lambda w: self.sm_of_cell(kt, w),
+            solve,
+            lambda cur, b, c: (cur - c * b) or None,
+            0,
+            GKMError,
+        )
 
     def sm_structure_constants(self, kt, u, v):
         """Coefficients e of the SM product of two opposite cells."""
@@ -700,24 +665,13 @@ def parabolic_pushforward_coh(ctx, a, pdat):
     """Localization push-forward of restriction functions to the quotient."""
     groups = {}
     for v, p in a.coeffs.items():
-        groups.setdefault(pdat.min_rep(v), []).append((v, p))
-    out = {}
-    for u, terms in groups.items():
-        num = Poly.zero(ctx.nvars)
-        den = Poly.const(1, ctx.nvars)
-        for v, p in terms:
-            d = Poly.const(1, ctx.nvars)
-            for beta in pdat.levi_positive_roots:
-                d = d * ctx.form(neg_weight(v.act(beta)))
-            num = num * d + p * den
-            den = den * d
-        if not num:
-            continue
-        q = num.divide_exact(den)
-        if q is None:
-            raise GKMError("push-forward sum is not polynomial")
-        out[u] = q
-    return CohClass(ctx, out)
+        d = Poly.const(1, ctx.nvars)
+        for beta in pdat.levi_positive_roots:
+            d = d * ctx.form(neg_weight(v.act(beta)))
+        groups.setdefault(pdat.min_rep(v), []).append((p, d))
+    return CohClass(
+        ctx, {u: _localization_sum(ctx, pairs, "push-forward sum") for u, pairs in groups.items()}
+    )
 
 
 def quotient_euler_at(ctx, pdat, u):
@@ -730,17 +684,23 @@ def quotient_euler_at(ctx, pdat, u):
 
 
 def integrate_quotient(ctx, pdat, a, extra_denominator=None):
-    num = Poly.zero(ctx.nvars)
-    den = Poly.const(1, ctx.nvars)
+    pairs = _over_euler(a, lambda w: quotient_euler_at(ctx, pdat, w), extra_denominator)
+    return _localization_sum(ctx, pairs, "localization sum")
+
+
+def _over_euler(a, euler, extra_denominator):
+    """The (restriction, denominator) pairs of a localization integral of a."""
     for w, p in a.coeffs.items():
-        d = quotient_euler_at(ctx, pdat, w)
+        d = euler(w)
         if extra_denominator is not None:
             d = d * extra_denominator(w)
-        num = num * d + p * den
-        den = den * d
-    if not num:
-        return Poly.zero(ctx.nvars)
+        yield p, d
+
+
+def _localization_sum(ctx, pairs, what):
+    """The localization sum of the (restriction, denominator) pairs, as a polynomial."""
+    num, den = fraction_sum(pairs, Poly.zero(ctx.nvars), Poly.const(1, ctx.nvars))
     q = num.divide_exact(den)
     if q is None:
-        raise GKMError("localization sum is not polynomial")
+        raise GKMError(f"{what} is not polynomial")
     return q

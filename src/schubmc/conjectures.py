@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .cohomology import SchubertCalculus, csm_vector, h_polynomial
 from .kclasses import ktheory
 from .laurent import check_log_concave, check_unimodal, has_internal_zeros
-from .mc import motivic_chern
+from .mc import _sign, motivic_chern
 
 
 @dataclass
@@ -51,10 +51,6 @@ def _cells(rs, maxlen):
     if maxlen is None:
         maxlen = rs.longest_element().length if rs.rank <= 3 else 6
     return [w for w in rs.weyl_group() if w.length <= maxlen], maxlen
-
-
-def _sign(k):
-    return -1 if k % 2 else 1
 
 
 def check_mc_positivity(rs, maxlen=None):

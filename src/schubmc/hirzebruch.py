@@ -8,12 +8,11 @@ degree window so the surviving components are exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .polyring import (
     GradedSeries,
     Poly,
     YFrac,
+    fraction_sum,
     normalized_hirzebruch_coefficients,
     series_of_linear,
     todd_coefficients,
@@ -266,11 +265,6 @@ class Hirzebruch:
         b = self.dl_h(i, a, normalized, dual=True)
         return b + a.truncate(b.cap()).scale(one_plus_y)
 
-    def apply_word(self, op, v, a):
-        for i in reversed(v.word):
-            a = op(i, a)
-        return a
-
     # -- Adams operation ----------------------------------------------------------------
 
     def adams_normalize(self, a):
@@ -340,18 +334,8 @@ class Hirzebruch:
     def integrate(self, a, cap=None):
         """Localization sum over the fixed points, exact below the cap window."""
         cap = a.cap() if cap is None else cap
-        items = list(a.coeffs.items())
-        if not items:
-            return GradedSeries.zero(cap - self.dim, self.rs.rank)
-        pad = cap + self.dim * (len(items) - 1)
-        num = GradedSeries.zero(pad, self.rs.rank)
-        den = Poly.const(YFrac.const(1), self.rs.rank)
-        for w, s in items:
-            e = self.euler_poly(w)
-            num = num * e + GradedSeries(dict(s.comps), pad, s.nvars) * den
-            den = den * e
-        target = cap - self.dim
-        return _divide_series_by_homogeneous(num, den, target)
+        pairs = [(s, self.euler_poly(w)) for w, s in a.coeffs.items()]
+        return _localization_sum(pairs, self.dim, cap, self.rs.rank)
 
     def pair(self, a, b, cap=None):
         return self.integrate(a * b, cap)
@@ -399,26 +383,30 @@ def parabolic_pushforward_h(hz, a, pdat):
     """Localization push-forward of a Hirzebruch-layer class to a quotient."""
     groups = {}
     for v, s in a.coeffs.items():
-        groups.setdefault(pdat.min_rep(v), []).append((v, s))
+        d = Poly.const(YFrac.const(1), hz.rs.rank)
+        for beta in pdat.levi_positive_roots:
+            d = d * hz.form(neg_weight(v.act(beta)))
+        groups.setdefault(pdat.min_rep(v), []).append((s, d))
     fiber_dim = len(pdat.levi_positive_roots)
-    out = {}
-    for u, terms in groups.items():
-        cap = min(s.cap for _, s in terms)
-        pad = cap + fiber_dim * (len(terms) - 1)
-        num = GradedSeries.zero(pad, hz.rs.rank)
-        den = Poly.const(YFrac.const(1), hz.rs.rank)
-        for v, s in terms:
-            d = Poly.const(YFrac.const(1), hz.rs.rank)
-            for beta in pdat.levi_positive_roots:
-                d = d * hz.form(neg_weight(v.act(beta)))
-            num = num * d + GradedSeries(dict(s.comps), pad, s.nvars) * den
-            den = den * d
-        out[u] = _divide_series_by_homogeneous(num, den, cap - fiber_dim)
-    return out
+    return {
+        u: _localization_sum(pairs, fiber_dim, min(s.cap for s, _ in pairs), hz.rs.rank)
+        for u, pairs in groups.items()
+    }
 
 
-def _divide_series_by_homogeneous(num, den, target_cap):
-    """Componentwise quotient num/den valid up to target_cap."""
+def _localization_sum(pairs, dim, cap, nvars):
+    """sum s/e over (series, Euler polynomial of degree dim) pairs, exact up to cap - dim.
+
+    The numerator is carried to a padded cap, so that every component that
+    survives the division by the product of the Euler polynomials is exact.
+    """
+    pad = cap + dim * (len(pairs) - 1)
+    num, den = fraction_sum(
+        ((GradedSeries(dict(s.comps), pad, s.nvars), e) for s, e in pairs),
+        GradedSeries.zero(pad, nvars),
+        Poly.const(YFrac.const(1), nvars),
+    )
+    target_cap = cap - dim
     m = den.degree()
     comps = {}
     for d in range(0, target_cap + 1):
@@ -429,7 +417,7 @@ def _divide_series_by_homogeneous(num, den, target_cap):
         if q is None:
             raise TruncationError("localization sum not exact in the valid window")
         comps[d] = q
-    return GradedSeries(comps, target_cap, num.nvars)
+    return GradedSeries(comps, target_cap, nvars)
 
 
 _HIRZEBRUCH = {}

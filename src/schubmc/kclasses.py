@@ -17,7 +17,7 @@ from .laurent import (
     one_plus_ye,
     product_of_factors,
 )
-from .roots import RootSystemError, neg_weight
+from .roots import RootSystemError, neg_weight, triangular_solve
 
 
 class IntegralityError(ArithmeticError):
@@ -447,41 +447,34 @@ class KTheory:
             for w, c in a.coeffs.items():
                 coeffs[w] = c.as_polynomial() if expect_integral else c
             return SchubertExpansion(a.space, basis, coeffs)
-        descending = basis in ("O", "I")
-        residual = dict(a.coeffs)
-        coeffs = {}
-        steps = 0
-        bound = len(self.rs.weyl_group()) + 1
-        while residual:
-            steps += 1
-            if steps > bound:
-                raise StructuralError("expansion did not terminate")
-            key = (lambda w: (w.length, w.word))
-            pivot = (max if descending else min)(residual, key=key)
+
+        def solve(pivot, value):
             pivot_coeff = self.basis_class(basis, pivot).coefficient(pivot).reduce()
             if pivot_coeff.num != LaurentPolynomial.const(1, self.nvars):
                 raise StructuralError("basis pivot is not an inverted product")
-            c_frac = (residual[pivot] * product_of_factors(pivot_coeff.den, self.nvars)).reduce()
-            if expect_integral:
-                try:
-                    c = c_frac.as_polynomial()
-                except ArithmeticError as exc:
-                    raise IntegralityError(
-                        f"coefficient at {pivot.name()} is not a Laurent polynomial"
-                    ) from exc
-            else:
-                c = c_frac
-            coeffs[pivot] = c
-            cls = self.basis_class(basis, pivot)
-            for w, d in cls.coeffs.items():
-                cur = residual.get(w, FactoredFraction.zero(self.nvars))
-                nxt = (cur - d * c).reduce()
-                if nxt.is_zero():
-                    residual.pop(w, None)
-                else:
-                    residual[w] = nxt
-            if pivot in residual:
-                raise StructuralError("pivot did not cancel; support is not triangular")
+            c_frac = (value * product_of_factors(pivot_coeff.den, self.nvars)).reduce()
+            if not expect_integral:
+                return c_frac
+            try:
+                return c_frac.as_polynomial()
+            except ArithmeticError as exc:
+                raise IntegralityError(
+                    f"coefficient at {pivot.name()} is not a Laurent polynomial"
+                ) from exc
+
+        def subtract(cur, d, c):
+            nxt = (cur - d * c).reduce()
+            return None if nxt.is_zero() else nxt
+
+        coeffs = triangular_solve(
+            a.coeffs,
+            max if basis in ("O", "I") else min,
+            lambda w: self.basis_class(basis, w).coeffs,
+            solve,
+            subtract,
+            FactoredFraction.zero(self.nvars),
+            StructuralError,
+        )
         return SchubertExpansion(a.space, basis, coeffs)
 
     def from_expansion(self, expansion):

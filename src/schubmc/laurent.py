@@ -444,10 +444,6 @@ class YPolynomial:
         lo, hi = min(d), max(d)
         return cls([d.get(i, 0) for i in range(lo, hi + 1)], lo)
 
-    @classmethod
-    def from_coeff_list(cls, coeffs):
-        return cls(coeffs)
-
     def to_dict(self):
         return {self.offset + i: c for i, c in enumerate(self.coeffs) if c}
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .kclasses import KClass, Space, ktheory
+from .kclasses import KClass, Space
 from .laurent import (
     FactoredFraction,
     LaurentPolynomial,
@@ -287,41 +287,27 @@ def _outer_factors(rs, levi_set, v):
 
 
 def parabolic_pushforward(kt, a, pdat):
-    """Push a class forward along G/B -> G/P by fixed-point summation.
+    """Push a class on G/B or G/P forward to G/Q by fixed-point summation.
 
-    In iota-coordinates the contribution of v to its coset representative u
-    is the coefficient at v times the ratio of the quotient-space
-    self-intersection products at v and at u.
+    The source parabolic P is read from the class's space and must be
+    contained in the target Q.  In iota-coordinates the fiberwise sum
+    telescopes: each source point v contributes its coefficient times the
+    ratio of the target quotient's self-intersection products at v and at
+    its coset representative.
     """
-    space = quotient_space(kt, pdat)
+    source = a.space.parabolic
+    if source is not None and not set(source.subset) <= set(pdat.subset):
+        raise ValueError(
+            f"cannot push forward from P{list(source.subset)} to P{list(pdat.subset)}: "
+            "the source parabolic must be contained in the target"
+        )
+    target = quotient_space(kt, pdat)
     levi = set(pdat.levi_positive_roots)
     out = {}
     for v, c in a.coeffs.items():
         u = pdat.min_rep(v)
         contrib = FactoredFraction(
             c.num * product_of_factors(_outer_factors(kt.rs, levi, v), kt.rs.rank),
-            c.den + space.selfint_factors(u),
-        )
-        out[u] = out.get(u, FactoredFraction.zero(kt.rs.rank)) + contrib
-    return KClass(space, {u: c.reduce() for u, c in out.items()})
-
-
-def pushforward_between(kt, a, pdat_small, pdat_big):
-    """Push a class on G/P forward to G/Q for nested parabolic subsets.
-
-    In iota-coordinates the fiberwise sum telescopes: each source point v
-    contributes its coefficient times the ratio of the target quotient's
-    self-intersection products at v and at its coset representative.
-    """
-    if not set(pdat_small.subset) <= set(pdat_big.subset):
-        raise ValueError("push-forward requires nested parabolic subsets")
-    target = quotient_space(kt, pdat_big)
-    levi_big = set(pdat_big.levi_positive_roots)
-    out = {}
-    for v, c in a.coeffs.items():
-        u = pdat_big.min_rep(v)
-        contrib = FactoredFraction(
-            c.num * product_of_factors(_outer_factors(kt.rs, levi_big, v), kt.rs.rank),
             c.den + target.selfint_factors(u),
         )
         out[u] = out.get(u, FactoredFraction.zero(kt.rs.rank)) + contrib

@@ -375,6 +375,19 @@ def _coeff_div(a, b):
     return a / b
 
 
+def fraction_sum(pairs, zero, one):
+    """The sum of p/d over (p, d) pairs, as (num, den) with den the product of the d.
+
+    This is the localization sum of every layer: callers supply their own
+    denominators and perform their own final division.
+    """
+    num, den = zero, one
+    for p, d in pairs:
+        num = num * d + p * den
+        den = den * d
+    return num, den
+
+
 class GradedSeries:
     """Degree-truncated series: homogeneous components indexed by degree <= cap."""
 

@@ -1,4 +1,5 @@
-"""Finite root systems, Weyl groups, Bruhat order, and parabolic cosets.
+"""Finite root systems, Weyl groups, Bruhat order, parabolic cosets, and the
+linear solve against a basis that is triangular in Bruhat order.
 
 Weights live in the fundamental-weight basis, so the half-sum of positive
 roots is the all-ones vector and every pairing with a simple coroot is an
@@ -185,9 +186,6 @@ class ParabolicDatum:
 
     def min_rep(self, w):
         return self.factorize(w)[0]
-
-    def coset_length(self, w):
-        return self.min_rep(w).length
 
     def coset(self, w):
         rep = self.min_rep(w)
@@ -426,15 +424,41 @@ class RootSystem:
         self._bruhat[key] = res
         return res
 
-    def bruhat_lower(self, w, among=None):
-        pool = self.weyl_group() if among is None else among
-        return tuple(u for u in pool if self.bruhat_leq(u, w))
-
     def parabolic(self, subset):
         return ParabolicDatum(self, subset)
 
     def __repr__(self):
         return f"RootSystem({self.lie_type}{self.rank})"
+
+
+def triangular_solve(vector, pick, basis, solve, subtract, zero, error):
+    """Coefficients of a vector over a basis that is triangular in Bruhat order.
+
+    ``vector`` maps Weyl elements to nonzero values.  The pivot is the entry
+    that ``pick`` (``max`` or ``min``) selects by ``(length, word)``: ``max``
+    for a basis whose element at w is supported below w, ``min`` for one
+    supported above.  ``basis(w)`` gives that element as a mapping,
+    ``solve(w, value)`` the coefficient that cancels the pivot value, and
+    ``subtract(cur, entry, c)`` the updated residual entry, or None when it
+    is zero; a missing entry is ``zero``.  Raises ``error`` when a pivot does
+    not cancel or comes back, so the loop ends within the number of points.
+    """
+    residual = dict(vector)
+    coeffs = {}
+    while residual:
+        pivot = pick(residual, key=lambda w: (w.length, w.word))
+        if pivot in coeffs:
+            raise error("expansion did not terminate")
+        c = coeffs[pivot] = solve(pivot, residual[pivot])
+        for w, entry in basis(pivot).items():
+            nxt = subtract(residual.get(w, zero), entry, c)
+            if nxt is None:
+                residual.pop(w, None)
+            else:
+                residual[w] = nxt
+        if pivot in residual:
+            raise error(f"pivot {pivot.name()} did not cancel; the basis is not triangular")
+    return coeffs
 
 
 def _invert_matrix(mat):

@@ -55,6 +55,9 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["mc", "compute", "--type", "Q7", "--cell", "s1"]) == 2
     assert main(["mc", "compute", "--type", "A2", "--cell", "s9"]) == 2
     assert main(["conjectures", "run", "--type", "A2", "--which", "nope"]) == 2
+    assert main(["hirzebruch", "--type", "A1", "--cell", "s1", "--cap", "-3"]) == 2
+    assert main(["csm", "--type", "A2", "--cell", "s1", "--parabolic", "5"]) == 2
+    assert main(["csm", "--type", "A2", "--cell", "s1", "--parabolic", "1"]) == 2
     code, _ = run_cli(
         ["conjectures", "run", "--type", "A2", "--which", "mc-positivity"], tmp_path
     )
@@ -83,6 +86,14 @@ def test_cache_dir_round_trip(tmp_path, monkeypatch):
     assert any(cache.iterdir())
     _, second = run_cli(args, tmp_path, "b.json")
     assert first == second
+    # an unreadable cache file is a miss: recomputed, same bytes, exit 0
+    for path in cache.iterdir():
+        path.write_text("{corrupt")
+    code, third = run_cli(args, tmp_path, "c.json")
+    assert code == 0
+    assert third == first
+    _, fourth = run_cli(args, tmp_path, "d.json")
+    assert fourth == first
 
 
 def test_console_script_entry():

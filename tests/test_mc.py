@@ -285,8 +285,12 @@ def test_parabolic_two_step_factorization():
     for w in [rs.identity, rs.parse_element("s1"), rs.parse_element("s2s3"), rs.longest_element()]:
         cls = M.motivic_chern(kt, w)
         direct = M.parabolic_pushforward(kt, cls, big)
-        composed = M.pushforward_between(kt, M.parabolic_pushforward(kt, cls, small), small, big)
+        composed = M.parabolic_pushforward(kt, M.parabolic_pushforward(kt, cls, small), big)
         assert direct == composed
+    # the target parabolic must contain the source one
+    on_small = M.parabolic_pushforward(kt, M.motivic_chern(kt, rs.parse_element("s1")), small)
+    with pytest.raises(ValueError):
+        M.parabolic_pushforward(kt, on_small, rs.parabolic([1, 2]))
 
 
 def test_parabolic_specialize_on_quotient():

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from schubmc.roots import RootSystemError, cartan_matrix, parse_type, root_system
+from schubmc.roots import RootSystemError, cartan_matrix, parse_type, root_system, triangular_solve
 
 
 @pytest.mark.parametrize(
@@ -165,3 +165,22 @@ def test_parse_element_aliases():
         rs.parse_element("s9")
     with pytest.raises(RootSystemError):
         rs.parse_element("garbage")
+
+
+def test_triangular_solve_guards():
+    rs = root_system("A", 1)
+    e, s1 = rs.identity, rs.simple_reflection(1)
+
+    def solve(vector, basis, solve_fn):
+        return triangular_solve(
+            vector, max, basis, solve_fn, lambda cur, b, c: (cur - c * b) or None, 0, ArithmeticError
+        )
+
+    unitriangular = {e: {e: 1}, s1: {e: 2, s1: 1}}
+    assert solve({e: 3, s1: 1}, unitriangular.get, lambda w, v: v) == {s1: 1, e: 1}
+    # the basis element at id reaches above id: s1 comes back as a pivot
+    with pytest.raises(ArithmeticError, match="did not terminate"):
+        solve({s1: 1}, {e: {e: 1, s1: 1}, s1: {e: 1, s1: 1}}.get, lambda w, v: v)
+    # a wrong pivot coefficient leaves the pivot uncancelled
+    with pytest.raises(ArithmeticError, match="did not cancel"):
+        solve({s1: 1}, unitriangular.get, lambda w, v: 2 * v)

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 
+from . import __version__
 from . import conjectures as conj
 from . import mc as mcmod
 from .cohomology import cohomology, csm_expansion, csm_vector
@@ -51,12 +52,18 @@ def _emit(args, payload):
         sys.stdout.write(text)
 
 
+# Bump when the layout of a cached payload changes.
+_CACHE_SCHEMA = "1"
+
+
 def _cache_path(kind, key):
     root = os.environ.get("SCHUBMC_CACHE_DIR")
     if not root:
         return None
     os.makedirs(root, exist_ok=True)
-    digest = hashlib.sha256(key.encode()).hexdigest()[:24]
+    # a file written by another version or schema hashes elsewhere: never served
+    stamped = f"schubmc {__version__} schema {_CACHE_SCHEMA}\n{key}"
+    digest = hashlib.sha256(stamped.encode()).hexdigest()[:24]
     return os.path.join(root, f"{kind}-{digest}.json")
 
 

@@ -4,14 +4,18 @@
 with arbitrary-precision coefficients and a canonical lex term order for
 serialization.  ``FactoredFraction`` keeps denominators as multisets of
 binomial factors ``1 - e^mu`` and ``1 + y e^mu``, reduced only by exact
-division.  The hot term arithmetic lives in a swappable kernel: a compiled
-Cython module when available, with a pure-Python fallback.
+division.  ``divide_exact`` cancels such a binomial (any two-term divisor
+with coefficients +-1) by line sums in one pass over the dividend; only a
+general divisor goes to the kernel's long division.  The hot term arithmetic
+lives in a swappable kernel: a compiled Cython module when available, with a
+pure-Python fallback.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
+from operator import add, sub
 
 from . import _kernel_py
 
@@ -221,10 +225,70 @@ def divide_exact(p, q):
     """Exact quotient p/q, or None when q does not divide p."""
     if p.nvars != q.nvars:
         raise ValueError("rank mismatch")
-    res = _impl.lp_divide_exact(p.terms, q.terms)
+    if len(q.terms) == 2 and all(c in (1, -1) for c in q.terms.values()):
+        res = _divide_binomial(p.terms, q.terms)
+    else:
+        res = _impl.lp_divide_exact(p.terms, q.terms)
     if res is None:
         return None
     return LaurentPolynomial(res, p.nvars)
+
+
+def _divide_binomial(a, b):
+    """Quotient a/b for b = c0 X^k0 + c1 X^k1 with c0, c1 = +-1, else None.
+
+    With c = c0 c1 and v = k1 - k0, b = c0 X^k0 (1 + c X^v).  The terms of a
+    fall on lines k = base + t v; on each line the quotient by 1 + c X^v is
+    the running sum q_t = a_t - c q_{t-1}, and it is exact iff the line's
+    signed sum, sum_t (-c)^t a_t, is zero.  Every line's sum is checked
+    before any quotient term is built.
+    """
+    if not a:
+        return {}
+    ((e0, y0), c0), ((e1, y1), c1) = b.items()
+    ve = tuple(map(sub, e1, e0))
+    vy = y1 - y0
+    r = -c0 * c1
+    # a term's place t on its line is read off one coordinate where v is nonzero
+    j = None if vy else next(i for i, w in enumerate(ve) if w)
+    vj = vy if vy else ve[j]
+    shifts = {}
+    lines = {}
+    for (e, yp), c in a.items():
+        t = (yp if j is None else e[j]) // vj
+        if t:
+            s = shifts.get(t)
+            if s is None:
+                s = shifts[t] = tuple([t * w for w in ve])
+            base = (tuple(map(sub, e, s)), yp - t * vy)
+        else:
+            base = (e, yp)
+        line = lines.get(base)
+        if line is None:
+            lines[base] = {t: c}
+        else:
+            line[t] = c
+    for line in lines.values():
+        if r == 1:
+            signed = sum(line.values())
+        else:
+            signed = sum(-c if t & 1 else c for t, c in line.items())
+        if signed:
+            return None
+    out = {}
+    for (be, by), line in lines.items():
+        lo, hi = min(line), max(line)
+        # the quotient by b is c0 X^-k0 times the quotient by 1 + c X^v
+        ke = tuple([x - x0 + lo * w for x, x0, w in zip(be, e0, ve)])
+        ky = by - y0 + lo * vy
+        q = 0
+        for t in range(lo, hi):
+            q = line.get(t, 0) + r * q
+            if q:
+                out[(ke, ky)] = c0 * q
+            ke = tuple(map(add, ke, ve))
+            ky += vy
+    return out
 
 
 # -- structured fractions ------------------------------------------------------
@@ -292,7 +356,7 @@ class FactoredFraction:
         return not self.num.terms
 
     def __add__(self, other):
-        if other == 0:
+        if isinstance(other, int) and other == 0:
             return self
         if self.is_zero():
             return other
@@ -328,25 +392,21 @@ class FactoredFraction:
         return FactoredFraction(self.num, self.den + tuple(factors))
 
     def reduce(self):
-        """Cancel denominator factors that divide the numerator exactly."""
+        """Cancel denominator factors that divide the numerator exactly.
+
+        One pass suffices: a factor that does not divide the numerator does
+        not divide any of its quotients either.
+        """
         if not self.num.terms:
             return FactoredFraction.zero(self.nvars)
         num = self.num
         remaining = []
-        pending = list(self.den)
-        progress = True
-        while pending and progress and num.terms:
-            progress = False
-            still = []
-            for f in pending:
-                q = divide_exact(num, factor_polynomial(f))
-                if q is None:
-                    still.append(f)
-                else:
-                    num = q
-                    progress = True
-            pending = still
-        remaining = pending
+        for f in self.den:
+            q = divide_exact(num, factor_polynomial(f))
+            if q is None:
+                remaining.append(f)
+            else:
+                num = q
         return FactoredFraction(num, remaining)
 
     def as_polynomial(self):

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from schubmc import cli
 from schubmc.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -96,11 +97,32 @@ def test_cache_dir_round_trip(tmp_path, monkeypatch):
     assert fourth == first
 
 
+@pytest.mark.parametrize("name,other", [("__version__", "0.0.0"), ("_CACHE_SCHEMA", "0")])
+def test_cache_from_other_key_ignored(name, other, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("SCHUBMC_CACHE_DIR", str(cache))
+    args = ["mc", "compute", "--type", "A2", "--cell", "s1s2"]
+    with monkeypatch.context() as m:
+        m.setattr(cli, name, other)
+        run_cli(args, tmp_path, "old.json")
+    (stale,) = cache.iterdir()
+    # a valid payload that would change the output if it were served
+    stale.write_text(json.dumps({"stale": True}))
+    code, text = run_cli(args, tmp_path, "new.json")
+    assert code == 0
+    assert text == (GOLDEN / "mc_a2_s1s2.json").read_text()
+    assert len(list(cache.iterdir())) == 2
+
+
 def test_console_script_entry():
+    # the child finds the package where this process did, installed or not
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "schubmc.cli", "chi", "--type", "A2"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     obj = json.loads(proc.stdout)

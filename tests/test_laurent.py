@@ -70,6 +70,49 @@ def test_divide_exact_roundtrip(p, q):
     assert got is not None and got == p
 
 
+factor_keys = st.one_of(
+    st.just(("opy", (0, 0))),  # 1 + y
+    st.tuples(st.just("opy"), exps),
+    st.tuples(st.just("om"), exps.filter(any)),
+)
+
+
+@given(polys, factor_keys, st.integers(0, 2), term_keys, st.sampled_from([1, -1]))
+@settings(max_examples=200, deadline=None)
+def test_binomial_division_matches_kernel(p, key, power, shift, sign):
+    # the binomial route against the general kernel division, on p, p*f and p*f*f;
+    # the shifted divisor sign*X^shift*f exercises the monomial normalization
+    f = factor_polynomial(key)
+    g = f * L({shift: sign})
+    for b in (f, g):
+        a = p
+        for _ in range(power):
+            a = a * b
+        want = _kernel_py.lp_divide_exact(a.terms, b.terms)
+        assert laurent._divide_binomial(a.terms, b.terms) == want
+        got = divide_exact(a, b)
+        assert (got is None) if want is None else (got.terms == want)
+        assert divide_exact(p * b, b) == p
+
+
+def test_fraction_reduce_single_pass_is_complete():
+    f1 = one_minus_e((2, -1))
+    f2 = one_plus_ye((-1, 0))
+    f3 = one_minus_e((1, 1))
+    for p in (L({((1, 0), 0): 2, ((0, 1), 1): -1, ((0, 0), 0): 3}), factor_polynomial(f3)):
+        for num_factors, den in [
+            ((f1, f1, f2), (f1, f2, f2)),
+            ((f2, f1, f2), (f1, f1, f2, f2)),
+            ((f3, f1), (f2, f3, f1, f1, f3)),
+            ((), (f2, f1, f2)),
+        ]:
+            x = FactoredFraction(p * product_of_factors(num_factors, 2), den)
+            r = x.reduce()
+            assert r == x
+            assert r.reduce().den == r.den
+            assert all(divide_exact(r.num, factor_polynomial(f)) is None for f in r.den)
+
+
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.__name__.rsplit("_", 1)[-1])
 def test_kernels_agree(kernel):
     a = {((1, 0), 0): 2, ((0, -1), 1): -3, ((0, 0), 0): 1}

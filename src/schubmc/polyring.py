@@ -6,90 +6,146 @@ roots, with the degree-one formal variable appended last when homogenizing),
 or ``YFrac`` (rationals in y with powers of 1+y inverted) for the Hirzebruch
 layer.  ``GradedSeries`` is a degree-truncated series with homogeneous
 components, the working form of completed equivariant (co)homology.
+
+A ``YFrac`` stores integer numerators over one positive integer denominator
+and a power of (1+y), in a single normal form, so its arithmetic is integer
+convolution and gcd; ``YFrac.num`` is a ``Fraction`` view of the coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, gcd, lcm
+from operator import add
 
 
 class YFrac:
-    """Element of Q[y, (1+y)^-1]: a y-polynomial over a power of (1+y)."""
+    """Element of Q[y, (1+y)^-1]: a y-polynomial over a power of (1+y).
 
-    __slots__ = ("num", "k")
+    The value is ``(n_0 + n_1 y + ... + n_m y^m) / (d (1+y)^k)`` with integer
+    numerators ``n_i`` and one positive integer denominator ``d``.  Each value
+    has one form: ``n_m != 0``, ``gcd(n_0, ..., n_m, d) == 1`` and, when
+    ``k > 0``, ``1 + y`` does not divide the numerator (zero is ``()``,
+    ``d = 1``, ``k = 0``); ``normalize=False`` skips only the (1+y)
+    cancellation.  ``num`` is a read-only view of the coefficients as
+    ``Fraction``s, ``n_i / d``.
+    """
+
+    __slots__ = ("_n", "_d", "k")
 
     def __init__(self, num, k=0, normalize=True):
-        num = list(num)
-        while num and num[-1] == 0:
-            num.pop()
-        if not num:
-            self.num, self.k = (), 0
-            return
-        if normalize:
-            while k > 0:
-                q = _divide_one_plus_y(num)
-                if q is None:
-                    break
-                num = q
-                k -= 1
-        self.num = tuple(Fraction(c) for c in num)
-        self.k = k
+        num = [c if isinstance(c, int) else Fraction(c) for c in num]
+        d = lcm(*(c.denominator for c in num)) if num else 1
+        _set(self, [c.numerator * (d // c.denominator) for c in num], d, k, normalize)
+
+    @property
+    def num(self):
+        d = self._d
+        return tuple(Fraction(c, d) for c in self._n)
 
     @classmethod
     def const(cls, c):
-        return cls([Fraction(c)])
+        if isinstance(c, int):
+            return _make([c], 1, 0)
+        c = Fraction(c)
+        return _make([c.numerator], c.denominator, 0)
 
     @classmethod
     def y_power(cls, p, c=1):
-        return cls([0] * p + [Fraction(c)])
+        c = Fraction(c)
+        return _make([0] * p + [c.numerator], c.denominator, 0)
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self._n)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = YFrac.const(other)
-        return isinstance(other, YFrac) and self.num == other.num and self.k == other.k
+        return (
+            isinstance(other, YFrac)
+            and self._n == other._n
+            and self._d == other._d
+            and self.k == other.k
+        )
 
     def __hash__(self):
-        return hash((self.num, self.k))
+        n = self._n
+        if self.k == 0 and len(n) <= 1:
+            # a constant hashes as the rational number it equals
+            return hash(Fraction(n[0], self._d)) if n else 0
+        return hash((n, self._d, self.k))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, YFrac):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = YFrac.const(other)
-        k = max(self.k, other.k)
-        a = _mul_one_plus_y_power(list(self.num), k - self.k)
-        b = _mul_one_plus_y_power(list(other.num), k - other.k)
-        n = max(len(a), len(b))
-        a += [Fraction(0)] * (n - len(a))
-        b += [Fraction(0)] * (n - len(b))
-        return YFrac([x + y for x, y in zip(a, b)], k)
+        a, b = self._n, other._n
+        if not b:
+            return self
+        if not a:
+            return other
+        k = self.k
+        if k < other.k:
+            a, k = _mul_one_plus_y_power(a, other.k - k), other.k
+        elif k > other.k:
+            b = _mul_one_plus_y_power(b, k - other.k)
+        d, db = self._d, other._d
+        if d != db:
+            g = gcd(d, db)
+            ma, mb = db // g, d // g
+            d *= ma
+            if ma != 1:
+                a = [x * ma for x in a]
+            if mb != 1:
+                b = [x * mb for x in b]
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, x in enumerate(b):
+            out[i] += x
+        return _make(out, d, k)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return YFrac([-c for c in self.num], self.k, normalize=False)
+        return _new(tuple(-c for c in self._n), self._d, self.k)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return YFrac([c * other for c in self.num], self.k)
-        out = [Fraction(0)] * (len(self.num) + len(other.num) - 1) if self.num and other.num else []
-        for i, a in enumerate(self.num):
-            for j, b in enumerate(other.num):
-                out[i + j] += a * b
-        return YFrac(out, self.k + other.k)
+        if not isinstance(other, YFrac):
+            if isinstance(other, int):
+                return _make([c * other for c in self._n], self._d, self.k)
+            if isinstance(other, Fraction):
+                p = other.numerator
+                return _make([c * p for c in self._n], self._d * other.denominator, self.k)
+            return NotImplemented
+        a, b = self._n, other._n
+        if not a or not b:
+            return _ZERO
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            c = b[0]
+            out = [x * c for x in a]
+        else:
+            out = [0] * (len(a) + len(b) - 1)
+            for j, c in enumerate(b):
+                if c:
+                    for i, x in enumerate(a, j):
+                        out[i] += x * c
+        return _make(out, self._d * other._d, self.k + other.k)
 
     __rmul__ = __mul__
 
     def divide_by_one_plus_y(self, power=1):
-        return YFrac(self.num, self.k + power)
+        return _make(list(self._n), self._d, self.k + power)
 
     def inverse(self):
         """Inverse when the numerator is c (1+y)^m; raises otherwise."""
-        num = list(self.num)
+        num = self._n
         m = 0
         while len(num) > 1:
             q = _divide_one_plus_y(num)
@@ -97,14 +153,16 @@ class YFrac:
                 raise ArithmeticError(f"{self!r} is not invertible in Q[y,(1+y)^-1]")
             num = q
             m += 1
-        if not num or num[0] == 0:
+        if not num:
             raise ZeroDivisionError("inverting zero")
-        inv = [Fraction(1, 1) / num[0]]
-        return YFrac(_mul_one_plus_y_power(inv, self.k), m)
+        c = num[0]
+        d = self._d if c > 0 else -self._d
+        return _make(_mul_one_plus_y_power((d,), self.k), abs(c), m)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return YFrac([c / Fraction(other) for c in self.num], self.k)
+            other = 1 / Fraction(other)
+            return _make([c * other.numerator for c in self._n], self._d * other.denominator, self.k)
         return self * other.inverse()
 
     def __pow__(self, n):
@@ -137,30 +195,66 @@ class YFrac:
         return f"({body})/(1+y)^{self.k}" if self.k else f"({body})"
 
 
+def _new(n, d, k):
+    out = object.__new__(YFrac)
+    out._n, out._d, out.k = n, d, k
+    return out
+
+
+def _set(out, n, d, k, normalize):
+    """Store n / (d (1+y)^k) in out, brought to the one form (n a list of ints)."""
+    while n and not n[-1]:
+        n.pop()
+    if not n:
+        out._n, out._d, out.k = (), 1, 0
+        return out
+    if normalize:
+        # 1 + y divides n exactly when n(-1) = 0
+        while k > 0 and sum(n[::2]) == sum(n[1::2]):
+            n = _divide_one_plus_y(n)
+            k -= 1
+    if d != 1:
+        g = gcd(d, *n)
+        if g != 1:
+            n = [c // g for c in n]
+            d //= g
+    out._n, out._d, out.k = tuple(n), d, k
+    return out
+
+
+def _make(n, d, k):
+    return _set(object.__new__(YFrac), n, d, k, True)
+
+
+_ZERO = _new((), 1, 0)
+
+
 def _divide_one_plus_y(num):
-    """Exact quotient of a coefficient list by (1 + y), or None."""
+    """Exact quotient of an integer coefficient list by (1 + y), or None."""
     if not num:
         return []
     out = []
-    carry = Fraction(0)
+    carry = 0
     for c in num:
-        cur = c - carry
-        out.append(cur)
-        carry = cur
-    if out and out[-1] != 0:
+        carry = c - carry
+        out.append(carry)
+    if carry:
         return None
-    return out[:-1]
+    out.pop()
+    return out
 
 
 def _mul_one_plus_y_power(num, p):
-    num = list(num)
-    for _ in range(p):
-        num = [
-            (num[i] if i < len(num) else Fraction(0))
-            + (num[i - 1] if i >= 1 else Fraction(0))
-            for i in range(len(num) + 1)
-        ]
-    return num
+    """The integer coefficient list num times (1 + y)^p."""
+    if p == 1:
+        return [num[0], *map(add, num[1:], num[:-1]), num[-1]]
+    binom = [comb(p, j) for j in range(p + 1)]
+    out = [0] * (len(num) + p)
+    for i, c in enumerate(num):
+        if c:
+            for j, b in enumerate(binom, i):
+                out[j] += c * b
+    return out
 
 
 class Poly:
@@ -234,15 +328,12 @@ class Poly:
                 return Poly.zero(self.nvars)
             return Poly({k: v * other for k, v in self.terms.items()}, self.nvars)
         out = {}
+        bterms = list(other.terms.items())
         for ka, va in self.terms.items():
-            for kb, vb in other.terms.items():
-                k = tuple(x + y for x, y in zip(ka, kb))
+            for kb, vb in bterms:
+                k = tuple(map(add, ka, kb))
                 c = out.get(k)
-                c = va * vb if c is None else c + va * vb
-                if c:
-                    out[k] = c
-                else:
-                    del out[k]
+                out[k] = va * vb if c is None else c + va * vb
         return Poly(out, self.nvars)
 
     __rmul__ = __mul__
@@ -331,15 +422,16 @@ class Poly:
         rem = dict(self.terms)
         lead_q = max(q.terms)
         cq = q.terms[lead_q]
+        try:
+            inv = cq.inverse() if isinstance(cq, YFrac) else Fraction(1) / cq
+        except ArithmeticError:
+            return None
         quot = {}
         while rem:
             lead_r = max(rem)
             if any(x < y for x, y in zip(lead_r, lead_q)):
                 return None
-            cr = rem[lead_r]
-            qc = _coeff_div(cr, cq)
-            if qc is None:
-                return None
+            qc = inv * rem[lead_r]
             qk = tuple(x - y for x, y in zip(lead_r, lead_q))
             quot[qk] = qc
             for bk, bc in q.terms.items():
@@ -360,19 +452,6 @@ class Poly:
             mono = "*".join(f"x{j}^{e}" if e > 1 else f"x{j}" for j, e in enumerate(k) if e)
             bits.append(f"{v}" + (f"*{mono}" if mono else ""))
         return " + ".join(bits)
-
-
-def _coeff_div(a, b):
-    if isinstance(b, YFrac):
-        try:
-            return a * b.inverse() if isinstance(a, YFrac) else YFrac.const(a) * b.inverse()
-        except ArithmeticError:
-            return None
-    if isinstance(a, YFrac):
-        return a / b
-    if b == 0:
-        return None
-    return a / b
 
 
 def fraction_sum(pairs, zero, one):
@@ -482,7 +561,7 @@ class GradedSeries:
         if len(c0.terms) != 1 or (0,) * self.nvars not in c0.terms:
             raise ArithmeticError("constant term is not a unit")
         c = c0.terms[(0,) * self.nvars]
-        cinv = c.inverse() if isinstance(c, YFrac) else 1 / c
+        cinv = c.inverse() if isinstance(c, YFrac) else Fraction(1) / c
         minus_g = -((self * cinv) - GradedSeries.const(1, self.cap, self.nvars))
         acc = GradedSeries.const(1, self.cap, self.nvars)
         power = GradedSeries.const(1, self.cap, self.nvars)

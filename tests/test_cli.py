@@ -36,6 +36,10 @@ def run_cli(args, tmp_path, name="out.json"):
         (["hecke", "expand", "--type", "A2", "--element", "s2s1"], "hecke_a2_s2s1.json"),
         (["csm", "--type", "A2", "--cell", "s1s2", "--nonequivariant"], "csm_a2_s1s2.json"),
         (["hirzebruch", "--type", "A1", "--cell", "s1", "--cap", "4"], "hz_a1_s1.json"),
+        (
+            ["hirzebruch", "--type", "A2", "--cell", "s1s2", "--normalized", "--cap", "4"],
+            "hz_a2_s1s2_norm.json",
+        ),
     ],
 )
 def test_golden_files(args, golden, tmp_path):

@@ -1,6 +1,9 @@
 from fractions import Fraction as F
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schubmc.polyring import (
     GradedSeries,
@@ -33,6 +36,107 @@ def test_yfrac_inverse_limits():
         YFrac([1, 2]).inverse()
 
 
+def test_yfrac_hash_agrees_with_rational_equality():
+    assert YFrac.const(3) == 3 and hash(YFrac.const(3)) == hash(3)
+    assert len({YFrac.const(3), 3}) == 1
+    half = YFrac([F(1, 2)])
+    assert half == F(1, 2) and hash(half) == hash(F(1, 2))
+    assert len({half, F(1, 2), YFrac([1, 1], 1) / 2}) == 1
+    assert YFrac([]) == 0 and hash(YFrac([])) == hash(0)
+    assert {YFrac([1], 1): "a"}[YFrac([2, 2], 2) / 2] == "a"
+
+
+# -- differential test: YFrac against a list of Fractions over a power of (1+y) --
+
+
+def _ref_mul(p, q):
+    out = [F(0)] * (len(p) + len(q) - 1) if p and q else []
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _ref_one_plus_y(m):
+    return [F(comb(m, j)) for j in range(m + 1)]
+
+
+def _ref_add(a, b):
+    (p, kp), (q, kq) = a, b
+    k = max(kp, kq)
+    p = _ref_mul(p, _ref_one_plus_y(k - kp))
+    q = _ref_mul(q, _ref_one_plus_y(k - kq))
+    n = max(len(p), len(q))
+    p, q = p + [F(0)] * (n - len(p)), q + [F(0)] * (n - len(q))
+    return [x + y for x, y in zip(p, q)], k
+
+
+def _ref_normal(a):
+    """(num, k) with no trailing zero and no (1+y) left to cancel while k > 0."""
+    p, k = list(a[0]), a[1]
+    while p and p[-1] == 0:
+        p.pop()
+    if not p:
+        return (), 0
+    while k > 0 and len(p) > 1:
+        # synthetic division by y - (-1), highest coefficient first
+        b = [p[-1]]
+        for c in p[-2::-1]:
+            b.append(c - b[-1])
+        if b.pop():
+            break
+        p, k = b[::-1], k - 1
+    return tuple(p), k
+
+
+def _check(x, ref):
+    num, k = _ref_normal(ref)
+    assert all(type(c) is F for c in x.num)
+    assert (x.num, x.k) == (num, k)
+    # the same value written with two more (1+y) factors has the same form
+    again = YFrac(_ref_mul(list(num), _ref_one_plus_y(2)), k + 2)
+    assert again == x and hash(again) == hash(x)
+    assert (again.num, again.k) == (x.num, x.k)
+    if k == 0 and len(num) <= 1:
+        assert hash(x) == hash(num[0] if num else 0)
+
+
+_coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+_nonzero = _coeffs.filter(bool)
+# (p, j, k): the value p (1+y)^j / (1+y)^k
+_values = st.tuples(st.lists(_coeffs, max_size=4), st.integers(0, 2), st.integers(0, 4))
+# (c, m, k): the unit c (1+y)^m / (1+y)^k
+_units = st.tuples(_nonzero, st.integers(0, 3), st.integers(0, 4))
+
+
+@given(_values, _values, _units, st.integers(-6, 6).filter(bool), _nonzero)
+@settings(max_examples=300, deadline=None)
+def test_yfrac_matches_reference_model(a, b, unit, n, f):
+    ra = (_ref_mul(a[0], _ref_one_plus_y(a[1])), a[2])
+    rb = (_ref_mul(b[0], _ref_one_plus_y(b[1])), b[2])
+    c, m, ku = unit
+    ru = ([c * x for x in _ref_one_plus_y(m)], ku)
+    x, y, u = YFrac(*ra), YFrac(*rb), YFrac(*ru)
+    _check(x, ra)
+    _check(u, ru)
+    _check(x + y, _ref_add(ra, rb))
+    _check(x - y, _ref_add(ra, ([-v for v in rb[0]], rb[1])))
+    _check(x * y, (_ref_mul(ra[0], rb[0]), ra[1] + rb[1]))
+    _check(-x, ([-v for v in ra[0]], ra[1]))
+    _check(x + n, _ref_add(ra, ([F(n)], 0)))
+    _check(n * x, ([n * v for v in ra[0]], ra[1]))
+    _check(x * f, ([f * v for v in ra[0]], ra[1]))
+    _check(x / n, ([v / n for v in ra[0]], ra[1]))
+    _check(x / f, ([v / f for v in ra[0]], ra[1]))
+    inv = ([v / c for v in _ref_one_plus_y(ku)], m)
+    _check(u.inverse(), inv)
+    _check(x / u, (_ref_mul(ra[0], inv[0]), ra[1] + inv[1]))
+    _check(x.divide_by_one_plus_y(), (ra[0], ra[1] + 1))
+    _check(x.divide_by_one_plus_y(2), (ra[0], ra[1] + 2))
+    assert x + y == y + x and hash(x + y) == hash(y + x)
+    assert (x * y) * u == x * (y * u)
+
+
 def test_yfrac_evaluate():
     a = YFrac([1, 2])  # 1 + 2y
     assert a.evaluate(-1) == -1
@@ -52,6 +156,17 @@ def test_poly_arithmetic_and_division():
     assert p.degree() == 2
     assert p.homogeneous_component(2) == p
     assert (x * y).evaluate([F(2), F(3)]) == 6
+
+
+def test_poly_divide_exact_stays_exact_over_int_coefficients():
+    q = Poly({(1,): 3}, 1).divide_exact(Poly({(1,): 2}, 1))
+    assert q.terms == {(0,): F(3, 2)}
+    assert all(type(c) is F for c in q.terms.values())
+    # the quotient steps need a divisor whose leading coefficient is a unit
+    x = Poly.variable(0, 1, YFrac([1, 2]))
+    assert (x * x).divide_exact(x) is None
+    yx = Poly.variable(0, 1, YFrac([1, 1], 2))
+    assert (yx * yx).divide_exact(yx) == yx
 
 
 def test_poly_substitution():
@@ -89,6 +204,10 @@ def test_graded_series_inverse_and_division():
     q = num.divide_by_poly(x)
     assert q == GradedSeries.from_poly(x * x + x, 4)
     assert GradedSeries.from_poly(x + Poly.const(1, 1), 5).divide_by_poly(x) is None
+    # an int constant term inverts exactly
+    inv = GradedSeries.from_poly(Poly({(0,): 2, (1,): 1}, 1), 3).inverse()
+    assert inv.component(0) == Poly.const(F(1, 2), 1)
+    assert all(type(c) is F for p in inv.comps.values() for c in p.terms.values())
 
 
 @pytest.mark.parametrize("cap", [6, 8])

@@ -308,12 +308,15 @@ def cmd_chi(args):
 
 def cmd_conjectures(args):
     rs = _root_system(args)
+    if args.maxlen is not None and args.maxlen < 0:
+        # a negative bound selects no cell, and would verify vacuously
+        raise ConfigError(f"--maxlen must be nonnegative, got {args.maxlen}")
     pd_spec = args.parabolic or ""
     which = args.which.split(",") if args.which else sorted(conj.CHECKERS)
     reports = []
     refuted = False
-    for name in which:
-        checker = conj.CHECKERS.get(name.strip())
+    for name in map(str.strip, which):
+        checker = conj.CHECKERS.get(name)
         if checker is None:
             raise ConfigError(f"unknown conjecture checker {name!r}")
         kwargs = {}

@@ -6,6 +6,14 @@ variable).  Divided differences and their twisted variants act pointwise;
 CSM classes are produced by the twisted recursion and, as an independent
 route, extracted from motivic Chern classes by the leading-term procedure.
 
+Restrictions are polynomials with ``int`` coefficients.  Roots have integer,
+coprime simple-root coordinates, so every divided difference and every
+localization sum that clears to a polynomial divides exactly over the
+integers: Schubert, CSM and dual CSM classes, their opposite twists and
+their Schubert expansions all stay in Z[alpha, hbar].  ``Cohomology.expand``
+is the layer's result boundary and returns ``Fraction`` coefficients, the
+one canonical form of its output.
+
 A small numeric sub-engine evaluates classes at a generic rational point of
 the parameter space; any pairing whose value is a degree-zero constant is
 computed exactly this way.
@@ -45,14 +53,14 @@ class Cohomology:
         p = self._form_cache.get(weight)
         if p is None:
             coords = self.rs.weight_in_simple_roots(weight)
-            p = Poly.linear([-c for c in coords] + [Fraction(0)])
+            # root-lattice coordinates are integral: the class is built over Z
+            p = Poly.linear([-int(c) if c.denominator == 1 else -c for c in coords] + [0])
             self._form_cache[weight] = p
         return p
 
     def root_variable_form(self, weight):
         """The display polynomial of a root-lattice weight in the alpha variables."""
-        coords = self.rs.weight_in_simple_roots(weight)
-        return Poly.linear(list(coords) + [Fraction(0)])
+        return -self.form(weight)
 
     def hbar(self):
         return Poly.variable(self.nvars - 1, self.nvars)
@@ -207,7 +215,11 @@ class Cohomology:
     # -- Schubert expansion ----------------------------------------------------------
 
     def expand(self, a, opposite=False):
-        """Triangular solve against the (opposite) Schubert classes."""
+        """Triangular solve against the (opposite) Schubert classes.
+
+        The solve runs in the coefficients of ``a`` (integers for the classes
+        built here); every coefficient of the result is a ``Fraction``.
+        """
         basis = self.opposite_schubert_class if opposite else self.schubert_class
 
         def solve(pivot, value):
@@ -216,7 +228,7 @@ class Cohomology:
                 raise GKMError(f"expansion coefficient at {pivot.name()} is not polynomial")
             return c
 
-        return triangular_solve(
+        coeffs = triangular_solve(
             a.coeffs,
             min if opposite else max,
             lambda w: basis(w).coeffs,
@@ -225,6 +237,8 @@ class Cohomology:
             Poly.zero(self.nvars),
             GKMError,
         )
+        # the result boundary: coefficients leave the layer as Fractions
+        return {w: c.map_coefficients(Fraction) for w, c in coeffs.items()}
 
 
 class SegreMacPherson:

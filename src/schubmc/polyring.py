@@ -1,11 +1,14 @@
 """Exact polynomial and truncated-series arithmetic for the cohomology layers.
 
 ``Poly`` is a sparse multivariate polynomial over an exact coefficient ring:
-``Fraction`` for ordinary equivariant cohomology (variables are the simple
-roots, with the degree-one formal variable appended last when homogenizing),
-or ``YFrac`` (rationals in y with powers of 1+y inverted) for the Hirzebruch
-layer.  ``GradedSeries`` is a degree-truncated series with homogeneous
-components, the working form of completed equivariant (co)homology.
+integers for ordinary equivariant cohomology (variables are the simple roots,
+with the degree-one formal variable appended last when homogenizing), with a
+``Fraction`` only for a value that is not integral, or ``YFrac`` (rationals
+in y with powers of 1+y inverted) for the Hirzebruch layer.  Constructors
+keep an ``int`` an ``int``, and exact division by an integer polynomial with
+coprime coefficients keeps an integral quotient integral (Gauss's lemma).
+``GradedSeries`` is a degree-truncated series with homogeneous components,
+the working form of completed equivariant (co)homology.
 
 A ``YFrac`` stores integer numerators over one positive integer denominator
 and a power of (1+y), in a single normal form, so its arithmetic is integer
@@ -272,11 +275,10 @@ class Poly:
 
     @classmethod
     def const(cls, c, nvars):
-        c = Fraction(c) if isinstance(c, int) else c
         return cls({(0,) * nvars: c} if c else {}, nvars)
 
     @classmethod
-    def variable(cls, j, nvars, coeff=Fraction(1)):
+    def variable(cls, j, nvars, coeff=1):
         exp = tuple(int(i == j) for i in range(nvars))
         return cls({exp: coeff}, nvars)
 
@@ -287,7 +289,7 @@ class Poly:
         for j, c in enumerate(coeffs):
             if c:
                 exp = tuple(int(i == j) for i in range(nvars))
-                terms[exp] = Fraction(c) if isinstance(c, int) else c
+                terms[exp] = c
         return cls(terms, nvars)
 
     def __bool__(self):
@@ -383,7 +385,7 @@ class Poly:
         for k, v in self.terms.items():
             c = v
             if k[j]:
-                c = c * (Fraction(value) ** k[j] if not isinstance(value, YFrac) else value ** k[j])
+                c = c * value ** k[j]
             key = k[:j] + (0,) + k[j + 1 :]
             prev = out.get(key)
             c2 = c if prev is None else prev + c
@@ -414,7 +416,13 @@ class Poly:
         return out
 
     def divide_exact(self, q):
-        """Exact quotient self/q over the coefficient ring, else None."""
+        """Exact quotient self/q over the coefficient ring, else None.
+
+        A quotient step whose ``int`` coefficient the divisor's ``int``
+        leading coefficient divides stays an ``int`` (always, for a primitive
+        divisor of an integral multiple); any other step multiplies by the
+        exact inverse of that leading coefficient.
+        """
         if not q.terms:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self.terms:
@@ -426,12 +434,17 @@ class Poly:
             inv = cq.inverse() if isinstance(cq, YFrac) else Fraction(1) / cq
         except ArithmeticError:
             return None
+        integral = type(cq) is int
         quot = {}
         while rem:
             lead_r = max(rem)
             if any(x < y for x, y in zip(lead_r, lead_q)):
                 return None
-            qc = inv * rem[lead_r]
+            r = rem[lead_r]
+            if integral and type(r) is int and not r % cq:
+                qc = r // cq
+            else:
+                qc = inv * r
             qk = tuple(x - y for x, y in zip(lead_r, lead_q))
             quot[qk] = qc
             for bk, bc in q.terms.items():

@@ -40,6 +40,7 @@ def run_cli(args, tmp_path, name="out.json"):
             ["hirzebruch", "--type", "A2", "--cell", "s1s2", "--normalized", "--cap", "4"],
             "hz_a2_s1s2_norm.json",
         ),
+        (["csm", "--type", "B2", "--cell", "w0"], "csm_b2_w0.json"),
     ],
 )
 def test_golden_files(args, golden, tmp_path):
@@ -61,6 +62,12 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["mc", "compute", "--type", "A2", "--cell", "s9"]) == 2
     assert main(["conjectures", "run", "--type", "A2", "--which", "nope"]) == 2
     assert main(["hirzebruch", "--type", "A1", "--cell", "s1", "--cap", "-3"]) == 2
+    maxlen = ["conjectures", "run", "--type", "A2", "--which", "mc-positivity", "--maxlen"]
+    assert main(maxlen + ["-1"]) == 2
+    # every listed checker gets the bound, whatever the spacing of the list
+    code, text = run_cli(maxlen[:-2] + ["mc-positivity, mc-log-concavity", "--maxlen", "1"], tmp_path)
+    assert code == 0
+    assert [r["notes"]["maxlen"] for r in json.loads(text)["reports"]] == [1, 1]
     assert main(["csm", "--type", "A2", "--cell", "s1", "--parabolic", "5"]) == 2
     assert main(["csm", "--type", "A2", "--cell", "s1", "--parabolic", "1"]) == 2
     code, _ = run_cli(

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from schubmc.cohomology import (
+    CohClass,
     GKMError,
     SchubertCalculus,
     cohomology,
@@ -420,3 +421,56 @@ def test_gr36_h_polynomial():
     H = h_polynomial(tot)
     assert H == YPolynomial([5, 8, 6, 1])
     assert check_log_concave(H)
+
+
+def _lift(a):
+    """The same class with every coefficient a Fraction."""
+    return CohClass(a.ctx, {w: p.map_coefficients(F) for w, p in a.coeffs.items()})
+
+
+def _coefficient_types(polys):
+    return {type(c) for p in polys for c in p.terms.values()}
+
+
+@pytest.mark.parametrize("t,r", [("A", 2), ("B", 2), ("G", 2)])
+def test_integral_classes_match_their_fraction_lifts(t, r):
+    rs = root_system(t, r)
+    ctx = cohomology(rs)
+    cells = rs.weyl_group()
+    quotients = [rs.parabolic([1]), rs.parabolic([2])]
+    for w in cells:
+        classes = [
+            ctx.schubert_class(w),
+            ctx.opposite_schubert_class(w),
+            ctx.csm(w),
+            ctx.csm_opposite(w),
+            ctx.dual_csm(w),
+        ]
+        for a in classes:
+            # the classes are built over the integers
+            assert _coefficient_types(a.coeffs.values()) == {int}, w.name()
+            lifted = _lift(a)
+            assert _coefficient_types(lifted.coeffs.values()) == {F}
+            for opposite in (False, True):
+                got = ctx.expand(a, opposite)
+                assert got == ctx.expand(lifted, opposite)
+                # the canonical output form: every expansion coefficient is a Fraction
+                assert _coefficient_types(got.values()) == {F}
+            for pd in quotients:
+                pushed = parabolic_pushforward_coh(ctx, a, pd)
+                pushed_lift = parabolic_pushforward_coh(ctx, lifted, pd)
+                assert pushed == pushed_lift
+                assert integrate_quotient(ctx, pd, pushed) == integrate_quotient(ctx, pd, pushed_lift)
+        # pairings, with the polynomial Euler denominators and with total Chern ones
+        sm = ctx.sm(w, opposite=True)
+        sm_h1 = type(sm)(ctx, sm.numerator.set_hbar(1))
+        sm_lift = type(sm)(ctx, _lift(sm.numerator).set_hbar(1))
+        for v in cells:
+            x, y = ctx.csm(w), ctx.dual_csm(v)
+            assert ctx.pair(x, y) == ctx.pair(_lift(x), _lift(y))
+            if v.length > w.length + 1:
+                continue  # the total-Chern sums grow fast with the shared support
+            c = ctx.csm(v).set_hbar(1)
+            val = sm_h1.pair_with(c)
+            assert val == sm_lift.pair_with(_lift(c))
+            assert val == Poly.const(1 if v == w else 0, ctx.nvars)

@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -167,6 +167,57 @@ def test_poly_divide_exact_stays_exact_over_int_coefficients():
     assert (x * x).divide_exact(x) is None
     yx = Poly.variable(0, 1, YFrac([1, 1], 2))
     assert (yx * yx).divide_exact(yx) == yx
+
+
+def _coefficient_types(p):
+    return {type(c) for c in p.terms.values()}
+
+
+def test_poly_divide_exact_over_int_polynomials():
+    x = Poly.variable(0, 2)
+    y = Poly.variable(1, 2)
+    q = x * x * 2 - x * y * 5 + Poly.const(7, 2)
+    # a leading coefficient of 1 or -1 is its own inverse: the quotient stays integral
+    for d in (x - y * 3, y * 2 - x):
+        assert (d * q).divide_exact(d) == q
+        assert _coefficient_types((d * q).divide_exact(d)) == {int}
+    # a leading 2: the quotient is exact, an int where 2 divides ...
+    d = x * 2 + y
+    got = (d * q).divide_exact(d)
+    assert got == q and _coefficient_types(got) == {int}
+    # ... and the exact Fraction where it does not
+    got = (x * x * 3 + x * y * 4).divide_exact(x * 2)
+    assert got.terms == {(1, 0): F(3, 2), (0, 1): 2}
+    # a divisor that does not divide gives None
+    assert (x * x + y).divide_exact(d) is None
+    assert (x * x + Poly.const(1, 2)).divide_exact(x + y) is None
+    assert (d * q + Poly.const(1, 2)).divide_exact(d) is None
+    # no float anywhere
+    for p in (q, d * q, got, (d * q).divide_exact(d)):
+        assert not _coefficient_types(p) - {int, F}
+
+
+_int_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-9, 9), max_size=5
+).map(lambda t: Poly(t, 2))
+
+
+@given(_int_polys, _int_polys.filter(bool))
+@settings(max_examples=200, deadline=None)
+def test_poly_divide_exact_matches_fraction_division(a, b):
+    """Dividing int polynomials agrees with dividing their Fraction copies."""
+    p = a * b
+    for num in (p, p + Poly.const(1, 2)):
+        got = num.divide_exact(b)
+        want = num.map_coefficients(F).divide_exact(b.map_coefficients(F))
+        assert got == want
+        if got is not None:
+            assert got * b == num
+            assert not _coefficient_types(got) - {int, F}
+    assert p.divide_exact(b) == a
+    if gcd(*b.terms.values()) == 1:
+        # Gauss's lemma: a primitive divisor leaves the quotient integral
+        assert _coefficient_types(p.divide_exact(b)) <= {int}
 
 
 def test_poly_substitution():

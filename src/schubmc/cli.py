@@ -33,21 +33,28 @@ def _root_system(args):
     return root_system(lie_type, rank)
 
 
+def _subset(spec):
+    """Simple-root indices of a comma-separated --parabolic value."""
+    try:
+        return [int(x) for x in spec.split(",") if x.strip()]
+    except ValueError:
+        raise ConfigError(f"cannot parse parabolic subset {spec!r}")
+
+
 def _parabolic(rs, spec):
     if not spec:
         return None
-    try:
-        subset = [int(x) for x in spec.split(",") if x.strip()]
-    except ValueError:
-        raise ConfigError(f"cannot parse parabolic subset {spec!r}")
-    return rs.parabolic(subset)
+    return rs.parabolic(_subset(spec))
 
 
 def _emit(args, payload):
     text = json.dumps(payload, indent=2, sort_keys=False) + "\n"
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {args.out}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -311,7 +318,7 @@ def cmd_conjectures(args):
     if args.maxlen is not None and args.maxlen < 0:
         # a negative bound selects no cell, and would verify vacuously
         raise ConfigError(f"--maxlen must be nonnegative, got {args.maxlen}")
-    pd_spec = args.parabolic or ""
+    subset = _subset(args.parabolic or "") or None
     which = args.which.split(",") if args.which else sorted(conj.CHECKERS)
     reports = []
     refuted = False
@@ -321,7 +328,7 @@ def cmd_conjectures(args):
             raise ConfigError(f"unknown conjecture checker {name!r}")
         kwargs = {}
         if name in ("csm-positivity", "h-unimodality", "euler-alternation"):
-            kwargs["parabolic"] = [int(x) for x in pd_spec.split(",") if x] or None
+            kwargs["parabolic"] = subset
         if name in ("mc-positivity", "mc-log-concavity") and args.maxlen is not None:
             kwargs["maxlen"] = args.maxlen
         rep = checker(rs, **kwargs)

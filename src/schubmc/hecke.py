@@ -24,7 +24,7 @@ class HeckeElement:
 
     def __init__(self, rs, terms):
         self.rs = rs
-        self.terms = {w: p for w, p in terms.items() if p.terms}
+        self.terms = {w: p for w, p in terms.items() if p}
 
     @classmethod
     def zero(cls, rs):
@@ -94,7 +94,7 @@ def straighten_past_simple(rs, poly, i):
     s = rs.simple_reflection(i)
     reflected = poly.weyl_map(s)
     diff = poly - reflected
-    if not diff.terms:
+    if not diff:
         return reflected, LaurentPolynomial.zero(rs.rank)
     denom = factor_polynomial(one_minus_e(rs.simple_root(i)))
     rem = divide_exact(diff, denom)
@@ -116,7 +116,7 @@ def _basis_product(rs, w, poly, v):
     v_rest = rs.simple_reflection(i) * v
     reflected, rem = straighten_past_simple(rs, poly, i)
     out = _basis_product(rs, _d_times_simple(rs, w, i), reflected, v_rest)
-    if rem.terms:
+    if rem:
         out = out + _basis_product(rs, w, rem, v_rest)
     return out
 

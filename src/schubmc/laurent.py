@@ -1,75 +1,81 @@
 """Exact multivariate Laurent arithmetic over the weight lattice with y adjoined.
 
-``LaurentPolynomial`` stores terms as ``(exponent tuple, y power) -> int``
-with arbitrary-precision coefficients and a canonical lex term order for
-serialization.  ``FactoredFraction`` keeps denominators as multisets of
-binomial factors ``1 - e^mu`` and ``1 + y e^mu``, reduced only by exact
-division.  ``divide_exact`` cancels such a binomial (any two-term divisor
-with coefficients +-1) by line sums in one pass over the dividend; only a
-general divisor goes to the kernel's long division.  The hot term arithmetic
-lives in a swappable kernel: a compiled Cython module when available, with a
-pure-Python fallback.
+``LaurentPolynomial`` keys each term by one ``int`` packing its exponent
+vector and y power (see ``_kernel_py``); integer order of the keys is the
+lex term order used for serialization.  Each polynomial carries an upper
+bound on |digit|, updated in O(1) per operation and made exact only when it
+reaches the packing range, so a product, quotient or Weyl image whose
+digits could leave the range raises OverflowError instead of carrying.
+``FactoredFraction`` keeps denominators as multisets of binomial factors
+``1 - e^mu`` and ``1 + y e^mu``, reduced only by exact division.
+``divide_exact`` cancels such a binomial (any two-term divisor with
+coefficients +-1) by line sums in one pass over the dividend; only a
+general divisor goes to the kernel's long division.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
-from operator import add, sub
+from functools import lru_cache
 
-from . import _kernel_py
+# kernel calls go through ``_impl.<name>``, so that a tracer can wrap them
+from . import _kernel_py as _impl
+from ._kernel_py import HALF, MASK, WIDTH, digit_offset, digits, pack, unpack, ypow_of
 
-_BACKENDS = {"pure": _kernel_py}
-try:  # compiled kernel is optional
-    from . import _kernel_cy
-
-    _BACKENDS["cython"] = _kernel_cy
-except ImportError:  # pragma: no cover - depends on the build
-    _kernel_cy = None
-
-if os.environ.get("SCHUBMC_BACKEND", "").lower() == "pure" or "cython" not in _BACKENDS:
-    _impl = _BACKENDS["pure"]
-    BACKEND = "pure"
-else:
-    _impl = _BACKENDS["cython"]
-    BACKEND = "cython"
+BACKEND = "pure"  # the one kernel; benchmark records report it
 
 
-def available_backends():
-    return tuple(sorted(_BACKENDS))
-
-
-def use_backend(name):
-    """Swap the term-arithmetic kernel (benchmarking hook, not thread safe)."""
-    global _impl, BACKEND
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; have {available_backends()}")
-    _impl = _BACKENDS[name]
-    BACKEND = name
+def _lp(packed, nvars, bound):
+    """Polynomial on packed terms whose digits are at most ``bound`` in size."""
+    p = object.__new__(LaurentPolynomial)
+    p.packed = packed
+    p.nvars = nvars
+    p._bound = bound
+    p._hash = None
+    return p
 
 
 class LaurentPolynomial:
-    """Element of Z[e^{+-weights}][y, y^-1], immutable once built."""
+    """Element of Z[e^{+-weights}][y, y^-1], immutable once built.
 
-    __slots__ = ("terms", "nvars", "_hash")
+    ``packed`` maps packed monomial keys to nonzero coefficients; ``terms``
+    is the same polynomial keyed by ``(exponent tuple, y power)``, built on
+    each access.
+    """
+
+    __slots__ = ("packed", "nvars", "_bound", "_hash")
 
     def __init__(self, terms, nvars):
-        self.terms = terms
+        if any(len(e) != nvars for e, _ in terms):
+            raise ValueError("rank mismatch")
+        self.packed = {pack(e, yp): c for (e, yp), c in terms.items()}
         self.nvars = nvars
         self._hash = None
+        self._tighten()
+
+    @property
+    def terms(self):
+        n = self.nvars
+        return {unpack(k, n): c for k, c in self.packed.items()}
+
+    def _tighten(self):
+        """Set the digit bound to the largest |digit| of any term, and return it."""
+        n = self.nvars + 1
+        self._bound = max((abs(d) for k in self.packed for d in digits(k, n)), default=0)
+        return self._bound
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def zero(cls, nvars):
-        return cls({}, nvars)
+        return _lp({}, nvars, 0)
 
     @classmethod
     def const(cls, c, nvars):
         c = int(c)
         if c == 0:
             return cls.zero(nvars)
-        return cls({((0,) * nvars, 0): c}, nvars)
+        return _lp({0: c}, nvars, 0)
 
     @classmethod
     def monomial(cls, weight, ypow=0, coeff=1, *, nvars=None):
@@ -93,22 +99,26 @@ class LaurentPolynomial:
 
     def __add__(self, other):
         other = self._coerce(other)
-        return LaurentPolynomial(_impl.lp_add(self.terms, other.terms), self.nvars)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return LaurentPolynomial(
-            _impl.lp_add(self.terms, _impl.lp_neg(other.terms)), self.nvars
+        return _lp(
+            _impl.lp_add(self.packed, other.packed), self.nvars, max(self._bound, other._bound)
         )
 
+    def __sub__(self, other):
+        return self + -self._coerce(other)
+
     def __neg__(self):
-        return LaurentPolynomial(_impl.lp_neg(self.terms), self.nvars)
+        return _lp(_impl.lp_neg(self.packed), self.nvars, self._bound)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LaurentPolynomial(_impl.lp_scale(self.terms, other), self.nvars)
+            return _lp(_impl.lp_scale(self.packed, other), self.nvars, self._bound)
         other = self._coerce(other)
-        return LaurentPolynomial(_impl.lp_mul(self.terms, other.terms), self.nvars)
+        bound = self._bound + other._bound
+        if bound >= HALF:
+            bound = self._tighten() + other._tighten()
+            if bound >= HALF:
+                raise OverflowError("a product exponent could leave the packing range")
+        return _lp(_impl.lp_mul(self.packed, other.packed), self.nvars, bound)
 
     __rmul__ = __mul__
     __radd__ = __add__
@@ -123,7 +133,7 @@ class LaurentPolynomial:
         raise TypeError(f"cannot combine LaurentPolynomial with {type(other)!r}")
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.packed)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -131,66 +141,76 @@ class LaurentPolynomial:
         return (
             isinstance(other, LaurentPolynomial)
             and self.nvars == other.nvars
-            and self.terms == other.terms
+            and self.packed == other.packed
         )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.nvars, tuple(self.sorted_terms())))
+            self._hash = hash((self.nvars, frozenset(self.packed.items())))
         return self._hash
 
     def sorted_terms(self):
         """Canonical order: lex on exponent, then y power, descending."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
+        n = self.nvars
+        return [(unpack(k, n), c) for k, c in sorted(self.packed.items(), reverse=True)]
 
     # -- queries and maps ------------------------------------------------------
 
     def is_term(self):
-        return len(self.terms) == 1
+        return len(self.packed) == 1
 
     def y_degree(self):
-        if not self.terms:
+        if not self.packed:
             return -1
-        return max(k[1] for k in self.terms)
+        return max(map(ypow_of, self.packed))
 
     def y_coefficient(self, power):
         """Coefficient of y^power, as a Laurent polynomial with y power zero."""
-        out = {(e, 0): c for (e, yp), c in self.terms.items() if yp == power}
-        return LaurentPolynomial(out, self.nvars)
+        out = {k - power: c for k, c in self.packed.items() if ypow_of(k) == power}
+        return _lp(out, self.nvars, self._bound)
 
     def star(self):
         """The duality e^lam -> e^-lam, fixing y."""
-        out = {(tuple(-x for x in e), yp): c for (e, yp), c in self.terms.items()}
-        return LaurentPolynomial(out, self.nvars)
+        # key = E + y maps to -E + y
+        out = {2 * ypow_of(k) - k: c for k, c in self.packed.items()}
+        return _lp(out, self.nvars, self._bound)
 
     def weyl_map(self, w):
         """Apply a Weyl element to every exponent."""
+        if w.rs.rank != self.nvars:
+            raise ValueError("rank mismatch")
+        moves, norm, off = _weyl_moves(w)
+        bound = self._bound * norm
+        if bound >= HALF:
+            bound = self._tighten() * norm
+            if bound >= HALF:
+                raise OverflowError("a Weyl image exponent could leave the packing range")
+        # w is a bijection on exponents, so no two images coincide
         out = {}
-        for (e, yp), c in self.terms.items():
-            k = (w.act(e), yp)
-            out[k] = out.get(k, 0) + c
-        return LaurentPolynomial({k: v for k, v in out.items() if v}, self.nvars)
+        for k, c in self.packed.items():
+            u = k + off
+            for shift, d in moves:
+                k += ((u >> shift & MASK) - HALF) * d
+            out[k] = c
+        return _lp(out, self.nvars, bound)
 
     def y_specialize(self, v):
         """Substitute y -> v (integer), keeping exponents."""
         out = {}
-        for (e, yp), c in self.terms.items():
+        for k, c in self.packed.items():
+            yp = ypow_of(k)
             if yp < 0 and v == 0:
                 raise ZeroDivisionError("negative y power at y=0")
-            k = (e, 0)
-            val = c * (v**yp if yp >= 0 else Fraction(1, v**-yp))
-            out[k] = out.get(k, 0) + val
-        for k, v2 in out.items():
-            if v2 and isinstance(v2, Fraction):
-                if v2.denominator != 1:
-                    raise ValueError("non-integral y specialization")
-                out[k] = int(v2)
-        return LaurentPolynomial({k: int(v2) for k, v2 in out.items() if v2}, self.nvars)
+            out[k - yp] = out.get(k - yp, 0) + c * (v**yp if yp >= 0 else Fraction(1, v**-yp))
+        if any(x.denominator != 1 for x in out.values()):
+            raise ValueError("non-integral y specialization")
+        return _lp({k: int(x) for k, x in out.items() if x}, self.nvars, self._bound)
 
     def substitute_nonequivariant(self):
         """Set every e^lam to 1 and collect in y."""
         coeffs = {}
-        for (_, yp), c in self.terms.items():
+        for k, c in self.packed.items():
+            yp = ypow_of(k)
             coeffs[yp] = coeffs.get(yp, 0) + c
         return YPolynomial.from_dict(coeffs)
 
@@ -208,7 +228,7 @@ class LaurentPolynomial:
         return cls({k: v for k, v in terms.items() if v}, nvars)
 
     def __repr__(self):
-        if not self.terms:
+        if not self.packed:
             return "0"
         bits = []
         for (e, yp), c in self.sorted_terms():
@@ -221,48 +241,74 @@ class LaurentPolynomial:
         return " + ".join(bits)
 
 
+@lru_cache(maxsize=256)
+def _weyl_moves(w):
+    """w on packed keys: key -> key + sum_j d_j pack(w om_j - om_j).
+
+    Returns a ``(shift, packed step)`` pair for each om_j that w moves (d_j is
+    the digit at ``shift``), the largest row sum of |w|, which bounds the
+    growth of a digit, and the offset that reads digits.
+    """
+    n = w.rs.rank
+    mat = w.mat
+    moves = []
+    for j in range(n):
+        step = [mat[i][j] - (i == j) for i in range(n)]
+        if any(step):
+            moves.append(((n - j) * WIDTH, pack(step, 0)))
+    norm = max(sum(map(abs, row)) for row in mat)
+    return tuple(moves), norm, digit_offset(n + 1)
+
+
 def divide_exact(p, q):
     """Exact quotient p/q, or None when q does not divide p."""
     if p.nvars != q.nvars:
         raise ValueError("rank mismatch")
-    if len(q.terms) == 2 and all(c in (1, -1) for c in q.terms.values()):
-        res = _divide_binomial(p.terms, q.terms)
+    b = q.packed
+    # A line base k - t*v (see _divide_binomial) has digits up to
+    # |p| (1 + 2|q|); below HALF distinct lines keep distinct keys.
+    if (
+        len(b) == 2
+        and all(c in (1, -1) for c in b.values())
+        and (
+            p._bound * (1 + 2 * q._bound) < HALF
+            or p._tighten() * (1 + 2 * q._tighten()) < HALF
+        )
+    ):
+        res = _divide_binomial(p.packed, b, p.nvars)
     else:
-        res = _impl.lp_divide_exact(p.terms, q.terms)
+        res = _impl.lp_divide_exact(p.packed, b, p.nvars)
     if res is None:
         return None
-    return LaurentPolynomial(res, p.nvars)
+    # The Newton polytope of p is that of the quotient plus that of q, so when
+    # q has a constant term no quotient digit is larger than p's.
+    return _lp(res, p.nvars, p._bound if 0 in b else p._bound + q._bound)
 
 
-def _divide_binomial(a, b):
+def _divide_binomial(a, b, nvars):
     """Quotient a/b for b = c0 X^k0 + c1 X^k1 with c0, c1 = +-1, else None.
 
     With c = c0 c1 and v = k1 - k0, b = c0 X^k0 (1 + c X^v).  The terms of a
     fall on lines k = base + t v; on each line the quotient by 1 + c X^v is
     the running sum q_t = a_t - c q_{t-1}, and it is exact iff the line's
     signed sum, sum_t (-c)^t a_t, is zero.  Every line's sum is checked
-    before any quotient term is built.
+    before any quotient term is built.  All of it is arithmetic on packed
+    keys; the caller keeps every line base inside the packing range.
     """
     if not a:
         return {}
-    ((e0, y0), c0), ((e1, y1), c1) = b.items()
-    ve = tuple(map(sub, e1, e0))
-    vy = y1 - y0
+    (k0, c0), (k1, c1) = b.items()
+    v = k1 - k0
     r = -c0 * c1
-    # a term's place t on its line is read off one coordinate where v is nonzero
-    j = None if vy else next(i for i, w in enumerate(ve) if w)
-    vj = vy if vy else ve[j]
-    shifts = {}
+    # a term's place t on its line is read off the lowest digit where v is nonzero
+    shift = 0
+    while not (vj := ((v >> shift) + HALF & MASK) - HALF):
+        shift += WIDTH
+    off = digit_offset(nvars + 1)
     lines = {}
-    for (e, yp), c in a.items():
-        t = (yp if j is None else e[j]) // vj
-        if t:
-            s = shifts.get(t)
-            if s is None:
-                s = shifts[t] = tuple([t * w for w in ve])
-            base = (tuple(map(sub, e, s)), yp - t * vy)
-        else:
-            base = (e, yp)
+    for k, c in a.items():
+        t = (((k + off) >> shift & MASK) - HALF) // vj
+        base = k - t * v
         line = lines.get(base)
         if line is None:
             lines[base] = {t: c}
@@ -276,18 +322,16 @@ def _divide_binomial(a, b):
         if signed:
             return None
     out = {}
-    for (be, by), line in lines.items():
+    for base, line in lines.items():
         lo, hi = min(line), max(line)
         # the quotient by b is c0 X^-k0 times the quotient by 1 + c X^v
-        ke = tuple([x - x0 + lo * w for x, x0, w in zip(be, e0, ve)])
-        ky = by - y0 + lo * vy
+        key = base + lo * v - k0
         q = 0
         for t in range(lo, hi):
             q = line.get(t, 0) + r * q
             if q:
-                out[(ke, ky)] = c0 * q
-            ke = tuple(map(add, ke, ve))
-            ky += vy
+                out[key] = c0 * q
+            key += v
     return out
 
 
@@ -353,7 +397,7 @@ class FactoredFraction:
         return cls(LaurentPolynomial.const(1, nvars), factors)
 
     def is_zero(self):
-        return not self.num.terms
+        return not self.num
 
     def __add__(self, other):
         if isinstance(other, int) and other == 0:
@@ -397,7 +441,7 @@ class FactoredFraction:
         One pass suffices: a factor that does not divide the numerator does
         not divide any of its quotients either.
         """
-        if not self.num.terms:
+        if not self.num:
             return FactoredFraction.zero(self.nvars)
         num = self.num
         remaining = []

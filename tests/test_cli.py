@@ -69,6 +69,11 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 0
     assert [r["notes"]["maxlen"] for r in json.loads(text)["reports"]] == [1, 1]
     assert main(["csm", "--type", "A2", "--cell", "s1", "--parabolic", "5"]) == 2
+    csm_positivity = ["conjectures", "run", "--type", "A2", "--which", "csm-positivity"]
+    assert main(csm_positivity + ["--parabolic", "z"]) == 2
+    # an --out that cannot be written is a bad flag, not a refutation
+    missing = str(tmp_path / "missing" / "x.json")
+    assert main(["mc", "compute", "--type", "A2", "--cell", "s1", "--out", missing]) == 2
     assert main(["csm", "--type", "A2", "--cell", "s1", "--parabolic", "1"]) == 2
     code, _ = run_cli(
         ["conjectures", "run", "--type", "A2", "--which", "mc-positivity"], tmp_path
@@ -125,12 +130,12 @@ def test_cache_from_other_key_ignored(name, other, tmp_path, monkeypatch):
     assert len(list(cache.iterdir())) == 2
 
 
-def test_console_script_entry():
+def _run_module(module):
     # the child finds the package where this process did, installed or not
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-m", "schubmc.cli", "chi", "--type", "A2"],
+        [sys.executable, "-m", module, "chi", "--type", "A2"],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
@@ -138,3 +143,11 @@ def test_console_script_entry():
     assert proc.returncode == 0
     obj = json.loads(proc.stdout)
     assert obj["chi"]["coeffs"] == ["1", "2", "2", "1"]
+
+
+def test_console_script_entry():
+    _run_module("schubmc.cli")
+
+
+def test_package_main_entry():
+    _run_module("schubmc")

@@ -1,10 +1,12 @@
 import json
+from operator import add, sub
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schubmc import _kernel_py, laurent
+from schubmc import _kernel_py, laurent, root_system
+from schubmc._kernel_py import HALF, pack, unpack
 from schubmc.laurent import (
     FactoredFraction,
     LaurentPolynomial,
@@ -19,13 +21,93 @@ from schubmc.laurent import (
     product_of_factors,
 )
 
-KERNELS = [_kernel_py]
-try:
-    from schubmc import _kernel_cy
 
-    KERNELS.append(_kernel_cy)
-except ImportError:
-    pass
+# -- reference models: the tuple-keyed arithmetic that packed keys replaced -----
+
+
+def ref_lp_mul(a, b):
+    """Product of {(exponent tuple, y power): c} dicts."""
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for (ea, ya), ca in a.items():
+        for (eb, yb), cb in b.items():
+            k = (tuple(x + y for x, y in zip(ea, eb)), ya + yb)
+            c = out.get(k, 0) + ca * cb
+            if c:
+                out[k] = c
+            else:
+                del out[k]
+    return out
+
+
+def ref_divide_binomial(a, b):
+    """Quotient a/b for b = c0 X^k0 + c1 X^k1 with c0, c1 = +-1, else None.
+
+    With c = c0 c1 and v = k1 - k0, b = c0 X^k0 (1 + c X^v).  The terms of a
+    fall on lines k = base + t v; on each line the quotient by 1 + c X^v is
+    the running sum q_t = a_t - c q_{t-1}, and it is exact iff the line's
+    signed sum, sum_t (-c)^t a_t, is zero.  Every line's sum is checked
+    before any quotient term is built.
+    """
+    if not a:
+        return {}
+    ((e0, y0), c0), ((e1, y1), c1) = b.items()
+    ve = tuple(map(sub, e1, e0))
+    vy = y1 - y0
+    r = -c0 * c1
+    # a term's place t on its line is read off one coordinate where v is nonzero
+    j = None if vy else next(i for i, w in enumerate(ve) if w)
+    vj = vy if vy else ve[j]
+    shifts = {}
+    lines = {}
+    for (e, yp), c in a.items():
+        t = (yp if j is None else e[j]) // vj
+        if t:
+            s = shifts.get(t)
+            if s is None:
+                s = shifts[t] = tuple([t * w for w in ve])
+            base = (tuple(map(sub, e, s)), yp - t * vy)
+        else:
+            base = (e, yp)
+        line = lines.get(base)
+        if line is None:
+            lines[base] = {t: c}
+        else:
+            line[t] = c
+    for line in lines.values():
+        if r == 1:
+            signed = sum(line.values())
+        else:
+            signed = sum(-c if t & 1 else c for t, c in line.items())
+        if signed:
+            return None
+    out = {}
+    for (be, by), line in lines.items():
+        lo, hi = min(line), max(line)
+        # the quotient by b is c0 X^-k0 times the quotient by 1 + c X^v
+        ke = tuple([x - x0 + lo * w for x, x0, w in zip(be, e0, ve)])
+        ky = by - y0 + lo * vy
+        q = 0
+        for t in range(lo, hi):
+            q = line.get(t, 0) + r * q
+            if q:
+                out[(ke, ky)] = c0 * q
+            ke = tuple(map(add, ke, ve))
+            ky += vy
+    return out
+
+
+def packed(terms):
+    return {pack(e, y): c for (e, y), c in terms.items()}
+
+
+def unpacked(keys, nvars=2):
+    return {unpack(k, nvars): c for k, c in keys.items()}
+
+
+def fits(terms):
+    return all(abs(x) < HALF for e, y in terms for x in (*e, y))
 
 
 def L(terms, nvars=2):
@@ -80,7 +162,8 @@ factor_keys = st.one_of(
 @given(polys, factor_keys, st.integers(0, 2), term_keys, st.sampled_from([1, -1]))
 @settings(max_examples=200, deadline=None)
 def test_binomial_division_matches_kernel(p, key, power, shift, sign):
-    # the binomial route against the general kernel division, on p, p*f and p*f*f;
+    # the packed binomial route and the general kernel division against the
+    # tuple-keyed line sums, on p, p*f and p*f*f;
     # the shifted divisor sign*X^shift*f exercises the monomial normalization
     f = factor_polynomial(key)
     g = f * L({shift: sign})
@@ -88,8 +171,13 @@ def test_binomial_division_matches_kernel(p, key, power, shift, sign):
         a = p
         for _ in range(power):
             a = a * b
-        want = _kernel_py.lp_divide_exact(a.terms, b.terms)
-        assert laurent._divide_binomial(a.terms, b.terms) == want
+        want = ref_divide_binomial(a.terms, b.terms)
+        assert _kernel_py.lp_divide_exact(a.packed, b.packed, 2) == (
+            None if want is None else packed(want)
+        )
+        assert laurent._divide_binomial(a.packed, b.packed, 2) == (
+            None if want is None else packed(want)
+        )
         got = divide_exact(a, b)
         assert (got is None) if want is None else (got.terms == want)
         assert divide_exact(p * b, b) == p
@@ -113,29 +201,107 @@ def test_fraction_reduce_single_pass_is_complete():
             assert all(divide_exact(r.num, factor_polynomial(f)) is None for f in r.den)
 
 
-@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.__name__.rsplit("_", 1)[-1])
-def test_kernels_agree(kernel):
+def test_kernels_agree():
     a = {((1, 0), 0): 2, ((0, -1), 1): -3, ((0, 0), 0): 1}
     b = {((-1, 2), -1): 4, ((0, 0), 1): 7}
-    ref = _kernel_py
-    assert kernel.lp_add(a, b) == ref.lp_add(a, b)
-    assert kernel.lp_mul(a, b) == ref.lp_mul(a, b)
-    assert kernel.lp_neg(a) == ref.lp_neg(a)
-    assert kernel.lp_scale(a, -5) == ref.lp_scale(a, -5)
-    prod = ref.lp_mul(a, b)
-    assert kernel.lp_divide_exact(prod, b) == a
-    assert kernel.lp_divide_exact({((0, 0), 0): 3}, {((0, 0), 0): 2}) is None
+    kernel = _kernel_py
+    pa, pb = packed(a), packed(b)
+    # add, neg and scale never look inside a key: the tuple dicts are their model
+    assert unpacked(kernel.lp_add(pa, pb)) == kernel.lp_add(a, b)
+    assert unpacked(kernel.lp_mul(pa, pb)) == ref_lp_mul(a, b)
+    assert unpacked(kernel.lp_neg(pa)) == kernel.lp_neg(a)
+    assert unpacked(kernel.lp_scale(pa, -5)) == kernel.lp_scale(a, -5)
+    prod = kernel.lp_mul(pa, pb)
+    assert kernel.lp_divide_exact(prod, pb, 2) == pa
+    assert kernel.lp_divide_exact({0: 3}, {0: 2}, 2) is None
 
 
-def test_backend_swap_roundtrip():
-    current = laurent.BACKEND
-    for name in laurent.available_backends():
-        laurent.use_backend(name)
-        p = L({((1, 1), 0): 1}) * L({((-1, 0), 2): 3})
-        assert p == L({((0, 1), 2): 3})
-    laurent.use_backend(current)
-    with pytest.raises(ValueError):
-        laurent.use_backend("nope")
+digits = st.integers(-HALF + 1, HALF - 1)
+RANK2 = {t: root_system(t, 2) for t in ("A", "B", "G")}
+
+
+@given(st.lists(digits, max_size=8), digits)
+@settings(max_examples=200, deadline=None)
+def test_pack_unpack_round_trip(exps, ypow):
+    assert unpack(pack(exps, ypow), len(exps)) == (tuple(exps), ypow)
+    for bad in (HALF, -HALF):
+        with pytest.raises(OverflowError):
+            pack(exps + [bad], ypow)
+        with pytest.raises(OverflowError):
+            pack(exps, bad)
+
+
+@given(st.lists(st.tuples(st.tuples(digits, digits), digits), max_size=8, unique=True), polys)
+@settings(max_examples=200, deadline=None)
+def test_packed_order_is_lex_order(monos, p):
+    assert [unpack(k, 2) for k in sorted(pack(e, y) for e, y in monos)] == sorted(monos)
+    assert [k for k, _ in p.sorted_terms()] == sorted(p.terms, reverse=True)
+
+
+@pytest.mark.parametrize("lie_type", sorted(RANK2))
+@given(p=polys, data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_weyl_map_matches_tuple_route(lie_type, p, data):
+    w = data.draw(st.sampled_from(RANK2[lie_type].weyl_group()))
+    got = p.weyl_map(w)
+    assert got.terms == {(w.act(e), y): c for (e, y), c in p.terms.items()}
+    assert got.weyl_map(w.inverse()) == p
+
+
+def check_no_carry(compute, want):
+    """compute() raises OverflowError or returns want, and raises if want is out of range."""
+    try:
+        got = compute()
+    except OverflowError:
+        return
+    assert fits(want) and got.terms == want
+
+
+edge = st.one_of(
+    st.integers(HALF - 4, HALF - 1), st.integers(-HALF + 1, -HALF + 4), st.integers(-3, 3)
+)
+edge_terms = st.dictionaries(
+    st.tuples(st.tuples(edge, edge), edge), st.integers(-9, 9).filter(bool), min_size=1, max_size=4
+)
+divisors = st.one_of(
+    st.tuples(factor_keys, term_keys, st.sampled_from([1, -1])).map(
+        lambda k: factor_polynomial(k[0]) * L({k[1]: k[2]})
+    ),
+    st.tuples(term_keys, st.integers(-3, 3).filter(bool)).map(lambda k: L({k[0]: k[1]})),
+)
+
+
+@given(edge_terms, edge_terms, divisors, st.sampled_from([HALF, HALF + 1, -HALF, -HALF - 1]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_no_carry_past_digit_range(a, b, d, big, data):
+    # products, quotients and Weyl images near the edge of the digit range
+    check_no_carry(lambda: L(a) * L(b), ref_lp_mul(a, b))
+    w = data.draw(st.sampled_from(RANK2[data.draw(st.sampled_from(sorted(RANK2)))].weyl_group()))
+    check_no_carry(lambda: L(a).weyl_map(w), {(w.act(e), y): c for (e, y), c in a.items()})
+    num = ref_lp_mul(a, d.terms)
+    if fits(num):
+        check_no_carry(lambda: divide_exact(L(num), d), a)
+    # a quotient with a digit out of range, of a dividend and divisor inside it
+    num = ref_lp_mul({**a, ((big, 0), 0): 1}, d.terms)
+    if fits(num):
+        with pytest.raises(OverflowError):
+            divide_exact(L(num), d)
+
+
+def test_digit_range_edge():
+    top = LaurentPolynomial.e((HALF - 2, 0))
+    assert (top * LaurentPolynomial.e((1, 0))).terms == {((HALF - 1, 0), 0): 1}
+    with pytest.raises(OverflowError):
+        top * LaurentPolynomial.e((2, 0))
+    with pytest.raises(OverflowError):
+        divide_exact(LaurentPolynomial.e((-HALF + 1, 0)), LaurentPolynomial.e((1, 0)))
+    with pytest.raises(OverflowError):
+        LaurentPolynomial.e((HALF, 0))
+    # without a constant term in the divisor, a quotient digit can pass the dividend's
+    q = divide_exact(LaurentPolynomial.e((-HALF + 10, 0)), LaurentPolynomial.e((5, 0)))
+    assert q.terms == {((-HALF + 5, 0), 0): 1}
+    with pytest.raises(OverflowError):
+        q * LaurentPolynomial.e((-6, 0))
 
 
 def test_divide_exact_examples():

@@ -113,6 +113,12 @@ def cmd_mc(args):
     if args.action == "compute":
         w = rs.parse_element(args.cell)
         pd = _parabolic(rs, args.parabolic)
+        if pd is not None:
+            # the G/P class is the iota-basis MC class; nothing else is computed there
+            ignored = [f"--{name}" for name in ("dual", "opposite", "nonequivariant", "basis")
+                       if getattr(args, name)]
+            if ignored:
+                raise ConfigError(f"--parabolic does not take {', '.join(ignored)}")
 
         def build():
             if pd is not None:
@@ -126,7 +132,7 @@ def cmd_mc(args):
                 return {"space": f"{rs.lie_type}{rs.rank}/P{sorted(pd.subset)}",
                         "cell": u.name(), "basis": "iota", "coeffs": coeffs}
             rec = mcmod.motivic_record(kt, w, dual=args.dual, opposite=args.opposite)
-            basis = args.basis
+            basis = args.basis or "O"
             exp = rec.expansion(basis)
             if args.nonequivariant:
                 coeffs = {
@@ -145,7 +151,7 @@ def cmd_mc(args):
                 "coeffs": coeffs,
             }
 
-        key = json.dumps([args.type, args.cell, args.dual, args.opposite, args.basis,
+        key = json.dumps([args.type, args.cell, args.dual, args.opposite, args.basis or "O",
                           bool(args.nonequivariant), args.parabolic or ""])
         _emit(args, _cached_json("mc", key, build))
         return 0
@@ -359,7 +365,7 @@ def build_parser():
     mc.add_argument("action", choices=["compute", "verify"])
     mc.add_argument("--type", required=True)
     mc.add_argument("--cell", default="id")
-    mc.add_argument("--basis", default="O", choices=["O", "I", "iota", "Oop", "Iop"])
+    mc.add_argument("--basis", choices=["O", "I", "iota", "Oop", "Iop"], help="default: O")
     mc.add_argument("--dual", action="store_true")
     mc.add_argument("--opposite", action="store_true")
     mc.add_argument("--nonequivariant", action="store_true")

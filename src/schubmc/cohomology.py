@@ -38,8 +38,6 @@ class Cohomology:
     def __init__(self, rs):
         self.rs = rs
         self.nvars = rs.rank + 1
-        self._cache = {}
-        self._form_cache = {}
 
     def form(self, weight):
         """First Chern class of the weight, as a linear polynomial.
@@ -50,13 +48,13 @@ class Cohomology:
         expansions; the opposite choice is the global flip.
         """
         weight = tuple(weight)
-        p = self._form_cache.get(weight)
-        if p is None:
+
+        def build():
             coords = self.rs.weight_in_simple_roots(weight)
             # root-lattice coordinates are integral: the class is built over Z
-            p = Poly.linear([-int(c) if c.denominator == 1 else -c for c in coords] + [0])
-            self._form_cache[weight] = p
-        return p
+            return Poly.linear([-int(c) if c.denominator == 1 else -c for c in coords] + [0])
+
+        return self.rs.memo(("coh", "form", weight), build)
 
     def root_variable_form(self, weight):
         """The display polynomial of a root-lattice weight in the alpha variables."""
@@ -67,14 +65,14 @@ class Cohomology:
 
     def euler_at(self, w):
         """Equivariant Euler class of the tangent space at the fixed point w."""
-        key = ("euler", w)
-        p = self._cache.get(key)
-        if p is None:
+
+        def build():
             p = Poly.const(1, self.nvars)
             for a in self.rs.positive_roots:
                 p = p * self.form(neg_weight(w.act(a)))
-            self._cache[key] = p
-        return p
+            return p
+
+        return self.rs.memo(("coh", "euler", w), build)
 
     def point_class(self, w):
         return CohClass(self, {w: self.euler_at(w)})
@@ -123,17 +121,16 @@ class Cohomology:
         The variable alpha_j maps to the expansion of w0(alpha_j); this is
         independent of the global sign convention in ``form``.
         """
-        key = ("w0sub",)
-        images = self._cache.get(key)
-        if images is None:
+
+        def build():
             w0 = self.rs.longest_element()
             images = [
                 self.root_variable_form(w0.act(self.rs.simple_root(j)))
                 for j in range(1, self.rs.rank + 1)
             ]
-            images.append(self.hbar())
-            self._cache[key] = images
-        return images
+            return images + [self.hbar()]
+
+        return self.rs.memo(("coh", "w0sub"), build)
 
     def w0_twist(self, a):
         w0 = self.rs.longest_element()
@@ -144,14 +141,6 @@ class Cohomology:
 
     # -- distinguished classes ---------------------------------------------------
 
-    def _cached(self, kind, key, builder):
-        k = (kind, key)
-        val = self._cache.get(k)
-        if val is None:
-            val = builder()
-            self._cache[k] = val
-        return val
-
     def schubert_class(self, w):
         def build():
             if w.length == 0:
@@ -159,11 +148,11 @@ class Cohomology:
             i = w.word[-1]
             return self.bgg(i, self.schubert_class(w * self.rs.simple_reflection(i)))
 
-        return self._cached("X", w, build)
+        return self.rs.memo(("coh", "X", w), build)
 
     def opposite_schubert_class(self, w):
-        return self._cached(
-            "Y", w, lambda: self.w0_twist(self.schubert_class(self.rs.longest_element() * w))
+        return self.rs.memo(
+            ("coh", "Y", w), lambda: self.w0_twist(self.schubert_class(self.rs.longest_element() * w))
         )
 
     def csm(self, w):
@@ -175,11 +164,11 @@ class Cohomology:
             i = w.word[-1]
             return self.dl_coh(i, self.csm(w * self.rs.simple_reflection(i)))
 
-        return self._cached("csm", w, build)
+        return self.rs.memo(("coh", "csm", w), build)
 
     def csm_opposite(self, w):
-        return self._cached(
-            "csmY", w, lambda: self.w0_twist(self.csm(self.rs.longest_element() * w))
+        return self.rs.memo(
+            ("coh", "csmY", w), lambda: self.w0_twist(self.csm(self.rs.longest_element() * w))
         )
 
     def sm(self, w, opposite=False):
@@ -200,7 +189,7 @@ class Cohomology:
                     return self.dl_coh(i, self.dual_csm(vs), dual=True)
             raise AssertionError("no ascent below the longest element")
 
-        return self._cached("csmdual", v, build)
+        return self.rs.memo(("coh", "csmdual", v), build)
 
     # -- pairings -----------------------------------------------------------------
 
@@ -330,15 +319,8 @@ class CohClass:
         return "CohClass{" + ", ".join(bits) + "}"
 
 
-_COHOMOLOGY = {}
-
-
 def cohomology(rs):
-    ctx = _COHOMOLOGY.get(rs)
-    if ctx is None:
-        ctx = Cohomology(rs)
-        _COHOMOLOGY[rs] = ctx
-    return ctx
+    return rs.memo(("coh",), lambda: Cohomology(rs))
 
 
 # -- CSM extraction from motivic Chern classes ------------------------------------------
@@ -390,12 +372,12 @@ def csm_from_mc_equivariant(kt, ctx, w):
 
 def csm_expansion(ctx, w):
     """Schubert coefficients of the homogenized CSM class (recursion route)."""
-    return ctx._cached("csmexp", w, lambda: ctx.expand(ctx.csm(w)))
+    return ctx.rs.memo(("coh", "csmexp", w), lambda: ctx.expand(ctx.csm(w)))
 
 
 def csm_vector(kt, w):
     """Non-equivariant CSM Schubert coefficients as plain integers."""
-    return kt._cached("csmvec", w, lambda: csm_from_mc_nonequivariant(kt, w))
+    return kt.rs.memo(("coh", "csmvec", w), lambda: csm_from_mc_nonequivariant(kt, w))
 
 
 # -- numeric engine for constant pairings ----------------------------------------------
@@ -404,7 +386,11 @@ _GENERIC_PRIMES = (10007, 10009, 10037, 10039, 10061, 10067, 10069, 10079)
 
 
 class NumericCohomology:
-    """GKM classes evaluated at a fixed generic rational parameter point."""
+    """GKM classes evaluated at a fixed generic rational parameter point.
+
+    Memo keys carry the point ``alphas``: the transformed twin shares the
+    root system's memo but runs at another point.
+    """
 
     def __init__(self, rs, alphas=None, hbar=Fraction(1)):
         self.rs = rs
@@ -412,62 +398,56 @@ class NumericCohomology:
             alphas = tuple(Fraction(p) for p in _GENERIC_PRIMES[: rs.rank])
         self.alphas = tuple(alphas)
         self.hbar = hbar
-        self._cache = {}
-        self._twin = None
 
     def weight_value(self, weight):
         coords = self.rs.weight_in_simple_roots(weight)
         return sum(c * a for c, a in zip(coords, self.alphas))
 
     def euler_at(self, w):
-        key = ("euler", w)
-        v = self._cache.get(key)
-        if v is None:
+        def build():
             v = Fraction(1)
             for a in self.rs.positive_roots:
                 v *= -self.weight_value(w.act(a))
-            self._cache[key] = v
-        return v
+            return v
+
+        return self.rs.memo(("num", self.alphas, "euler", w), build)
 
     def schubert(self, w):
-        key = ("X", w)
-        f = self._cache.get(key)
-        if f is None:
+        def build():
             if w.length == 0:
-                f = {w: self.euler_at(w)}
-            else:
-                i = w.word[-1]
-                s = self.rs.simple_reflection(i)
-                alpha = self.rs.simple_root(i)
-                prev = self.schubert(w * s)
-                f = {}
-                for u in set(prev) | {v * s for v in prev}:
-                    num = prev.get(u * s, Fraction(0)) - prev.get(u, Fraction(0))
-                    if num:
-                        f[u] = num / self.weight_value(u.act(alpha))
-            self._cache[key] = f
-        return f
+                return {w: self.euler_at(w)}
+            i = w.word[-1]
+            s = self.rs.simple_reflection(i)
+            alpha = self.rs.simple_root(i)
+            prev = self.schubert(w * s)
+            f = {}
+            for u in set(prev) | {v * s for v in prev}:
+                num = prev.get(u * s, Fraction(0)) - prev.get(u, Fraction(0))
+                if num:
+                    f[u] = num / self.weight_value(u.act(alpha))
+            return f
+
+        return self.rs.memo(("num", self.alphas, "X", w), build)
 
     def _transformed_twin(self):
-        if self._twin is None:
+        def build():
             w0 = self.rs.longest_element()
             # the twin engine runs at the parameter values of the w0-images
             twin_alphas = tuple(
                 self.weight_value(w0.act(self.rs.simple_root(j)))
                 for j in range(1, self.rs.rank + 1)
             )
-            self._twin = NumericCohomology(self.rs, twin_alphas, self.hbar)
-        return self._twin
+            return NumericCohomology(self.rs, twin_alphas, self.hbar)
+
+        return self.rs.memo(("num", self.alphas, "twin"), build)
 
     def opposite_schubert(self, w):
-        key = ("Y", w)
-        f = self._cache.get(key)
-        if f is None:
+        def build():
             w0 = self.rs.longest_element()
             g = self._transformed_twin().schubert(w0 * w)
-            f = {w0 * u: val for u, val in g.items()}
-            self._cache[key] = f
-        return f
+            return {w0 * u: val for u, val in g.items()}
+
+        return self.rs.memo(("num", self.alphas, "Y", w), build)
 
     def integrate(self, f):
         return sum(v / self.euler_at(w) for w, v in f.items())
@@ -489,15 +469,8 @@ class NumericCohomology:
         return int(total)
 
 
-_NUMERIC = {}
-
-
 def numeric_cohomology(rs):
-    eng = _NUMERIC.get(rs)
-    if eng is None:
-        eng = NumericCohomology(rs)
-        _NUMERIC[rs] = eng
-    return eng
+    return rs.memo(("num",), lambda: NumericCohomology(rs))
 
 
 # -- non-equivariant vector calculus ------------------------------------------------------
@@ -516,7 +489,6 @@ class SchubertCalculus:
         self.parabolic = parabolic
         self.cells = rs.weyl_group() if parabolic is None else parabolic.min_reps
         self._numeric = numeric_cohomology(rs)
-        self._nconst = {}
 
     def opposite_label(self, v):
         """The cell whose opposite Schubert variety equals the variety of v."""
@@ -525,17 +497,18 @@ class SchubertCalculus:
 
     def _constants(self, a, b):
         """Cup constants of [Y(a)][Y(b)] over the [Y(c)] basis (codims add)."""
-        key = (a, b)
-        row = self._nconst.get(key)
-        if row is None:
+
+        def build():
             row = {}
             for c in self.cells:
                 if c.length == a.length + b.length:
                     n = self._triple(a, b, c)
                     if n:
                         row[c] = n
-            self._nconst[key] = row
-        return row
+            return row
+
+        subset = None if self.parabolic is None else self.parabolic.subset
+        return self.rs.memo(("num", "const", subset, a, b), build)
 
     def _triple(self, a, b, c):
         """<[Y(a)] [Y(b)], [X(c)]>, the coefficient of [Y(c)] in the product."""
@@ -543,7 +516,6 @@ class SchubertCalculus:
             return self._numeric.triple_opposite_constant(a, b, c)
         num = self._numeric
         pd = self.parabolic
-        levi = set(pd.levi_positive_roots)
         if a.length + b.length != c.length:
             return 0
 
@@ -567,9 +539,8 @@ class SchubertCalculus:
             if vb is None or vc is None:
                 continue
             e = Fraction(1)
-            for beta in self.rs.positive_roots:
-                if beta not in levi:
-                    e *= -num.weight_value(w.act(beta))
+            for beta in pd.outer_positive_roots:
+                e *= -num.weight_value(w.act(beta))
             total += va * vb * vc / e
         if total.denominator != 1:
             raise GKMError("structure constant did not come out integral")
@@ -689,11 +660,9 @@ def parabolic_pushforward_coh(ctx, a, pdat):
 
 
 def quotient_euler_at(ctx, pdat, u):
-    levi = set(pdat.levi_positive_roots)
     p = Poly.const(1, ctx.nvars)
-    for beta in ctx.rs.positive_roots:
-        if beta not in levi:
-            p = p * ctx.form(neg_weight(u.act(beta)))
+    for beta in pdat.outer_positive_roots:
+        p = p * ctx.form(neg_weight(u.act(beta)))
     return p
 
 

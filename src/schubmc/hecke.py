@@ -134,20 +134,14 @@ def t_generator(rs, i):
 
 def t_word(rs, w):
     """Product of quadratic generators along a reduced word of w."""
-    key = ("HT", w)
-    kt_cache = _hecke_cache.setdefault(rs, {})
-    val = kt_cache.get(key)
-    if val is None:
+
+    def build():
         if w.length == 0:
-            val = HeckeElement.one(rs)
-        else:
-            i = w.word[-1]
-            val = t_word(rs, w * rs.simple_reflection(i)) * t_generator(rs, i)
-        kt_cache[key] = val
-    return val
+            return HeckeElement.one(rs)
+        i = w.word[-1]
+        return t_word(rs, w * rs.simple_reflection(i)) * t_generator(rs, i)
 
-
-_hecke_cache = {}
+    return rs.memo(("hecke", "T", w), build)
 
 
 def mc_coefficients_oracle(rs, w):

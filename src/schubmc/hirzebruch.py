@@ -12,6 +12,7 @@ from .polyring import (
     GradedSeries,
     Poly,
     YFrac,
+    exp_linear,
     fraction_sum,
     normalized_hirzebruch_coefficients,
     series_of_linear,
@@ -107,45 +108,37 @@ class Hirzebruch:
         self.rs = rs
         self.dim = rs.num_positive_roots
         self.cap = 2 * self.dim if cap is None else cap
-        self._cache = {}
-        self._forms = {}
 
     # -- linear forms and basic series -----------------------------------------
 
     def form(self, weight):
         """c_1 of a weight; same global sign convention as the cohomology layer."""
         weight = tuple(weight)
-        p = self._forms.get(weight)
-        if p is None:
-            coords = self.rs.weight_in_simple_roots(weight)
-            p = Poly.linear([YFrac.const(-c) for c in coords])
-            self._forms[weight] = p
-        return p
+        return self.rs.memo(
+            ("hz", "form", weight),
+            lambda: Poly.linear([YFrac.const(-c) for c in self.rs.weight_in_simple_roots(weight)]),
+        )
 
     def _univ(self, mode, cap):
-        key = ("univ", mode, cap)
-        val = self._cache.get(key)
-        if val is None:
+        def build():
             if mode == "Td":
-                val = todd_coefficients(cap)
-            elif mode == "uTdy":
-                val = unnormalized_hirzebruch_coefficients(cap)
-            elif mode == "nTdy":
-                val = normalized_hirzebruch_coefficients(cap)
-            else:
-                raise ValueError(f"unknown Todd mode {mode!r}")
-            self._cache[key] = val
-        return val
+                return todd_coefficients(cap)
+            if mode == "uTdy":
+                return unnormalized_hirzebruch_coefficients(cap)
+            if mode == "nTdy":
+                return normalized_hirzebruch_coefficients(cap)
+            raise ValueError(f"unknown Todd mode {mode!r}")
+
+        return self.rs.memo(("hz", "univ", mode, cap), build)
 
     def todd_series(self, weight, mode="Td", cap=None):
         """The chosen Todd-type series of a single weight, truncated."""
         cap = self.cap if cap is None else cap
-        key = ("ts", tuple(weight), mode, cap)
-        val = self._cache.get(key)
-        if val is None:
-            val = series_of_linear(self._univ(mode, cap), self.form(weight), cap)
-            self._cache[key] = val
-        return val
+        weight = tuple(weight)
+        return self.rs.memo(
+            ("hz", "ts", weight, mode, cap),
+            lambda: series_of_linear(self._univ(mode, cap), self.form(weight), cap),
+        )
 
     def todd_series_of_weights(self, weights, mode="Td", cap=None):
         cap = self.cap if cap is None else cap
@@ -159,22 +152,19 @@ class Hirzebruch:
 
     def tangent_todd(self, w, mode="Td", cap=None):
         cap = self.cap if cap is None else cap
-        key = ("tt", w, mode, cap)
-        val = self._cache.get(key)
-        if val is None:
-            val = self.todd_series_of_weights(self.tangent_weights(w), mode, cap)
-            self._cache[key] = val
-        return val
+        return self.rs.memo(
+            ("hz", "tt", w, mode, cap),
+            lambda: self.todd_series_of_weights(self.tangent_weights(w), mode, cap),
+        )
 
     def euler_poly(self, w):
-        key = ("euler", w)
-        val = self._cache.get(key)
-        if val is None:
+        def build():
             val = Poly.const(YFrac.const(1), self.rs.rank)
             for mu in self.tangent_weights(w):
                 val = val * self.form(mu)
-            self._cache[key] = val
-        return val
+            return val
+
+        return self.rs.memo(("hz", "euler", w), build)
 
     def point_class(self, w, cap=None):
         cap = self.cap if cap is None else cap
@@ -188,8 +178,6 @@ class Hirzebruch:
         The input must restrict to genuine Laurent polynomials at every
         fixed point; a surviving denominator raises.
         """
-        from .polyring import exp_linear
-
         cap = self.cap if cap is None else cap
         out = {}
         for w in a.coeffs:
@@ -205,14 +193,11 @@ class Hirzebruch:
         return HClass(self, out)
 
     def _exp_cached(self, lam, cap):
-        key = ("exp", tuple(lam), cap)
-        val = self._cache.get(key)
-        if val is None:
-            from .polyring import exp_linear
-
-            val = exp_linear(self.form(lam), cap, coeff_one=YFrac.const(1))
-            self._cache[key] = val
-        return val
+        lam = tuple(lam)
+        return self.rs.memo(
+            ("hz", "exp", lam, cap),
+            lambda: exp_linear(self.form(lam), cap, coeff_one=YFrac.const(1)),
+        )
 
     def todd_transform(self, a, cap=None):
         """td of a K-theory class: ch times the tangent Todd class, pointwise."""
@@ -294,30 +279,26 @@ class Hirzebruch:
     def hirzebruch_class(self, w, normalized=False, cap=None, check_routes=True):
         """Hirzebruch class of the cell of w; two routes compared modulo cap."""
         cap = self.cap if cap is None else cap
-        key = ("H", w, normalized, cap, check_routes)
-        val = self._cache.get(key)
-        if val is not None:
-            return val
-        from .mc import motivic_chern
-        from .kclasses import ktheory
 
-        # route by the operator word, computed with enough slack to survive
-        # the divided differences
-        work_cap = cap + w.length
-        cur = self.point_class(self.rs.identity, work_cap)
-        for i in w.word:
-            cur = self.dl_h(i, cur, normalized=False)
-        word_route = cur.truncate(cap)
-        if check_routes:
-            kt = ktheory(self.rs)
-            direct = self.todd_transform(motivic_chern(kt, w), cap)
-            if not word_route.eq_mod_cap(direct, cap):
-                raise TruncationError(f"Hirzebruch routes disagree at {w.name()}")
-        out = word_route
-        if normalized:
-            out = self.assert_cleared(self.adams_normalize(out))
-        self._cache[key] = out
-        return out
+        def build():
+            from .mc import motivic_chern
+            from .kclasses import ktheory
+
+            # route by the operator word, computed with enough slack to
+            # survive the divided differences
+            cur = self.point_class(self.rs.identity, cap + w.length)
+            for i in w.word:
+                cur = self.dl_h(i, cur, normalized=False)
+            word_route = cur.truncate(cap)
+            if check_routes:
+                direct = self.todd_transform(motivic_chern(ktheory(self.rs), w), cap)
+                if not word_route.eq_mod_cap(direct, cap):
+                    raise TruncationError(f"Hirzebruch routes disagree at {w.name()}")
+            if normalized:
+                return self.assert_cleared(self.adams_normalize(word_route))
+            return word_route
+
+        return self.rs.memo(("hz", "H", w, normalized, cap, check_routes), build)
 
     def dual_hirzebruch_class(self, v, cap=None):
         """The orthogonal-dual class built from the opposite point class."""
@@ -420,13 +401,5 @@ def _localization_sum(pairs, dim, cap, nvars):
     return GradedSeries(comps, target_cap, nvars)
 
 
-_HIRZEBRUCH = {}
-
-
 def hirzebruch(rs, cap=None):
-    key = (rs, cap)
-    hz = _HIRZEBRUCH.get(key)
-    if hz is None:
-        hz = Hirzebruch(rs, cap)
-        _HIRZEBRUCH[key] = hz
-    return hz
+    return rs.memo(("hz", cap), lambda: Hirzebruch(rs, cap))

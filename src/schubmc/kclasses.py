@@ -5,7 +5,8 @@ group elements for the full flag manifold, minimal coset representatives
 for a quotient), with ``FactoredFraction`` coefficients relative to the
 point-class basis ``iota_w``.  Demazure and Demazure-Lusztig operators act
 through their explicit fixed-point formulas; structure and ideal sheaves
-are produced by the standard recursions and cached per space.
+are produced by the standard recursions and memoized in the root system
+(``RootSystem.memo``).
 """
 
 from __future__ import annotations
@@ -39,11 +40,9 @@ class Space:
             self._outer_roots = rs.positive_roots
         else:
             self.points = parabolic.min_reps
-            levi = set(parabolic.levi_positive_roots)
-            self._outer_roots = tuple(a for a in rs.positive_roots if a not in levi)
+            self._outer_roots = parabolic.outer_positive_roots
         self._point_set = set(self.points)
         self.dim = len(self._outer_roots)
-        self._selfint = {}
 
     def is_point(self, w):
         return w in self._point_set
@@ -54,11 +53,11 @@ class Space:
 
     def selfint_factors(self, w):
         """Factors of lambda_-1 of the cotangent space at w, i.e. prod(1 - e^{w a})."""
-        f = self._selfint.get(w)
-        if f is None:
-            f = tuple(one_minus_e(mu) for mu in self.cotangent_weights(w))
-            self._selfint[w] = f
-        return f
+        subset = None if self.parabolic is None else self.parabolic.subset
+        return self.rs.memo(
+            ("k", "selfint", subset, w),
+            lambda: tuple(one_minus_e(mu) for mu in self.cotangent_weights(w)),
+        )
 
     def zero(self):
         return KClass(self, {})
@@ -230,7 +229,6 @@ class KTheory:
         self.rs = rs
         self.space = Space(rs)
         self.nvars = rs.rank
-        self._cache = {}
 
     # -- generators of the fixed point basis ---------------------------------
 
@@ -366,14 +364,6 @@ class KTheory:
 
     # -- Schubert-type classes -------------------------------------------------
 
-    def _cached(self, kind, w, builder):
-        key = (kind, w)
-        val = self._cache.get(key)
-        if val is None:
-            val = builder()
-            self._cache[key] = val
-        return val
-
     def structure_sheaf(self, w):
         def build():
             if w.length == 0:
@@ -381,7 +371,7 @@ class KTheory:
             i = w.word[-1]
             return self.demazure(i, self.structure_sheaf(w * self.rs.simple_reflection(i)))
 
-        return self._cached("O", w, build)
+        return self.rs.memo(("k", "O", w), build)
 
     def ideal_sheaf(self, w):
         def build():
@@ -391,7 +381,7 @@ class KTheory:
             prev = self.ideal_sheaf(w * self.rs.simple_reflection(i))
             return self.demazure(i, prev) - prev
 
-        return self._cached("I", w, build)
+        return self.rs.memo(("k", "I", w), build)
 
     def w0_twist(self, a):
         """Left translation by the longest element, as a basis relabelling."""
@@ -401,13 +391,13 @@ class KTheory:
         )
 
     def opp_structure_sheaf(self, w):
-        return self._cached(
-            "Oop", w, lambda: self.w0_twist(self.structure_sheaf(self.rs.longest_element() * w))
+        return self.rs.memo(
+            ("k", "Oop", w), lambda: self.w0_twist(self.structure_sheaf(self.rs.longest_element() * w))
         )
 
     def opp_ideal_sheaf(self, w):
-        return self._cached(
-            "Iop", w, lambda: self.w0_twist(self.ideal_sheaf(self.rs.longest_element() * w))
+        return self.rs.memo(
+            ("k", "Iop", w), lambda: self.w0_twist(self.ideal_sheaf(self.rs.longest_element() * w))
         )
 
     def basis_class(self, basis, w):
@@ -484,12 +474,5 @@ class KTheory:
         return out
 
 
-_KTHEORY = {}
-
-
 def ktheory(rs):
-    kt = _KTHEORY.get(rs)
-    if kt is None:
-        kt = KTheory(rs)
-        _KTHEORY[rs] = kt
-    return kt
+    return rs.memo(("k",), lambda: KTheory(rs))

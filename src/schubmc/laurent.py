@@ -338,6 +338,7 @@ def _divide_binomial(a, b, nvars):
 # -- structured fractions ------------------------------------------------------
 
 # denominator factor keys: ("om", mu) is 1 - e^mu, ("opy", mu) is 1 + y e^mu
+# interned here, not per root system: every mu is a root, so the table stays small
 _FACTOR_CACHE = {}
 
 

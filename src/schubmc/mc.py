@@ -33,7 +33,7 @@ def motivic_chern(kt, w):
         i = w.word[-1]
         return kt.dl_operator(i, motivic_chern(kt, w * kt.rs.simple_reflection(i)))
 
-    return kt._cached("MC", w, build)
+    return kt.rs.memo(("k", "MC", w), build)
 
 
 def dual_motivic_chern(kt, w, opposite=True):
@@ -51,7 +51,7 @@ def dual_motivic_chern(kt, w, opposite=True):
             i = w.word[-1]
             return kt.l_operator(i, dual_motivic_chern(kt, w * kt.rs.simple_reflection(i), opposite=False))
 
-        return kt._cached("MCdualX", w, build_x)
+        return kt.rs.memo(("k", "MCdualX", w), build_x)
 
     def build_y():
         w0 = kt.rs.longest_element()
@@ -63,7 +63,7 @@ def dual_motivic_chern(kt, w, opposite=True):
                 return kt.l_operator(i, dual_motivic_chern(kt, ws, opposite=True))
         raise AssertionError("no ascent below the longest element")
 
-    return kt._cached("MCdualY", w, build_y)
+    return kt.rs.memo(("k", "MCdualY", w), build_y)
 
 
 def lambda_y_opposite_cotangent(kt):
@@ -277,13 +277,7 @@ def chi_minus_q(rs, parabolic=None, cell=None):
 
 
 def quotient_space(kt, pdat):
-    return kt._cached("QSPACE", pdat.subset, lambda: Space(kt.rs, pdat))
-
-
-def _outer_factors(rs, levi_set, v):
-    return tuple(
-        one_minus_e(v.act(a)) for a in rs.positive_roots if a not in levi_set
-    )
+    return kt.rs.memo(("k", "QSPACE", pdat.subset), lambda: Space(kt.rs, pdat))
 
 
 def parabolic_pushforward(kt, a, pdat):
@@ -302,12 +296,12 @@ def parabolic_pushforward(kt, a, pdat):
             "the source parabolic must be contained in the target"
         )
     target = quotient_space(kt, pdat)
-    levi = set(pdat.levi_positive_roots)
     out = {}
     for v, c in a.coeffs.items():
         u = pdat.min_rep(v)
+        outer = tuple(one_minus_e(v.act(beta)) for beta in pdat.outer_positive_roots)
         contrib = FactoredFraction(
-            c.num * product_of_factors(_outer_factors(kt.rs, levi, v), kt.rs.rank),
+            c.num * product_of_factors(outer, kt.rs.rank),
             c.den + target.selfint_factors(u),
         )
         out[u] = out.get(u, FactoredFraction.zero(kt.rs.rank)) + contrib
@@ -315,14 +309,14 @@ def parabolic_pushforward(kt, a, pdat):
 
 
 def quotient_structure_sheaf(kt, pdat, u):
-    return kt._cached(
-        ("QO", pdat.subset), u, lambda: parabolic_pushforward(kt, kt.structure_sheaf(u), pdat)
+    return kt.rs.memo(
+        ("k", "QO", pdat.subset, u), lambda: parabolic_pushforward(kt, kt.structure_sheaf(u), pdat)
     )
 
 
 def quotient_ideal_sheaf(kt, pdat, u):
-    return kt._cached(
-        ("QI", pdat.subset), u, lambda: parabolic_pushforward(kt, kt.ideal_sheaf(u), pdat)
+    return kt.rs.memo(
+        ("k", "QI", pdat.subset, u), lambda: parabolic_pushforward(kt, kt.ideal_sheaf(u), pdat)
     )
 
 
@@ -330,8 +324,8 @@ def motivic_chern_parabolic(kt, pdat, u):
     """MC of the cell of G/P indexed by a minimal representative u."""
     if u not in set(pdat.min_reps):
         raise ValueError("cell label must be a minimal coset representative")
-    return kt._cached(
-        ("QMC", pdat.subset), u, lambda: parabolic_pushforward(kt, motivic_chern(kt, u), pdat)
+    return kt.rs.memo(
+        ("k", "QMC", pdat.subset, u), lambda: parabolic_pushforward(kt, motivic_chern(kt, u), pdat)
     )
 
 

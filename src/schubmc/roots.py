@@ -8,7 +8,9 @@ whose ``[i][j]`` entry is ``<alpha_i, alpha_j_check>``.
 
 Weyl group elements are stored as the integer matrices they induce on the
 weight lattice; reduced words, lengths, and descent sets are cached per
-root system.
+root system.  ``RootSystem.memo`` is the one memo of every engine built on a
+root system (K-theory, cohomology, numeric, Hirzebruch, Hecke), and
+``clear_memo`` empties it.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ from functools import lru_cache
 
 class RootSystemError(ValueError):
     """Invalid Cartan datum or mismatched root-system arguments."""
+
+
+_MISSING = object()
 
 
 def _tridiagonal(rank):
@@ -170,6 +175,8 @@ class ParabolicDatum:
             for fund, coords in zip(rs.positive_roots, rs.positive_root_coords)
             if all(c == 0 for j, c in enumerate(coords, start=1) if j not in subset)
         )
+        levi = set(self.levi_positive_roots)
+        self.outer_positive_roots = tuple(a for a in rs.positive_roots if a not in levi)
 
     def factorize(self, w):
         """Split w = (minimal coset representative) * (element of the subgroup)."""
@@ -209,6 +216,7 @@ class RootSystem:
         self._length = {}
         self._word = {}
         self._bruhat = {}
+        self._memo = {}
         self._weyl = None
         self._w0 = None
         self._by_name = None
@@ -254,6 +262,24 @@ class RootSystem:
         self._root_coords = {fund: coords for fund, coords in seen.items()}
         if 2 * len(self.positive_roots) != len(seen):
             raise RootSystemError("root closure is not symmetric")
+
+    # -- the memo of the engines built on this root system ---------------------
+
+    def memo(self, key, build):
+        """The value stored under key, from build() on the first request.
+
+        A key starts with its layer's name (``"k"``, ``"coh"``, ``"num"``,
+        ``"hz"`` or ``"hecke"``) and carries every parameter its value
+        depends on besides the root system.
+        """
+        val = self._memo.get(key, _MISSING)
+        if val is _MISSING:
+            val = self._memo[key] = build()
+        return val
+
+    def clear_memo(self):
+        """Forget every memoized engine and class of this root system."""
+        self._memo.clear()
 
     # -- basic queries ------------------------------------------------------
 

@@ -95,6 +95,16 @@ def test_parabolic_compute(tmp_path):
     assert obj["cell"] == "s2s1"
 
 
+@pytest.mark.parametrize(
+    "extra", [["--dual"], ["--opposite"], ["--nonequivariant"], ["--basis", "I"], ["--basis", "O"]]
+)
+def test_parabolic_compute_rejects_flags_it_ignores(extra, capsys):
+    # the G/P route computes the iota-basis class only; a flag it would ignore is invalid
+    args = ["mc", "compute", "--type", "A2", "--cell", "s2s1", "--parabolic", "1"]
+    assert main(args + extra) == 2
+    assert "--parabolic does not take " + extra[0] in capsys.readouterr().err
+
+
 def test_cache_dir_round_trip(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     monkeypatch.setenv("SCHUBMC_CACHE_DIR", str(cache))

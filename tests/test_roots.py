@@ -1,8 +1,21 @@
+import importlib
 import itertools
+import pkgutil
 
 import pytest
 
-from schubmc.roots import RootSystemError, cartan_matrix, parse_type, root_system, triangular_solve
+import schubmc
+from schubmc.cohomology import cohomology, numeric_cohomology
+from schubmc.hirzebruch import hirzebruch
+from schubmc.kclasses import ktheory
+from schubmc.roots import (
+    RootSystem,
+    RootSystemError,
+    cartan_matrix,
+    parse_type,
+    root_system,
+    triangular_solve,
+)
 
 
 @pytest.mark.parametrize(
@@ -146,6 +159,12 @@ def test_parabolic_data():
         assert rep * inner is w
         assert rep.length + inner.length == w.length
         assert rep in set(gr24.min_reps)
+    # the Levi split: the outer roots are the positive roots not in the Levi
+    assert set(gr24.levi_positive_roots) == {rs.simple_root(1), rs.simple_root(3)}
+    assert len(gr24.outer_positive_roots) == 4
+    assert set(gr24.outer_positive_roots) == set(rs.positive_roots) - set(gr24.levi_positive_roots)
+    assert empty.outer_positive_roots == rs.positive_roots
+    assert full.outer_positive_roots == ()
 
 
 def test_enumeration_order_deterministic():
@@ -184,3 +203,61 @@ def test_triangular_solve_guards():
     # a wrong pivot coefficient leaves the pivot uncancelled
     with pytest.raises(ArithmeticError, match="did not cancel"):
         solve({s1: 1}, unitriangular.get, lambda w, v: 2 * v)
+
+
+def _classes(rs):
+    """Every memoized class of each layer, per cell, in comparable form."""
+    kt, coh, num, hz = ktheory(rs), cohomology(rs), numeric_cohomology(rs), hirzebruch(rs, 4)
+    return {
+        w: (
+            kt.structure_sheaf(w).coeffs,
+            coh.schubert_class(w).coeffs,
+            coh.csm(w).coeffs,
+            num.opposite_schubert(w),
+            hz.hirzebruch_class(w).coeffs,
+        )
+        for w in rs.weyl_group()
+    }
+
+
+@pytest.mark.parametrize("lie_type", ["A", "B"])
+def test_memo_is_per_root_system_and_clearable(lie_type):
+    rs = RootSystem(lie_type, 2)
+    kt = ktheory(rs)
+    assert ktheory(rs) is kt
+    before = _classes(rs)
+    rs.clear_memo()
+    assert ktheory(rs) is not kt
+    assert _classes(rs) == before
+    # a second object of the same type starts from an empty memo
+    other = RootSystem(lie_type, 2)
+    assert ktheory(other) is not ktheory(rs)
+    assert other.memo(("k", "O", other.longest_element()), lambda: "unset") == "unset"
+
+
+@pytest.mark.parametrize("lie_type", ["A", "B"])
+def test_numeric_twin_keys_carry_the_parameter_point(lie_type):
+    rs = RootSystem(lie_type, 2)
+    alone = {w: numeric_cohomology(rs).opposite_schubert(w) for w in rs.weyl_group()}
+    rs.clear_memo()
+    num = numeric_cohomology(rs)
+    for w in rs.weyl_group():
+        num.schubert(w)
+    assert {w: num.opposite_schubert(w) for w in rs.weyl_group()} == alone
+
+
+# module-level dicts that are not unbounded memo tables
+ALLOWED_MODULE_DICTS = {
+    ("schubmc.laurent", "_FACTOR_CACHE"),  # binomials of roots only: bounded by the roots
+    ("schubmc.conjectures", "CHECKERS"),  # name -> checker dispatch
+}
+
+
+def test_no_module_level_memo_tables():
+    found = set()
+    for info in pkgutil.iter_modules(schubmc.__path__):
+        mod = importlib.import_module(f"schubmc.{info.name}")
+        for name, val in vars(mod).items():
+            if isinstance(val, dict) and not name.startswith("__"):
+                found.add((mod.__name__, name))
+    assert found <= ALLOWED_MODULE_DICTS, f"memoize in RootSystem.memo, not in {found - ALLOWED_MODULE_DICTS}"

@@ -165,7 +165,7 @@ def _run_mc_verify(args, rs, kt):
     report = {"system": f"{rs.lie_type}{rs.rank}", "checks": {}}
     failed = False
     W = rs.weyl_group()
-    for name in which:
+    for name in map(str.strip, which):
         if name == "duality":
             bad = [
                 (u.name(), v.name())

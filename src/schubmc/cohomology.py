@@ -6,6 +6,15 @@ variable).  Divided differences and their twisted variants act pointwise;
 CSM classes are produced by the twisted recursion and, as an independent
 route, extracted from motivic Chern classes by the leading-term procedure.
 
+``GKMEngine`` is the fixed-point machinery every localization engine shares:
+Euler classes, the divided difference ``bgg`` and the grouping of fixed
+points into the cosets of a parabolic, each point with its Levi Euler
+factor, which every push-forward to G/P sums over.  An engine supplies only
+``form(weight)``, its unit ``one`` and its memo-key ``prefix``: ``Cohomology``
+here over Z[alpha, hbar], ``NumericCohomology`` at a rational point, and
+``hirzebruch.Hirzebruch`` over truncated series.  ``RestrictionMap`` holds
+the pointwise arithmetic of their classes (``CohClass``, ``HClass``).
+
 Restrictions are polynomials with ``int`` coefficients.  Roots have integer,
 coprime simple-root coordinates, so every divided difference and every
 localization sum that clears to a polynomial divides exactly over the
@@ -14,9 +23,10 @@ their Schubert expansions all stay in Z[alpha, hbar].  ``Cohomology.expand``
 is the layer's result boundary and returns ``Fraction`` coefficients, the
 one canonical form of its output.
 
-A small numeric sub-engine evaluates classes at a generic rational point of
-the parameter space; any pairing whose value is a degree-zero constant is
-computed exactly this way.
+The numeric engine evaluates classes at a generic rational point of the
+parameter space; any pairing whose value is a degree-zero constant is
+computed exactly this way.  ``SchubertCalculus`` runs on G/B as the
+parabolic of no simple roots, so G/B and G/P share one route.
 """
 
 from __future__ import annotations
@@ -32,12 +42,122 @@ class GKMError(ArithmeticError):
     """A divided difference or localization sum failed to divide exactly."""
 
 
-class Cohomology:
+class GKMEngine:
+    """Fixed-point machinery shared by the localization engines.
+
+    A subclass sets ``rs``, ``one`` (the unit of its restriction values) and
+    ``prefix`` (the start of its memo keys), and defines ``form(weight)``,
+    the first Chern class of a weight.
+    """
+
+    def memo(self, key, build):
+        return self.rs.memo(self.prefix + key, build)
+
+    def weight_product(self, roots, w):
+        """The product of ``form(-w beta)`` over the roots beta: the Euler
+        class at w of the tangent directions they span."""
+        p = self.one
+        for beta in roots:
+            p = p * self.form(neg_weight(w.act(beta)))
+        return p
+
+    def euler_at(self, w):
+        """Equivariant Euler class of the tangent space at the fixed point w."""
+        return self.memo(("euler", w), lambda: self.weight_product(self.rs.positive_roots, w))
+
+    def quotient_euler_at(self, pdat, u):
+        """Euler class of the tangent space of G/P at the fixed point u."""
+        return self.memo(
+            ("qeuler", pdat.subset, u), lambda: self.weight_product(pdat.outer_positive_roots, u)
+        )
+
+    def cosets(self, pdat, coeffs):
+        """Fixed points grouped by coset: min rep -> [(restriction, Levi Euler factor)].
+
+        The Levi Euler factor at v is the Euler class at v of the fiber of
+        G/B -> G/P; a push-forward sums restriction / factor over each group.
+        """
+        groups = {}
+        for v, p in coeffs.items():
+            levi = self.weight_product(pdat.levi_positive_roots, v)
+            groups.setdefault(pdat.min_rep(v), []).append((p, levi))
+        return groups
+
+    def bgg(self, i, a):
+        """The divided difference (a - s_i a) / alpha_i, pointwise."""
+        s = self.rs.simple_reflection(i)
+        alpha = self.rs.simple_root(i)
+        out = {}
+        for u in set(a.coeffs) | {v * s for v in a.coeffs}:
+            num = a.coefficient(u * s) - a.coefficient(u)
+            if not num:
+                continue
+            q = num.divide_exact(self.form(u.act(alpha)))
+            if q is None:
+                raise GKMError("divided difference is not exact; not a GKM class")
+            out[u] = q
+        return a.like(out)
+
+
+class RestrictionMap:
+    """A class as its restrictions to the fixed points, with pointwise arithmetic."""
+
+    __slots__ = ("ctx", "coeffs")
+
+    def __init__(self, ctx, coeffs):
+        self.ctx = ctx
+        self.coeffs = {w: p for w, p in coeffs.items() if p}
+
+    def like(self, coeffs):
+        """A class of the same kind on the same engine, with other restrictions."""
+        return type(self)(self.ctx, coeffs)
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for w, p in other.coeffs.items():
+            q = out.get(w)
+            q = p if q is None else q + p
+            if q:
+                out[w] = q
+            else:
+                out.pop(w, None)
+        return self.like(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self.like({w: -p for w, p in self.coeffs.items()})
+
+    def __mul__(self, other):
+        """Pointwise (cup) product of restriction functions."""
+        out = {}
+        for w, p in self.coeffs.items():
+            q = other.coeffs.get(w)
+            if q is not None:
+                out[w] = p * q
+        return self.like(out)
+
+    def scale(self, s):
+        return self.like({w: p * s for w, p in self.coeffs.items()})
+
+    def support(self):
+        return sorted(self.coeffs, key=lambda w: (w.length, w.word))
+
+    def __repr__(self):
+        bits = [f"{w.name()}: {self.coeffs[w]!r}" for w in self.support()]
+        return type(self).__name__ + "{" + ", ".join(bits) + "}"
+
+
+class Cohomology(GKMEngine):
     """GKM operator calculus for one root system; variables (alpha..., hbar)."""
+
+    prefix = ("coh",)
 
     def __init__(self, rs):
         self.rs = rs
         self.nvars = rs.rank + 1
+        self.one = Poly.const(1, self.nvars)
 
     def form(self, weight):
         """First Chern class of the weight, as a linear polynomial.
@@ -54,7 +174,7 @@ class Cohomology:
             # root-lattice coordinates are integral: the class is built over Z
             return Poly.linear([-int(c) if c.denominator == 1 else -c for c in coords] + [0])
 
-        return self.rs.memo(("coh", "form", weight), build)
+        return self.memo(("form", weight), build)
 
     def root_variable_form(self, weight):
         """The display polynomial of a root-lattice weight in the alpha variables."""
@@ -62,17 +182,6 @@ class Cohomology:
 
     def hbar(self):
         return Poly.variable(self.nvars - 1, self.nvars)
-
-    def euler_at(self, w):
-        """Equivariant Euler class of the tangent space at the fixed point w."""
-
-        def build():
-            p = Poly.const(1, self.nvars)
-            for a in self.rs.positive_roots:
-                p = p * self.form(neg_weight(w.act(a)))
-            return p
-
-        return self.rs.memo(("coh", "euler", w), build)
 
     def point_class(self, w):
         return CohClass(self, {w: self.euler_at(w)})
@@ -82,28 +191,13 @@ class Cohomology:
 
     def total_chern_at(self, w, dual=False):
         """c of the (co)tangent space restricted at w: prod (1 -+ w alpha)."""
-        p = Poly.const(1, self.nvars)
-        one = Poly.const(1, self.nvars)
+        p = one = self.one
         for a in self.rs.positive_roots:
             wa = self.form(w.act(a))
             p = p * (one + wa if dual else one - wa)
         return p
 
     # -- operators -------------------------------------------------------------
-
-    def bgg(self, i, a):
-        s = self.rs.simple_reflection(i)
-        alpha = self.rs.simple_root(i)
-        out = {}
-        for u in set(a.coeffs) | {v * s for v in a.coeffs}:
-            num = a.coefficient(u * s) - a.coefficient(u)
-            if not num:
-                continue
-            q = num.divide_exact(self.form(u.act(alpha)))
-            if q is None:
-                raise GKMError("divided difference is not exact; not a GKM class")
-            out[u] = q
-        return CohClass(self, out)
 
     def si_auto(self, i, a):
         s = self.rs.simple_reflection(i)
@@ -130,7 +224,7 @@ class Cohomology:
             ]
             return images + [self.hbar()]
 
-        return self.rs.memo(("coh", "w0sub"), build)
+        return self.memo(("w0sub",), build)
 
     def w0_twist(self, a):
         w0 = self.rs.longest_element()
@@ -148,11 +242,11 @@ class Cohomology:
             i = w.word[-1]
             return self.bgg(i, self.schubert_class(w * self.rs.simple_reflection(i)))
 
-        return self.rs.memo(("coh", "X", w), build)
+        return self.memo(("X", w), build)
 
     def opposite_schubert_class(self, w):
-        return self.rs.memo(
-            ("coh", "Y", w), lambda: self.w0_twist(self.schubert_class(self.rs.longest_element() * w))
+        return self.memo(
+            ("Y", w), lambda: self.w0_twist(self.schubert_class(self.rs.longest_element() * w))
         )
 
     def csm(self, w):
@@ -164,11 +258,11 @@ class Cohomology:
             i = w.word[-1]
             return self.dl_coh(i, self.csm(w * self.rs.simple_reflection(i)))
 
-        return self.rs.memo(("coh", "csm", w), build)
+        return self.memo(("csm", w), build)
 
     def csm_opposite(self, w):
-        return self.rs.memo(
-            ("coh", "csmY", w), lambda: self.w0_twist(self.csm(self.rs.longest_element() * w))
+        return self.memo(
+            ("csmY", w), lambda: self.w0_twist(self.csm(self.rs.longest_element() * w))
         )
 
     def sm(self, w, opposite=False):
@@ -189,7 +283,7 @@ class Cohomology:
                     return self.dl_coh(i, self.dual_csm(vs), dual=True)
             raise AssertionError("no ascent below the longest element")
 
-        return self.rs.memo(("coh", "csmdual", v), build)
+        return self.memo(("csmdual", v), build)
 
     # -- pairings -----------------------------------------------------------------
 
@@ -259,47 +353,14 @@ class SegreMacPherson:
         )
 
 
-class CohClass:
+class CohClass(RestrictionMap):
     """GKM class: map from fixed points to polynomial restrictions."""
 
-    __slots__ = ("ctx", "coeffs")
-
-    def __init__(self, ctx, coeffs):
-        self.ctx = ctx
-        self.coeffs = {w: p for w, p in coeffs.items() if p}
+    __slots__ = ()
 
     def coefficient(self, w):
         p = self.coeffs.get(w)
         return p if p is not None else Poly.zero(self.ctx.nvars)
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for w, p in other.coeffs.items():
-            q = out.get(w)
-            q = p if q is None else q + p
-            if q:
-                out[w] = q
-            else:
-                out.pop(w, None)
-        return CohClass(self.ctx, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return CohClass(self.ctx, {w: -p for w, p in self.coeffs.items()})
-
-    def __mul__(self, other):
-        """Pointwise (cup) product of restriction functions."""
-        out = {}
-        for w, p in self.coeffs.items():
-            q = other.coeffs.get(w)
-            if q is not None:
-                out[w] = p * q
-        return CohClass(self.ctx, out)
-
-    def scale(self, s):
-        return CohClass(self.ctx, {w: p * s for w, p in self.coeffs.items()})
 
     def set_hbar(self, value):
         return CohClass(
@@ -310,13 +371,6 @@ class CohClass:
         if not isinstance(other, CohClass):
             return NotImplemented
         return self.ctx is other.ctx and self.coeffs == other.coeffs
-
-    def support(self):
-        return sorted(self.coeffs, key=lambda w: (w.length, w.word))
-
-    def __repr__(self):
-        bits = [f"{w.name()}: {p!r}" for w, p in sorted(self.coeffs.items(), key=lambda kv: (kv[0].length, kv[0].word))]
-        return "CohClass{" + ", ".join(bits) + "}"
 
 
 def cohomology(rs):
@@ -372,7 +426,7 @@ def csm_from_mc_equivariant(kt, ctx, w):
 
 def csm_expansion(ctx, w):
     """Schubert coefficients of the homogenized CSM class (recursion route)."""
-    return ctx.rs.memo(("coh", "csmexp", w), lambda: ctx.expand(ctx.csm(w)))
+    return ctx.memo(("csmexp", w), lambda: ctx.expand(ctx.csm(w)))
 
 
 def csm_vector(kt, w):
@@ -385,12 +439,15 @@ def csm_vector(kt, w):
 _GENERIC_PRIMES = (10007, 10009, 10037, 10039, 10061, 10067, 10069, 10079)
 
 
-class NumericCohomology:
+class NumericCohomology(GKMEngine):
     """GKM classes evaluated at a fixed generic rational parameter point.
 
-    Memo keys carry the point ``alphas``: the transformed twin shares the
-    root system's memo but runs at another point.
+    The values are those of ``Cohomology`` at the simple roots ``-alphas``
+    and hbar = 1.  Memo keys carry the point ``alphas``: the transformed twin
+    shares the root system's memo but runs at another point.
     """
+
+    one = Fraction(1)
 
     def __init__(self, rs, alphas=None, hbar=Fraction(1)):
         self.rs = rs
@@ -398,19 +455,13 @@ class NumericCohomology:
             alphas = tuple(Fraction(p) for p in _GENERIC_PRIMES[: rs.rank])
         self.alphas = tuple(alphas)
         self.hbar = hbar
+        self.prefix = ("num", self.alphas)
 
     def weight_value(self, weight):
         coords = self.rs.weight_in_simple_roots(weight)
         return sum(c * a for c, a in zip(coords, self.alphas))
 
-    def euler_at(self, w):
-        def build():
-            v = Fraction(1)
-            for a in self.rs.positive_roots:
-                v *= -self.weight_value(w.act(a))
-            return v
-
-        return self.rs.memo(("num", self.alphas, "euler", w), build)
+    form = weight_value
 
     def schubert(self, w):
         def build():
@@ -427,7 +478,7 @@ class NumericCohomology:
                     f[u] = num / self.weight_value(u.act(alpha))
             return f
 
-        return self.rs.memo(("num", self.alphas, "X", w), build)
+        return self.memo(("X", w), build)
 
     def _transformed_twin(self):
         def build():
@@ -439,7 +490,7 @@ class NumericCohomology:
             )
             return NumericCohomology(self.rs, twin_alphas, self.hbar)
 
-        return self.rs.memo(("num", self.alphas, "twin"), build)
+        return self.memo(("twin",), build)
 
     def opposite_schubert(self, w):
         def build():
@@ -447,10 +498,14 @@ class NumericCohomology:
             g = self._transformed_twin().schubert(w0 * w)
             return {w0 * u: val for u, val in g.items()}
 
-        return self.rs.memo(("num", self.alphas, "Y", w), build)
+        return self.memo(("Y", w), build)
 
     def integrate(self, f):
         return sum(v / self.euler_at(w) for w, v in f.items())
+
+    def pushforward(self, pdat, f):
+        """Push-forward of restriction values to the fixed points of G/P."""
+        return {u: sum(v / d for v, d in pairs) for u, pairs in self.cosets(pdat, f).items()}
 
     def triple_opposite_constant(self, a, b, c):
         """Cup-product constant of [Y(a)][Y(b)] against [X(c)]; codims add."""
@@ -481,19 +536,22 @@ class SchubertCalculus:
 
     Classes are dicts mapping cells (minimal representatives) to integers,
     relative to the Schubert-variety basis.  Products go through cached
-    triple-intersection constants from the numeric engine.
+    triple-intersection constants from the numeric engine, pushed to G/P;
+    G/B is the parabolic of no simple roots.
     """
 
     def __init__(self, rs, parabolic=None):
         self.rs = rs
-        self.parabolic = parabolic
-        self.cells = rs.weyl_group() if parabolic is None else parabolic.min_reps
+        self.parabolic = parabolic or rs.parabolic(())
+        self.cells = self.parabolic.min_reps
+        self._cell_set = frozenset(self.cells)
         self._numeric = numeric_cohomology(rs)
+        w0 = rs.longest_element()
+        self._opposite = {v: self.parabolic.min_rep(w0 * v) for v in self.cells}
 
     def opposite_label(self, v):
-        """The cell whose opposite Schubert variety equals the variety of v."""
-        w0 = self.rs.longest_element()
-        return w0 * v if self.parabolic is None else self.parabolic.min_rep(w0 * v)
+        """The cell whose opposite Schubert variety equals the variety of the cell v."""
+        return self._opposite[v]
 
     def _constants(self, a, b):
         """Cup constants of [Y(a)][Y(b)] over the [Y(c)] basis (codims add)."""
@@ -507,41 +565,30 @@ class SchubertCalculus:
                         row[c] = n
             return row
 
-        subset = None if self.parabolic is None else self.parabolic.subset
-        return self.rs.memo(("num", "const", subset, a, b), build)
+        return self.rs.memo(("num", "const", self.parabolic.subset, a, b), build)
+
+    def _pushed(self, kind, v):
+        """The numeric (opposite) Schubert restrictions of v pushed to G/P."""
+        num = self._numeric
+
+        def build():
+            f = num.opposite_schubert(v) if kind == "Y" else num.schubert(v)
+            return num.pushforward(self.parabolic, f)
+
+        return self.rs.memo(("num", "pushed", self.parabolic.subset, kind, v), build)
 
     def _triple(self, a, b, c):
         """<[Y(a)] [Y(b)], [X(c)]>, the coefficient of [Y(c)] in the product."""
-        if self.parabolic is None:
-            return self._numeric.triple_opposite_constant(a, b, c)
-        num = self._numeric
-        pd = self.parabolic
         if a.length + b.length != c.length:
             return 0
-
-        def pushed(f):
-            out = {}
-            for v, val in f.items():
-                u = pd.min_rep(v)
-                rel = Fraction(1)
-                for beta in pd.levi_positive_roots:
-                    rel *= -num.weight_value(v.act(beta))
-                out[u] = out.get(u, Fraction(0)) + val / rel
-            return out
-
-        fa = pushed(num.opposite_schubert(a))
-        fb = pushed(num.opposite_schubert(b))
-        fc = pushed(num.schubert(c))
+        fa, fb, fc = self._pushed("Y", a), self._pushed("Y", b), self._pushed("X", c)
         total = Fraction(0)
         for w, va in fa.items():
             vb = fb.get(w)
             vc = fc.get(w)
             if vb is None or vc is None:
                 continue
-            e = Fraction(1)
-            for beta in pd.outer_positive_roots:
-                e *= -num.weight_value(w.act(beta))
-            total += va * vb * vc / e
+            total += va * vb * vc / self._numeric.quotient_euler_at(self.parabolic, w)
         if total.denominator != 1:
             raise GKMError("structure constant did not come out integral")
         return int(total)
@@ -564,11 +611,7 @@ class SchubertCalculus:
 
     def csm(self, kt, w):
         """CSM vector of the cell of w (w any element; coefficients restrict)."""
-        pd = self.parabolic
-        base = csm_vector(kt, w)
-        if pd is None:
-            return dict(base)
-        return {u: c for u, c in base.items() if u in set(pd.min_reps)}
+        return {u: c for u, c in csm_vector(kt, w).items() if u in self._cell_set}
 
     def total_chern(self, kt):
         out = {}
@@ -579,11 +622,7 @@ class SchubertCalculus:
 
     def sm_of_opposite(self, kt, u):
         """SM class of the opposite cell of u, in the Schubert-variety basis."""
-        w0u = (
-            self.rs.longest_element() * u
-            if self.parabolic is None
-            else self.parabolic.min_rep(self.rs.longest_element() * u)
-        )
+        w0u = self.opposite_label(u)
         csm = self.csm(kt, w0u)
         return {v: c * (-1) ** ((w0u.length - v.length) % 2) for v, c in csm.items()}
 
@@ -617,12 +656,7 @@ class SchubertCalculus:
         exp = self.expand_in_sm_basis(kt, prod)
         # the basis element at z is the SM vector of the cell of z, which is
         # the SM class of the opposite cell of w0 z (restricted to cells)
-        w0 = self.rs.longest_element()
-        out = {}
-        for z, c in exp.items():
-            w = w0 * z if self.parabolic is None else self.parabolic.min_rep(w0 * z)
-            out[w] = c
-        return out
+        return {self.opposite_label(z): c for z, c in exp.items()}
 
     def richardson_csm(self, kt, u, v):
         """CSM vector of the intersection of the opposite cell of u with the
@@ -648,26 +682,14 @@ def h_polynomial(vector):
 
 def parabolic_pushforward_coh(ctx, a, pdat):
     """Localization push-forward of restriction functions to the quotient."""
-    groups = {}
-    for v, p in a.coeffs.items():
-        d = Poly.const(1, ctx.nvars)
-        for beta in pdat.levi_positive_roots:
-            d = d * ctx.form(neg_weight(v.act(beta)))
-        groups.setdefault(pdat.min_rep(v), []).append((p, d))
+    groups = ctx.cosets(pdat, a.coeffs)
     return CohClass(
         ctx, {u: _localization_sum(ctx, pairs, "push-forward sum") for u, pairs in groups.items()}
     )
 
 
-def quotient_euler_at(ctx, pdat, u):
-    p = Poly.const(1, ctx.nvars)
-    for beta in pdat.outer_positive_roots:
-        p = p * ctx.form(neg_weight(u.act(beta)))
-    return p
-
-
 def integrate_quotient(ctx, pdat, a, extra_denominator=None):
-    pairs = _over_euler(a, lambda w: quotient_euler_at(ctx, pdat, w), extra_denominator)
+    pairs = _over_euler(a, lambda w: ctx.quotient_euler_at(pdat, w), extra_denominator)
     return _localization_sum(ctx, pairs, "localization sum")
 
 
@@ -682,7 +704,7 @@ def _over_euler(a, euler, extra_denominator):
 
 def _localization_sum(ctx, pairs, what):
     """The localization sum of the (restriction, denominator) pairs, as a polynomial."""
-    num, den = fraction_sum(pairs, Poly.zero(ctx.nvars), Poly.const(1, ctx.nvars))
+    num, den = fraction_sum(pairs, Poly.zero(ctx.nvars), ctx.one)
     q = num.divide_exact(den)
     if q is None:
         raise GKMError(f"{what} is not polynomial")

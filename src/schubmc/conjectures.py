@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .cohomology import SchubertCalculus, csm_vector, h_polynomial
 from .kclasses import ktheory
 from .laurent import check_log_concave, check_unimodal, has_internal_zeros
-from .mc import _sign, motivic_chern
+from .mc import _sign, coefficients_in_negative_cone, motivic_chern
 
 
 @dataclass
@@ -66,12 +66,7 @@ def check_mc_positivity(rs, maxlen=None):
         for u, c in exp.items():
             normalized = c if _sign(w.length - u.length) == 1 else -c
             bad_coeff = any(v < 0 for v in normalized.terms.values())
-            bad_cone = False
-            for (e, _), _v in normalized.terms.items():
-                coords = rs.weight_in_simple_roots(e)
-                if any(q.denominator != 1 or q > 0 for q in coords):
-                    bad_cone = True
-            if bad_coeff or bad_cone:
+            if bad_coeff or not coefficients_in_negative_cone(rs, c):
                 rep.counterexamples.append(
                     {
                         "cell": w.name(),

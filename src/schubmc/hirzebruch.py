@@ -4,10 +4,17 @@ All values live in the completed equivariant homology: GKM restriction maps
 into degree-truncated series over Q[y, (1+y)^-1].  Every identity is checked
 modulo the truncation degree; localization sums are computed over a padded
 degree window so the surviving components are exact.
+
+``Hirzebruch`` is a ``cohomology.GKMEngine``: it supplies the first Chern
+class of a weight over ``YFrac``, and takes its Euler classes, divided
+differences and the coset grouping of push-forwards from there.  ``HClass``
+is a ``cohomology.RestrictionMap`` that also carries its truncation cap and
+whether it is normalized.
 """
 
 from __future__ import annotations
 
+from .cohomology import GKMEngine, RestrictionMap
 from .polyring import (
     GradedSeries,
     Poly,
@@ -26,52 +33,26 @@ class TruncationError(ArithmeticError):
     """A quantity was requested beyond the valid truncation window."""
 
 
-class HClass:
+class HClass(RestrictionMap):
     """Hirzebruch-layer class: fixed point -> truncated graded series."""
 
-    __slots__ = ("hz", "coeffs", "normalized")
+    __slots__ = ("normalized",)
 
     def __init__(self, hz, coeffs, normalized=False):
-        self.hz = hz
-        self.coeffs = {w: s for w, s in coeffs.items() if s}
+        super().__init__(hz, coeffs)
         self.normalized = normalized
+
+    def like(self, coeffs):
+        return HClass(self.ctx, coeffs, self.normalized)
 
     def coefficient(self, w):
         s = self.coeffs.get(w)
         if s is not None:
             return s
-        return GradedSeries.zero(self.cap(), self.hz.rs.rank)
+        return GradedSeries.zero(self.cap(), self.ctx.rs.rank)
 
     def cap(self):
-        return min((s.cap for s in self.coeffs.values()), default=self.hz.cap)
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for w, s in other.coeffs.items():
-            q = out.get(w)
-            q = s if q is None else q + s
-            if q:
-                out[w] = q
-            else:
-                out.pop(w, None)
-        return HClass(self.hz, out, self.normalized)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return HClass(self.hz, {w: -s for w, s in self.coeffs.items()}, self.normalized)
-
-    def scale(self, c):
-        return HClass(self.hz, {w: s * c for w, s in self.coeffs.items()}, self.normalized)
-
-    def __mul__(self, other):
-        out = {}
-        for w, s in self.coeffs.items():
-            t = other.coeffs.get(w)
-            if t is not None:
-                out[w] = s * t
-        return HClass(self.hz, out, self.normalized)
+        return min((s.cap for s in self.coeffs.values()), default=self.ctx.cap)
 
     def eq_mod_cap(self, other, cap=None):
         caps = [self.cap(), other.cap()]
@@ -84,38 +65,37 @@ class HClass:
         return True
 
     def truncate(self, cap):
-        return HClass(self.hz, {w: s.truncate(cap) for w, s in self.coeffs.items()}, self.normalized)
+        return self.like({w: s.truncate(cap) for w, s in self.coeffs.items()})
 
     def evaluate_y(self, v):
         """Specialize y, returning fixed point -> Poly over Fractions."""
         out = {}
         for w, s in self.coeffs.items():
-            p = Poly.zero(self.hz.rs.rank)
+            p = Poly.zero(self.ctx.rs.rank)
             for d, comp in s.comps.items():
                 p = p + comp.map_coefficients(lambda c: c.evaluate(v))
             out[w] = p
         return out
 
-    def __repr__(self):
-        bits = [f"{w.name()}: {s!r}" for w, s in self.coeffs.items()]
-        return "HClass{" + ", ".join(bits) + "}"
 
-
-class Hirzebruch:
+class Hirzebruch(GKMEngine):
     """Hirzebruch-transformation calculus for one root system at a default cap."""
+
+    prefix = ("hz",)
 
     def __init__(self, rs, cap=None):
         self.rs = rs
         self.dim = rs.num_positive_roots
         self.cap = 2 * self.dim if cap is None else cap
+        self.one = Poly.const(YFrac.const(1), rs.rank)
 
     # -- linear forms and basic series -----------------------------------------
 
     def form(self, weight):
         """c_1 of a weight; same global sign convention as the cohomology layer."""
         weight = tuple(weight)
-        return self.rs.memo(
-            ("hz", "form", weight),
+        return self.memo(
+            ("form", weight),
             lambda: Poly.linear([YFrac.const(-c) for c in self.rs.weight_in_simple_roots(weight)]),
         )
 
@@ -129,14 +109,14 @@ class Hirzebruch:
                 return normalized_hirzebruch_coefficients(cap)
             raise ValueError(f"unknown Todd mode {mode!r}")
 
-        return self.rs.memo(("hz", "univ", mode, cap), build)
+        return self.memo(("univ", mode, cap), build)
 
     def todd_series(self, weight, mode="Td", cap=None):
         """The chosen Todd-type series of a single weight, truncated."""
         cap = self.cap if cap is None else cap
         weight = tuple(weight)
-        return self.rs.memo(
-            ("hz", "ts", weight, mode, cap),
+        return self.memo(
+            ("ts", weight, mode, cap),
             lambda: series_of_linear(self._univ(mode, cap), self.form(weight), cap),
         )
 
@@ -152,23 +132,14 @@ class Hirzebruch:
 
     def tangent_todd(self, w, mode="Td", cap=None):
         cap = self.cap if cap is None else cap
-        return self.rs.memo(
-            ("hz", "tt", w, mode, cap),
+        return self.memo(
+            ("tt", w, mode, cap),
             lambda: self.todd_series_of_weights(self.tangent_weights(w), mode, cap),
         )
 
-    def euler_poly(self, w):
-        def build():
-            val = Poly.const(YFrac.const(1), self.rs.rank)
-            for mu in self.tangent_weights(w):
-                val = val * self.form(mu)
-            return val
-
-        return self.rs.memo(("hz", "euler", w), build)
-
     def point_class(self, w, cap=None):
         cap = self.cap if cap is None else cap
-        return HClass(self, {w: GradedSeries.from_poly(self.euler_poly(w), cap)})
+        return HClass(self, {w: GradedSeries.from_poly(self.euler_at(w), cap)})
 
     # -- Chern character and Todd transformation ----------------------------------
 
@@ -194,8 +165,8 @@ class Hirzebruch:
 
     def _exp_cached(self, lam, cap):
         lam = tuple(lam)
-        return self.rs.memo(
-            ("hz", "exp", lam, cap),
+        return self.memo(
+            ("exp", lam, cap),
             lambda: exp_linear(self.form(lam), cap, coeff_one=YFrac.const(1)),
         )
 
@@ -207,20 +178,6 @@ class Hirzebruch:
 
     # -- operators -------------------------------------------------------------------
 
-    def bgg(self, i, a):
-        s = self.rs.simple_reflection(i)
-        alpha = self.rs.simple_root(i)
-        out = {}
-        for u in set(a.coeffs) | {v * s for v in a.coeffs}:
-            num = a.coefficient(u * s) - a.coefficient(u)
-            if not num:
-                continue
-            q = num.divide_by_poly(self.form(u.act(alpha)))
-            if q is None:
-                raise TruncationError("divided difference not exact")
-            out[u] = q
-        return HClass(self, out, a.normalized)
-
     def _relative_todd_at(self, u, i, mode, cap):
         # relative tangent weight of the rank-one projection at the point u
         return self.todd_series(neg_weight(u.act(self.rs.simple_root(i))), mode, cap)
@@ -230,18 +187,14 @@ class Hirzebruch:
         mode = "nTdy" if normalized else "uTdy"
         cap = a.cap()
         if dual:
-            scaled = HClass(
-                self,
-                {u: s * self._relative_todd_at(u, i, mode, cap) for u, s in a.coeffs.items()},
-                a.normalized,
+            scaled = a.like(
+                {u: s * self._relative_todd_at(u, i, mode, cap) for u, s in a.coeffs.items()}
             )
             first = self.bgg(i, scaled)
         else:
             d = self.bgg(i, a)
-            first = HClass(
-                self,
-                {u: s * self._relative_todd_at(u, i, mode, s.cap) for u, s in d.coeffs.items()},
-                a.normalized,
+            first = d.like(
+                {u: s * self._relative_todd_at(u, i, mode, s.cap) for u, s in d.coeffs.items()}
             )
         return first - a.truncate(first.cap())
 
@@ -298,7 +251,7 @@ class Hirzebruch:
                 return self.assert_cleared(self.adams_normalize(word_route))
             return word_route
 
-        return self.rs.memo(("hz", "H", w, normalized, cap, check_routes), build)
+        return self.memo(("H", w, normalized, cap, check_routes), build)
 
     def dual_hirzebruch_class(self, v, cap=None):
         """The orthogonal-dual class built from the opposite point class."""
@@ -315,7 +268,7 @@ class Hirzebruch:
     def integrate(self, a, cap=None):
         """Localization sum over the fixed points, exact below the cap window."""
         cap = a.cap() if cap is None else cap
-        pairs = [(s, self.euler_poly(w)) for w, s in a.coeffs.items()]
+        pairs = [(s, self.euler_at(w)) for w, s in a.coeffs.items()]
         return _localization_sum(pairs, self.dim, cap, self.rs.rank)
 
     def pair(self, a, b, cap=None):
@@ -362,16 +315,10 @@ def segre_hirzebruch(hz, w, cap=None, check=True):
 
 def parabolic_pushforward_h(hz, a, pdat):
     """Localization push-forward of a Hirzebruch-layer class to a quotient."""
-    groups = {}
-    for v, s in a.coeffs.items():
-        d = Poly.const(YFrac.const(1), hz.rs.rank)
-        for beta in pdat.levi_positive_roots:
-            d = d * hz.form(neg_weight(v.act(beta)))
-        groups.setdefault(pdat.min_rep(v), []).append((s, d))
     fiber_dim = len(pdat.levi_positive_roots)
     return {
         u: _localization_sum(pairs, fiber_dim, min(s.cap for s, _ in pairs), hz.rs.rank)
-        for u, pairs in groups.items()
+        for u, pairs in hz.cosets(pdat, a.coeffs).items()
     }
 
 

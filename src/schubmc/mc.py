@@ -213,23 +213,15 @@ def star_duality_report(kt, w):
     rhs = kt.star(mdx).scale(sign)
     results["rho_twist_vs_star"] = lhs == rhs
 
-    c_exp = kt.expand(mc, "O")
-    d_exp = kt.expand(mdx, "I")
-    ok = True
-    for u in set(c_exp.coeffs) | set(d_exp.coeffs):
-        s = _sign(u.length - w.length)
-        if c_exp.coefficient(u) != s * d_exp.coefficient(u).star():
-            ok = False
-    results["coeffs_O_vs_starI"] = ok
+    def starred_with_signs(a_exp, b_exp):
+        # a_u = (-1)^(l(u) - l(w)) star(b_u) at every cell u
+        return all(
+            a_exp.coefficient(u) == _sign(u.length - w.length) * b_exp.coefficient(u).star()
+            for u in set(a_exp.coeffs) | set(b_exp.coeffs)
+        )
 
-    a_exp = kt.expand(mc, "I")
-    b_exp = kt.expand(mdx, "O")
-    ok = True
-    for u in set(a_exp.coeffs) | set(b_exp.coeffs):
-        s = _sign(u.length - w.length)
-        if a_exp.coefficient(u) != s * b_exp.coefficient(u).star():
-            ok = False
-    results["coeffs_I_vs_O"] = ok
+    results["coeffs_O_vs_starI"] = starred_with_signs(kt.expand(mc, "O"), kt.expand(mdx, "I"))
+    results["coeffs_I_vs_O"] = starred_with_signs(kt.expand(mc, "I"), kt.expand(mdx, "O"))
 
     ideal = kt.ideal_sheaf(w)
     lhs = kt.trivial_bundle_mul(neg_weight(rho), kt.line_bundle_mul(neg_weight(rho), ideal))

@@ -585,8 +585,12 @@ class GradedSeries:
             acc = acc + power
         return acc * cinv
 
-    def divide_by_poly(self, q):
-        """Exact componentwise-compatible division by a homogeneous polynomial."""
+    def divide_exact(self, q):
+        """Exact quotient self/q by a homogeneous polynomial, else None.
+
+        The contract of ``Poly.divide_exact``, component by component; the
+        quotient's cap is lowered by the degree of q.
+        """
         if not q.is_homogeneous():
             raise ValueError("divisor must be homogeneous")
         dq = q.degree()

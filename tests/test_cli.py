@@ -68,6 +68,11 @@ def test_exit_codes(tmp_path, capsys):
     code, text = run_cli(maxlen[:-2] + ["mc-positivity, mc-log-concavity", "--maxlen", "1"], tmp_path)
     assert code == 0
     assert [r["notes"]["maxlen"] for r in json.loads(text)["reports"]] == [1, 1]
+    # and both verify suites run every check of a spaced list
+    for verify in (["mc", "verify"], ["verify"]):
+        code, text = run_cli(verify + ["--type", "A1", "--which", "duality, star"], tmp_path)
+        assert code == 0
+        assert list(json.loads(text)["checks"]) == ["duality", "star"]
     assert main(["csm", "--type", "A2", "--cell", "s1", "--parabolic", "5"]) == 2
     csm_positivity = ["conjectures", "run", "--type", "A2", "--which", "csm-positivity"]
     assert main(csm_positivity + ["--parabolic", "z"]) == 2

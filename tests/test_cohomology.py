@@ -294,17 +294,28 @@ def test_sum_rule_all_pairs(t, r):
 
 
 def test_chevalley_degree_case():
-    # in complementary degree the SM constants recover ordinary cup products
-    rs = root_system("A", 2)
-    kt = ktheory(rs)
-    calc = SchubertCalculus(rs)
-    u = rs.element_by_name("s1")
-    v = rs.element_by_name("s2s1")
-    e = calc.sm_structure_constants(kt, u, v)
-    w_keys = [w for w in e if w.length == u.length + v.length]
-    num = numeric_cohomology(rs)
-    for w in w_keys:
-        assert e[w] == num.triple_opposite_constant(u, v, w)
+    # G/B runs as the parabolic of no simple roots; its cup constants must
+    # match the direct localization sum over G/B, and in complementary degree
+    # the SM constants recover them
+    for t in ("A", "B", "G"):
+        rs = root_system(t, 2)
+        kt = ktheory(rs)
+        calc = SchubertCalculus(rs)
+        num = numeric_cohomology(rs)
+        cells = rs.weyl_group()
+        for u in cells:
+            for v in cells:
+                cup = {
+                    w: num.triple_opposite_constant(u, v, w)
+                    for w in cells
+                    if w.length == u.length + v.length
+                }
+                # [X(w0 u)] [X(w0 v)] = [Y(u)] [Y(v)] = sum_w cup[w] [X(w0 w)]
+                got = calc.multiply({calc.opposite_label(u): 1}, {calc.opposite_label(v): 1})
+                assert got == {calc.opposite_label(w): n for w, n in cup.items() if n}
+                e = calc.sm_structure_constants(kt, u, v)
+                for w, n in cup.items():
+                    assert e.get(w, 0) == n, (t, u.name(), v.name(), w.name())
 
 
 def test_richardson_csm_euler_characteristics():
@@ -349,6 +360,22 @@ def test_parabolic_pushforward_coh_gates():
             start=type(ctx.zero())(ctx, {}),
         )
         assert pushed == rebuilt
+
+
+@pytest.mark.parametrize("dropped", [1, 2, 3])
+def test_numeric_pushforward_matches_exact(dropped):
+    # the numeric engine is the exact one at alpha = -alphas, hbar = 1, and
+    # both push forward to the maximal parabolic through one coset grouping
+    rs = root_system("A", 3)
+    ctx, num = cohomology(rs), numeric_cohomology(rs)
+    pd = rs.parabolic([j for j in (1, 2, 3) if j != dropped])
+    point = [-a for a in num.alphas] + [1]
+    for w in rs.weyl_group():
+        exact = parabolic_pushforward_coh(ctx, ctx.schubert_class(w), pd)
+        pushed = num.pushforward(pd, num.schubert(w))
+        assert set(exact.coeffs) <= set(pushed) <= set(pd.min_reps)
+        for u, val in pushed.items():
+            assert val == exact.coefficient(u).evaluate(point), (w.name(), u.name())
 
 
 def test_parabolic_two_step_coh():

@@ -22,6 +22,7 @@ from .polyring import (
     exp_linear,
     fraction_sum,
     normalized_hirzebruch_coefficients,
+    series_combination,
     series_of_linear,
     todd_coefficients,
     unnormalized_hirzebruch_coefficients,
@@ -152,15 +153,16 @@ class Hirzebruch(GKMEngine):
         cap = self.cap if cap is None else cap
         out = {}
         for w in a.coeffs:
-            poly = a.restriction(w).as_polynomial()
-            total = GradedSeries.zero(cap, self.rs.rank)
-            for (lam, k), c in poly.terms.items():
-                series = self._exp_cached(lam, cap)
-                coeff = YFrac.y_power(k, c) if k >= 0 else None
-                if coeff is None:
+            # one integer y-list per weight: sum_k c y^k
+            ys = {}
+            for (lam, k), c in a.restriction(w).as_polynomial().terms.items():
+                if k < 0:
                     raise TruncationError("negative y power in a Chern character input")
-                total = total + series * coeff
-            out[w] = total
+                y = ys.setdefault(lam, [])
+                y.extend([0] * (k + 1 - len(y)))
+                y[k] += c
+            pairs = [(self._exp_cached(lam, cap), y) for lam, y in ys.items()]
+            out[w] = series_combination(pairs, cap, self.rs.rank)
         return HClass(self, out)
 
     def _exp_cached(self, lam, cap):

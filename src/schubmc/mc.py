@@ -110,8 +110,8 @@ class MotivicClassRecord:
 
 
 def coefficients_in_negative_cone(rs, poly):
-    for (exp, _), _c in poly.terms.items():
-        coords = rs.weight_in_simple_roots(exp)
+    for exp, _ in poly.terms:
+        coords = rs.memo(("roots", "simple", exp), lambda: rs.weight_in_simple_roots(exp))
         for q in coords:
             if q.denominator != 1 or q > 0:
                 return False

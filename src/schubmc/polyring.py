@@ -13,6 +13,16 @@ the working form of completed equivariant (co)homology.
 A ``YFrac`` stores integer numerators over one positive integer denominator
 and a power of (1+y), in a single normal form, so its arithmetic is integer
 convolution and gcd; ``YFrac.num`` is a ``Fraction`` view of the coefficients.
+
+A product of ``Poly``s or ``GradedSeries`` with a ``YFrac`` coefficient is
+lifted: each operand is written once over one denominator D and one (1+y)
+power K, with an integer-list numerator per monomial, every pair of terms
+(of every pair of degrees, for a series) is an integer convolution summed
+into its output monomial, and each output coefficient becomes one ``YFrac``,
+normalized once.  ``series_combination`` sums series times integer
+y-polynomials the same way.  The lifted form lives only inside the product;
+``Poly.terms`` stays a dict of coefficients.  Products of ``int``/``Fraction``
+polynomials multiply coefficient by coefficient.
 """
 
 from __future__ import annotations
@@ -169,9 +179,10 @@ class YFrac:
         return self * other.inverse()
 
     def __pow__(self, n):
+        base = self if n >= 0 else self.inverse()
         out = YFrac.const(1)
-        for _ in range(n):
-            out = out * self
+        for _ in range(abs(n)):
+            out = out * base
         return out
 
     def cleared(self):
@@ -260,6 +271,117 @@ def _mul_one_plus_y_power(num, p):
     return out
 
 
+# -- lifted products: integer numerators over one denominator -----------------------
+
+
+def _has_yfrac(*term_dicts):
+    return any(YFrac in map(type, terms.values()) for terms in term_dicts)
+
+
+def _lift(blocks):
+    """Write every coefficient of blocks over one D (1+y)^K.
+
+    ``blocks`` maps a tag to a ``{monomial: coefficient}`` dict of ``int``,
+    ``Fraction`` or ``YFrac`` coefficients.  Returns ``D``, ``K`` and the same
+    tags mapped to ``(monomial, n)`` lists, each coefficient being
+    ``n / (D (1+y)^K)`` with ``n`` a list of ints, D the lcm of the
+    denominators and K the largest (1+y) power.
+    """
+    parts = []
+    D, K = 1, 0
+    for tag, terms in blocks.items():
+        items = []
+        for m, c in terms.items():
+            if type(c) is YFrac:
+                n, d, k = c._n, c._d, c.k
+            elif type(c) is int:
+                n, d, k = (c,), 1, 0
+            else:
+                n, d, k = (c.numerator,), c.denominator, 0
+            items.append((m, n, d, k))
+            D = lcm(D, d)
+            if k > K:
+                K = k
+        parts.append((tag, items))
+    out = {}
+    for tag, items in parts:
+        lifted = []
+        for m, n, d, k in items:
+            if d != D:
+                s = D // d
+                n = [x * s for x in n]
+            if k != K:
+                n = _mul_one_plus_y_power(n, K - k)
+            lifted.append((m, n))
+        out[tag] = lifted
+    return D, K, out
+
+
+def _width(lifted):
+    return max((len(n) for items in lifted.values() for _, n in items), default=1)
+
+
+def _convolve_into(acc, width, a, b):
+    """Add the product of every (monomial, n) of a and every one of b to acc.
+
+    ``acc`` maps a monomial to its accumulated numerator, a list of ``width``
+    ints; the product of two numerators is their convolution.
+    """
+    for ma, na in a:
+        for mb, nb in b:
+            m = tuple(map(add, ma, mb))
+            c = acc.get(m)
+            if c is None:
+                c = acc[m] = [0] * width
+            for i, x in enumerate(na):
+                if x:
+                    for j, z in enumerate(nb, i):
+                        c[j] += x * z
+
+
+def _lower(acc, D, K, nvars):
+    """{degree: {monomial: n}} to {degree: Poly with coefficients n / (D (1+y)^K)}."""
+    return {
+        d: Poly({m: _make(n, D, K) for m, n in terms.items()}, nvars)
+        for d, terms in acc.items()
+    }
+
+
+def _lifted_product(a, b, cap, nvars):
+    """The product of two block dicts {degree: terms} as {degree: Poly}.
+
+    Each operand is lifted once; every pair of blocks whose degrees add up to
+    at most cap is one pass of integer convolutions, and each output
+    coefficient is normalized once.
+    """
+    Da, Ka, la = _lift(a)
+    Db, Kb, lb = _lift(b)
+    width = _width(la) + _width(lb) - 1
+    out = {}
+    for da, ta in la.items():
+        for db, tb in lb.items():
+            if da + db <= cap:
+                _convolve_into(out.setdefault(da + db, {}), width, ta, tb)
+    return _lower(out, Da * Db, Ka + Kb, nvars)
+
+
+def series_combination(pairs, cap, nvars):
+    """sum of s * (n_0 + n_1 y + ...) over (GradedSeries s, int list n) pairs.
+
+    The series are lifted together, so that each output coefficient is one
+    integer sum, normalized once.
+    """
+    blocks = {(i, d): p.terms for i, (s, _) in enumerate(pairs) for d, p in s.comps.items()}
+    D, K, lifted = _lift(blocks)
+    width = _width(lifted) + max((len(n) for _, n in pairs), default=1) - 1
+    zero = (0,) * nvars
+    out = {}
+    for (i, d), items in lifted.items():
+        if d <= cap:
+            _convolve_into(out.setdefault(d, {}), width, items, [(zero, pairs[i][1])])
+    return GradedSeries(_lower(out, D, K, nvars), cap, nvars)
+
+
 class Poly:
     """Sparse multivariate polynomial over an exact coefficient ring."""
 
@@ -296,7 +418,7 @@ class Poly:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction, YFrac)):
             other = Poly.const(other, self.nvars)
         return isinstance(other, Poly) and self.terms == other.terms
 
@@ -304,7 +426,7 @@ class Poly:
         return hash((self.nvars, tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction, YFrac)):
             other = Poly.const(other, self.nvars)
         out = dict(self.terms)
         for k, v in other.terms.items():
@@ -329,6 +451,9 @@ class Poly:
             if not other:
                 return Poly.zero(self.nvars)
             return Poly({k: v * other for k, v in self.terms.items()}, self.nvars)
+        if _has_yfrac(self.terms, other.terms):
+            out = _lifted_product({0: self.terms}, {0: other.terms}, 0, self.nvars)
+            return out.get(0, Poly.zero(self.nvars))
         out = {}
         bterms = list(other.terms.items())
         for ka, va in self.terms.items():
@@ -341,6 +466,8 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
         out = Poly.const(1, self.nvars)
         for _ in range(n):
             out = out * self
@@ -551,6 +678,10 @@ class GradedSeries:
         if isinstance(other, Poly):
             other = GradedSeries(other.homogeneous_split(), self.cap, self.nvars)
         cap = min(self.cap, other.cap)
+        a = {d: p.terms for d, p in self.comps.items()}
+        b = {d: p.terms for d, p in other.comps.items()}
+        if _has_yfrac(*a.values(), *b.values()):
+            return GradedSeries(_lifted_product(a, b, cap, self.nvars), cap, self.nvars)
         out = {}
         for da, pa in self.comps.items():
             for db, pb in other.comps.items():

@@ -268,8 +268,8 @@ class RootSystem:
     def memo(self, key, build):
         """The value stored under key, from build() on the first request.
 
-        A key starts with its layer's name (``"k"``, ``"coh"``, ``"num"``,
-        ``"hz"`` or ``"hecke"``) and carries every parameter its value
+        A key starts with its layer's name (``"roots"``, ``"k"``, ``"coh"``,
+        ``"num"``, ``"hz"`` or ``"hecke"``) and carries every parameter its value
         depends on besides the root system.
         """
         val = self._memo.get(key, _MISSING)

@@ -49,6 +49,34 @@ def test_chern_character_rejects_fractions():
         hz.chern_character(bad, 4)
 
 
+def _termwise_chern_character(hz, a, cap):
+    """ch as the sum of exp(lambda) y^k c over the Laurent terms, one term at a time."""
+    out = {}
+    for w in a.coeffs:
+        total = GradedSeries.zero(cap, hz.rs.rank)
+        for (lam, k), c in a.restriction(w).as_polynomial().terms.items():
+            total = total + hz._exp_cached(lam, cap) * YFrac.y_power(k, c)
+        out[w] = total
+    return out
+
+
+@pytest.mark.parametrize("t", ["A", "B"])
+def test_chern_character_matches_termwise_sum(t):
+    rs = root_system(t, 2)
+    kt = ktheory(rs)
+    hz = hirzebruch(rs, 8)
+    for w in rs.weyl_group():
+        a = motivic_chern(kt, w)
+        got = hz.chern_character(a, 8)
+        want = _termwise_chern_character(hz, a, 8)
+        assert set(got.coeffs) == set(want), w.name()
+        for u, s in want.items():
+            assert got.coeffs[u].cap == s.cap
+            assert {d: p.terms for d, p in got.coeffs[u].comps.items()} == {
+                d: p.terms for d, p in s.comps.items()
+            }, (w.name(), u.name())
+
+
 def test_todd_series_multiplicativity_and_units():
     rs = root_system("A", 2)
     hz = hirzebruch(rs, 8)

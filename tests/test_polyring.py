@@ -283,3 +283,131 @@ def test_series_of_linear_is_homogeneous():
     assert s.component(2) == (x + y) * (x + y) * YFrac([2])
     for d, comp in s.comps.items():
         assert comp.is_homogeneous(d)
+
+
+# -- differential test: the lifted YFrac products against the per-coefficient loop --
+
+
+def ref_poly_mul(a, b):
+    """Product of two Polys, one coefficient product and sum at a time."""
+    out = {}
+    for ka, va in a.terms.items():
+        for kb, vb in b.terms.items():
+            k = tuple(x + y for x, y in zip(ka, kb))
+            c = out.get(k)
+            out[k] = va * vb if c is None else c + va * vb
+    return Poly(out, a.nvars)
+
+
+def ref_series_mul(a, b):
+    """Product of two GradedSeries, one pair of components at a time."""
+    cap = min(a.cap, b.cap)
+    out = {}
+    for da, pa in a.comps.items():
+        for db, pb in b.comps.items():
+            d = da + db
+            if d > cap:
+                continue
+            q = ref_poly_mul(pa, pb)
+            prev = out.get(d)
+            q = q if prev is None else prev + q
+            if q:
+                out[d] = q
+            else:
+                out.pop(d, None)
+    return GradedSeries(out, cap, a.nvars)
+
+
+def _assert_same_poly(got, want):
+    assert got.nvars == want.nvars
+    assert all(got.terms.values()), "a zero coefficient was stored"
+    assert got.terms == want.terms
+    for m, c in got.terms.items():
+        w = want.terms[m]
+        if isinstance(w, YFrac):
+            assert (c.num, c.k) == (w.num, w.k)
+
+
+# a YFrac (p (1+y)^j) / (d (1+y)^k): mixed denominators, k from 0 to 3, and a
+# (1+y) factor for the normalization to cancel
+_lift_yfracs = st.builds(
+    lambda p, j, d, k: YFrac([F(c, d) for c in _ref_mul(p, _ref_one_plus_y(j))], k),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+    st.integers(0, 2),
+    st.sampled_from([1, 2, 3, 4, 6]),
+    st.integers(0, 3),
+)
+# a small pool of values and their negatives, so that term products cancel
+_lift_coeffs = st.one_of(
+    _lift_yfracs,
+    _lift_yfracs.map(lambda c: -c),
+    st.integers(-3, 3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=4),
+)
+_monomials = st.tuples(st.integers(0, 2), st.integers(0, 2))
+_yfrac_polys = st.dictionaries(_monomials, _lift_coeffs, max_size=5).map(lambda t: Poly(t, 2))
+
+
+def _series(polys, cap):
+    comps = {}
+    for p in polys:
+        for d, q in p.homogeneous_split().items():
+            comps[d] = comps[d] + q if d in comps else q
+    return GradedSeries(comps, cap, 2)
+
+
+@given(_yfrac_polys, _yfrac_polys, _yfrac_polys, st.integers(0, 4), st.integers(0, 4))
+@settings(max_examples=300, deadline=None)
+def test_lifted_products_match_per_coefficient_loop(a, b, c, cap_a, cap_b):
+    for x, y in ((a, b), (b, a), (a, a), (a, b + c), (a, b - b), (a - c, a + c)):
+        _assert_same_poly(x * y, ref_poly_mul(x, y))
+        sx, sy = _series([x], cap_a), _series([y, c], cap_b)
+        got, want = sx * sy, ref_series_mul(sx, sy)
+        assert got.cap == want.cap and set(got.comps) == set(want.comps)
+        for d, p in want.comps.items():
+            _assert_same_poly(got.comps[d], p)
+
+
+def test_lifted_product_cancels_to_zero():
+    u = YFrac([F(1, 2), 1], 3)  # (1 + 2y) / (2 (1+y)^3)
+    v = YFrac([F(2, 3)], 1)
+    x = Poly.variable(0, 2, u)
+    y = Poly.variable(1, 2, v)
+    got = (x + y) * (x - y)
+    assert got.terms == {(2, 0): u * u, (0, 2): -(v * v)}
+    _assert_same_poly(got, ref_poly_mul(x + y, x - y))
+    assert not (x * y - y * x)
+    # a (1+y) factor of the output cancels against the lifted denominator
+    w = Poly.const(YFrac([1, 1]), 2)
+    assert (w * Poly.const(YFrac([1], 2), 2)).terms[(0, 0)] == YFrac([1], 1)
+    # every coefficient an int: the cohomology loop, with int results
+    p = Poly.variable(0, 2, 3) + Poly.const(2, 2)
+    assert _coefficient_types(p * p) == {int}
+
+
+def test_poly_takes_a_yfrac_scalar():
+    two = Poly.const(YFrac.const(2), 2)
+    assert two + YFrac.const(1) == Poly.const(YFrac.const(3), 2)
+    assert YFrac.const(1) + two == Poly.const(YFrac.const(3), 2)
+    assert two - YFrac.const(2) == Poly.zero(2)
+    assert two == YFrac.const(2) and two == 2
+    assert two != YFrac([0, 2])
+    assert Poly.zero(2) == YFrac([])
+    x = Poly.variable(0, 2, YFrac([1, 1], 1))
+    assert (x + YFrac([0, 1])).terms == {(1, 0): YFrac([1]), (0, 0): YFrac([0, 1])}
+
+
+def test_negative_powers():
+    one_plus_y = YFrac([1, 1])
+    assert one_plus_y ** -1 == one_plus_y.inverse() == YFrac([1], 1)
+    assert one_plus_y ** -2 == YFrac([1], 2)
+    assert YFrac.const(2) ** -3 == YFrac.const(F(1, 8))
+    assert one_plus_y ** 0 == 1
+    with pytest.raises(ArithmeticError):
+        YFrac([1, 2]) ** -1
+    with pytest.raises(ZeroDivisionError):
+        YFrac([]) ** -1
+    x = Poly.variable(0, 2)
+    assert x ** 0 == 1 and x ** 2 == x * x
+    with pytest.raises(ValueError):
+        x ** -2

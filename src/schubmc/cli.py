@@ -17,10 +17,10 @@ import sys
 from . import __version__
 from . import conjectures as conj
 from . import mc as mcmod
-from .cohomology import cohomology, csm_expansion, csm_vector
+from .cohomology import GKMError, cohomology, csm_expansion, csm_vector
 from .hecke import t_word
-from .hirzebruch import hirzebruch
-from .kclasses import ktheory
+from .hirzebruch import TruncationError, hirzebruch
+from .kclasses import IntegralityError, ktheory
 from .roots import RootSystemError, parse_type, root_system
 
 
@@ -429,6 +429,11 @@ def main(argv=None):
         return args.fn(args)
     except (ConfigError, RootSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (IntegralityError, GKMError, TruncationError, OverflowError) as exc:
+        # a class that does not exist over the requested ring, or weights past
+        # the packed kernel's digit range
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
         print(f"internal assertion failure: {exc}", file=sys.stderr)

@@ -13,7 +13,12 @@ factor, which every push-forward to G/P sums over.  An engine supplies only
 ``form(weight)``, its unit ``one`` and its memo-key ``prefix``: ``Cohomology``
 here over Z[alpha, hbar], ``NumericCohomology`` at a rational point, and
 ``hirzebruch.Hirzebruch`` over truncated series.  ``RestrictionMap`` holds
-the pointwise arithmetic of their classes (``CohClass``, ``HClass``).
+the pointwise arithmetic of their classes (``CohClass``, ``HClass``) and of
+the K-theory classes (``kclasses.KClass``, whose context is a ``Space``):
+sums, products, scaling, coefficient maps, coefficient-wise equality and the
+guard that refuses to combine classes of two engines (of two root systems,
+for ``HClass``).  Schubert and CSM classes are grown along a reduced word by
+``RootSystem.along_word``.
 
 Restrictions are polynomials with ``int`` coefficients.  Roots have integer,
 coprime simple-root coordinates, so every divided difference and every
@@ -35,7 +40,7 @@ from fractions import Fraction
 
 from .laurent import LaurentPolynomial, YPolynomial, divide_exact
 from .polyring import Poly, exp_linear, fraction_sum
-from .roots import neg_weight, triangular_solve
+from .roots import RootSystemError, neg_weight, triangular_solve
 
 
 class GKMError(ArithmeticError):
@@ -100,7 +105,11 @@ class GKMEngine:
 
 
 class RestrictionMap:
-    """A class as its restrictions to the fixed points, with pointwise arithmetic."""
+    """A class as its restrictions to the fixed points, with pointwise arithmetic.
+
+    Classes combine only on the same ``_domain()``, by default their ``ctx``;
+    a subclass supplies ``coefficient(w)``.
+    """
 
     __slots__ = ("ctx", "coeffs")
 
@@ -112,7 +121,15 @@ class RestrictionMap:
         """A class of the same kind on the same engine, with other restrictions."""
         return type(self)(self.ctx, coeffs)
 
+    def _domain(self):
+        return self.ctx
+
+    def _check(self, other):
+        if self._domain() is not other._domain():
+            raise RootSystemError("classes live on different engines")
+
     def __add__(self, other):
+        self._check(other)
         out = dict(self.coeffs)
         for w, p in other.coeffs.items():
             q = out.get(w)
@@ -127,10 +144,11 @@ class RestrictionMap:
         return self + (-other)
 
     def __neg__(self):
-        return self.like({w: -p for w, p in self.coeffs.items()})
+        return self.map_coefficients(lambda p: -p)
 
     def __mul__(self, other):
         """Pointwise (cup) product of restriction functions."""
+        self._check(other)
         out = {}
         for w, p in self.coeffs.items():
             q = other.coeffs.get(w)
@@ -139,10 +157,19 @@ class RestrictionMap:
         return self.like(out)
 
     def scale(self, s):
-        return self.like({w: p * s for w, p in self.coeffs.items()})
+        return self.map_coefficients(lambda p: p * s)
+
+    def map_coefficients(self, fn):
+        return self.like({w: fn(p) for w, p in self.coeffs.items()})
 
     def support(self):
         return sorted(self.coeffs, key=lambda w: (w.length, w.word))
+
+    def __eq__(self, other):
+        if not isinstance(other, RestrictionMap) or self._domain() is not other._domain():
+            return NotImplemented
+        points = self.coeffs.keys() | other.coeffs.keys()
+        return all(self.coefficient(w) == other.coefficient(w) for w in points)
 
     def __repr__(self):
         bits = [f"{w.name()}: {self.coeffs[w]!r}" for w in self.support()]
@@ -236,13 +263,7 @@ class Cohomology(GKMEngine):
     # -- distinguished classes ---------------------------------------------------
 
     def schubert_class(self, w):
-        def build():
-            if w.length == 0:
-                return self.point_class(w)
-            i = w.word[-1]
-            return self.bgg(i, self.schubert_class(w * self.rs.simple_reflection(i)))
-
-        return self.memo(("X", w), build)
+        return self.rs.along_word(self.prefix + ("X",), w, self.point_class, self.bgg)
 
     def opposite_schubert_class(self, w):
         return self.memo(
@@ -251,14 +272,7 @@ class Cohomology(GKMEngine):
 
     def csm(self, w):
         """Homogenized CSM class of the cell of w, by the twisted recursion."""
-
-        def build():
-            if w.length == 0:
-                return self.point_class(w)
-            i = w.word[-1]
-            return self.dl_coh(i, self.csm(w * self.rs.simple_reflection(i)))
-
-        return self.memo(("csm", w), build)
+        return self.rs.along_word(self.prefix + ("csm",), w, self.point_class, self.dl_coh)
 
     def csm_opposite(self, w):
         return self.memo(
@@ -363,14 +377,7 @@ class CohClass(RestrictionMap):
         return p if p is not None else Poly.zero(self.ctx.nvars)
 
     def set_hbar(self, value):
-        return CohClass(
-            self.ctx, {w: p.set_variable(self.ctx.nvars - 1, value) for w, p in self.coeffs.items()}
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, CohClass):
-            return NotImplemented
-        return self.ctx is other.ctx and self.coeffs == other.coeffs
+        return self.map_coefficients(lambda p: p.set_variable(self.ctx.nvars - 1, value))
 
 
 def cohomology(rs):

@@ -134,14 +134,9 @@ def t_generator(rs, i):
 
 def t_word(rs, w):
     """Product of quadratic generators along a reduced word of w."""
-
-    def build():
-        if w.length == 0:
-            return HeckeElement.one(rs)
-        i = w.word[-1]
-        return t_word(rs, w * rs.simple_reflection(i)) * t_generator(rs, i)
-
-    return rs.memo(("hecke", "T", w), build)
+    return rs.along_word(
+        ("hecke", "T"), w, lambda _: HeckeElement.one(rs), lambda i, prev: prev * t_generator(rs, i)
+    )
 
 
 def mc_coefficients_oracle(rs, w):

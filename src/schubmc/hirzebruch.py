@@ -9,7 +9,8 @@ degree window so the surviving components are exact.
 class of a weight over ``YFrac``, and takes its Euler classes, divided
 differences and the coset grouping of push-forwards from there.  ``HClass``
 is a ``cohomology.RestrictionMap`` that also carries its truncation cap and
-whether it is normalized.
+whether it is normalized; it combines with the classes of every Hirzebruch
+engine of its root system, since those differ only in their default cap.
 """
 
 from __future__ import annotations
@@ -46,6 +47,11 @@ class HClass(RestrictionMap):
     def like(self, coeffs):
         return HClass(self.ctx, coeffs, self.normalized)
 
+    def _domain(self):
+        # the engines of one root system differ only in their default cap and
+        # share its memo, so a memoized class may carry any of them
+        return self.ctx.rs
+
     def coefficient(self, w):
         s = self.coeffs.get(w)
         if s is not None:
@@ -66,7 +72,7 @@ class HClass(RestrictionMap):
         return True
 
     def truncate(self, cap):
-        return self.like({w: s.truncate(cap) for w, s in self.coeffs.items()})
+        return self.map_coefficients(lambda s: s.truncate(cap))
 
     def evaluate_y(self, v):
         """Specialize y, returning fixed point -> Poly over Fractions."""

@@ -3,14 +3,18 @@
 A ``KClass`` is a finitely supported vector over the fixed points (Weyl
 group elements for the full flag manifold, minimal coset representatives
 for a quotient), with ``FactoredFraction`` coefficients relative to the
-point-class basis ``iota_w``.  Demazure and Demazure-Lusztig operators act
-through their explicit fixed-point formulas; structure and ideal sheaves
-are produced by the standard recursions and memoized in the root system
-(``RootSystem.memo``).
+point-class basis ``iota_w``.  It is a ``cohomology.RestrictionMap`` whose
+``ctx`` is its ``Space``: sums, negation, scaling, equality and the
+same-space guard are the shared pointwise ones, and ``KClass`` adds only the
+self-intersection normalization of its product and of its restrictions.
+Demazure and Demazure-Lusztig operators act through their explicit
+fixed-point formulas; structure and ideal sheaves are grown along a reduced
+word by ``RootSystem.along_word`` and memoized in the root system.
 """
 
 from __future__ import annotations
 
+from .cohomology import RestrictionMap
 from .laurent import (
     FactoredFraction,
     LaurentPolynomial,
@@ -72,78 +76,28 @@ class Space:
         return f"Space({self.rs.lie_type}{self.rs.rank}{tag})"
 
 
-class KClass:
-    """Vector of iota-basis coefficients over the fixed points of a space."""
+class KClass(RestrictionMap):
+    """Vector of iota-basis coefficients over the fixed points of its ``ctx``, a ``Space``."""
 
-    __slots__ = ("space", "coeffs")
-
-    def __init__(self, space, coeffs):
-        self.space = space
-        self.coeffs = {w: c for w, c in coeffs.items() if not c.is_zero()}
-
-    @property
-    def rank(self):
-        return self.space.rs.rank
+    __slots__ = ()
 
     def coefficient(self, w):
         c = self.coeffs.get(w)
-        return c if c is not None else FactoredFraction.zero(self.rank)
-
-    def support(self):
-        return sorted(self.coeffs, key=lambda w: (w.length, w.word))
+        return c if c is not None else FactoredFraction.zero(self.ctx.rs.rank)
 
     def restriction(self, w):
         """Localization a|_w = coeff(w) * lambda_-1(T*_w), as a fraction."""
         return self.coefficient(w) * product_of_factors(
-            self.space.selfint_factors(w), self.rank
+            self.ctx.selfint_factors(w), self.ctx.rs.rank
         )
 
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            out[w] = out[w] + c if w in out else c
-        return KClass(self.space, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return KClass(self.space, {w: -c for w, c in self.coeffs.items()})
-
-    def scale(self, factor):
-        """Multiply every coefficient by a scalar (int, Laurent, or fraction)."""
-        return KClass(self.space, {w: c * factor for w, c in self.coeffs.items()})
-
     def __mul__(self, other):
-        """Tensor product: pointwise with the self-intersection normalization."""
-        self._check(other)
-        out = {}
-        for w, c in self.coeffs.items():
-            d = other.coeffs.get(w)
-            if d is not None:
-                out[w] = (c * d) * product_of_factors(
-                    self.space.selfint_factors(w), self.rank
-                )
-        return KClass(self.space, out)
-
-    def _check(self, other):
-        if self.space is not other.space:
-            raise RootSystemError("classes live on different spaces")
-
-    def __eq__(self, other):
-        if not isinstance(other, KClass) or self.space is not other.space:
-            return NotImplemented
-        for w in set(self.coeffs) | set(other.coeffs):
-            if self.coefficient(w) != other.coefficient(w):
-                return False
-        return True
+        """Tensor product: the pointwise product times the self-intersection factors."""
+        prod = super().__mul__(other)
+        return prod.like({w: prod.restriction(w) for w in prod.coeffs})
 
     def reduce(self):
-        return KClass(self.space, {w: c.reduce() for w, c in self.coeffs.items()})
-
-    def map_coefficients(self, fn):
-        return KClass(self.space, {w: fn(c) for w, c in self.coeffs.items()})
+        return self.map_coefficients(FactoredFraction.reduce)
 
     def y_specialize(self, v):
         """Set y to 0 or -1 in every coefficient."""
@@ -184,10 +138,6 @@ class KClass:
                 raise ArithmeticError("y appears in a denominator factor")
             deg = max(deg, c.num.y_degree())
         return deg
-
-    def __repr__(self):
-        bits = [f"{w.name()}: {c!r}" for w, c in sorted(self.coeffs.items(), key=lambda kv: (kv[0].length, kv[0].word))]
-        return "KClass{" + ", ".join(bits) + "}"
 
 
 class SchubertExpansion:
@@ -326,7 +276,7 @@ class KTheory:
         if len(lam) != self.nvars:
             raise RootSystemError("weight rank mismatch")
         return KClass(
-            a.space,
+            a.ctx,
             {w: c.scale_monomial(w.act(lam)) for w, c in a.coeffs.items()},
         )
 
@@ -348,7 +298,7 @@ class KTheory:
         for w, c in a.coeffs.items():
             twist = LaurentPolynomial.monomial(neg_weight(w.act(two_rho)), coeff=sign)
             out[w] = c.star() * twist
-        return KClass(a.space, out)
+        return KClass(a.ctx, out)
 
     def psi(self, a):
         """The rho-twisted duality: trivial weight rho, line bundle rho, then star."""
@@ -365,30 +315,17 @@ class KTheory:
     # -- Schubert-type classes -------------------------------------------------
 
     def structure_sheaf(self, w):
-        def build():
-            if w.length == 0:
-                return self.iota(w)
-            i = w.word[-1]
-            return self.demazure(i, self.structure_sheaf(w * self.rs.simple_reflection(i)))
-
-        return self.rs.memo(("k", "O", w), build)
+        return self.rs.along_word(("k", "O"), w, self.iota, self.demazure)
 
     def ideal_sheaf(self, w):
-        def build():
-            if w.length == 0:
-                return self.iota(w)
-            i = w.word[-1]
-            prev = self.ideal_sheaf(w * self.rs.simple_reflection(i))
-            return self.demazure(i, prev) - prev
-
-        return self.rs.memo(("k", "I", w), build)
+        return self.rs.along_word(
+            ("k", "I"), w, self.iota, lambda i, prev: self.demazure(i, prev) - prev
+        )
 
     def w0_twist(self, a):
         """Left translation by the longest element, as a basis relabelling."""
         w0 = self.rs.longest_element()
-        return KClass(
-            a.space, {w0 * w: c.weyl_map(w0) for w, c in a.coeffs.items()}
-        )
+        return KClass(a.ctx, {w0 * w: c.weyl_map(w0) for w, c in a.coeffs.items()})
 
     def opp_structure_sheaf(self, w):
         return self.rs.memo(
@@ -432,29 +369,30 @@ class KTheory:
     # -- expansions ---------------------------------------------------------------
 
     def expand(self, a, basis="O", expect_integral=True):
+        def integral(w, c):
+            try:
+                return c.as_polynomial()
+            except ArithmeticError as exc:
+                raise IntegralityError(
+                    f"coefficient at {w.name()} is not a Laurent polynomial"
+                ) from exc
+
         if basis == "iota":
             coeffs = {}
             for w, c in a.coeffs.items():
-                coeffs[w] = c.as_polynomial() if expect_integral else c
-            return SchubertExpansion(a.space, basis, coeffs)
+                coeffs[w] = integral(w, c) if expect_integral else c
+            return SchubertExpansion(a.ctx, basis, coeffs)
 
         def solve(pivot, value):
             pivot_coeff = self.basis_class(basis, pivot).coefficient(pivot).reduce()
             if pivot_coeff.num != LaurentPolynomial.const(1, self.nvars):
                 raise StructuralError("basis pivot is not an inverted product")
             c_frac = (value * product_of_factors(pivot_coeff.den, self.nvars)).reduce()
-            if not expect_integral:
-                return c_frac
-            try:
-                return c_frac.as_polynomial()
-            except ArithmeticError as exc:
-                raise IntegralityError(
-                    f"coefficient at {pivot.name()} is not a Laurent polynomial"
-                ) from exc
+            return integral(pivot, c_frac) if expect_integral else c_frac
 
         def subtract(cur, d, c):
             nxt = (cur - d * c).reduce()
-            return None if nxt.is_zero() else nxt
+            return nxt or None
 
         coeffs = triangular_solve(
             a.coeffs,
@@ -465,7 +403,7 @@ class KTheory:
             FactoredFraction.zero(self.nvars),
             StructuralError,
         )
-        return SchubertExpansion(a.space, basis, coeffs)
+        return SchubertExpansion(a.ctx, basis, coeffs)
 
     def from_expansion(self, expansion):
         out = self.zero()

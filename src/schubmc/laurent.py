@@ -300,6 +300,9 @@ def _divide_binomial(a, b, nvars):
     (k0, c0), (k1, c1) = b.items()
     v = k1 - k0
     r = -c0 * c1
+    # for 1 - X^v every line sum is plain, and the line sums add up to a(1)
+    if r == 1 and sum(a.values()):
+        return None
     # a term's place t on its line is read off the lowest digit where v is nonzero
     shift = 0
     while not (vj := ((v >> shift) + HALF & MASK) - HALF):
@@ -397,15 +400,15 @@ class FactoredFraction:
     def inverse_of_factors(cls, factors, nvars):
         return cls(LaurentPolynomial.const(1, nvars), factors)
 
-    def is_zero(self):
-        return not self.num
+    def __bool__(self):
+        return bool(self.num)
 
     def __add__(self, other):
         if isinstance(other, int) and other == 0:
             return self
-        if self.is_zero():
+        if not self:
             return other
-        if other.is_zero():
+        if not other:
             return self
         common = _multiset_intersection(self.den, other.den)
         extra_self = _multiset_difference(other.den, common)

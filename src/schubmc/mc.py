@@ -26,14 +26,7 @@ class ConventionError(AssertionError):
 
 def motivic_chern(kt, w):
     """MC_y of the cell indexed by w, by the Demazure-Lusztig recursion."""
-
-    def build():
-        if w.length == 0:
-            return kt.iota(w)
-        i = w.word[-1]
-        return kt.dl_operator(i, motivic_chern(kt, w * kt.rs.simple_reflection(i)))
-
-    return kt.rs.memo(("k", "MC", w), build)
+    return kt.rs.along_word(("k", "MC"), w, kt.iota, kt.dl_operator)
 
 
 def dual_motivic_chern(kt, w, opposite=True):
@@ -44,14 +37,7 @@ def dual_motivic_chern(kt, w, opposite=True):
     variant grown from the identity point class.
     """
     if not opposite:
-
-        def build_x():
-            if w.length == 0:
-                return kt.iota(w)
-            i = w.word[-1]
-            return kt.l_operator(i, dual_motivic_chern(kt, w * kt.rs.simple_reflection(i), opposite=False))
-
-        return kt.rs.memo(("k", "MCdualX", w), build_x)
+        return kt.rs.along_word(("k", "MCdualX"), w, kt.iota, kt.l_operator)
 
     def build_y():
         w0 = kt.rs.longest_element()
@@ -281,7 +267,7 @@ def parabolic_pushforward(kt, a, pdat):
     ratio of the target quotient's self-intersection products at v and at
     its coset representative.
     """
-    source = a.space.parabolic
+    source = a.ctx.parabolic
     if source is not None and not set(source.subset) <= set(pdat.subset):
         raise ValueError(
             f"cannot push forward from P{list(source.subset)} to P{list(pdat.subset)}: "

@@ -39,17 +39,16 @@ class YFrac:
     numerators ``n_i`` and one positive integer denominator ``d``.  Each value
     has one form: ``n_m != 0``, ``gcd(n_0, ..., n_m, d) == 1`` and, when
     ``k > 0``, ``1 + y`` does not divide the numerator (zero is ``()``,
-    ``d = 1``, ``k = 0``); ``normalize=False`` skips only the (1+y)
-    cancellation.  ``num`` is a read-only view of the coefficients as
-    ``Fraction``s, ``n_i / d``.
+    ``d = 1``, ``k = 0``).  ``num`` is a read-only view of the coefficients
+    as ``Fraction``s, ``n_i / d``.
     """
 
     __slots__ = ("_n", "_d", "k")
 
-    def __init__(self, num, k=0, normalize=True):
+    def __init__(self, num, k=0):
         num = [c if isinstance(c, int) else Fraction(c) for c in num]
         d = lcm(*(c.denominator for c in num)) if num else 1
-        _set(self, [c.numerator * (d // c.denominator) for c in num], d, k, normalize)
+        _set(self, [c.numerator * (d // c.denominator) for c in num], d, k)
 
     @property
     def num(self):
@@ -215,18 +214,17 @@ def _new(n, d, k):
     return out
 
 
-def _set(out, n, d, k, normalize):
+def _set(out, n, d, k):
     """Store n / (d (1+y)^k) in out, brought to the one form (n a list of ints)."""
     while n and not n[-1]:
         n.pop()
     if not n:
         out._n, out._d, out.k = (), 1, 0
         return out
-    if normalize:
-        # 1 + y divides n exactly when n(-1) = 0
-        while k > 0 and sum(n[::2]) == sum(n[1::2]):
-            n = _divide_one_plus_y(n)
-            k -= 1
+    # 1 + y divides n exactly when n(-1) = 0
+    while k > 0 and sum(n[::2]) == sum(n[1::2]):
+        n = _divide_one_plus_y(n)
+        k -= 1
     if d != 1:
         g = gcd(d, *n)
         if g != 1:
@@ -237,7 +235,7 @@ def _set(out, n, d, k, normalize):
 
 
 def _make(n, d, k):
-    return _set(object.__new__(YFrac), n, d, k, True)
+    return _set(object.__new__(YFrac), n, d, k)
 
 
 _ZERO = _new((), 1, 0)

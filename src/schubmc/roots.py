@@ -10,7 +10,9 @@ Weyl group elements are stored as the integer matrices they induce on the
 weight lattice; reduced words, lengths, and descent sets are cached per
 root system.  ``RootSystem.memo`` is the one memo of every engine built on a
 root system (K-theory, cohomology, numeric, Hirzebruch, Hecke), and
-``clear_memo`` empties it.
+``clear_memo`` empties it.  ``RootSystem.along_word`` is the one memoized
+recursion along a reduced word that grows every class family (Schubert,
+CSM, structure and ideal sheaves, motivic Chern classes, Hecke words).
 """
 
 from __future__ import annotations
@@ -276,6 +278,21 @@ class RootSystem:
         if val is _MISSING:
             val = self._memo[key] = build()
         return val
+
+    def along_word(self, key, w, start, step):
+        """The class of w grown along its reduced word, memoized under ``key + (w,)``.
+
+        ``start(w)`` at the identity; otherwise ``step(i, class of w s_i)``
+        with i the last letter of w's word, so every prefix is stored too.
+        """
+
+        def build():
+            if w.length == 0:
+                return start(w)
+            i = w.word[-1]
+            return step(i, self.along_word(key, w * self.simple_reflection(i), start, step))
+
+        return self.memo(key + (w,), build)
 
     def clear_memo(self):
         """Forget every memoized engine and class of this root system."""

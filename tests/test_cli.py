@@ -80,6 +80,12 @@ def test_exit_codes(tmp_path, capsys):
     missing = str(tmp_path / "missing" / "x.json")
     assert main(["mc", "compute", "--type", "A2", "--cell", "s1", "--out", missing]) == 2
     assert main(["csm", "--type", "A2", "--cell", "s1", "--parabolic", "1"]) == 2
+    # a class with no polynomial iota coefficients is an invalid request, not a
+    # refutation; this case stands only until --basis iota emits its denominators
+    capsys.readouterr()
+    assert main(["mc", "compute", "--type", "A2", "--cell", "s1", "--basis", "iota"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
     code, _ = run_cli(
         ["conjectures", "run", "--type", "A2", "--which", "mc-positivity"], tmp_path
     )

@@ -16,10 +16,11 @@ from schubmc.cohomology import (
     numeric_cohomology,
     parabolic_pushforward_coh,
 )
+from schubmc.hirzebruch import hirzebruch
 from schubmc.kclasses import ktheory
 from schubmc.laurent import YPolynomial, check_log_concave, check_unimodal
 from schubmc.polyring import Poly
-from schubmc.roots import root_system
+from schubmc.roots import RootSystem, RootSystemError, root_system
 
 
 def test_bgg_square_zero_and_recursion():
@@ -35,6 +36,24 @@ def test_bgg_square_zero_and_recursion():
             else:
                 assert img == ctx.zero()
             assert ctx.bgg(i, img) == ctx.zero()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rs: ktheory(rs).structure_sheaf(rs.longest_element()),
+        lambda rs: cohomology(rs).schubert_class(rs.longest_element()),
+        lambda rs: hirzebruch(rs, 4).point_class(rs.identity),
+    ],
+    ids=["KClass", "CohClass", "HClass"],
+)
+def test_classes_of_distinct_root_systems_do_not_combine(make):
+    a, b = make(RootSystem("A", 2)), make(RootSystem("A", 2))
+    assert a + a - a == a
+    assert not a == b
+    for combine in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+        with pytest.raises(RootSystemError):
+            combine(a, b)
 
 
 def test_fundamental_class_is_unit():

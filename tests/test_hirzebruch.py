@@ -7,7 +7,7 @@ from schubmc.hirzebruch import HClass, TruncationError, hirzebruch
 from schubmc.mc import motivic_chern
 from schubmc.kclasses import ktheory
 from schubmc.polyring import GradedSeries, Poly, YFrac
-from schubmc.roots import root_system
+from schubmc.roots import RootSystem, root_system
 
 
 def test_chern_character_basics():
@@ -295,3 +295,15 @@ def test_duality_check_api():
     s1, s2 = rs.element_by_name("s1"), rs.element_by_name("s2")
     assert hirzebruch_duality_check(hz, s1, s1, 8)[0]
     assert hirzebruch_duality_check(hz, s1, s2, 8)[0]
+
+
+def test_engines_of_one_root_system_share_classes():
+    from schubmc.hirzebruch import hirzebruch_duality_check
+
+    # the memoized class is built by the cap-8 engine and handed to the default one
+    rs = RootSystem("A", 2)
+    s1 = rs.element_by_name("s1")
+    built = hirzebruch(rs, 8).hirzebruch_class(s1, cap=6)
+    assert hirzebruch(rs).hirzebruch_class(s1) is built
+    assert hirzebruch_duality_check(hirzebruch(rs), s1, s1)[0]
+    assert built + hirzebruch(rs).point_class(s1) == hirzebruch(rs, 8).point_class(s1, 6) + built

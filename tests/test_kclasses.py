@@ -233,8 +233,9 @@ def test_expand_integrality_error():
         LaurentPolynomial.const(1, 1), (one_minus_e(rs.simple_root(1)),)
     )
     weird = kt.iota(rs.identity).scale(frac)
-    with pytest.raises(IntegralityError):
-        kt.expand(weird, "O")
+    for basis in ("O", "iota"):
+        with pytest.raises(IntegralityError):
+            kt.expand(weird, basis)
 
 
 def test_top_coefficient_formula():

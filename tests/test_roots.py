@@ -6,8 +6,10 @@ import pytest
 
 import schubmc
 from schubmc.cohomology import cohomology, numeric_cohomology
+from schubmc.hecke import t_word
 from schubmc.hirzebruch import hirzebruch
 from schubmc.kclasses import ktheory
+from schubmc.mc import dual_motivic_chern, motivic_chern
 from schubmc.roots import (
     RootSystem,
     RootSystemError,
@@ -244,6 +246,36 @@ def test_numeric_twin_keys_carry_the_parameter_point(lie_type):
     for w in rs.weyl_group():
         num.schubert(w)
     assert {w: num.opposite_schubert(w) for w in rs.weyl_group()} == alone
+
+
+def _word_families(rs):
+    """Memo key prefix -> class constructor, for every family grown along a word."""
+    kt, coh = ktheory(rs), cohomology(rs)
+    return {
+        ("k", "O"): kt.structure_sheaf,
+        ("k", "I"): kt.ideal_sheaf,
+        ("k", "MC"): lambda w: motivic_chern(kt, w),
+        ("k", "MCdualX"): lambda w: dual_motivic_chern(kt, w, opposite=False),
+        ("coh", "X"): coh.schubert_class,
+        ("coh", "csm"): coh.csm,
+        ("hecke", "T"): lambda w: t_word(rs, w),
+    }
+
+
+@pytest.mark.parametrize("key", list(_word_families(RootSystem("A", 1))), ids="/".join)
+def test_word_recursion_stores_every_prefix(key):
+    rs = RootSystem("A", 2)
+    build = _word_families(rs)[key]
+    w = rs.longest_element()
+    top = build(w)
+
+    def fail():
+        raise AssertionError("the recursion did not store this class")
+
+    assert rs.memo(key + (w,), fail) is top
+    for n in range(w.length):
+        prefix = rs.from_word(w.word[:n])
+        assert rs.memo(key + (prefix,), fail) is build(prefix)
 
 
 # module-level dicts that are not unbounded memo tables

@@ -99,7 +99,7 @@ def _ypoly_obj(p):
 
 def _poly_obj(p, varnames):
     out = []
-    for k, v in sorted(p.terms.items(), reverse=True):
+    for k, v in p.sorted_terms():
         out.append({"exp": list(k), "coeff": str(v)})
     return {"vars": varnames, "terms": out}
 
@@ -303,11 +303,13 @@ def cmd_hecke(args):
 
 def cmd_chi(args):
     rs = _root_system(args)
-    pd = _parabolic(rs, args.parabolic)
+    # validated without a ParabolicDatum, which enumerates W: without a cell,
+    # chi is Macdonald's product and W is never enumerated
+    subset = rs.parabolic_subset(_subset(args.parabolic)) if args.parabolic else None
     cell = rs.parse_element(args.cell) if args.cell else None
-    chi = mcmod.chi_minus_q(rs, pd, cell)
+    chi = mcmod.chi_minus_q(rs, subset, cell)
     payload = {
-        "space": f"{rs.lie_type}{rs.rank}" + (f"/P{sorted(pd.subset)}" if pd else ""),
+        "space": f"{rs.lie_type}{rs.rank}" + (f"/P{list(subset)}" if subset is not None else ""),
         "cell": cell.name() if cell else None,
         "variable": "q",
         "chi": _ypoly_obj(chi),

@@ -127,9 +127,12 @@ def check_csm_positivity(rs, parabolic=None, equivariant=False):
             for u, p in csm_expansion(ctx, w).items():
                 if u not in minset:
                     continue
+                # with h set to 1, a monomial's degree is its degree in the roots
                 q = p.set_variable(ctx.nvars - 1, 1)
                 bad = any(
-                    c * _sign(sum(k[: rs.rank])) < 0 for k, c in q.terms.items()
+                    c * _sign(d) < 0
+                    for d, comp in q.homogeneous_split().items()
+                    for c in comp.packed.values()
                 )
                 if bad:
                     rep.counterexamples.append(

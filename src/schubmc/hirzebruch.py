@@ -230,7 +230,7 @@ class Hirzebruch(GKMEngine):
     def assert_cleared(self, a):
         for w, s in a.coeffs.items():
             for d, p in s.comps.items():
-                for c in p.terms.values():
+                for c in p.packed.values():
                     if not c.cleared():
                         raise TruncationError(f"(1+y) denominator survives at {w.name()}")
         return a

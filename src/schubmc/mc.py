@@ -14,7 +14,7 @@ from .laurent import (
     one_plus_ye,
     product_of_factors,
 )
-from .roots import neg_weight
+from .roots import ParabolicDatum, neg_weight
 
 
 class ConventionError(AssertionError):
@@ -232,13 +232,21 @@ def psi_intertwines_dl(kt, a, i):
 
 
 def chi_y_genus(rs, parabolic=None, cell=None):
-    """Length generating polynomial in (-y) over the relevant coset set."""
-    if parabolic is None:
-        pool = rs.weyl_group()
-    else:
-        pool = parabolic.min_reps
-    if cell is not None:
-        pool = [v for v in pool if rs.bruhat_leq(v, cell)]
+    """Length generating polynomial in (-y) over the relevant coset set.
+
+    ``parabolic`` is a ``ParabolicDatum``, a list of simple-root indices, or
+    None for the full flag manifold.  Without a cell the coset set is all of
+    W^P, whose length polynomial is Macdonald's product
+    (``RootSystem.poincare_polynomial``), and W is not enumerated; with a
+    cell it is the Bruhat interval below the cell.
+    """
+    if cell is None:
+        counts = rs.poincare_polynomial(getattr(parabolic, "subset", parabolic) or ())
+        return YPolynomial.from_dict({n: c * (-1) ** n for n, c in enumerate(counts)})
+    if parabolic is not None and not isinstance(parabolic, ParabolicDatum):
+        parabolic = rs.parabolic(parabolic)
+    pool = rs.weyl_group() if parabolic is None else parabolic.min_reps
+    pool = [v for v in pool if rs.bruhat_leq(v, cell)]
     coeffs = {}
     for v in pool:
         coeffs[v.length] = coeffs.get(v.length, 0) + (-1) ** v.length

@@ -10,19 +10,31 @@ coprime coefficients keeps an integral quotient integral (Gauss's lemma).
 ``GradedSeries`` is a degree-truncated series with homogeneous components,
 the working form of completed equivariant (co)homology.
 
+``Poly`` keys each term by one nonnegative ``int``, packed as the Laurent
+kernel packs its keys (``_kernel_py.pack``): the exponents are digits, the
+first variable the most significant, and the lowest digit holds the total
+degree.  A monomial product is a sum of keys, integer order is the lex order
+of the exponent tuples, the degree of a term is ``key & MASK``, and one
+subtraction with a guard bit above each digit tests whether one monomial
+divides another.  ``Poly.packed`` is the stored dict; ``Poly.terms`` is the
+same polynomial keyed by exponent tuples, built on each access.  A product or
+quotient step whose degree could reach the digit limit raises
+``OverflowError``; no key ever carries into its neighbour.  ``Poly``s of
+different numbers of variables do not combine: that raises ``ValueError``.
+
 A ``YFrac`` stores integer numerators over one positive integer denominator
 and a power of (1+y), in a single normal form, so its arithmetic is integer
 convolution and gcd; ``YFrac.num`` is a ``Fraction`` view of the coefficients.
 
 A product of ``Poly``s or ``GradedSeries`` with a ``YFrac`` coefficient is
 lifted: each operand is written once over one denominator D and one (1+y)
-power K, with an integer-list numerator per monomial, every pair of terms
-(of every pair of degrees, for a series) is an integer convolution summed
-into its output monomial, and each output coefficient becomes one ``YFrac``,
+power K, with an integer-list numerator per key, every pair of terms (of
+every pair of degrees, for a series) is an integer convolution summed into
+its output key, and each output coefficient becomes one ``YFrac``,
 normalized once.  ``series_combination`` sums series times integer
-y-polynomials the same way.  The lifted form lives only inside the product;
-``Poly.terms`` stays a dict of coefficients.  Products of ``int``/``Fraction``
-polynomials multiply coefficient by coefficient.
+y-polynomials the same way.  The lifted form lives only inside the product.
+Products of ``int``/``Fraction`` polynomials multiply coefficient by
+coefficient.
 """
 
 from __future__ import annotations
@@ -30,6 +42,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import add
+
+from ._kernel_py import HALF, MASK, WIDTH, digit_offset, digits, pack
 
 
 class YFrac:
@@ -125,6 +139,9 @@ class YFrac:
 
     def __sub__(self, other):
         return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
 
     def __mul__(self, other):
         if not isinstance(other, YFrac):
@@ -279,9 +296,9 @@ def _has_yfrac(*term_dicts):
 def _lift(blocks):
     """Write every coefficient of blocks over one D (1+y)^K.
 
-    ``blocks`` maps a tag to a ``{monomial: coefficient}`` dict of ``int``,
+    ``blocks`` maps a tag to a ``{key: coefficient}`` dict of ``int``,
     ``Fraction`` or ``YFrac`` coefficients.  Returns ``D``, ``K`` and the same
-    tags mapped to ``(monomial, n)`` lists, each coefficient being
+    tags mapped to ``(key, n)`` lists, each coefficient being
     ``n / (D (1+y)^K)`` with ``n`` a list of ints, D the lcm of the
     denominators and K the largest (1+y) power.
     """
@@ -320,17 +337,26 @@ def _width(lifted):
 
 
 def _convolve_into(acc, width, a, b):
-    """Add the product of every (monomial, n) of a and every one of b to acc.
+    """Add the product of every (key, n) of a and every one of b to acc.
 
-    ``acc`` maps a monomial to its accumulated numerator, a list of ``width``
-    ints; the product of two numerators is their convolution.
+    ``acc`` maps a key to its accumulated numerator, a list of ``width``
+    ints; the product of two numerators is their convolution.  At width 1
+    every numerator is one int, and so is each accumulated value.
     """
-    for ma, na in a:
-        for mb, nb in b:
-            m = tuple(map(add, ma, mb))
-            c = acc.get(m)
+    get = acc.get
+    if width == 1:
+        b = [(kb, nb[0]) for kb, nb in b]
+        for ka, (x,) in a:
+            for kb, z in b:
+                k = ka + kb
+                acc[k] = get(k, 0) + x * z
+        return
+    for ka, na in a:
+        for kb, nb in b:
+            k = ka + kb
+            c = get(k)
             if c is None:
-                c = acc[m] = [0] * width
+                c = acc[k] = [0] * width
             for i, x in enumerate(na):
                 if x:
                     for j, z in enumerate(nb, i):
@@ -338,27 +364,33 @@ def _convolve_into(acc, width, a, b):
 
 
 def _lower(acc, D, K, nvars):
-    """{degree: {monomial: n}} to {degree: Poly with coefficients n / (D (1+y)^K)}."""
-    return {
-        d: Poly({m: _make(n, D, K) for m, n in terms.items()}, nvars)
-        for d, terms in acc.items()
-    }
+    """{degree: {key: n}} to {degree: Poly with coefficients n / (D (1+y)^K)}."""
+    out = {}
+    for d, terms in acc.items():
+        packed = {}
+        for k, n in terms.items():
+            c = _make([n] if type(n) is int else n, D, K)
+            if c:
+                packed[k] = c
+        out[d] = _poly(packed, nvars, max(map(MASK.__and__, packed), default=0))
+    return out
 
 
 def _lifted_product(a, b, cap, nvars):
-    """The product of two block dicts {degree: terms} as {degree: Poly}.
+    """The product of two {degree: Poly} dicts as {degree: Poly}.
 
     Each operand is lifted once; every pair of blocks whose degrees add up to
     at most cap is one pass of integer convolutions, and each output
     coefficient is normalized once.
     """
-    Da, Ka, la = _lift(a)
-    Db, Kb, lb = _lift(b)
+    Da, Ka, la = _lift({d: p.packed for d, p in a.items()})
+    Db, Kb, lb = _lift({d: p.packed for d, p in b.items()})
     width = _width(la) + _width(lb) - 1
     out = {}
     for da, ta in la.items():
         for db, tb in lb.items():
             if da + db <= cap:
+                _product_bound(a[da], b[db])
                 _convolve_into(out.setdefault(da + db, {}), width, ta, tb)
     return _lower(out, Da * Db, Ka + Kb, nvars)
 
@@ -369,77 +401,160 @@ def series_combination(pairs, cap, nvars):
     The series are lifted together, so that each output coefficient is one
     integer sum, normalized once.
     """
-    blocks = {(i, d): p.terms for i, (s, _) in enumerate(pairs) for d, p in s.comps.items()}
+    blocks = {(i, d): p.packed for i, (s, _) in enumerate(pairs) for d, p in s.comps.items()}
     D, K, lifted = _lift(blocks)
     width = _width(lifted) + max((len(n) for _, n in pairs), default=1) - 1
-    zero = (0,) * nvars
     out = {}
     for (i, d), items in lifted.items():
         if d <= cap:
-            _convolve_into(out.setdefault(d, {}), width, items, [(zero, pairs[i][1])])
+            # 0 is the key of the constant monomial
+            _convolve_into(out.setdefault(d, {}), width, items, [(0, pairs[i][1])])
     return GradedSeries(_lower(out, D, K, nvars), cap, nvars)
 
 
-class Poly:
-    """Sparse multivariate polynomial over an exact coefficient ring."""
+# -- packed monomial keys ---------------------------------------------------------------
 
-    __slots__ = ("terms", "nvars")
+
+def _key(exps, nvars):
+    """The packed key of the monomial with exponent tuple exps."""
+    if len(exps) != nvars or any(e < 0 for e in exps):
+        raise ValueError(f"{exps!r} is not an exponent vector of {nvars} variables")
+    return pack(exps, sum(exps))
+
+
+def _shift(j, nvars):
+    """The bit offset of the digit of variable j (the degree digit is at 0)."""
+    if not 0 <= j < nvars:
+        raise ValueError(f"no variable {j} among {nvars}")
+    return WIDTH * (nvars - j)
+
+
+def _var_key(j, nvars):
+    """The key of the variable x_j: a 1 in its digit and in the degree digit."""
+    return (1 << _shift(j, nvars)) + 1
+
+
+def _poly(packed, nvars, bound):
+    """Poly on packed terms (nonzero coefficients) of degree at most bound."""
+    p = object.__new__(Poly)
+    p.packed = packed
+    p.nvars = nvars
+    p._bound = bound
+    return p
+
+
+def _same_nvars(a, b):
+    if a.nvars != b.nvars:
+        raise ValueError(f"cannot combine {a.nvars} and {b.nvars} variables")
+
+
+def _product_bound(a, b):
+    """A degree bound of a * b; OverflowError if a digit of it could reach HALF."""
+    bound = a._bound + b._bound
+    if bound >= HALF:
+        bound = a._tighten() + b._tighten()
+        if bound >= HALF:
+            raise OverflowError("a product degree could leave the packing range")
+    return bound
+
+
+class Poly:
+    """Sparse multivariate polynomial over an exact coefficient ring.
+
+    ``packed`` maps the packed key of each monomial to its nonzero
+    coefficient.  The key of x_0^e_0 ... x_{n-1}^e_{n-1} is
+    ``_kernel_py.pack((e_0, ..., e_{n-1}), e_0 + ... + e_{n-1})``: the
+    Laurent layer's packing, with the total degree in the digit that holds
+    the y power there.  Every digit is nonnegative and below ``HALF``, the
+    first variable is the most significant, so integer order of the keys is
+    the lex order of the exponent tuples, a monomial product is a key sum,
+    and the degree is ``key & MASK``.  ``terms`` is the same polynomial keyed
+    by exponent tuples, built on each access.  Each ``Poly`` carries an upper
+    bound on its degree, its largest digit; a product whose degree could
+    reach ``HALF`` raises ``OverflowError`` instead of carrying.
+    """
+
+    __slots__ = ("packed", "nvars", "_bound")
 
     def __init__(self, terms, nvars):
-        self.terms = {k: v for k, v in terms.items() if v}
+        packed = {}
+        for e, c in terms.items():
+            k = _key(e, nvars)
+            if c:
+                packed[k] = c
+        self.packed = packed
         self.nvars = nvars
+        self._tighten()
+
+    @property
+    def terms(self):
+        n = self.nvars + 1
+        return {tuple(digits(k, n)[:-1]): c for k, c in self.packed.items()}
+
+    def _tighten(self):
+        """Set the degree bound to the degree (0 for zero), and return it."""
+        self._bound = max(map(MASK.__and__, self.packed), default=0)
+        return self._bound
 
     @classmethod
     def zero(cls, nvars):
-        return cls({}, nvars)
+        return _poly({}, nvars, 0)
 
     @classmethod
     def const(cls, c, nvars):
-        return cls({(0,) * nvars: c} if c else {}, nvars)
+        return _poly({0: c} if c else {}, nvars, 0)
 
     @classmethod
     def variable(cls, j, nvars, coeff=1):
-        exp = tuple(int(i == j) for i in range(nvars))
-        return cls({exp: coeff}, nvars)
+        return _poly({_var_key(j, nvars): coeff} if coeff else {}, nvars, 1)
 
     @classmethod
     def linear(cls, coeffs):
         nvars = len(coeffs)
-        terms = {}
-        for j, c in enumerate(coeffs):
-            if c:
-                exp = tuple(int(i == j) for i in range(nvars))
-                terms[exp] = c
-        return cls(terms, nvars)
+        return _poly({_var_key(j, nvars): c for j, c in enumerate(coeffs) if c}, nvars, 1)
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.packed)
+
+    def _coerce(self, other):
+        if isinstance(other, Poly):
+            _same_nvars(self, other)
+            return other
+        if isinstance(other, (int, Fraction, YFrac)):
+            return Poly.const(other, self.nvars)
+        return None
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, YFrac)):
-            other = Poly.const(other, self.nvars)
-        return isinstance(other, Poly) and self.terms == other.terms
+        other = self._coerce(other)
+        return other is not None and self.packed == other.packed
 
     def __hash__(self):
-        return hash((self.nvars, tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
+        packed = self.packed
+        if not packed:
+            return 0
+        if len(packed) == 1 and 0 in packed:
+            # a constant hashes as the coefficient it equals
+            return hash(packed[0])
+        return hash((self.nvars, frozenset(packed.items())))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, YFrac)):
-            other = Poly.const(other, self.nvars)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        out = dict(self.packed)
+        for k, v in other.packed.items():
             c = out.get(k)
             c = v if c is None else c + v
             if c:
                 out[k] = c
             else:
-                out.pop(k, None)
-        return Poly(out, self.nvars)
+                del out[k]
+        return _poly(out, self.nvars, max(self._bound, other._bound))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly({k: -v for k, v in self.terms.items()}, self.nvars)
+        return _poly({k: -v for k, v in self.packed.items()}, self.nvars, self._bound)
 
     def __sub__(self, other):
         return self + (-other)
@@ -448,18 +563,24 @@ class Poly:
         if isinstance(other, (int, Fraction, YFrac)):
             if not other:
                 return Poly.zero(self.nvars)
-            return Poly({k: v * other for k, v in self.terms.items()}, self.nvars)
-        if _has_yfrac(self.terms, other.terms):
-            out = _lifted_product({0: self.terms}, {0: other.terms}, 0, self.nvars)
-            return out.get(0, Poly.zero(self.nvars))
+            return _poly({k: v * other for k, v in self.packed.items()}, self.nvars, self._bound)
+        if not isinstance(other, Poly):
+            return NotImplemented
+        _same_nvars(self, other)
+        a, b = self.packed, other.packed
+        if _has_yfrac(a, b):
+            out = _lifted_product({0: self}, {0: other}, 0, self.nvars)
+            return out.get(0) or Poly.zero(self.nvars)
+        bound = _product_bound(self, other)
         out = {}
-        bterms = list(other.terms.items())
-        for ka, va in self.terms.items():
-            for kb, vb in bterms:
-                k = tuple(map(add, ka, kb))
-                c = out.get(k)
+        get = out.get
+        b = list(b.items())
+        for ka, va in a.items():
+            for kb, vb in b:
+                k = ka + kb
+                c = get(k)
                 out[k] = va * vb if c is None else c + va * vb
-        return Poly(out, self.nvars)
+        return _poly({k: v for k, v in out.items() if v}, self.nvars, bound)
 
     __rmul__ = __mul__
 
@@ -472,22 +593,32 @@ class Poly:
         return out
 
     def map_coefficients(self, fn):
-        return Poly({k: fn(v) for k, v in self.terms.items()}, self.nvars)
+        out = {}
+        for k, v in self.packed.items():
+            c = fn(v)
+            if c:
+                out[k] = c
+        return _poly(out, self.nvars, self._bound)
 
     def degree(self):
-        return max((sum(k) for k in self.terms), default=-1)
+        return max(map(MASK.__and__, self.packed), default=-1)
 
     def homogeneous_component(self, d):
-        return Poly({k: v for k, v in self.terms.items() if sum(k) == d}, self.nvars)
+        return _poly({k: v for k, v in self.packed.items() if k & MASK == d}, self.nvars, d)
 
     def homogeneous_split(self):
         out = {}
-        for k, v in self.terms.items():
-            out.setdefault(sum(k), {})[k] = v
-        return {d: Poly(t, self.nvars) for d, t in sorted(out.items())}
+        for k, v in self.packed.items():
+            d = k & MASK
+            t = out.get(d)
+            if t is None:
+                out[d] = {k: v}
+            else:
+                t[k] = v
+        return {d: _poly(t, self.nvars, d) for d, t in sorted(out.items())}
 
     def is_homogeneous(self, d=None):
-        degs = {sum(k) for k in self.terms}
+        degs = set(map(MASK.__and__, self.packed))
         if not degs:
             return True
         return len(degs) == 1 and (d is None or degs == {d})
@@ -506,35 +637,41 @@ class Poly:
 
     def set_variable(self, j, value):
         """Substitute a constant for variable j."""
+        shift = _shift(j, self.nvars)
         out = {}
-        for k, v in self.terms.items():
-            c = v
-            if k[j]:
-                c = c * value ** k[j]
-            key = k[:j] + (0,) + k[j + 1 :]
-            prev = out.get(key)
-            c2 = c if prev is None else prev + c
-            if c2:
-                out[key] = c2
+        for k, v in self.packed.items():
+            e = (k >> shift) & MASK
+            if e:
+                v = v * value**e
+                k -= (e << shift) + e
+            prev = out.get(k)
+            c = v if prev is None else prev + v
+            if c:
+                out[k] = c
             else:
-                out.pop(key, None)
-        return Poly(out, self.nvars)
+                out.pop(k, None)
+        return _poly(out, self.nvars, self._bound)
 
     def drop_last_variable(self):
         """Forget the final variable (which must not occur)."""
+        if not self.nvars:
+            raise ValueError("no variable to drop")
         out = {}
-        for k, v in self.terms.items():
-            if k[-1]:
+        for k, v in self.packed.items():
+            if (k >> WIDTH) & MASK:
                 raise ValueError("last variable still occurs")
-            out[k[:-1]] = v
-        return Poly(out, self.nvars - 1)
+            out[(k >> 2 * WIDTH << WIDTH) + (k & MASK)] = v
+        return _poly(out, self.nvars - 1, self._bound)
 
     def substitute_linear(self, images):
         """Substitute variable j -> images[j] (a Poly), ring homomorphism."""
+        if len(images) != self.nvars:
+            raise ValueError(f"{len(images)} images for {self.nvars} variables")
         out = Poly.zero(images[0].nvars if images else self.nvars)
-        for k, v in self.terms.items():
+        n = self.nvars + 1
+        for k, v in self.packed.items():
             term = Poly.const(v, out.nvars)
-            for j, e in enumerate(k):
+            for j, e in enumerate(digits(k, n)[:-1]):
                 for _ in range(e):
                     term = term * images[j]
             out = out + term
@@ -543,51 +680,67 @@ class Poly:
     def divide_exact(self, q):
         """Exact quotient self/q over the coefficient ring, else None.
 
-        A quotient step whose ``int`` coefficient the divisor's ``int``
-        leading coefficient divides stays an ``int`` (always, for a primitive
-        divisor of an integral multiple); any other step multiplies by the
-        exact inverse of that leading coefficient.
+        Lex leading-term elimination on the keys.  The leading exponent of
+        the remainder is divisible by that of q exactly when no digit of
+        their difference borrows, which a guard bit above each digit tests
+        in one subtraction.  A quotient step whose ``int`` coefficient the
+        divisor's ``int`` leading coefficient divides stays an ``int``
+        (always, for a primitive divisor of an integral multiple); any other
+        step multiplies by the exact inverse of that leading coefficient.
         """
-        if not q.terms:
+        _same_nvars(self, q)
+        if not q.packed:
             raise ZeroDivisionError("division by the zero polynomial")
-        if not self.terms:
+        if not self.packed:
             return Poly.zero(self.nvars)
-        rem = dict(self.terms)
-        lead_q = max(q.terms)
-        cq = q.terms[lead_q]
+        rem = dict(self.packed)
+        lead_q = max(q.packed)
+        cq = q.packed[lead_q]
         try:
             inv = cq.inverse() if isinstance(cq, YFrac) else Fraction(1) / cq
         except ArithmeticError:
             return None
         integral = type(cq) is int
+        # the leading term of the remainder cancels exactly at each step
+        tail = [(k, -c) for k, c in q.packed.items() if k != lead_q]
+        guard = digit_offset(self.nvars + 1)
+        room = HALF - q._tighten()
+        get = rem.get
         quot = {}
         while rem:
             lead_r = max(rem)
-            if any(x < y for x, y in zip(lead_r, lead_q)):
+            if ((lead_r | guard) - lead_q) & guard != guard:
                 return None
-            r = rem[lead_r]
+            r = rem.pop(lead_r)
             if integral and type(r) is int and not r % cq:
                 qc = r // cq
             else:
                 qc = inv * r
-            qk = tuple(x - y for x, y in zip(lead_r, lead_q))
+            qk = lead_r - lead_q
+            if qk & MASK >= room:
+                raise OverflowError("a remainder degree could leave the packing range")
             quot[qk] = qc
-            for bk, bc in q.terms.items():
-                k = tuple(x + y for x, y in zip(qk, bk))
-                c = rem.get(k, None)
-                c = -qc * bc if c is None else c - qc * bc
+            for bk, bc in tail:
+                k = qk + bk
+                c = get(k)
+                c = qc * bc if c is None else c + qc * bc
                 if c:
                     rem[k] = c
                 else:
-                    rem.pop(k, None)
-        return Poly(quot, self.nvars)
+                    del rem[k]
+        return _poly(quot, self.nvars, self._bound)
+
+    def sorted_terms(self):
+        """(exponent tuple, coefficient) pairs in descending lex order."""
+        n = self.nvars + 1
+        return [(tuple(digits(k, n)[:-1]), c) for k, c in sorted(self.packed.items(), reverse=True)]
 
     def __repr__(self):
-        if not self.terms:
+        if not self.packed:
             return "0"
         bits = []
-        for k, v in sorted(self.terms.items(), reverse=True):
-            mono = "*".join(f"x{j}^{e}" if e > 1 else f"x{j}" for j, e in enumerate(k) if e)
+        for e, v in self.sorted_terms():
+            mono = "*".join(f"x{j}^{x}" if x > 1 else f"x{j}" for j, x in enumerate(e) if x)
             bits.append(f"{v}" + (f"*{mono}" if mono else ""))
         return " + ".join(bits)
 
@@ -675,10 +828,10 @@ class GradedSeries:
             return GradedSeries({d: p * other for d, p in self.comps.items()}, self.cap, self.nvars)
         if isinstance(other, Poly):
             other = GradedSeries(other.homogeneous_split(), self.cap, self.nvars)
+        _same_nvars(self, other)
         cap = min(self.cap, other.cap)
-        a = {d: p.terms for d, p in self.comps.items()}
-        b = {d: p.terms for d, p in other.comps.items()}
-        if _has_yfrac(*a.values(), *b.values()):
+        a, b = self.comps, other.comps
+        if _has_yfrac(*(p.packed for p in a.values()), *(p.packed for p in b.values())):
             return GradedSeries(_lifted_product(a, b, cap, self.nvars), cap, self.nvars)
         out = {}
         for da, pa in self.comps.items():
@@ -699,10 +852,10 @@ class GradedSeries:
 
     def inverse(self):
         """Series inverse; the constant term must be an invertible coefficient."""
-        c0 = self.component(0)
-        if len(c0.terms) != 1 or (0,) * self.nvars not in c0.terms:
+        c0 = self.component(0).packed
+        if len(c0) != 1 or 0 not in c0:
             raise ArithmeticError("constant term is not a unit")
-        c = c0.terms[(0,) * self.nvars]
+        c = c0[0]
         cinv = c.inverse() if isinstance(c, YFrac) else Fraction(1) / c
         minus_g = -((self * cinv) - GradedSeries.const(1, self.cap, self.nvars))
         acc = GradedSeries.const(1, self.cap, self.nvars)

@@ -1,4 +1,5 @@
-"""Finite root systems, Weyl groups, Bruhat order, parabolic cosets, and the
+"""Finite root systems, Weyl groups, Bruhat order, parabolic cosets, Poincare
+polynomials of G/P by Macdonald's product over the positive roots, and the
 linear solve against a basis that is triangular in Bruhat order.
 
 Weights live in the fundamental-weight basis, so the half-sum of positive
@@ -159,9 +160,7 @@ class ParabolicDatum:
     """Coset combinatorics for the parabolic generated by a subset of simple roots."""
 
     def __init__(self, rs, subset):
-        subset = tuple(sorted(set(subset)))
-        if any(i < 1 or i > rs.rank for i in subset):
-            raise RootSystemError(f"parabolic subset {subset} out of range")
+        subset = rs.parabolic_subset(subset)
         self.rs = rs
         self.subset = subset
         self.subgroup = rs._generate(subset)
@@ -328,6 +327,45 @@ class RootSystem:
     @property
     def num_positive_roots(self):
         return len(self.positive_roots)
+
+    def parabolic_subset(self, subset):
+        """The sorted simple-root indices of a parabolic; RootSystemError if out of range."""
+        subset = tuple(sorted(set(subset)))
+        if any(i < 1 or i > self.rank for i in subset):
+            raise RootSystemError(f"parabolic subset {subset} out of range")
+        return subset
+
+    def poincare_polynomial(self, subset=()):
+        """Coefficient list of the sum of q^length over the minimal coset
+        representatives of W/W_P, P the parabolic of ``subset``.
+
+        Macdonald's formula W(q) = prod_{alpha > 0} (1 - q^(ht alpha + 1)) /
+        (1 - q^(ht alpha)), divided by the same product over the positive
+        roots of the Levi, which have the same heights there: the product
+        runs over the positive roots outside the Levi, and nothing is
+        enumerated.
+        """
+        subset = self.parabolic_subset(subset)
+        exps = {}
+        for coords in self.positive_root_coords:
+            if any(c for j, c in enumerate(coords, 1) if j not in subset):
+                h = sum(coords)
+                exps[h + 1] = exps.get(h + 1, 0) + 1
+                exps[h] = exps.get(h, 0) - 1
+        poly = [1]
+        for m, e in exps.items():
+            for _ in range(e):  # times 1 - q^m
+                poly += [0] * m
+                for i in range(len(poly) - 1, m - 1, -1):
+                    poly[i] -= poly[i - m]
+        for m, e in exps.items():
+            for _ in range(-e):  # exactly over 1 - q^m: Q_k = P_k + Q_(k-m)
+                for i in range(m, len(poly)):
+                    poly[i] += poly[i - m]
+                if any(poly[-m:]):
+                    raise ArithmeticError("Macdonald's product is not a polynomial")
+                del poly[-m:]
+        return poly
 
     # -- element bookkeeping ------------------------------------------------
 

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -172,3 +173,25 @@ def test_console_script_entry():
 
 def test_package_main_entry():
     _run_module("schubmc")
+
+
+def test_chi_of_e8_does_not_enumerate_w():
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "schubmc", "chi", "--type", "E8"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert proc.returncode == 0 and time.perf_counter() - t0 < 5
+    coeffs = [int(c) for c in json.loads(proc.stdout)["chi"]["coeffs"]]
+    assert len(coeffs) == 121 and sum(coeffs) == 696729600  # |W(E8)|
+
+
+@pytest.mark.parametrize("spec", ["0", "3", "1,x"])
+def test_chi_rejects_a_bad_parabolic_before_enumerating(spec, tmp_path):
+    code, _ = run_cli(["chi", "--type", "A2", "--parabolic", spec], tmp_path)
+    assert code == 2

@@ -306,3 +306,29 @@ def test_parabolic_specialize_on_quotient():
         top = cls.y_coefficient(u.length)
         omega = M.parabolic_pushforward(kt, M.omega_class(kt, u), gr)
         assert top == omega
+
+
+def _subsets(rank):
+    return [tuple(i for i in range(1, rank + 1) if mask >> (i - 1) & 1) for mask in range(1 << rank)]
+
+
+@pytest.mark.parametrize(
+    "lie_type,rank,subsets",
+    [
+        pytest.param(t, r, _subsets(r), id=f"{t}{r}")
+        for t, r in (("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
+                     ("C", 2), ("C", 3), ("D", 3), ("G", 2))
+    ]
+    + [pytest.param("D", 4, [(), (2,)], id="D4"), pytest.param("F", 4, [(), (1, 2)], id="F4")],
+)
+def test_chi_by_macdonald_matches_enumeration(lie_type, rank, subsets):
+    rs = root_system(lie_type, rank)
+    for subset in subsets:
+        reps = rs.parabolic(subset).min_reps if subset else rs.weyl_group()
+        counts = {}
+        for v in reps:
+            counts[v.length] = counts.get(v.length, 0) + 1
+        want = YPolynomial.from_dict({n: c * (-1) ** n for n, c in counts.items()})
+        assert rs.poincare_polynomial(subset) == [counts[n] for n in range(len(counts))]
+        assert M.chi_y_genus(rs, subset or None) == want
+        assert M.chi_y_genus(rs, rs.parabolic(subset)) == want

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tuple_poly_reference as tuple_ref
+
+from schubmc._kernel_py import HALF
 from schubmc.polyring import (
     GradedSeries,
     Poly,
@@ -397,6 +400,18 @@ def test_poly_takes_a_yfrac_scalar():
     assert (x + YFrac([0, 1])).terms == {(1, 0): YFrac([1]), (0, 0): YFrac([0, 1])}
 
 
+def test_int_minus_yfrac():
+    y = YFrac([0, 1])
+    assert 2 - y == YFrac([2, -1]) == -(y - 2)
+    assert F(1, 2) - y == YFrac([F(1, 2), -1])
+    # divisions whose remainders subtract a YFrac from an int
+    x = Poly.variable(0, 1)
+    d = x + Poly.const(y, 1)
+    assert Poly({(1,): 1, (0,): 5}, 1).divide_exact(d) is None
+    p = Poly({(2,): 1, (1,): 3, (0,): YFrac([0, 3, -1])}, 1)  # (x + y)(x + 3 - y)
+    assert p.divide_exact(d) == x + Poly.const(3 - y, 1)
+
+
 def test_negative_powers():
     one_plus_y = YFrac([1, 1])
     assert one_plus_y ** -1 == one_plus_y.inverse() == YFrac([1], 1)
@@ -411,3 +426,168 @@ def test_negative_powers():
     assert x ** 0 == 1 and x ** 2 == x * x
     with pytest.raises(ValueError):
         x ** -2
+
+
+# -- guards of the packed Poly ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("exps", [(1, 0), (1, 0, 0, 0), (1, -1, 0), ()])
+def test_poly_rejects_a_wrong_exponent_vector(exps):
+    with pytest.raises(ValueError):
+        Poly({exps: 1}, 3)
+
+
+def test_poly_arithmetic_across_nvars_raises():
+    a = Poly({(1, 0): 1}, 2)
+    b = Poly({(0, 1, 0): 1}, 3)
+    for op in (
+        lambda: a * b,
+        lambda: a + b,
+        lambda: a - b,
+        lambda: a == b,
+        lambda: b.divide_exact(a),
+        lambda: GradedSeries.from_poly(a, 2) * GradedSeries.from_poly(b, 2),
+    ):
+        with pytest.raises(ValueError):
+            op()
+    assert a == Poly({(1, 0): 1}, 2) and a != Poly.variable(1, 2)
+
+
+def test_constant_poly_hashes_as_its_constant():
+    for c in (2, F(1, 2), YFrac.const(3), YFrac.const(F(-2, 3))):
+        p = Poly.const(c, 2)
+        assert p == c and hash(p) == hash(c)
+    assert Poly.zero(3) == 0 and hash(Poly.zero(3)) == hash(0)
+    assert len({Poly.const(2, 2), 2, Poly.const(F(2), 2), Poly.const(YFrac.const(2), 2)}) == 1
+    x = Poly.variable(0, 2)
+    assert hash(x * 2) == hash(x * F(2)) == hash(x * YFrac.const(2))
+
+
+def test_packing_limit_raises_overflow():
+    with pytest.raises(OverflowError):
+        Poly({(HALF,): 1}, 1)
+    # the degree has a digit of its own, so a degree at the limit is refused too
+    with pytest.raises(OverflowError):
+        Poly({(HALF - 1, 1): 1}, 2)
+    Poly({(HALF - 2, 1): 1}, 2)
+    half = Poly({(HALF // 2,): 1}, 1)
+    assert (half * Poly({(HALF // 2 - 1,): 1}, 1)).degree() == HALF - 1
+    with pytest.raises(OverflowError):
+        half * half
+    with pytest.raises(OverflowError):
+        GradedSeries.from_poly(half, HALF) * GradedSeries.from_poly(half, HALF)
+    with pytest.raises(OverflowError):
+        Poly.const(YFrac([1, 1]), 1) * half * half
+    # x0^2 / (x0 - x1^(HALF/2)) leaves the remainder x1^HALF after two steps
+    x0 = Poly.variable(0, 2)
+    with pytest.raises(OverflowError):
+        (x0 * x0).divide_exact(x0 - Poly({(0, HALF // 2): 1}, 2))
+
+
+def test_packed_keys_follow_lex_order():
+    p = Poly({(0, 2, 1): 1, (1, 0, 0): 2, (0, 3, 0): 3, (0, 0, 0): 4}, 3)
+    assert [k for k, _ in p.sorted_terms()] == sorted(p.terms, reverse=True)
+    assert [p.terms[k] for k in sorted(p.terms)] == [p.packed[k] for k in sorted(p.packed)]
+    assert p.degree() == 3 and set(p.homogeneous_split()) == {0, 1, 3}
+
+
+# -- differential test: the packed Poly against the tuple-keyed one -----------------------
+
+_coefficients = {
+    "int": st.integers(-4, 4),
+    "Fraction": st.fractions(min_value=-2, max_value=2, max_denominator=3),
+    "YFrac": _lift_coeffs,
+}
+
+
+@st.composite
+def _operands(draw):
+    """nvars and three tuple-keyed term dicts of one coefficient kind."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(sorted(_coefficients)))
+    mono = st.tuples(*[st.integers(0, 2)] * n)
+    terms = st.dictionaries(mono, _coefficients[kind], max_size=4)
+    return n, [draw(terms) for _ in range(3)]
+
+
+def _typed(terms):
+    return {k: (type(v), v) for k, v in terms.items()}
+
+
+def _same(got, want):
+    """A packed Poly and a reference Poly with equal terms, coefficient types included."""
+    if want is None:
+        assert got is None
+        return
+    assert got.nvars == want.nvars
+    assert _typed(got.terms) == _typed(want.terms)
+    assert all(got.packed.values()), "a zero coefficient was stored"
+
+
+def _same_series(got, want):
+    if want is None:
+        assert got is None
+        return
+    assert (got.cap, set(got.comps)) == (want.cap, set(want.comps))
+    for d, p in want.comps.items():
+        _same(got.comps[d], p)
+
+
+def _both(terms, n):
+    return Poly(terms, n), tuple_ref.Poly(terms, n)
+
+
+@given(_operands())
+@settings(max_examples=150, deadline=None)
+def test_packed_poly_matches_tuple_reference(operands):
+    n, dicts = operands
+    (a, ra), (b, rb), (c, rc) = (_both(t, n) for t in dicts)
+    for (x, rx), (y, ry) in (((a, ra), (b, rb)), ((a, ra), (a, ra)), ((b, rb), (c, rc))):
+        _same(x * y, rx * ry)
+        _same(x + y, rx + ry)
+        _same(x - y, rx - ry)
+    if b:
+        # exact, and failing unless c happens to be a multiple of b
+        _same((a * b).divide_exact(b), (ra * rb).divide_exact(rb))
+        _same((a * b + c).divide_exact(b), (ra * rb + rc).divide_exact(rb))
+        _same(a.divide_exact(b), ra.divide_exact(rb))
+    assert a.degree() == ra.degree()
+    split, rsplit = a.homogeneous_split(), ra.homogeneous_split()
+    assert list(split) == list(rsplit)
+    for d in rsplit:
+        _same(split[d], rsplit[d])
+        assert split[d].is_homogeneous(d)
+    for j in range(n):
+        for value in (0, 2, F(1, 2)):
+            _same(a.set_variable(j, value), ra.set_variable(j, value))
+    _same(a.set_variable(n - 1, 0).drop_last_variable(), ra.set_variable(n - 1, 0).drop_last_variable())
+    # a substitution of linear forms, on the terms of degree at most 4
+    low = {e: v for e, v in dicts[0].items() if sum(e) <= 4}
+    coeffs = [[(i + 2 * j) % 3 - 1 for i in range(n)] for j in range(n)]
+    images = [Poly.linear(cs) for cs in coeffs]
+    rimages = [tuple_ref.Poly.linear(cs) for cs in coeffs]
+    _same(Poly(low, n).substitute_linear(images), tuple_ref.Poly(low, n).substitute_linear(rimages))
+
+
+@given(_operands(), st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_packed_series_match_tuple_reference(operands, cap):
+    n, dicts = operands
+    (a, ra), (b, rb), _ = (_both(t, n) for t in dicts)
+    sa, rsa = GradedSeries.from_poly(a, cap), tuple_ref.GradedSeries.from_poly(ra, cap)
+    sb, rsb = GradedSeries.from_poly(b, cap + 1), tuple_ref.GradedSeries.from_poly(rb, cap + 1)
+    _same_series(sa * sb, rsa * rsb)
+    if b:
+        top = b.homogeneous_component(b.degree())
+        rtop = rb.homogeneous_component(rb.degree())
+        st_, rst = GradedSeries.from_poly(top, cap + 2), tuple_ref.GradedSeries.from_poly(rtop, cap + 2)
+        prod, rprod = sa * st_, rsa * rst
+        _same_series(prod.divide_exact(top), rprod.divide_exact(rtop))
+        _same_series(sb.divide_exact(top), rsb.divide_exact(rtop))
+    # a unit constant term: the constant term of a replaced by 3
+    unit = YFrac.const(3) if any(type(v) is YFrac for v in dicts[0].values()) else 3
+    dicts[0][(0,) * n] = unit
+    (u, ru) = _both(dicts[0], n)
+    _same_series(
+        GradedSeries.from_poly(u, cap).inverse(), tuple_ref.GradedSeries.from_poly(ru, cap).inverse()
+    )

@@ -340,17 +340,9 @@ def _convolve_into(acc, width, a, b):
     """Add the product of every (key, n) of a and every one of b to acc.
 
     ``acc`` maps a key to its accumulated numerator, a list of ``width``
-    ints; the product of two numerators is their convolution.  At width 1
-    every numerator is one int, and so is each accumulated value.
+    ints; the product of two numerators is their convolution.
     """
     get = acc.get
-    if width == 1:
-        b = [(kb, nb[0]) for kb, nb in b]
-        for ka, (x,) in a:
-            for kb, z in b:
-                k = ka + kb
-                acc[k] = get(k, 0) + x * z
-        return
     for ka, na in a:
         for kb, nb in b:
             k = ka + kb
@@ -369,7 +361,7 @@ def _lower(acc, D, K, nvars):
     for d, terms in acc.items():
         packed = {}
         for k, n in terms.items():
-            c = _make([n] if type(n) is int else n, D, K)
+            c = _make(n, D, K)
             if c:
                 packed[k] = c
         out[d] = _poly(packed, nvars, max(map(MASK.__and__, packed), default=0))

@@ -47,6 +47,15 @@ def _parabolic(rs, spec):
     return rs.parabolic(_subset(spec))
 
 
+def _refuse(args, names, what):
+    """ConfigError naming each flag of ``names`` that is set: ``what`` would ignore it."""
+    # a flag is set unless it holds its default, None, False or "" (--maxlen 0 is set)
+    values = {name: getattr(args, name) for name in names}
+    given = [f"--{n}" for n, v in values.items() if v is not None and v is not False and v != ""]
+    if given:
+        raise ConfigError(f"{what} does not take {', '.join(given)}")
+
+
 def _emit(args, payload):
     text = json.dumps(payload, indent=2, sort_keys=False) + "\n"
     if getattr(args, "out", None):
@@ -111,14 +120,12 @@ def cmd_mc(args):
     rs = _root_system(args)
     kt = ktheory(rs)
     if args.action == "compute":
+        _refuse(args, ["which"], "mc compute")
         w = rs.parse_element(args.cell)
         pd = _parabolic(rs, args.parabolic)
         if pd is not None:
             # the G/P class is the iota-basis MC class; nothing else is computed there
-            ignored = [f"--{name}" for name in ("dual", "opposite", "nonequivariant", "basis")
-                       if getattr(args, name)]
-            if ignored:
-                raise ConfigError(f"--parabolic does not take {', '.join(ignored)}")
+            _refuse(args, ["dual", "opposite", "nonequivariant", "basis"], "--parabolic")
 
         def build():
             if pd is not None:
@@ -156,6 +163,7 @@ def cmd_mc(args):
         _emit(args, _cached_json("mc", key, build))
         return 0
     if args.action == "verify":
+        _refuse(args, ["parabolic", "dual", "opposite", "nonequivariant", "basis"], "mc verify")
         return _run_mc_verify(args, rs, kt)
     raise ConfigError(f"unknown mc action {args.action!r}")
 
@@ -268,7 +276,7 @@ def cmd_hirzebruch(args):
     coeffs = {}
     for u, s in sorted(cls.coeffs.items(), key=lambda kv: (kv[0].length, kv[0].word)):
         coeffs[u.name()] = {
-            str(d): _poly_obj(p.map_coefficients(lambda c: c), varnames)
+            str(d): _poly_obj(p, varnames)
             for d, p in sorted(s.comps.items())
         }
     payload = {
@@ -326,20 +334,20 @@ def cmd_conjectures(args):
     if args.maxlen is not None and args.maxlen < 0:
         # a negative bound selects no cell, and would verify vacuously
         raise ConfigError(f"--maxlen must be nonnegative, got {args.maxlen}")
-    subset = _subset(args.parabolic or "") or None
-    which = args.which.split(",") if args.which else sorted(conj.CHECKERS)
+    values = {"parabolic": _subset(args.parabolic or "") or None, "maxlen": args.maxlen}
+    takers = {"parabolic": ("csm-positivity", "h-unimodality", "euler-alternation"),
+              "maxlen": ("mc-positivity", "mc-log-concavity")}
+    which = [n.strip() for n in args.which.split(",")] if args.which else sorted(conj.CHECKERS)
+    for name in which:
+        if name not in conj.CHECKERS:
+            raise ConfigError(f"unknown conjecture checker {name!r}")
+        if args.which:  # the default list passes each flag to the checkers that take it
+            _refuse(args, [flag for flag in takers if name not in takers[flag]], name)
     reports = []
     refuted = False
-    for name in map(str.strip, which):
-        checker = conj.CHECKERS.get(name)
-        if checker is None:
-            raise ConfigError(f"unknown conjecture checker {name!r}")
-        kwargs = {}
-        if name in ("csm-positivity", "h-unimodality", "euler-alternation"):
-            kwargs["parabolic"] = subset
-        if name in ("mc-positivity", "mc-log-concavity") and args.maxlen is not None:
-            kwargs["maxlen"] = args.maxlen
-        rep = checker(rs, **kwargs)
+    for name in which:
+        kwargs = {flag: values[flag] for flag in takers if name in takers[flag]}
+        rep = conj.CHECKERS[name](rs, **kwargs)
         refuted = refuted or rep.status == "refuted"
         reports.append(rep.to_json_obj())
     _emit(args, {"system": f"{rs.lie_type}{rs.rank}", "reports": reports})

@@ -9,16 +9,17 @@ route, extracted from motivic Chern classes by the leading-term procedure.
 ``GKMEngine`` is the fixed-point machinery every localization engine shares:
 Euler classes, the divided difference ``bgg`` and the grouping of fixed
 points into the cosets of a parabolic, each point with its Levi Euler
-factor, which every push-forward to G/P sums over.  An engine supplies only
+factor, which every push-forward to G/P sums over.  An engine supplies
 ``form(weight)``, its unit ``one`` and its memo-key ``prefix``: ``Cohomology``
 here over Z[alpha, hbar], ``NumericCohomology`` at a rational point, and
-``hirzebruch.Hirzebruch`` over truncated series.  ``RestrictionMap`` holds
+``hirzebruch.Hirzebruch`` over truncated series; the numeric engine also
+replaces ``divide``, the exact division of ``bgg``.  ``RestrictionMap`` holds
 the pointwise arithmetic of their classes (``CohClass``, ``HClass``) and of
 the K-theory classes (``kclasses.KClass``, whose context is a ``Space``):
 sums, products, scaling, coefficient maps, coefficient-wise equality and the
 guard that refuses to combine classes of two engines (of two root systems,
-for ``HClass``).  Schubert and CSM classes are grown along a reduced word by
-``RootSystem.along_word``.
+for ``HClass``).  Every class family, the numeric one too, is grown along a
+reduced word by ``RootSystem.along_word``.
 
 Restrictions are polynomials with ``int`` coefficients.  Roots have integer,
 coprime simple-root coordinates, so every divided difference and every
@@ -88,6 +89,13 @@ class GKMEngine:
             groups.setdefault(pdat.min_rep(v), []).append((p, levi))
         return groups
 
+    def divide(self, num, den):
+        """The exact quotient of a restriction by a form; GKMError if inexact."""
+        q = num.divide_exact(den)
+        if q is None:
+            raise GKMError("divided difference is not exact; not a GKM class")
+        return q
+
     def bgg(self, i, a):
         """The divided difference (a - s_i a) / alpha_i, pointwise."""
         s = self.rs.simple_reflection(i)
@@ -97,10 +105,7 @@ class GKMEngine:
             num = a.coefficient(u * s) - a.coefficient(u)
             if not num:
                 continue
-            q = num.divide_exact(self.form(u.act(alpha)))
-            if q is None:
-                raise GKMError("divided difference is not exact; not a GKM class")
-            out[u] = q
+            out[u] = self.divide(num, self.form(u.act(alpha)))
         return a.like(out)
 
 
@@ -108,7 +113,7 @@ class RestrictionMap:
     """A class as its restrictions to the fixed points, with pointwise arithmetic.
 
     Classes combine only on the same ``_domain()``, by default their ``ctx``;
-    a subclass supplies ``coefficient(w)``.
+    a subclass whose zero is not ``0`` replaces ``coefficient(w)``.
     """
 
     __slots__ = ("ctx", "coeffs")
@@ -120,6 +125,9 @@ class RestrictionMap:
     def like(self, coeffs):
         """A class of the same kind on the same engine, with other restrictions."""
         return type(self)(self.ctx, coeffs)
+
+    def coefficient(self, w):
+        return self.coeffs.get(w, 0)
 
     def _domain(self):
         return self.ctx
@@ -285,19 +293,13 @@ class Cohomology(GKMEngine):
         return SegreMacPherson(self, numerator)
 
     def dual_csm(self, v):
-        """Dual CSM class attached to the opposite cell, via the adjoint word."""
-
-        def build():
-            w0 = self.rs.longest_element()
-            if v == w0:
-                return self.point_class(w0)
-            for i in range(1, self.rs.rank + 1):
-                vs = v * self.rs.simple_reflection(i)
-                if vs.length > v.length:
-                    return self.dl_coh(i, self.dual_csm(vs), dual=True)
-            raise AssertionError("no ascent below the longest element")
-
-        return self.memo(("csmdual", v), build)
+        """Dual CSM class attached to the opposite cell of v: the adjoint
+        operators at ascents of v, grown down from the point class at w0."""
+        w0 = self.rs.longest_element()
+        return self.rs.along_word(
+            self.prefix + ("csmdual",), w0 * v, lambda _: self.point_class(w0),
+            lambda i, a: self.dl_coh(i, a, dual=True),
+        )
 
     # -- pairings -----------------------------------------------------------------
 
@@ -470,22 +472,15 @@ class NumericCohomology(GKMEngine):
 
     form = weight_value
 
-    def schubert(self, w):
-        def build():
-            if w.length == 0:
-                return {w: self.euler_at(w)}
-            i = w.word[-1]
-            s = self.rs.simple_reflection(i)
-            alpha = self.rs.simple_root(i)
-            prev = self.schubert(w * s)
-            f = {}
-            for u in set(prev) | {v * s for v in prev}:
-                num = prev.get(u * s, Fraction(0)) - prev.get(u, Fraction(0))
-                if num:
-                    f[u] = num / self.weight_value(u.act(alpha))
-            return f
+    def divide(self, num, den):
+        return num / den
 
-        return self.memo(("X", w), build)
+    def schubert(self, w):
+        """The restrictions of the Schubert class of w, as a dict."""
+        return self.rs.along_word(
+            self.prefix + ("X",), w, lambda e: {e: self.euler_at(e)},
+            lambda i, f: self.bgg(i, RestrictionMap(self, f)).coeffs,
+        )
 
     def _transformed_twin(self):
         def build():

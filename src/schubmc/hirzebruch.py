@@ -11,6 +11,8 @@ differences and the coset grouping of push-forwards from there.  ``HClass``
 is a ``cohomology.RestrictionMap`` that also carries its truncation cap and
 whether it is normalized; it combines with the classes of every Hirzebruch
 engine of its root system, since those differ only in their default cap.
+Operator words are grown by ``RootSystem.along_word`` from a point class at
+``cap + dim``, the slack of the longest word, under keys that carry ``cap``.
 """
 
 from __future__ import annotations
@@ -238,38 +240,37 @@ class Hirzebruch(GKMEngine):
     # -- the Hirzebruch classes of cells ---------------------------------------------------
 
     def hirzebruch_class(self, w, normalized=False, cap=None, check_routes=True):
-        """Hirzebruch class of the cell of w; two routes compared modulo cap."""
+        """Hirzebruch class of the cell of w, two routes compared modulo cap; the
+        normalized class is the Adams normalization of the unnormalized one."""
         cap = self.cap if cap is None else cap
 
         def build():
+            if normalized:
+                unnormalized = self.hirzebruch_class(w, False, cap, check_routes)
+                return self.assert_cleared(self.adams_normalize(unnormalized))
             from .mc import motivic_chern
             from .kclasses import ktheory
 
-            # route by the operator word, computed with enough slack to
-            # survive the divided differences
-            cur = self.point_class(self.rs.identity, cap + w.length)
-            for i in w.word:
-                cur = self.dl_h(i, cur, normalized=False)
-            word_route = cur.truncate(cap)
+            word_route = self.rs.along_word(
+                self.prefix + ("Hword", cap), w,
+                lambda e: self.point_class(e, cap + self.dim), self.dl_h,
+            ).truncate(cap)
             if check_routes:
                 direct = self.todd_transform(motivic_chern(ktheory(self.rs), w), cap)
                 if not word_route.eq_mod_cap(direct, cap):
                     raise TruncationError(f"Hirzebruch routes disagree at {w.name()}")
-            if normalized:
-                return self.assert_cleared(self.adams_normalize(word_route))
             return word_route
 
         return self.memo(("H", w, normalized, cap, check_routes), build)
 
     def dual_hirzebruch_class(self, v, cap=None):
-        """The orthogonal-dual class built from the opposite point class."""
+        """The orthogonal-dual class of v, grown down from the point class at w0."""
         cap = self.cap if cap is None else cap
         w0 = self.rs.longest_element()
-        word = (v.inverse() * w0).word
-        cur = self.point_class(w0, cap + len(word))
-        for i in reversed(word):
-            cur = self.l_h(i, cur, normalized=False)
-        return cur.truncate(cap)
+        return self.rs.along_word(
+            self.prefix + ("Hdual", cap), w0 * v,
+            lambda _: self.point_class(w0, cap + self.dim), self.l_h,
+        ).truncate(cap)
 
     # -- localization integrals --------------------------------------------------------------
 
@@ -308,15 +309,13 @@ def segre_hirzebruch(hz, w, cap=None, check=True):
         out[u] = s * hz.todd_series_of_weights(hz.tangent_weights(u), "uTdy", s.cap).inverse()
     result = HClass(hz, out)
     if check:
-        word = w.inverse().word
-        start = hz.point_class(hz.rs.identity, cap + len(word))
-        denom = hz.todd_series_of_weights(
-            hz.tangent_weights(hz.rs.identity), "uTdy", cap + len(word)
-        ).inverse()
-        cur = HClass(hz, {u: s * denom for u, s in start.coeffs.items()})
-        for i in reversed(word):
-            cur = hz.dl_h(i, cur, dual=True)
-        if not result.eq_mod_cap(cur):
+        top = cap + hz.dim
+        word_route = hz.rs.along_word(
+            hz.prefix + ("segre", cap), w,
+            lambda e: hz.point_class(e, top).scale(hz.tangent_todd(e, "uTdy", top).inverse()),
+            lambda i, a: hz.dl_h(i, a, dual=True),
+        )
+        if not result.eq_mod_cap(word_route):
             raise TruncationError(f"Segre routes disagree at {w.name()}")
     return result
 

@@ -8,8 +8,9 @@ point-class basis ``iota_w``.  It is a ``cohomology.RestrictionMap`` whose
 same-space guard are the shared pointwise ones, and ``KClass`` adds only the
 self-intersection normalization of its product and of its restrictions.
 Demazure and Demazure-Lusztig operators act through their explicit
-fixed-point formulas; structure and ideal sheaves are grown along a reduced
-word by ``RootSystem.along_word`` and memoized in the root system.
+fixed-point formulas.  Structure and ideal sheaves, and the motivic classes
+of ``mc``, are grown along a reduced word by ``RootSystem.along_word`` and
+memoized in the root system.
 """
 
 from __future__ import annotations
@@ -305,12 +306,6 @@ class KTheory:
         b = self.star(a)
         b = self.line_bundle_mul(self.rs.rho, b)
         return self.trivial_bundle_mul(self.rs.rho, b)
-
-    def apply_word(self, op, v, a):
-        """Apply op(i, -) along a reduced word of v, rightmost letter first."""
-        for i in reversed(v.word):
-            a = op(i, a)
-        return a
 
     # -- Schubert-type classes -------------------------------------------------
 

@@ -1,5 +1,9 @@
 """Motivic Chern classes of Schubert cells: duals, Segre forms, specializations,
-star duality, chi_y genera, and push-forwards to partial flag manifolds."""
+star duality, chi_y genera, and push-forwards to partial flag manifolds.
+
+Every operator-word class is grown by ``RootSystem.along_word``; the dual
+class of an opposite cell is grown down from w0 and stored at ``w0 * w``.
+"""
 
 from __future__ import annotations
 
@@ -38,18 +42,10 @@ def dual_motivic_chern(kt, w, opposite=True):
     """
     if not opposite:
         return kt.rs.along_word(("k", "MCdualX"), w, kt.iota, kt.l_operator)
-
-    def build_y():
-        w0 = kt.rs.longest_element()
-        if w == w0:
-            return kt.opp_structure_sheaf(w0)
-        for i in range(1, kt.rs.rank + 1):
-            ws = w * kt.rs.simple_reflection(i)
-            if ws.length > w.length:
-                return kt.l_operator(i, dual_motivic_chern(kt, ws, opposite=True))
-        raise AssertionError("no ascent below the longest element")
-
-    return kt.rs.memo(("k", "MCdualY", w), build_y)
+    w0 = kt.rs.longest_element()
+    return kt.rs.along_word(
+        ("k", "MCdualY"), w0 * w, lambda _: kt.opp_structure_sheaf(w0), kt.l_operator
+    )
 
 
 def lambda_y_opposite_cotangent(kt):
@@ -124,7 +120,7 @@ def segre_mc(kt, w, check=True):
         out[u] = c.divide_by_factors(kt.lambda_y_cotangent_factors(u))
     pointwise = KClass(kt.space, out)
     if check:
-        word_route = kt.apply_word(kt.dl_dual, w.inverse(), kt.iota(kt.rs.identity))
+        word_route = kt.rs.along_word(("k", "segre"), w, kt.iota, kt.dl_dual)
         scalar = tuple(one_plus_ye(a) for a in kt.rs.positive_roots)
         word_route = word_route.map_coefficients(lambda c: c.divide_by_factors(scalar))
         if not pointwise == word_route:

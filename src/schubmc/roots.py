@@ -12,8 +12,8 @@ weight lattice; reduced words, lengths, and descent sets are cached per
 root system.  ``RootSystem.memo`` is the one memo of every engine built on a
 root system (K-theory, cohomology, numeric, Hirzebruch, Hecke), and
 ``clear_memo`` empties it.  ``RootSystem.along_word`` is the one memoized
-recursion along a reduced word that grows every class family (Schubert,
-CSM, structure and ideal sheaves, motivic Chern classes, Hecke words).
+recursion along a reduced word, which grows every class family; a family
+grown down from the longest element w0 stores the class of v at ``w0 * v``.
 """
 
 from __future__ import annotations
@@ -283,6 +283,9 @@ class RootSystem:
 
         ``start(w)`` at the identity; otherwise ``step(i, class of w s_i)``
         with i the last letter of w's word, so every prefix is stored too.
+        A family grown down from w0 by steps at ascents of v is
+        ``along_word(key, w0 * v, lambda _: <class at w0>, step)``, since the
+        last letter of ``w0 * v`` is an ascent of v.
         """
 
         def build():

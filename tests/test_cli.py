@@ -95,6 +95,30 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 0
     code, _ = run_cli(["mc", "verify", "--type", "A2", "--which", "duality"], tmp_path)
     assert code == 0
+    # a flag that the command or a checker named in --which would ignore is invalid
+    capsys.readouterr()
+    conjectures = ["conjectures", "run", "--type", "A2", "--which"]
+    for args, refused in [
+        (conjectures + ["richardson-positivity", "--parabolic", "1"], "--parabolic"),
+        (conjectures + ["mc-positivity", "--parabolic", "1"], "--parabolic"),
+        (conjectures + ["csm-positivity,mc-log-concavity", "--parabolic", "1"], "--parabolic"),
+        (conjectures + ["h-unimodality", "--maxlen", "1"], "--maxlen"),
+        (conjectures + ["euler-alternation", "--maxlen", "0"], "--maxlen"),
+        (["mc", "verify", "--type", "A1", "--which", "duality", "--parabolic", "1", "--basis",
+          "I", "--dual"], "--parabolic, --dual, --basis"),
+        (["mc", "verify", "--type", "A1", "--opposite"], "--opposite"),
+        (["mc", "verify", "--type", "A1", "--nonequivariant"], "--nonequivariant"),
+        (["mc", "compute", "--type", "A1", "--cell", "s1", "--which", "star"], "--which"),
+    ]:
+        assert main(args) == 2, args
+        assert f"does not take {refused}" in capsys.readouterr().err
+    # the default list passes each flag only to the checkers that take it
+    code, text = run_cli(["conjectures", "run", "--type", "A2", "--parabolic", "1"], tmp_path)
+    assert code in (0, 1)
+    assert {r["conjecture"]: r["parabolic"] for r in json.loads(text)["reports"]} == {
+        "csm-positivity": [1], "euler-alternation": [1], "h-unimodality": [1],
+        "mc-log-concavity": [], "mc-positivity": [], "richardson-positivity": [],
+    }
 
 
 def test_parabolic_compute(tmp_path):

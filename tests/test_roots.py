@@ -7,7 +7,7 @@ import pytest
 import schubmc
 from schubmc.cohomology import cohomology, numeric_cohomology
 from schubmc.hecke import t_word
-from schubmc.hirzebruch import hirzebruch
+from schubmc.hirzebruch import Hirzebruch, hirzebruch, segre_hirzebruch
 from schubmc.kclasses import ktheory
 from schubmc.mc import dual_motivic_chern, motivic_chern
 from schubmc.roots import (
@@ -249,23 +249,29 @@ def test_numeric_twin_keys_carry_the_parameter_point(lie_type):
 
 
 def _word_families(rs):
-    """Memo key prefix -> class constructor, for every family grown along a word."""
-    kt, coh = ktheory(rs), cohomology(rs)
+    """Family name -> (memo key prefix, the class it stores at each element u),
+    for every family grown along a word whose value is the stored class."""
+    kt, coh, num = ktheory(rs), cohomology(rs), numeric_cohomology(rs)
+    w0 = rs.longest_element()
     return {
-        ("k", "O"): kt.structure_sheaf,
-        ("k", "I"): kt.ideal_sheaf,
-        ("k", "MC"): lambda w: motivic_chern(kt, w),
-        ("k", "MCdualX"): lambda w: dual_motivic_chern(kt, w, opposite=False),
-        ("coh", "X"): coh.schubert_class,
-        ("coh", "csm"): coh.csm,
-        ("hecke", "T"): lambda w: t_word(rs, w),
+        "k/O": (("k", "O"), kt.structure_sheaf),
+        "k/I": (("k", "I"), kt.ideal_sheaf),
+        "k/MC": (("k", "MC"), lambda w: motivic_chern(kt, w)),
+        "k/MCdualX": (("k", "MCdualX"), lambda w: dual_motivic_chern(kt, w, opposite=False)),
+        "coh/X": (("coh", "X"), coh.schubert_class),
+        "coh/csm": (("coh", "csm"), coh.csm),
+        "hecke/T": (("hecke", "T"), lambda w: t_word(rs, w)),
+        "num/X": (("num", num.alphas, "X"), num.schubert),
+        # grown down from w0: the class of v is stored at w0 * v
+        "k/MCdualY": (("k", "MCdualY"), lambda u: dual_motivic_chern(kt, w0 * u)),
+        "coh/csmdual": (("coh", "csmdual"), lambda u: coh.dual_csm(w0 * u)),
     }
 
 
-@pytest.mark.parametrize("key", list(_word_families(RootSystem("A", 1))), ids="/".join)
-def test_word_recursion_stores_every_prefix(key):
+@pytest.mark.parametrize("name", list(_word_families(RootSystem("A", 1))))
+def test_word_recursion_stores_every_prefix(name):
     rs = RootSystem("A", 2)
-    build = _word_families(rs)[key]
+    key, build = _word_families(rs)[name]
     w = rs.longest_element()
     top = build(w)
 
@@ -276,6 +282,50 @@ def test_word_recursion_stores_every_prefix(key):
     for n in range(w.length):
         prefix = rs.from_word(w.word[:n])
         assert rs.memo(key + (prefix,), fail) is build(prefix)
+
+
+@pytest.mark.parametrize("family", ["Hword", "Hdual", "segre"])
+def test_hirzebruch_word_routes_store_every_prefix(family):
+    # the stored classes keep the slack of the longest word, one degree per
+    # letter still to come; the values read from them are truncated to the cap
+    rs, cap = RootSystem("A", 2), 4
+    hz, w0 = hirzebruch(rs, cap), rs.longest_element()
+    value = {
+        "Hword": hz.hirzebruch_class,
+        "Hdual": lambda u: hz.dual_hirzebruch_class(w0 * u),
+        "segre": lambda u: segre_hirzebruch(hz, u),
+    }[family]
+    value(w0)
+
+    def fail():
+        raise AssertionError("the recursion did not store this class")
+
+    for n in range(w0.length + 1):
+        prefix = rs.from_word(w0.word[:n])
+        stored = rs.memo(("hz", family, cap, prefix), fail)
+        assert stored.cap() == cap + w0.length - n
+        if family != "segre":
+            assert stored.truncate(cap).coeffs == value(prefix).coeffs
+
+
+def test_normalized_hirzebruch_class_reads_the_unnormalized_one(monkeypatch):
+    rs = RootSystem("B", 2)
+    w = rs.element_by_name("s1s2")
+    hirzebruch(rs, 6).hirzebruch_class(w)
+    calls = []
+    todd = Hirzebruch.todd_transform
+    monkeypatch.setattr(
+        Hirzebruch, "todd_transform", lambda *a, **k: calls.append(a) or todd(*a, **k)
+    )
+    normalized = hirzebruch(rs, 6).hirzebruch_class(w, normalized=True)
+    assert calls == []
+    rs.clear_memo()
+    fresh = hirzebruch(rs, 6).hirzebruch_class(w, normalized=True)
+    assert len(calls) == 1  # the route check of the unnormalized class
+    assert normalized.normalized and fresh.normalized
+    assert {u: (s.cap, s.comps) for u, s in normalized.coeffs.items()} == {
+        u: (s.cap, s.comps) for u, s in fresh.coeffs.items()
+    }
 
 
 # module-level dicts that are not unbounded memo tables

@@ -7,13 +7,17 @@ CSM classes are produced by the twisted recursion and, as an independent
 route, extracted from motivic Chern classes by the leading-term procedure.
 
 ``GKMEngine`` is the fixed-point machinery every localization engine shares:
-Euler classes, the divided difference ``bgg`` and the grouping of fixed
-points into the cosets of a parabolic, each point with its Levi Euler
-factor, which every push-forward to G/P sums over.  An engine supplies
-``form(weight)``, its unit ``one`` and its memo-key ``prefix``: ``Cohomology``
-here over Z[alpha, hbar], ``NumericCohomology`` at a rational point, and
+Euler classes, the divided difference ``bgg`` and ``localize``, the one
+localization sum.  w permutes the positive roots up to l(w) signs, so
+e(T_w) = (-1)^l(w) e(T_id), and an integral over G/B is the signed sum of
+the restrictions divided once by e(T_id).  Within a coset u W_P the Levi
+Euler factor obeys the same rule, so a push-forward to G/P
+(``coset_sums``) is one division per coset, and the Euler class of G/P at
+u is e(T_u) / e_L(u).  An engine supplies ``form(weight)``, its unit
+``one`` and its memo-key ``prefix``: ``Cohomology`` here over
+Z[alpha, hbar], ``NumericCohomology`` at a rational point, and
 ``hirzebruch.Hirzebruch`` over truncated series; the numeric engine also
-replaces ``divide``, the exact division of ``bgg``.  ``RestrictionMap`` holds
+replaces ``divide``, the exact division of ``bgg`` and ``localize``.  ``RestrictionMap`` holds
 the pointwise arithmetic of their classes (``CohClass``, ``HClass``) and of
 the K-theory classes (``kclasses.KClass``, whose context is a ``Space``):
 sums, products, scaling, coefficient maps, coefficient-wise equality and the
@@ -25,7 +29,9 @@ Restrictions are polynomials with ``int`` coefficients.  Roots have integer,
 coprime simple-root coordinates, so every divided difference and every
 localization sum that clears to a polynomial divides exactly over the
 integers: Schubert, CSM and dual CSM classes, their opposite twists and
-their Schubert expansions all stay in Z[alpha, hbar].  ``Cohomology.expand``
+their Schubert expansions all stay in Z[alpha, hbar].  A Segre-MacPherson
+pairing divides by c(T) c(T*), which is the same product of (1 - gamma^2)
+over the positive roots at every fixed point.  ``Cohomology.expand``
 is the layer's result boundary and returns ``Fraction`` coefficients, the
 one canonical form of its output.
 
@@ -40,7 +46,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .laurent import LaurentPolynomial, YPolynomial, divide_exact
-from .polyring import Poly, exp_linear, fraction_sum
+from .polyring import Poly, exp_linear
 from .roots import RootSystemError, neg_weight, triangular_solve
 
 
@@ -71,30 +77,49 @@ class GKMEngine:
         """Equivariant Euler class of the tangent space at the fixed point w."""
         return self.memo(("euler", w), lambda: self.weight_product(self.rs.positive_roots, w))
 
-    def quotient_euler_at(self, pdat, u):
-        """Euler class of the tangent space of G/P at the fixed point u."""
+    def levi_euler_at(self, pdat, u):
+        """Euler class at u of the fiber of G/B -> G/P (the Levi's positive roots)."""
         return self.memo(
-            ("qeuler", pdat.subset, u), lambda: self.weight_product(pdat.outer_positive_roots, u)
+            ("levi", pdat.subset, u), lambda: self.weight_product(pdat.levi_positive_roots, u)
         )
 
-    def cosets(self, pdat, coeffs):
-        """Fixed points grouped by coset: min rep -> [(restriction, Levi Euler factor)].
-
-        The Levi Euler factor at v is the Euler class at v of the fiber of
-        G/B -> G/P; a push-forward sums restriction / factor over each group.
-        """
-        groups = {}
-        for v, p in coeffs.items():
-            levi = self.weight_product(pdat.levi_positive_roots, v)
-            groups.setdefault(pdat.min_rep(v), []).append((p, levi))
-        return groups
-
     def divide(self, num, den):
-        """The exact quotient of a restriction by a form; GKMError if inexact."""
+        """The exact quotient of a restriction by a class; GKMError if inexact."""
         q = num.divide_exact(den)
         if q is None:
-            raise GKMError("divided difference is not exact; not a GKM class")
+            raise GKMError("quotient is not exact; not a GKM class")
         return q
+
+    def localize(self, values, divisor, zero):
+        """``zero`` plus the sum of ``(-1)^l(w) p`` over the items (w, p) of
+        ``values``, divided once by ``divisor``.
+
+        ``zero`` is the value of an empty sum; a zero series also bounds the
+        cap of the sum.  This is every localization sum of the engines.  w permutes the
+        positive roots up to l(w) signs, so e(T_w) = (-1)^l(w) e(T_id) and
+        the integral of a is ``localize(a, e(T_id))``; likewise
+        e_L(ux) = (-1)^l(x) e_L(u) for x in W_P, as ``coset_sums`` uses.
+        """
+        total = zero
+        for w, p in values.items():
+            total = total - p if w.length & 1 else total + p
+        return self.divide(total, divisor)
+
+    def coset_sums(self, pdat, values, zero):
+        """Push-forward of restriction values to the fixed points of G/P.
+
+        At each minimal representative u it is the sum of values[v] / e_L(v)
+        over the coset u W_P, that is one ``localize`` of the coset by
+        (-1)^l(u) e_L(u).
+        """
+        groups = {}
+        for v, p in values.items():
+            groups.setdefault(pdat.min_rep(v), {})[v] = p
+        out = {}
+        for u, group in groups.items():
+            levi = self.levi_euler_at(pdat, u)
+            out[u] = self.localize(group, -levi if u.length & 1 else levi, zero)
+        return out
 
     def bgg(self, i, a):
         """The divided difference (a - s_i a) / alpha_i, pointwise."""
@@ -303,13 +328,12 @@ class Cohomology(GKMEngine):
 
     # -- pairings -----------------------------------------------------------------
 
-    def integrate(self, a, extra_denominator=None):
+    def integrate(self, a):
         """Localization sum over fixed points; must clear to a polynomial."""
-        pairs = _over_euler(a, self.euler_at, extra_denominator)
-        return _localization_sum(self, pairs, "localization sum")
+        return self.localize(a.coeffs, self.euler_at(self.rs.identity), Poly.zero(self.nvars))
 
-    def pair(self, a, b, extra_denominator=None):
-        return self.integrate(a * b, extra_denominator)
+    def pair(self, a, b):
+        return self.integrate(a * b)
 
     # -- Schubert expansion ----------------------------------------------------------
 
@@ -355,18 +379,20 @@ class SegreMacPherson:
         self.numerator = numerator
 
     def pair_with(self, other):
-        """Poincare pairing against an ordinary class."""
-        return self.ctx.pair(
-            self.numerator, other, extra_denominator=self.ctx.total_chern_at
-        )
+        """Poincare pairing against an ordinary class.
 
-    def pair_with_sm(self, other):
-        """Pairing of two Segre-MacPherson classes (denominator squared)."""
-        return self.ctx.pair(
-            self.numerator,
-            other.numerator,
-            extra_denominator=lambda w: self.ctx.total_chern_at(w) ** 2,
-        )
+        c(T)|_w c(T*)|_w is the product of (1 - gamma^2) over the positive
+        roots at every fixed point, so the pairing is the integral of
+        numerator * c(T*) * other divided by that one constant class.
+        """
+        ctx = self.ctx
+        ident = ctx.rs.identity
+        values = {
+            w: p * ctx.total_chern_at(w, dual=True)
+            for w, p in (self.numerator * other).coeffs.items()
+        }
+        divisor = ctx.euler_at(ident) * ctx.total_chern_at(ident) * ctx.total_chern_at(ident, dual=True)
+        return ctx.localize(values, divisor, Poly.zero(ctx.nvars))
 
 
 class CohClass(RestrictionMap):
@@ -458,12 +484,11 @@ class NumericCohomology(GKMEngine):
 
     one = Fraction(1)
 
-    def __init__(self, rs, alphas=None, hbar=Fraction(1)):
+    def __init__(self, rs, alphas=None):
         self.rs = rs
         if alphas is None:
             alphas = tuple(Fraction(p) for p in _GENERIC_PRIMES[: rs.rank])
         self.alphas = tuple(alphas)
-        self.hbar = hbar
         self.prefix = ("num", self.alphas)
 
     def weight_value(self, weight):
@@ -490,7 +515,7 @@ class NumericCohomology(GKMEngine):
                 self.weight_value(w0.act(self.rs.simple_root(j)))
                 for j in range(1, self.rs.rank + 1)
             )
-            return NumericCohomology(self.rs, twin_alphas, self.hbar)
+            return NumericCohomology(self.rs, twin_alphas)
 
         return self.memo(("twin",), build)
 
@@ -503,27 +528,10 @@ class NumericCohomology(GKMEngine):
         return self.memo(("Y", w), build)
 
     def integrate(self, f):
-        return sum(v / self.euler_at(w) for w, v in f.items())
+        return self.localize(f, self.euler_at(self.rs.identity), Fraction(0))
 
     def pushforward(self, pdat, f):
-        """Push-forward of restriction values to the fixed points of G/P."""
-        return {u: sum(v / d for v, d in pairs) for u, pairs in self.cosets(pdat, f).items()}
-
-    def triple_opposite_constant(self, a, b, c):
-        """Cup-product constant of [Y(a)][Y(b)] against [X(c)]; codims add."""
-        if a.length + b.length != c.length:
-            return 0
-        fa, fb = self.opposite_schubert(a), self.opposite_schubert(b)
-        fc = self.schubert(c)
-        total = Fraction(0)
-        for w, va in fa.items():
-            vb = fb.get(w)
-            vc = fc.get(w)
-            if vb is not None and vc is not None:
-                total += va * vb * vc / self.euler_at(w)
-        if total.denominator != 1:
-            raise GKMError("structure constant did not come out integral")
-        return int(total)
+        return self.coset_sums(pdat, f, Fraction(0))
 
 
 def numeric_cohomology(rs):
@@ -583,14 +591,15 @@ class SchubertCalculus:
         """<[Y(a)] [Y(b)], [X(c)]>, the coefficient of [Y(c)] in the product."""
         if a.length + b.length != c.length:
             return 0
+        num, pdat = self._numeric, self.parabolic
         fa, fb, fc = self._pushed("Y", a), self._pushed("Y", b), self._pushed("X", c)
-        total = Fraction(0)
-        for w, va in fa.items():
-            vb = fb.get(w)
-            vc = fc.get(w)
-            if vb is None or vc is None:
-                continue
-            total += va * vb * vc / self._numeric.quotient_euler_at(self.parabolic, w)
+        # the Euler class of G/P at u is e(T_u) / e_L(u)
+        values = {
+            u: va * fb[u] * fc[u] * num.levi_euler_at(pdat, u)
+            for u, va in fa.items()
+            if u in fb and u in fc
+        }
+        total = num.localize(values, num.euler_at(self.rs.identity), Fraction(0))
         if total.denominator != 1:
             raise GKMError("structure constant did not come out integral")
         return int(total)
@@ -684,30 +693,14 @@ def h_polynomial(vector):
 
 def parabolic_pushforward_coh(ctx, a, pdat):
     """Localization push-forward of restriction functions to the quotient."""
-    groups = ctx.cosets(pdat, a.coeffs)
-    return CohClass(
-        ctx, {u: _localization_sum(ctx, pairs, "push-forward sum") for u, pairs in groups.items()}
-    )
+    return CohClass(ctx, ctx.coset_sums(pdat, a.coeffs, Poly.zero(ctx.nvars)))
 
 
-def integrate_quotient(ctx, pdat, a, extra_denominator=None):
-    pairs = _over_euler(a, lambda w: ctx.quotient_euler_at(pdat, w), extra_denominator)
-    return _localization_sum(ctx, pairs, "localization sum")
+def integrate_quotient(ctx, pdat, a):
+    """The integral over G/P of a class given at minimal representatives.
 
-
-def _over_euler(a, euler, extra_denominator):
-    """The (restriction, denominator) pairs of a localization integral of a."""
-    for w, p in a.coeffs.items():
-        d = euler(w)
-        if extra_denominator is not None:
-            d = d * extra_denominator(w)
-        yield p, d
-
-
-def _localization_sum(ctx, pairs, what):
-    """The localization sum of the (restriction, denominator) pairs, as a polynomial."""
-    num, den = fraction_sum(pairs, Poly.zero(ctx.nvars), ctx.one)
-    q = num.divide_exact(den)
-    if q is None:
-        raise GKMError(f"{what} is not polynomial")
-    return q
+    The Euler class of G/P at u is e(T_u) / e_L(u), so the integral is one
+    ``localize`` of a|_u e_L(u) by e(T_id).
+    """
+    values = {u: p * ctx.levi_euler_at(pdat, u) for u, p in a.coeffs.items()}
+    return ctx.localize(values, ctx.euler_at(ctx.rs.identity), Poly.zero(ctx.nvars))

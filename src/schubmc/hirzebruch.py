@@ -2,12 +2,15 @@
 
 All values live in the completed equivariant homology: GKM restriction maps
 into degree-truncated series over Q[y, (1+y)^-1].  Every identity is checked
-modulo the truncation degree; localization sums are computed over a padded
-degree window so the surviving components are exact.
+modulo the truncation degree.  A series never claims a degree it does not
+know: a sum keeps the least cap of its terms, and truncating to a larger cap
+keeps the series' own.  A localization sum divides the signed sum of the
+restrictions once by a homogeneous Euler class of degree d, so it is exact
+below the least cap of its terms minus d.
 
 ``Hirzebruch`` is a ``cohomology.GKMEngine``: it supplies the first Chern
 class of a weight over ``YFrac``, and takes its Euler classes, divided
-differences and the coset grouping of push-forwards from there.  ``HClass``
+differences and localization sums (integrals and push-forwards) from there.  ``HClass``
 is a ``cohomology.RestrictionMap`` that also carries its truncation cap and
 whether it is normalized; it combines with the classes of every Hirzebruch
 engine of its root system, since those differ only in their default cap.
@@ -23,7 +26,6 @@ from .polyring import (
     Poly,
     YFrac,
     exp_linear,
-    fraction_sum,
     normalized_hirzebruch_coefficients,
     series_combination,
     series_of_linear,
@@ -275,10 +277,13 @@ class Hirzebruch(GKMEngine):
     # -- localization integrals --------------------------------------------------------------
 
     def integrate(self, a, cap=None):
-        """Localization sum over the fixed points, exact below the cap window."""
-        cap = a.cap() if cap is None else cap
-        pairs = [(s, self.euler_at(w)) for w, s in a.coeffs.items()]
-        return _localization_sum(pairs, self.dim, cap, self.rs.rank)
+        """Localization sum over the fixed points, exact below ``cap - dim``.
+
+        A sum of series keeps the least cap of its terms, so ``cap`` can only
+        lower the class's own cap.
+        """
+        zero = GradedSeries.zero(a.cap() if cap is None else cap, self.rs.rank)
+        return self.localize(a.coeffs, self.euler_at(self.rs.identity), zero)
 
     def pair(self, a, b, cap=None):
         return self.integrate(a * b, cap)
@@ -321,38 +326,9 @@ def segre_hirzebruch(hz, w, cap=None, check=True):
 
 
 def parabolic_pushforward_h(hz, a, pdat):
-    """Localization push-forward of a Hirzebruch-layer class to a quotient."""
-    fiber_dim = len(pdat.levi_positive_roots)
-    return {
-        u: _localization_sum(pairs, fiber_dim, min(s.cap for s, _ in pairs), hz.rs.rank)
-        for u, pairs in hz.cosets(pdat, a.coeffs).items()
-    }
-
-
-def _localization_sum(pairs, dim, cap, nvars):
-    """sum s/e over (series, Euler polynomial of degree dim) pairs, exact up to cap - dim.
-
-    The numerator is carried to a padded cap, so that every component that
-    survives the division by the product of the Euler polynomials is exact.
-    """
-    pad = cap + dim * (len(pairs) - 1)
-    num, den = fraction_sum(
-        ((GradedSeries(dict(s.comps), pad, s.nvars), e) for s, e in pairs),
-        GradedSeries.zero(pad, nvars),
-        Poly.const(YFrac.const(1), nvars),
-    )
-    target_cap = cap - dim
-    m = den.degree()
-    comps = {}
-    for d in range(0, target_cap + 1):
-        comp = num.component(d + m)
-        if not comp:
-            continue
-        q = comp.divide_exact(den)
-        if q is None:
-            raise TruncationError("localization sum not exact in the valid window")
-        comps[d] = q
-    return GradedSeries(comps, target_cap, nvars)
+    """Localization push-forward of a Hirzebruch-layer class to a quotient,
+    exact below ``a.cap()`` minus the fiber dimension."""
+    return hz.coset_sums(pdat, a.coeffs, GradedSeries.zero(a.cap(), hz.rs.rank))
 
 
 def hirzebruch(rs, cap=None):

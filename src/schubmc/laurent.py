@@ -78,7 +78,7 @@ class LaurentPolynomial:
         return _lp({0: c}, nvars, 0)
 
     @classmethod
-    def monomial(cls, weight, ypow=0, coeff=1, *, nvars=None):
+    def monomial(cls, weight, ypow=0, coeff=1):
         weight = tuple(weight)
         if coeff == 0:
             return cls.zero(len(weight))
@@ -91,9 +91,6 @@ class LaurentPolynomial:
     @classmethod
     def y(cls, nvars, power=1):
         return cls({((0,) * nvars, int(power)): 1}, nvars)
-
-    def one_like(self):
-        return LaurentPolynomial.const(1, self.nvars)
 
     # -- ring operations ------------------------------------------------------
 
@@ -155,9 +152,6 @@ class LaurentPolynomial:
         return [(unpack(k, n), c) for k, c in sorted(self.packed.items(), reverse=True)]
 
     # -- queries and maps ------------------------------------------------------
-
-    def is_term(self):
-        return len(self.packed) == 1
 
     def y_degree(self):
         if not self.packed:
@@ -396,10 +390,6 @@ class FactoredFraction:
     def from_int(cls, c, nvars):
         return cls(LaurentPolynomial.const(c, nvars))
 
-    @classmethod
-    def inverse_of_factors(cls, factors, nvars):
-        return cls(LaurentPolynomial.const(1, nvars), factors)
-
     def __bool__(self):
         return bool(self.num)
 
@@ -463,10 +453,6 @@ class FactoredFraction:
         if red.den:
             raise ArithmeticError(f"fraction does not reduce to a polynomial: {red!r}")
         return red.num
-
-    def try_polynomial(self):
-        red = self.reduce()
-        return None if red.den else red.num
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -8,7 +8,11 @@ in y with powers of 1+y inverted) for the Hirzebruch layer.  Constructors
 keep an ``int`` an ``int``, and exact division by an integer polynomial with
 coprime coefficients keeps an integral quotient integral (Gauss's lemma).
 ``GradedSeries`` is a degree-truncated series with homogeneous components,
-the working form of completed equivariant (co)homology.
+the working form of completed equivariant (co)homology.  Its cap is the last
+degree it knows: a sum or product keeps the least cap of its operands,
+``truncate`` never raises the cap, and ``divide_exact`` lowers it by the
+divisor's degree.  The localization sums over fixed points that use these
+types live in ``cohomology.GKMEngine.localize``.
 
 ``Poly`` keys each term by one nonnegative ``int``, packed as the Laurent
 kernel packs its keys (``_kernel_py.pack``): the exponents are digits, the
@@ -213,11 +217,6 @@ class YFrac:
                 raise ZeroDivisionError("pole at y = -1")
             val /= (1 + v) ** self.k
         return val
-
-    def as_y_coeff_dict(self):
-        if self.k:
-            raise ArithmeticError("denominator (1+y) power not cleared")
-        return {i: c for i, c in enumerate(self.num) if c}
 
     def __repr__(self):
         body = " + ".join(f"{c}*y^{i}" if i else str(c) for i, c in enumerate(self.num) if c)
@@ -737,19 +736,6 @@ class Poly:
         return " + ".join(bits)
 
 
-def fraction_sum(pairs, zero, one):
-    """The sum of p/d over (p, d) pairs, as (num, den) with den the product of the d.
-
-    This is the localization sum of every layer: callers supply their own
-    denominators and perform their own final division.
-    """
-    num, den = zero, one
-    for p, d in pairs:
-        num = num * d + p * den
-        den = den * d
-    return num, den
-
-
 class GradedSeries:
     """Degree-truncated series: homogeneous components indexed by degree <= cap."""
 
@@ -780,6 +766,9 @@ class GradedSeries:
         return self.comps.get(d, Poly.zero(self.nvars))
 
     def truncate(self, cap):
+        """The series below ``min(cap, self.cap)``: a series never claims a
+        degree it does not know."""
+        cap = min(cap, self.cap)
         return GradedSeries({d: p for d, p in self.comps.items() if d <= cap}, cap, self.nvars)
 
     def __eq__(self, other):

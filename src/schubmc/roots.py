@@ -91,10 +91,6 @@ def _mat_mul(a, b):
     )
 
 
-def add_weight(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def neg_weight(a):
     return tuple(-x for x in a)
 
@@ -195,10 +191,6 @@ class ParabolicDatum:
     def min_rep(self, w):
         return self.factorize(w)[0]
 
-    def coset(self, w):
-        rep = self.min_rep(w)
-        return tuple(rep * v for v in self.subgroup)
-
 
 class RootSystem:
     """An irreducible finite root system with its Weyl group."""
@@ -260,7 +252,6 @@ class RootSystem:
         self.positive_roots = tuple(fund for _, fund in pos)
         self.positive_root_coords = tuple(coords for coords, _ in pos)
         self._positive_set = set(self.positive_roots)
-        self._root_coords = {fund: coords for fund, coords in seen.items()}
         if 2 * len(self.positive_roots) != len(seen):
             raise RootSystemError("root closure is not symmetric")
 
@@ -311,13 +302,6 @@ class RootSystem:
 
     def is_positive_root(self, fund):
         return fund in self._positive_set
-
-    def is_root(self, fund):
-        return fund in self._root_coords
-
-    def root_coordinates(self, fund):
-        """Simple-root coordinates of a root (exact integers)."""
-        return self._root_coords[fund]
 
     def weight_in_simple_roots(self, weight):
         """Express any weight in simple-root coordinates (Fractions)."""

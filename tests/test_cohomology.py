@@ -312,6 +312,23 @@ def test_sum_rule_all_pairs(t, r):
             assert sum(e.values()) == (1 if w0 * u == v else 0)
 
 
+def triple_opposite_constant(num, a, b, c):
+    """Cup-product constant of [Y(a)][Y(b)] against [X(c)] on G/B, summed
+    point by point over the Euler class at each point (the reference route)."""
+    if a.length + b.length != c.length:
+        return 0
+    fa, fb = num.opposite_schubert(a), num.opposite_schubert(b)
+    fc = num.schubert(c)
+    total = F(0)
+    for w, va in fa.items():
+        vb = fb.get(w)
+        vc = fc.get(w)
+        if vb is not None and vc is not None:
+            total += va * vb * vc / num.euler_at(w)
+    assert total.denominator == 1
+    return int(total)
+
+
 def test_chevalley_degree_case():
     # G/B runs as the parabolic of no simple roots; its cup constants must
     # match the direct localization sum over G/B, and in complementary degree
@@ -325,7 +342,7 @@ def test_chevalley_degree_case():
         for u in cells:
             for v in cells:
                 cup = {
-                    w: num.triple_opposite_constant(u, v, w)
+                    w: triple_opposite_constant(num, u, v, w)
                     for w in cells
                     if w.length == u.length + v.length
                 }
@@ -514,8 +531,6 @@ def test_integral_classes_match_their_fraction_lifts(t, r):
         for v in cells:
             x, y = ctx.csm(w), ctx.dual_csm(v)
             assert ctx.pair(x, y) == ctx.pair(_lift(x), _lift(y))
-            if v.length > w.length + 1:
-                continue  # the total-Chern sums grow fast with the shared support
             c = ctx.csm(v).set_hbar(1)
             val = sm_h1.pair_with(c)
             assert val == sm_lift.pair_with(_lift(c))

@@ -307,3 +307,26 @@ def test_engines_of_one_root_system_share_classes():
     assert hirzebruch(rs).hirzebruch_class(s1) is built
     assert hirzebruch_duality_check(hirzebruch(rs), s1, s1)[0]
     assert built + hirzebruch(rs).point_class(s1) == hirzebruch(rs, 8).point_class(s1, 6) + built
+
+
+def test_truncating_upward_keeps_the_cap():
+    rs = root_system("A", 2)
+    hz = hirzebruch(rs, 8)
+    low = hz.tangent_todd(rs.identity, "Td", 4)
+    high = hz.tangent_todd(rs.identity, "Td", 8)
+    assert low.truncate(8).cap == 4
+    assert low.truncate(8) == high
+    assert high.truncate(4).cap == 4
+
+
+def test_integral_stops_at_the_cap_of_its_class():
+    # asked for more degrees than the class knows, the integral stops where
+    # the class does, instead of reading the missing components as zero
+    rs = root_system("A", 2)
+    hz = hirzebruch(rs, 8)
+    for u in rs.weyl_group():
+        a = hz.hirzebruch_class(u, cap=4) * hz.dual_hirzebruch_class(u, cap=4)
+        val = hz.integrate(a, cap=8)
+        assert val.cap == 4 - hz.dim, u.name()
+        full = hz.integrate(hz.hirzebruch_class(u, cap=8) * hz.dual_hirzebruch_class(u, cap=8))
+        assert val == full, u.name()

@@ -11,14 +11,27 @@ Demazure and Demazure-Lusztig operators act through their explicit
 fixed-point formulas.  Structure and ideal sheaves, and the motivic classes
 of ``mc``, are grown along a reduced word by ``RootSystem.along_word`` and
 memoized in the root system.
+
+``KTheory.expand`` solves against the triangular bases O, I, Oop and Iop on
+local restrictions, not on fractions.  The restriction a|_v = c_v times
+prod(1 - e^{v beta}) over the positive roots beta; the local restriction
+keeps only the factors whose T-curve v -- v s_beta stays below a
+Bruhat-maximal cell of the support (above a minimal one, for the opposite
+bases).  A curve that leaves the support's intervals ends where a vanishes,
+so by the GKM condition (Goresky-Kottwitz-MacPherson; Knutson-Rosu for
+equivariant K-theory) its factor divides a|_v: the local restriction is a
+Laurent polynomial for every integral class.  Keeping only the local factors
+keeps the entries of small cells small at every rank.
 """
 
 from __future__ import annotations
 
+from . import laurent
 from .cohomology import RestrictionMap
 from .laurent import (
     FactoredFraction,
     LaurentPolynomial,
+    factor_polynomial,
     one_minus_e,
     one_plus_ye,
     product_of_factors,
@@ -32,6 +45,39 @@ class IntegralityError(ArithmeticError):
 
 class StructuralError(RuntimeError):
     """A triangular solve did not terminate against the requested basis."""
+
+
+def _integral(w, c):
+    try:
+        return c.as_polynomial()
+    except ArithmeticError as exc:
+        raise IntegralityError(f"coefficient at {w.name()} is not a Laurent polynomial") from exc
+
+
+def _match_associates(den, local):
+    """Cancel the denominator factors ``den`` against the local factors.
+
+    A factor cancels against its own key in ``local`` or against its
+    associate: 1 - e^mu = -e^mu (1 - e^-mu), so (1 - e^-mu) / (1 - e^mu) is
+    the unit -e^-mu.  Returns the local factors left over, the denominator
+    factors left over, and the product of the units used, a monomial
+    +-e^lam, or None when no associate was used.
+    """
+    rest = list(local)
+    left = []
+    units = []
+    for f in den:
+        if f in rest:
+            rest.remove(f)
+        elif f[0] == "om" and (g := one_minus_e(neg_weight(f[1]))) in rest:
+            rest.remove(g)
+            units.append(g[1])
+        else:
+            left.append(f)
+    if not units:
+        return rest, left, None
+    unit = LaurentPolynomial.monomial(tuple(map(sum, zip(*units))), coeff=(-1) ** len(units))
+    return rest, left, unit
 
 
 class Space:
@@ -364,41 +410,113 @@ class KTheory:
     # -- expansions ---------------------------------------------------------------
 
     def expand(self, a, basis="O", expect_integral=True):
-        def integral(w, c):
-            try:
-                return c.as_polynomial()
-            except ArithmeticError as exc:
-                raise IntegralityError(
-                    f"coefficient at {w.name()} is not a Laurent polynomial"
-                ) from exc
+        """Coefficients of a in a Schubert-type basis.
 
+        In the ``iota`` basis these are a's own coefficients, reduced to
+        Laurent polynomials unless ``expect_integral`` is false.  The bases O,
+        I, Oop and Iop are triangular in Bruhat order, and the solve runs on
+        local restrictions (see ``local_factors``): every entry, of the
+        residual and of the basis classes alike, is a Laurent polynomial, so
+        a subtraction is ``cur - d * c`` with no fraction arithmetic.  The
+        coefficient at a pivot p is p's entry divided by its local normal
+        factors, the local factors that do not divide the basis class's own
+        restriction at p; these exact binomial divisions succeed for every
+        integral class, and otherwise raise ``IntegralityError``.
+        """
         if basis == "iota":
             coeffs = {}
             for w, c in a.coeffs.items():
-                coeffs[w] = integral(w, c) if expect_integral else c
+                coeffs[w] = _integral(w, c) if expect_integral else c
             return SchubertExpansion(a.ctx, basis, coeffs)
+        if not expect_integral:
+            raise ValueError(
+                f"a coefficient in the {basis} basis is a Laurent polynomial or an IntegralityError"
+            )
+        opposite = basis in ("Oop", "Iop")
+        local = self.local_factors(a.coeffs, opposite)
+
+        def entry(w, c):
+            rest, left, unit = _match_associates(c.den, local(w))
+            num = c.num if unit is None else c.num * unit
+            for f in rest:
+                num = num * factor_polynomial(f)
+            return _integral(w, FactoredFraction(num, left)) if left else num
 
         def solve(pivot, value):
-            pivot_coeff = self.basis_class(basis, pivot).coefficient(pivot).reduce()
-            if pivot_coeff.num != LaurentPolynomial.const(1, self.nvars):
-                raise StructuralError("basis pivot is not an inverted product")
-            c_frac = (value * product_of_factors(pivot_coeff.den, self.nvars)).reduce()
-            return integral(pivot, c_frac) if expect_integral else c_frac
+            pivot_coeff = self.basis_class(basis, pivot).coefficient(pivot)
+            if pivot_coeff.num != 1:
+                pivot_coeff = pivot_coeff.reduce()
+                if pivot_coeff.num != 1:
+                    raise StructuralError("basis pivot is not an inverted product")
+            rest, left, unit = _match_associates(pivot_coeff.den, local(pivot))
+            if left:
+                raise StructuralError("basis pivot has a factor outside the local set")
+            # d = value * prod(pivot den) / prod(local factors): the inverse of
+            # the associate unit (star inverts a monomial +-e^lam), then the
+            # local normal factors
+            if unit is not None:
+                value = value * unit.star()
+            for f in rest:
+                value = laurent.divide_exact(value, factor_polynomial(f))
+                if value is None:
+                    raise IntegralityError(
+                        f"coefficient at {pivot.name()} is not a Laurent polynomial"
+                    )
+            return value
 
-        def subtract(cur, d, c):
-            nxt = (cur - d * c).reduce()
-            return nxt or None
+        def basis_entries(pivot):
+            return {w: entry(w, c) for w, c in self.basis_class(basis, pivot).coeffs.items()}
+
+        def subtract(cur, e, c):
+            return (cur + e * -c) or None
 
         coeffs = triangular_solve(
-            a.coeffs,
-            max if basis in ("O", "I") else min,
-            lambda w: self.basis_class(basis, w).coeffs,
+            {w: entry(w, c) for w, c in a.coeffs.items()},
+            min if opposite else max,
+            basis_entries,
             solve,
             subtract,
-            FactoredFraction.zero(self.nvars),
+            LaurentPolynomial.zero(self.nvars),
             StructuralError,
         )
         return SchubertExpansion(a.ctx, basis, coeffs)
+
+    def local_factors(self, support, opposite=False):
+        """The local factor sets of a triangular solve over ``support``.
+
+        Returns a memoized map v -> the keys 1 - e^{v beta} over the positive
+        roots beta whose T-curve v -- v s_beta stays below a Bruhat-maximal
+        cell of the support (above a minimal one when ``opposite``).  Every
+        other curve at v leaves the support's intervals, so by the GKM
+        condition its factor divides the restriction a|_v: the local
+        restriction c_v * prod(local factors) is a|_v with those factors
+        divided out, a Laurent polynomial for every integral class, and all
+        of a|_v when w0 (id when ``opposite``) is in the support.  A basis
+        class of a cell below an end has its support below that end too, so
+        its entries use the same sets.
+        """
+        rs = self.rs
+
+        def below(u, e):
+            return rs.bruhat_leq(e, u) if opposite else rs.bruhat_leq(u, e)
+
+        ends = []
+        for v in sorted(support, key=lambda w: (w.length, w.word), reverse=not opposite):
+            if not any(below(v, e) for e in ends):
+                ends.append(v)
+        sets = {}
+
+        def local(v):
+            keys = sets.get(v)
+            if keys is None:
+                keys = sets[v] = tuple(
+                    one_minus_e(v.act(beta))
+                    for beta in rs.positive_roots
+                    if any(below(v * rs.reflection(beta), e) for e in ends)
+                )
+            return keys
+
+        return local
 
     def from_expansion(self, expansion):
         out = self.zero()

@@ -8,12 +8,14 @@ exact integer.  Simple root ``alpha_i`` is row ``i`` of the Cartan matrix,
 whose ``[i][j]`` entry is ``<alpha_i, alpha_j_check>``.
 
 Weyl group elements are stored as the integer matrices they induce on the
-weight lattice; reduced words, lengths, and descent sets are cached per
-root system.  ``RootSystem.memo`` is the one memo of every engine built on a
-root system (K-theory, cohomology, numeric, Hirzebruch, Hecke), and
-``clear_memo`` empties it.  ``RootSystem.along_word`` is the one memoized
-recursion along a reduced word, which grows every class family; a family
-grown down from the longest element w0 stores the class of v at ``w0 * v``.
+weight lattice; reduced words and lengths are cached per root system, each
+word built from a shorter one through the cache and each length recorded as
+the element's level in the enumeration of the group.  ``RootSystem.memo`` is
+the one memo of every engine built on a root system (K-theory, cohomology,
+numeric, Hirzebruch, Hecke), and ``clear_memo`` empties it.
+``RootSystem.along_word`` is the one memoized recursion along a reduced
+word, which grows every class family; a family grown down from the longest
+element w0 stores the class of v at ``w0 * v``.
 """
 
 from __future__ import annotations
@@ -206,8 +208,8 @@ class RootSystem:
         self._identity = WeylElement(self, tuple(tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)))
         self._elements = {self._identity.mat: self._identity}
         self._simple = {}
-        self._length = {}
-        self._word = {}
+        self._length = {self._identity.mat: 0}
+        self._word = {self._identity.mat: ()}
         self._bruhat = {}
         self._memo = {}
         self._weyl = None
@@ -375,29 +377,48 @@ class RootSystem:
             self._simple[i] = self._element(mat)
         return self._simple[i]
 
+    def reflection(self, beta):
+        """The reflection s_beta of a positive root beta (fundamental-weight coordinates).
+
+        s_beta = s_i s_{s_i beta} s_i for a simple i with <beta, alpha_i^vee> > 0,
+        which lowers the height, down to a simple reflection.
+        """
+        beta = tuple(beta)
+
+        def build():
+            if beta not in self._positive_set:
+                raise RootSystemError(f"{beta} is not a positive root")
+            if beta in self._simple_roots:
+                return self.simple_reflection(self._simple_roots.index(beta) + 1)
+            i = next(j for j, b in enumerate(beta, 1) if b > 0)
+            s = self.simple_reflection(i)
+            return s * self.reflection(s.act(beta)) * s
+
+        return self.memo(("roots", "reflection", beta), build)
+
     def length(self, w):
         l = self._length.get(w.mat)
         if l is None:
-            l = sum(1 for a in self.positive_roots if not self.is_positive_root(w.act(a)))
-            self._length[w.mat] = l
+            l = self._length[w.mat] = len(self.reduced_word(w))
         return l
 
     def reduced_word(self, w):
+        """The lexicographically minimal reduced word: (i,) + word(s_i w), i the
+        smallest left descent of w, through the memo.
+
+        i is a left descent iff w^-1 alpha_i < 0 iff <w rho, alpha_i^vee> < 0,
+        and w rho is the row sums of w's matrix, so no length is needed.
+        """
         word = self._word.get(w.mat)
         if word is None:
-            parts = []
-            cur = w
-            while cur.length > 0:
-                # smallest left descent: s_i * cur shorter, i.e. cur^{-1}(alpha_i) < 0;
-                # test without inverses via length drop
-                for i in range(1, self.rank + 1):
-                    cand = self.simple_reflection(i) * cur
-                    if cand.length < cur.length:
-                        parts.append(i)
-                        cur = cand
-                        break
-            word = tuple(parts)
-            self._word[w.mat] = word
+            chain = []
+            while word is None:
+                i = next(j for j, row in enumerate(w.mat, 1) if sum(row) < 0)
+                chain.append((w.mat, i))
+                w = self.simple_reflection(i) * w
+                word = self._word.get(w.mat)
+            for mat, i in reversed(chain):
+                word = self._word[mat] = (i,) + word
         return word
 
     def from_word(self, word):
@@ -434,13 +455,17 @@ class RootSystem:
         indices = list(indices)
         found = {self._identity.mat: self._identity}
         frontier = [self._identity]
+        level = 0
         while frontier:
+            level += 1
             new = []
             for w in frontier:
                 for i in indices:
                     nxt = w * self.simple_reflection(i)
                     if nxt.mat not in found:
                         found[nxt.mat] = nxt
+                        # the length on a standard parabolic subgroup is W's
+                        self._length[nxt.mat] = level
                         new.append(nxt)
             frontier = new
         return tuple(sorted(found.values(), key=lambda w: (w.length, w.word)))

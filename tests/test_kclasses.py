@@ -1,9 +1,11 @@
 import itertools
+import json
 import random
 
 import pytest
 
 from conftest import random_kclass
+from fraction_solve_reference import expand_by_fractions
 from schubmc.kclasses import IntegralityError, ktheory
 from schubmc.laurent import (
     FactoredFraction,
@@ -12,6 +14,7 @@ from schubmc.laurent import (
     one_plus_ye,
     product_of_factors,
 )
+from schubmc.mc import dual_motivic_chern, motivic_chern
 from schubmc.roots import neg_weight, root_system
 
 
@@ -233,9 +236,65 @@ def test_expand_integrality_error():
         LaurentPolynomial.const(1, 1), (one_minus_e(rs.simple_root(1)),)
     )
     weird = kt.iota(rs.identity).scale(frac)
-    for basis in ("O", "iota"):
+    for basis in ("O", "I", "Oop", "Iop", "iota"):
         with pytest.raises(IntegralityError):
             kt.expand(weird, basis)
+
+
+def test_expand_refuses_fractional_triangular_coefficients():
+    rs = root_system("A", 2)
+    kt = ktheory(rs)
+    cls = kt.structure_sheaf(rs.simple_reflection(1))
+    assert kt.expand(cls, "iota", expect_integral=False).coeffs == cls.coeffs
+    for basis in ("O", "I", "Oop", "Iop"):
+        with pytest.raises(ValueError):
+            kt.expand(cls, basis, expect_integral=False)
+
+
+def _differential_classes(rs, kt):
+    """The classes whose expansions the local solve must reproduce."""
+    y = LaurentPolynomial.y(rs.rank)
+    s1, s2 = rs.simple_reflection(1), rs.simple_reflection(2)
+    out = [
+        # two incomparable tops, and an unreduced sum of fractions
+        kt.structure_sheaf(s1) + kt.ideal_sheaf(s2).scale(y),
+        # the class of test_expand_roundtrip_all_bases
+        kt.structure_sheaf(s1 * s2) + kt.ideal_sheaf(s1).scale(y),
+    ]
+    for w in rs.weyl_group():
+        out += [
+            motivic_chern(kt, w),
+            dual_motivic_chern(kt, w, opposite=True),
+            dual_motivic_chern(kt, w, opposite=False),
+            kt.structure_sheaf(w),
+            kt.ideal_sheaf(w),
+        ]
+    return out
+
+
+@pytest.mark.parametrize(
+    "t,r,bases",
+    [
+        ("A", 2, ("O", "I", "Oop", "Iop")),
+        ("B", 2, ("O", "I", "Oop", "Iop")),
+        ("G", 2, ("O", "I", "Oop", "Iop")),
+        ("A", 3, ("O",)),
+    ],
+)
+def test_local_solve_matches_fraction_solve(t, r, bases):
+    rs = root_system(t, r)
+    kt = ktheory(rs)
+    for basis in bases:
+        for cls in _differential_classes(rs, kt):
+            try:
+                want = expand_by_fractions(kt, cls, basis)
+            except IntegralityError:
+                with pytest.raises(IntegralityError):
+                    kt.expand(cls, basis)
+                continue
+            got = kt.expand(cls, basis)
+            assert list(got.coeffs.items()) == list(want.coeffs.items())
+            assert json.dumps(got.to_json_obj()) == json.dumps(want.to_json_obj())
 
 
 def test_top_coefficient_formula():

@@ -94,6 +94,63 @@ def test_reduced_words_and_length():
                 )
 
 
+def _descent_chain_words(rs):
+    """Each element's (word, length) by the route the word memo replaced.
+
+    The length counts the positive roots an element makes negative, and the
+    word walks the element's whole chain of smallest left descents, each
+    found by trying s_i * cur for a length drop.
+    """
+    lengths = {}
+
+    def length(w):
+        if w not in lengths:
+            lengths[w] = sum(1 for a in rs.positive_roots if not rs.is_positive_root(w.act(a)))
+        return lengths[w]
+
+    out = {}
+    for w in rs.weyl_group():
+        parts, cur = [], w
+        while length(cur) > 0:
+            for i in range(1, rs.rank + 1):
+                cand = rs.simple_reflection(i) * cur
+                if length(cand) < length(cur):
+                    parts.append(i)
+                    cur = cand
+                    break
+        out[w] = (tuple(parts), length(w))
+    return out
+
+
+@pytest.mark.parametrize(
+    "t,r", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4)]
+)
+def test_memoized_words_match_descent_chains(t, r):
+    rs = RootSystem(t, r)
+    W = rs.weyl_group()
+    want = _descent_chain_words(rs)
+    assert len(want) == len(W)
+    assert [(w.word, w.length) for w in W] == [want[w] for w in W]
+    assert list(W) == sorted(W, key=lambda w: (want[w][1], want[w][0]))
+    # elements made outside the enumeration get the same words and lengths
+    fresh = RootSystem(t, r)
+    for w in W[:: max(1, len(W) // 40)]:
+        v = fresh.from_word(w.word)
+        assert (v.word, v.length) == want[w]
+
+
+@pytest.mark.parametrize("t,r", [("A", 3), ("B", 3), ("G", 2), ("D", 4)])
+def test_reflection_is_the_conjugate_simple_reflection(t, r):
+    rs = root_system(t, r)
+    for w in rs.weyl_group():
+        for i in range(1, r + 1):
+            beta = w.act(rs.simple_root(i))
+            if rs.is_positive_root(beta):
+                assert rs.reflection(beta) is w * rs.simple_reflection(i) * w.inverse()
+    with pytest.raises(RootSystemError):
+        rs.reflection(tuple(-x for x in rs.simple_root(1)))
+
+
 def test_length_complement():
     rs = root_system("B", 2)
     w0 = rs.longest_element()

@@ -35,6 +35,18 @@ over the positive roots at every fixed point.  ``Cohomology.expand``
 is the layer's result boundary and returns ``Fraction`` coefficients, the
 one canonical form of its output.
 
+The Schubert expansion of a CSM class (``csm_expansion``) does not go
+through ``expand``: ``Cohomology.csm_schubert`` runs the twisted recursion
+on the Schubert coefficients themselves.  The divided difference shifts the
+basis, bgg(i, X(v)) = X(v s_i) when v s_i > v and 0 otherwise; s_i a =
+a + L_i bgg(i, a) with L_i|_u = form(u alpha_i); and the equivariant
+Chevalley formula L_i X(x) = form(x alpha_i) X(x) - sum <alpha_i, beta^vee>
+X(x s_beta), over the covers x s_beta of x, expands the product
+(``Cohomology.chevalley``).  A step is one linear-times-polynomial product
+per term and integer multiples, with no Schubert restriction and no
+division.  ``expand``, the general GKM triangular solve, is its
+independent cross-check.
+
 The numeric engine evaluates classes at a generic rational point of the
 parameter space; any pairing whose value is a degree-zero constant is
 computed exactly this way.  ``SchubertCalculus`` runs on G/B as the
@@ -307,6 +319,75 @@ class Cohomology(GKMEngine):
         """Homogenized CSM class of the cell of w, by the twisted recursion."""
         return self.rs.along_word(self.prefix + ("csm",), w, self.point_class, self.dl_coh)
 
+    def csm_schubert(self, w):
+        """Schubert coefficients of ``csm(w)`` by the same recursion, run on
+        the coefficients: a dict from cells to polynomials with ``int``
+        coefficients."""
+        return self.rs.along_word(
+            self.prefix + ("csmX",), w, lambda e: {e: self.one}, self.dl_schubert
+        )
+
+    def chevalley(self, x, i):
+        """``(hbar - L_i) X(x)`` in the Schubert basis, L_i|_u = form(u alpha_i).
+
+        Returns ``(hbar - form(x alpha_i), ((y, k), ...))``: the coefficient
+        of X(x), and the integer coefficient k = <alpha_i, beta^vee> of each
+        cover y = x s_beta below x, by the equivariant Chevalley formula
+        L_i X(x) = form(x alpha_i) X(x) - sum k X(x s_beta).
+        """
+
+        def build():
+            rs = self.rs
+            covers = []
+            for beta in rs.positive_roots:
+                if rs.is_positive_root(x.act(beta)):
+                    continue
+                ref = rs.reflection(beta)
+                y = x * ref
+                if y.length != x.length - 1:
+                    continue
+                # s_beta alpha_j = alpha_j - <alpha_j, beta^vee> beta
+                j = next(j for j, b in enumerate(beta) if b)
+                pairs = tuple(
+                    (rs.simple_root(i)[j] - ref.act(rs.simple_root(i))[j]) // beta[j]
+                    for i in range(1, rs.rank + 1)
+                )
+                covers.append((y, pairs))
+            return tuple(
+                (
+                    self.hbar() - self.form(x.act(rs.simple_root(i))),
+                    tuple((y, pairs[i - 1]) for y, pairs in covers if pairs[i - 1]),
+                )
+                for i in range(1, rs.rank + 1)
+            )
+
+        return self.memo(("chevalley", x), build)[i - 1]
+
+    def dl_schubert(self, i, a):
+        """``dl_coh`` on Schubert coefficients.
+
+        With ``s_i a = a + L_i bgg(i, a)`` the operator is
+        ``(hbar - L_i) bgg(i, a) - a``; ``bgg(i, X(v))`` is X(v s_i) when
+        v s_i > v and 0 otherwise, and ``chevalley`` expands the product.
+        """
+        s = self.rs.simple_reflection(i)
+        out = {v: -c for v, c in a.items()}
+        for v, c in a.items():
+            x = v * s
+            if x.length < v.length:
+                continue
+            lin, covers = self.chevalley(x, i)
+            terms = [(x, c * lin)]
+            terms += [(y, c * k) for y, k in covers]
+            for y, p in terms:
+                q = out.get(y)
+                q = p if q is None else q + p
+                if q:
+                    out[y] = q
+                else:
+                    out.pop(y, None)
+        return out
+
     def csm_opposite(self, w):
         return self.memo(
             ("csmY", w), lambda: self.w0_twist(self.csm(self.rs.longest_element() * w))
@@ -460,8 +541,19 @@ def csm_from_mc_equivariant(kt, ctx, w):
 
 
 def csm_expansion(ctx, w):
-    """Schubert coefficients of the homogenized CSM class (recursion route)."""
-    return ctx.memo(("csmexp", w), lambda: ctx.expand(ctx.csm(w)))
+    """Schubert coefficients of the homogenized CSM class (recursion route).
+
+    The recursion runs on the Schubert coefficients (``csm_schubert``); this
+    is its result boundary, where the coefficients become ``Fraction``s, as
+    out of ``Cohomology.expand``, in its order: by (length, word), descending.
+    """
+
+    def build():
+        coeffs = ctx.csm_schubert(w)
+        cells = sorted(coeffs, key=lambda u: (u.length, u.word), reverse=True)
+        return {u: coeffs[u].map_coefficients(Fraction) for u in cells}
+
+    return ctx.memo(("csmexp", w), build)
 
 
 def csm_vector(kt, w):
@@ -625,11 +717,16 @@ class SchubertCalculus:
         return {u: c for u, c in csm_vector(kt, w).items() if u in self._cell_set}
 
     def total_chern(self, kt):
-        out = {}
-        for w in self.cells:
-            for u, c in self.csm(kt, w).items():
-                out[u] = out.get(u, 0) + c
-        return {u: c for u, c in out.items() if c}
+        """The total Chern class of the space, the sum of its cells' CSM vectors."""
+
+        def build():
+            out = {}
+            for w in self.cells:
+                for u, c in self.csm(kt, w).items():
+                    out[u] = out.get(u, 0) + c
+            return {u: c for u, c in out.items() if c}
+
+        return self.rs.memo(("coh", "totalchern", self.parabolic.subset), build)
 
     def sm_of_opposite(self, kt, u):
         """SM class of the opposite cell of u, in the Schubert-variety basis."""

@@ -201,6 +201,43 @@ def test_csm_route_agreement(t, r):
             assert p.evaluate(zeros) == ne.get(u, 0)
 
 
+def _assert_fraction_expansion(got, want):
+    assert set(got) == set(want)
+    for u, p in want.items():
+        assert got[u] == p, u.name()
+        assert all(type(c) is F for c in got[u].packed.values()), u.name()
+
+
+@pytest.mark.parametrize(
+    "t,r,cells",
+    [("A", 1, None), ("A", 2, None), ("B", 2, None), ("C", 2, None), ("G", 2, None),
+     ("A", 3, None), ("B", 3, "w0")],
+)
+def test_csm_schubert_recursion_equals_gkm_solve(t, r, cells):
+    # the production route runs the recursion on Schubert coefficients; the
+    # triangular solve of the fixed-point CSM class is its independent check
+    rs = RootSystem(t, r)
+    ctx = cohomology(rs)
+    for w in rs.weyl_group() if cells is None else [rs.parse_element(cells)]:
+        _assert_fraction_expansion(csm_expansion(ctx, w), ctx.expand(ctx.csm(w)))
+
+
+@pytest.mark.parametrize("t,r", [("A", 2), ("B", 2), ("G", 2), ("A", 3)])
+def test_chevalley_formula_matches_gkm_expansion(t, r):
+    rs = RootSystem(t, r)
+    ctx = cohomology(rs)
+    cells = rs.weyl_group()
+    for i in range(1, r + 1):
+        alpha = rs.simple_root(i)
+        hbar_minus_l = CohClass(ctx, {u: ctx.hbar() - ctx.form(u.act(alpha)) for u in cells})
+        for x in cells:
+            lin, covers = ctx.chevalley(x, i)
+            basis_side = {x: lin.map_coefficients(F)}
+            basis_side.update((y, Poly.const(F(k), ctx.nvars)) for y, k in covers)
+            want = ctx.expand(hbar_minus_l * ctx.schubert_class(x))
+            _assert_fraction_expansion(basis_side, want)
+
+
 def test_csm_point():
     rs = root_system("A", 2)
     ctx = cohomology(rs)

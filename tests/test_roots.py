@@ -317,6 +317,7 @@ def _word_families(rs):
         "k/MCdualX": (("k", "MCdualX"), lambda w: dual_motivic_chern(kt, w, opposite=False)),
         "coh/X": (("coh", "X"), coh.schubert_class),
         "coh/csm": (("coh", "csm"), coh.csm),
+        "coh/csmX": (("coh", "csmX"), coh.csm_schubert),
         "hecke/T": (("hecke", "T"), lambda w: t_word(rs, w)),
         "num/X": (("num", num.alphas, "X"), num.schubert),
         # grown down from w0: the class of v is stored at w0 * v

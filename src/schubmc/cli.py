@@ -226,8 +226,7 @@ def cmd_csm(args):
     pd = _parabolic(rs, args.parabolic)
     varnames = [f"a{i}" for i in range(1, rs.rank + 1)] + ["h"]
     if args.nonequivariant:
-        kt = ktheory(rs)
-        vec = csm_vector(kt, w)
+        vec = csm_vector(cohomology(rs), w)
         if pd is not None:
             keep = set(pd.min_reps)
             vec = {u: c for u, c in vec.items() if u in keep}

@@ -3,8 +3,8 @@
 Classes are maps from fixed points to polynomials in the simple roots and a
 degree-one formal variable (the homogenizing parameter, always the last
 variable).  Divided differences and their twisted variants act pointwise;
-CSM classes are produced by the twisted recursion and, as an independent
-route, extracted from motivic Chern classes by the leading-term procedure.
+CSM classes are produced by the twisted recursion; their leading-term route
+from motivic Chern classes is in ``mc``, and this layer imports no K-theory.
 
 ``GKMEngine`` is the fixed-point machinery every localization engine shares:
 Euler classes, the divided difference ``bgg`` and ``localize``, the one
@@ -45,7 +45,8 @@ X(x s_beta), over the covers x s_beta of x, expands the product
 (``Cohomology.chevalley``).  A step is one linear-times-polynomial product
 per term and integer multiples, with no Schubert restriction and no
 division.  ``expand``, the general GKM triangular solve, is its
-independent cross-check.
+independent cross-check.  ``csm_vector``, the non-equivariant CSM class
+that ``SchubertCalculus`` and the sweeps use, is its alpha-free part.
 
 The numeric engine evaluates classes at a generic rational point of the
 parameter space; any pairing whose value is a degree-zero constant is
@@ -57,8 +58,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .laurent import LaurentPolynomial, YPolynomial, divide_exact
-from .polyring import Poly, exp_linear
+from .laurent import YPolynomial
+from .polyring import Poly
 from .roots import RootSystemError, neg_weight, triangular_solve
 
 
@@ -493,53 +494,6 @@ def cohomology(rs):
     return rs.memo(("coh",), lambda: Cohomology(rs))
 
 
-# -- CSM extraction from motivic Chern classes ------------------------------------------
-
-
-def csm_from_mc_nonequivariant(kt, w):
-    """Integer CSM coefficients by divide-then-specialize on MC coefficients."""
-    from .mc import motivic_chern
-
-    exp = kt.expand(motivic_chern(kt, w), "O")
-    rank = kt.rs.rank
-    one_plus_y = LaurentPolynomial({((0,) * rank, 0): 1, ((0,) * rank, 1): 1}, rank)
-    out = {}
-    for u, c in exp.coeffs.items():
-        p = c.substitute_nonequivariant().to_laurent(rank)
-        for _ in range(u.length):
-            q = divide_exact(p, one_plus_y)
-            if q is None:
-                raise GKMError(f"coefficient at {u.name()} not divisible by (1+y)^len")
-            p = q
-        val = p.y_specialize(-1)
-        const = val.terms.get(((0,) * rank, 0), 0)
-        out[u] = const
-    return out
-
-
-def csm_from_mc_equivariant(kt, ctx, w):
-    """Leading terms of the equivariant MC coefficients, with y = -exp(-hbar).
-
-    Returns the map u -> homogeneous polynomial of degree length(u) in the
-    simple roots and the homogenizing variable.
-    """
-    from .mc import motivic_chern
-
-    exp = kt.expand(motivic_chern(kt, w), "O")
-    out = {}
-    for u, c in exp.coeffs.items():
-        cap = u.length
-        total = None
-        for (lam, k), coeff in c.terms.items():
-            linear = ctx.form(lam) - ctx.hbar() * Fraction(k)
-            series = exp_linear(linear, cap)
-            sign = Fraction(coeff) * (-1) ** k
-            comp = series.component(cap) * sign
-            total = comp if total is None else total + comp
-        out[u] = total if total is not None else Poly.zero(ctx.nvars)
-    return out
-
-
 def csm_expansion(ctx, w):
     """Schubert coefficients of the homogenized CSM class (recursion route).
 
@@ -550,15 +504,29 @@ def csm_expansion(ctx, w):
 
     def build():
         coeffs = ctx.csm_schubert(w)
-        cells = sorted(coeffs, key=lambda u: (u.length, u.word), reverse=True)
-        return {u: coeffs[u].map_coefficients(Fraction) for u in cells}
+        return {u: coeffs[u].map_coefficients(Fraction) for u in _descending(coeffs)}
 
     return ctx.memo(("csmexp", w), build)
 
 
-def csm_vector(kt, w):
-    """Non-equivariant CSM Schubert coefficients as plain integers."""
-    return kt.rs.memo(("coh", "csmvec", w), lambda: csm_from_mc_nonequivariant(kt, w))
+def csm_vector(ctx, w):
+    """Non-equivariant CSM Schubert coefficients as plain integers, in the
+    order of ``csm_expansion``: the coefficient of X(u) in ``csm_schubert``
+    is homogeneous of degree l(u), and its alpha-free term c hbar^l(u)
+    gives c, its value at alpha = 0 and hbar = 1."""
+    point = [0] * ctx.rs.rank + [1]
+
+    def build():
+        coeffs = ctx.csm_schubert(w)
+        values = ((u, coeffs[u].evaluate(point)) for u in _descending(coeffs))
+        return {u: c for u, c in values if c}
+
+    return ctx.memo(("csmvec", w), build)
+
+
+def _descending(coeffs):
+    """The cells of a Schubert expansion by (length, word), descending."""
+    return sorted(coeffs, key=lambda u: (u.length, u.word), reverse=True)
 
 
 # -- numeric engine for constant pairings ----------------------------------------------
@@ -712,67 +680,65 @@ class SchubertCalculus:
                     out[x] = out.get(x, 0) + ca * cb * n
         return {c: v for c, v in out.items() if v}
 
-    def csm(self, kt, w):
+    def csm(self, w):
         """CSM vector of the cell of w (w any element; coefficients restrict)."""
-        return {u: c for u, c in csm_vector(kt, w).items() if u in self._cell_set}
+        return {u: c for u, c in csm_vector(cohomology(self.rs), w).items() if u in self._cell_set}
 
-    def total_chern(self, kt):
+    def total_chern(self):
         """The total Chern class of the space, the sum of its cells' CSM vectors."""
 
         def build():
             out = {}
             for w in self.cells:
-                for u, c in self.csm(kt, w).items():
+                for u, c in self.csm(w).items():
                     out[u] = out.get(u, 0) + c
             return {u: c for u, c in out.items() if c}
 
         return self.rs.memo(("coh", "totalchern", self.parabolic.subset), build)
 
-    def sm_of_opposite(self, kt, u):
+    def sm_of_opposite(self, u):
         """SM class of the opposite cell of u, in the Schubert-variety basis."""
-        w0u = self.opposite_label(u)
-        csm = self.csm(kt, w0u)
-        return {v: c * (-1) ** ((w0u.length - v.length) % 2) for v, c in csm.items()}
+        return self.sm_of_cell(self.opposite_label(u))
 
-    def sm_of_cell(self, kt, u):
-        csm = self.csm(kt, u)
+    def sm_of_cell(self, u):
+        csm = self.csm(u)
         return {v: c * (-1) ** ((u.length - v.length) % 2) for v, c in csm.items()}
 
-    def expand_in_sm_basis(self, kt, vec):
+    def expand_in_sm_basis(self, vec):
         """Triangular solve against the SM vectors of cells (diagonal 1)."""
 
         def solve(pivot, value):
-            if self.sm_of_cell(kt, pivot).get(pivot) != 1:
+            if self.sm_of_cell(pivot).get(pivot) != 1:
                 raise GKMError("SM basis diagonal is not 1")
             return value
 
         return triangular_solve(
             vec,
             max,
-            lambda w: self.sm_of_cell(kt, w),
+            self.sm_of_cell,
             solve,
             lambda cur, b, c: (cur - c * b) or None,
             0,
             GKMError,
         )
 
-    def sm_structure_constants(self, kt, u, v):
+    def sm_structure_constants(self, u, v):
         """Coefficients e of the SM product of two opposite cells."""
-        su = self.sm_of_opposite(kt, u)
-        sv = self.sm_of_opposite(kt, v)
+        su = self.sm_of_opposite(u)
+        sv = self.sm_of_opposite(v)
         prod = self.multiply(su, sv)
-        exp = self.expand_in_sm_basis(kt, prod)
+        exp = self.expand_in_sm_basis(prod)
         # the basis element at z is the SM vector of the cell of z, which is
         # the SM class of the opposite cell of w0 z (restricted to cells)
         return {self.opposite_label(z): c for z, c in exp.items()}
 
-    def richardson_csm(self, kt, u, v):
+    def richardson_csm(self, u, v):
         """CSM vector of the intersection of the opposite cell of u with the
         cell of v, expanded over opposite Schubert varieties."""
-        s1 = self.sm_of_opposite(kt, u)
-        s2 = self.sm_of_cell(kt, v)
+        s1 = self.sm_of_opposite(u)
+        s2 = self.sm_of_cell(v)
         prod = self.multiply(s1, s2)
-        total = self.multiply(prod, self.total_chern(kt))
+        total = self.multiply(prod, self.total_chern())
         # re-express over opposite varieties: [Y(w)] = [X(w0 w)]
         return {self.opposite_label(c): val for c, val in total.items()}
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .cohomology import SchubertCalculus, csm_vector, h_polynomial
+from .cohomology import SchubertCalculus, cohomology, csm_expansion, csm_vector, h_polynomial
 from .kclasses import ktheory
 from .laurent import check_log_concave, check_unimodal, has_internal_zeros
 from .mc import _sign, coefficients_in_negative_cone, motivic_chern
@@ -110,7 +110,7 @@ def check_csm_positivity(rs, parabolic=None, equivariant=False):
     coefficients are collected separately from negative ones.
     """
     t0 = time.time()
-    kt = ktheory(rs)
+    ctx = cohomology(rs)
     pd = rs.parabolic(parabolic) if parabolic else None
     cells = pd.min_reps if pd else rs.weyl_group()
     label = tuple(parabolic) if parabolic else ()
@@ -118,11 +118,8 @@ def check_csm_positivity(rs, parabolic=None, equivariant=False):
     minset = set(cells)
     zeros = []
     if equivariant:
-        from .cohomology import cohomology, csm_expansion
-
         # The positivity statement lives in the parameter convention opposite
         # to the one our display values fix, so flip the root variables first.
-        ctx = cohomology(rs)
         for w in cells:
             for u, p in csm_expansion(ctx, w).items():
                 if u not in minset:
@@ -140,7 +137,7 @@ def check_csm_positivity(rs, parabolic=None, equivariant=False):
                     )
     else:
         for w in cells:
-            vec = csm_vector(kt, w)
+            vec = csm_vector(ctx, w)
             for u in cells:
                 if not rs.bruhat_leq(u, w):
                     continue
@@ -159,7 +156,7 @@ def check_csm_positivity(rs, parabolic=None, equivariant=False):
 def check_h_unimodality(rs, parabolic=None):
     """Unimodality (and in type A, log concavity) of variety H-polynomials."""
     t0 = time.time()
-    kt = ktheory(rs)
+    ctx = cohomology(rs)
     pd = rs.parabolic(parabolic) if parabolic else None
     cells = pd.min_reps if pd else rs.weyl_group()
     minset = set(cells)
@@ -169,7 +166,7 @@ def check_h_unimodality(rs, parabolic=None):
         total = {}
         for v in cells:
             if rs.bruhat_leq(v, w):
-                for u, c in csm_vector(kt, v).items():
+                for u, c in csm_vector(ctx, v).items():
                     if u in minset:
                         total[u] = total.get(u, 0) + c
         H = h_polynomial(total)
@@ -188,7 +185,6 @@ def check_h_unimodality(rs, parabolic=None):
 def check_euler_alternation(rs, parabolic=None):
     """Alternating signs of SM structure constants, with the sum-rule audit."""
     t0 = time.time()
-    kt = ktheory(rs)
     pd = rs.parabolic(parabolic) if parabolic else None
     calc = SchubertCalculus(rs, pd)
     cells = list(calc.cells)
@@ -200,7 +196,7 @@ def check_euler_alternation(rs, parabolic=None):
     for u in cells:
         w0u = calc.opposite_label(u)
         for v in cells:
-            e = calc.sm_structure_constants(kt, u, v)
+            e = calc.sm_structure_constants(u, v)
             for w, c in e.items():
                 if _sign(u.length + v.length + w.length) * c < 0:
                     rep.counterexamples.append(
@@ -218,7 +214,6 @@ def check_euler_alternation(rs, parabolic=None):
 def check_richardson_positivity(rs):
     """Schubert positivity of CSM classes of intersections of opposite cells."""
     t0 = time.time()
-    kt = ktheory(rs)
     calc = SchubertCalculus(rs)
     cells = list(calc.cells)
     rep = ConjectureReport(
@@ -226,7 +221,7 @@ def check_richardson_positivity(rs):
     )
     for u in cells:
         for v in cells:
-            f = calc.richardson_csm(kt, u, v)
+            f = calc.richardson_csm(u, v)
             for w, c in f.items():
                 if c < 0:
                     rep.counterexamples.append(

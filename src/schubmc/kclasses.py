@@ -360,7 +360,7 @@ class KTheory:
 
     def ideal_sheaf(self, w):
         return self.rs.along_word(
-            ("k", "I"), w, self.iota, lambda i, prev: self.demazure(i, prev) - prev
+            ("k", "I"), w, self.iota, lambda i, prev: (self.demazure(i, prev) - prev).reduce()
         )
 
     def w0_twist(self, a):

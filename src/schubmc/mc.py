@@ -3,21 +3,29 @@ star duality, chi_y genera, and push-forwards to partial flag manifolds.
 
 Every operator-word class is grown by ``RootSystem.along_word``; the dual
 class of an opposite cell is grown down from w0 and stored at ``w0 * w``.
+
+The ``csm_from_mc_*`` functions take CSM classes as leading terms of MC
+classes, the paper's route; the program's CSM classes come from the
+recursion in ``cohomology``, and these are its independent cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
+from .cohomology import GKMError
 from .kclasses import KClass, Space
 from .laurent import (
     FactoredFraction,
     LaurentPolynomial,
     YPolynomial,
+    divide_exact,
     one_minus_e,
     one_plus_ye,
     product_of_factors,
 )
+from .polyring import Poly, exp_linear
 from .roots import ParabolicDatum, neg_weight
 
 
@@ -31,6 +39,37 @@ class ConventionError(AssertionError):
 def motivic_chern(kt, w):
     """MC_y of the cell indexed by w, by the Demazure-Lusztig recursion."""
     return kt.rs.along_word(("k", "MC"), w, kt.iota, kt.dl_operator)
+
+
+def csm_from_mc_nonequivariant(kt, w):
+    """Integer CSM coefficients by divide-then-specialize on MC coefficients."""
+    rank = kt.rs.rank
+    one_plus_y = LaurentPolynomial({((0,) * rank, 0): 1, ((0,) * rank, 1): 1}, rank)
+    out = {}
+    for u, c in kt.expand(motivic_chern(kt, w), "O").coeffs.items():
+        p = c.substitute_nonequivariant().to_laurent(rank)
+        for _ in range(u.length):
+            p = divide_exact(p, one_plus_y)
+            if p is None:
+                raise GKMError(f"coefficient at {u.name()} not divisible by (1+y)^len")
+        out[u] = p.y_specialize(-1).terms.get(((0,) * rank, 0), 0)
+    return out
+
+
+def csm_from_mc_equivariant(kt, ctx, w):
+    """Leading terms of the equivariant MC coefficients, with y = -exp(-hbar).
+
+    Returns the map u -> homogeneous polynomial of degree length(u) in the
+    simple roots and the homogenizing variable.
+    """
+    out = {}
+    for u, c in kt.expand(motivic_chern(kt, w), "O").coeffs.items():
+        total = Poly.zero(ctx.nvars)
+        for (lam, k), coeff in c.terms.items():
+            series = exp_linear(ctx.form(lam) - ctx.hbar() * Fraction(k), u.length)
+            total = total + series.component(u.length) * (Fraction(coeff) * (-1) ** k)
+        out[u] = total
+    return out
 
 
 def dual_motivic_chern(kt, w, opposite=True):

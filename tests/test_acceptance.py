@@ -17,7 +17,6 @@ from schubmc.cohomology import (
     SchubertCalculus,
     cohomology,
     csm_expansion,
-    csm_from_mc_equivariant,
     csm_vector,
     h_polynomial,
 )
@@ -251,8 +250,7 @@ def test_criterion_09_csm():
     ok = ok and exp1[s] == Poly.linear([F(-1), F(1)]) and exp1[rs1.identity] == Poly.const(1, 2)
     # rank 2 integers
     rs2 = root_system("A", 2)
-    kt2 = ktheory(rs2)
-    vec = csm_vector(kt2, rs2.element_by_name("s1s2"))
+    vec = csm_vector(cohomology(rs2), rs2.element_by_name("s1s2"))
     ok = ok and {u.name(): c for u, c in vec.items()} == {"s1s2": 1, "s1": 1, "s2": 2, "id": 1}
     # route agreement in B2
     rsb = root_system("B", 2)
@@ -260,7 +258,7 @@ def test_criterion_09_csm():
     ktb = ktheory(rsb)
     for w in rsb.weyl_group():
         rec = csm_expansion(ctxb, w)
-        ext = csm_from_mc_equivariant(ktb, ctxb, w)
+        ext = M.csm_from_mc_equivariant(ktb, ctxb, w)
         ok = ok and set(rec) == set(ext) and all(rec[u] == ext[u] for u in rec)
     _report(9, "CSM worked values and recursion/extraction agreement", ok, t0, 300.0)
 
@@ -268,9 +266,8 @@ def test_criterion_09_csm():
 def test_criterion_10_sm_structure_constants():
     t0 = time.time()
     rs = root_system("G", 2)
-    kt = ktheory(rs)
     calc = SchubertCalculus(rs)
-    e = calc.sm_structure_constants(kt, rs.identity, rs.identity)
+    e = calc.sm_structure_constants(rs.identity, rs.identity)
     want = {
         "id": 1, "s1": -1, "s2": -1, "s2s1": 2, "s1s2": 4, "s1s2s1": -9,
         "s2s1s2": -11, "s2s1s2s1": 22, "s1s2s1s2": 34, "s1s2s1s2s1": -57,
@@ -279,12 +276,11 @@ def test_criterion_10_sm_structure_constants():
     ok = {w.name(): c for w, c in e.items()} == want and sum(e.values()) == 0
     for t, r in [("A", 2), ("G", 2)]:
         rsx = root_system(t, r)
-        ktx = ktheory(rsx)
         calcx = SchubertCalculus(rsx)
         w0 = rsx.longest_element()
         for u in rsx.weyl_group():
             for v in rsx.weyl_group():
-                ex = calcx.sm_structure_constants(ktx, u, v)
+                ex = calcx.sm_structure_constants(u, v)
                 ok = ok and sum(ex.values()) == (1 if w0 * u == v else 0)
     _report(10, "SM structure constants: 12 integers and all sum rules", ok, t0, 600.0)
 
@@ -297,23 +293,23 @@ def test_criterion_11_h_polynomials():
         w for w in pd.min_reps
         if w.length == 3 and sum(1 for v in pd.min_reps if rs.bruhat_leq(v, w)) == 5
     ][0]
-    kt = ktheory(rs)
+    ctx = cohomology(rs)
     reps = set(pd.min_reps)
     tot = {}
     for v in pd.min_reps:
         if rs.bruhat_leq(v, target):
-            for u, c in csm_vector(kt, v).items():
+            for u, c in csm_vector(ctx, v).items():
                 if u in reps:
                     tot[u] = tot.get(u, 0) + c
     H1 = h_polynomial(tot)
     ok = H1 == YPolynomial([5, 8, 6, 1]) and check_log_concave(H1)
     rsb = root_system("B", 3)
-    ktb = ktheory(rsb)
+    ctxb = cohomology(rsb)
     pdb = rsb.parabolic([2, 3])
     repsb = set(pdb.min_reps)
     totb = {}
     for w in pdb.min_reps:
-        for u, c in csm_vector(ktb, w).items():
+        for u, c in csm_vector(ctxb, w).items():
             if u in repsb:
                 totb[u] = totb.get(u, 0) + c
     H2 = h_polynomial(totb)

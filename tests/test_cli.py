@@ -42,6 +42,10 @@ def run_cli(args, tmp_path, name="out.json"):
             "hz_a2_s1s2_norm.json",
         ),
         (["csm", "--type", "B2", "--cell", "w0"], "csm_b2_w0.json"),
+        (
+            ["csm", "--type", "B3", "--cell", "w0", "--nonequivariant"],
+            "csm_b3_w0_noneq.json",
+        ),
     ],
 )
 def test_golden_files(args, golden, tmp_path):

@@ -76,29 +76,44 @@ def _cache_path(kind, key):
     root = os.environ.get("SCHUBMC_CACHE_DIR")
     if not root:
         return None
-    os.makedirs(root, exist_ok=True)
+    try:
+        os.makedirs(root, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use SCHUBMC_CACHE_DIR {root}: {exc.strerror}")
     # a file written by another version or schema hashes elsewhere: never served
     stamped = f"schubmc {__version__} schema {_CACHE_SCHEMA}\n{key}"
     digest = hashlib.sha256(stamped.encode()).hexdigest()[:24]
     return os.path.join(root, f"{kind}-{digest}.json")
 
 
+# the keys of every payload of ``cmd_mc``, the one cached command
+_PAYLOAD_KEYS = frozenset({"space", "cell", "basis", "coeffs"})
+
+
 def _cached_json(kind, key, builder):
-    """The cached payload, or builder() when the cache file is missing or unreadable."""
+    """The cached payload, or builder() when the cache file is missing,
+    unreadable or not a payload."""
     path = _cache_path(kind, key)
     if path:
         try:
             with open(path) as fh:
-                return json.load(fh)
+                payload = json.load(fh)
+            if isinstance(payload, dict) and _PAYLOAD_KEYS <= payload.keys():
+                return payload
         except (FileNotFoundError, ValueError):
             pass
+        except OSError as exc:
+            raise ConfigError(f"cannot read cache file {path}: {exc.strerror}")
     payload = builder()
     if path:
         # a reader never sees a partly written file
         tmp = f"{path}.{os.getpid()}.tmp"
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "w") as fh:
+                json.dump(payload, fh, indent=2)
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise ConfigError(f"cannot write cache file {path}: {exc.strerror}")
     return payload
 
 

@@ -23,12 +23,15 @@ the K-theory classes (``kclasses.KClass``, whose context is a ``Space``):
 sums, products, scaling, coefficient maps, coefficient-wise equality and the
 guard that refuses to combine classes of two engines (of two root systems,
 for ``HClass``).  Every class family, the numeric one too, is grown along a
-reduced word by ``RootSystem.along_word``.
+reduced word by ``RootSystem.along_word``.  The operators act on the right,
+so they commute with left translation by w0: every opposite family (the
+opposite Schubert, CSM and dual CSM classes) is grown down from the point
+class at w0 by its own forward step.
 
 Restrictions are polynomials with ``int`` coefficients.  Roots have integer,
 coprime simple-root coordinates, so every divided difference and every
 localization sum that clears to a polynomial divides exactly over the
-integers: Schubert, CSM and dual CSM classes, their opposite twists and
+integers: Schubert, CSM and dual CSM classes, their opposite classes and
 their Schubert expansions all stay in Z[alpha, hbar].  A Segre-MacPherson
 pairing divides by c(T) c(T*), which is the same product of (1 - gamma^2)
 over the positive roots at every fixed point.  ``Cohomology.expand``
@@ -50,8 +53,10 @@ that ``SchubertCalculus`` and the sweeps use, is its alpha-free part.
 
 The numeric engine evaluates classes at a generic rational point of the
 parameter space; any pairing whose value is a degree-zero constant is
-computed exactly this way.  ``SchubertCalculus`` runs on G/B as the
-parabolic of no simple roots, so G/B and G/P share one route.
+computed exactly this way.  ``SchubertCalculus`` takes its structure
+constants from G/B for G/P too: the pull-back G/B -> G/P is an injective
+ring map taking each G/P Schubert class to the G/B class of the same minimal
+representative (Kostant-Kumar), so G/B and G/P share one table of rows.
 """
 
 from __future__ import annotations
@@ -282,38 +287,16 @@ class Cohomology(GKMEngine):
         second = self.si_auto(i, a)
         return first + second if dual else first - second
 
-    def w0_images(self):
-        """Substitution images of the variables under the longest element.
-
-        The variable alpha_j maps to the expansion of w0(alpha_j); this is
-        independent of the global sign convention in ``form``.
-        """
-
-        def build():
-            w0 = self.rs.longest_element()
-            images = [
-                self.root_variable_form(w0.act(self.rs.simple_root(j)))
-                for j in range(1, self.rs.rank + 1)
-            ]
-            return images + [self.hbar()]
-
-        return self.memo(("w0sub",), build)
-
-    def w0_twist(self, a):
-        w0 = self.rs.longest_element()
-        images = self.w0_images()
-        return CohClass(
-            self, {w0 * u: p.substitute_linear(images) for u, p in a.coeffs.items()}
-        )
-
     # -- distinguished classes ---------------------------------------------------
 
     def schubert_class(self, w):
         return self.rs.along_word(self.prefix + ("X",), w, self.point_class, self.bgg)
 
-    def opposite_schubert_class(self, w):
-        return self.memo(
-            ("Y", w), lambda: self.w0_twist(self.schubert_class(self.rs.longest_element() * w))
+    def opposite_schubert_class(self, v):
+        """The opposite Schubert class of v, grown down from the point class at w0."""
+        w0 = self.rs.longest_element()
+        return self.rs.along_word(
+            self.prefix + ("Y",), w0 * v, lambda _: self.point_class(w0), self.bgg
         )
 
     def csm(self, w):
@@ -389,9 +372,12 @@ class Cohomology(GKMEngine):
                     out.pop(y, None)
         return out
 
-    def csm_opposite(self, w):
-        return self.memo(
-            ("csmY", w), lambda: self.w0_twist(self.csm(self.rs.longest_element() * w))
+    def csm_opposite(self, v):
+        """Homogenized CSM class of the opposite cell of v, grown down from
+        the point class at w0 by the twisted recursion."""
+        w0 = self.rs.longest_element()
+        return self.rs.along_word(
+            self.prefix + ("csmY",), w0 * v, lambda _: self.point_class(w0), self.dl_coh
         )
 
     def sm(self, w, opposite=False):
@@ -538,8 +524,8 @@ class NumericCohomology(GKMEngine):
     """GKM classes evaluated at a fixed generic rational parameter point.
 
     The values are those of ``Cohomology`` at the simple roots ``-alphas``
-    and hbar = 1.  Memo keys carry the point ``alphas``: the transformed twin
-    shares the root system's memo but runs at another point.
+    and hbar = 1.  Memo keys carry the point ``alphas``, so engines at two
+    points share the root system's memo without mixing their classes.
     """
 
     one = Fraction(1)
@@ -563,35 +549,22 @@ class NumericCohomology(GKMEngine):
     def schubert(self, w):
         """The restrictions of the Schubert class of w, as a dict."""
         return self.rs.along_word(
-            self.prefix + ("X",), w, lambda e: {e: self.euler_at(e)},
-            lambda i, f: self.bgg(i, RestrictionMap(self, f)).coeffs,
+            self.prefix + ("X",), w, lambda e: {e: self.euler_at(e)}, self._bgg_values
         )
 
-    def _transformed_twin(self):
-        def build():
-            w0 = self.rs.longest_element()
-            # the twin engine runs at the parameter values of the w0-images
-            twin_alphas = tuple(
-                self.weight_value(w0.act(self.rs.simple_root(j)))
-                for j in range(1, self.rs.rank + 1)
-            )
-            return NumericCohomology(self.rs, twin_alphas)
+    def opposite_schubert(self, v):
+        """The restrictions of the opposite Schubert class of v, grown down
+        from the point class at w0."""
+        w0 = self.rs.longest_element()
+        return self.rs.along_word(
+            self.prefix + ("Y",), w0 * v, lambda _: {w0: self.euler_at(w0)}, self._bgg_values
+        )
 
-        return self.memo(("twin",), build)
-
-    def opposite_schubert(self, w):
-        def build():
-            w0 = self.rs.longest_element()
-            g = self._transformed_twin().schubert(w0 * w)
-            return {w0 * u: val for u, val in g.items()}
-
-        return self.memo(("Y", w), build)
+    def _bgg_values(self, i, f):
+        return self.bgg(i, RestrictionMap(self, f)).coeffs
 
     def integrate(self, f):
         return self.localize(f, self.euler_at(self.rs.identity), Fraction(0))
-
-    def pushforward(self, pdat, f):
-        return self.coset_sums(pdat, f, Fraction(0))
 
 
 def numeric_cohomology(rs):
@@ -606,8 +579,11 @@ class SchubertCalculus:
 
     Classes are dicts mapping cells (minimal representatives) to integers,
     relative to the Schubert-variety basis.  Products go through cached
-    triple-intersection constants from the numeric engine, pushed to G/P;
-    G/B is the parabolic of no simple roots.
+    triple-intersection constants of G/B from the numeric engine.  The
+    pull-back G/B -> G/P is an injective ring map taking [Y_P(v)] to [Y(v)]
+    (Kostant-Kumar), so the constants of G/P are those of G/B on minimal
+    representatives, and every calculator of a root system reads the same
+    rows; G/B is the parabolic of no simple roots.
     """
 
     def __init__(self, rs, parabolic=None):
@@ -624,42 +600,31 @@ class SchubertCalculus:
         return self._opposite[v]
 
     def _constants(self, a, b):
-        """Cup constants of [Y(a)][Y(b)] over the [Y(c)] basis (codims add)."""
+        """Cup constants of [Y(a)][Y(b)] over the [Y(c)] basis of G/B (codims add).
+
+        The row is stored once per root system.  When a and b are minimal
+        representatives, so is every c of the row.
+        """
 
         def build():
             row = {}
-            for c in self.cells:
+            for c in self.rs.weyl_group():
                 if c.length == a.length + b.length:
                     n = self._triple(a, b, c)
                     if n:
                         row[c] = n
             return row
 
-        return self.rs.memo(("num", "const", self.parabolic.subset, a, b), build)
-
-    def _pushed(self, kind, v):
-        """The numeric (opposite) Schubert restrictions of v pushed to G/P."""
-        num = self._numeric
-
-        def build():
-            f = num.opposite_schubert(v) if kind == "Y" else num.schubert(v)
-            return num.pushforward(self.parabolic, f)
-
-        return self.rs.memo(("num", "pushed", self.parabolic.subset, kind, v), build)
+        return self.rs.memo(("num", "const", a, b), build)
 
     def _triple(self, a, b, c):
-        """<[Y(a)] [Y(b)], [X(c)]>, the coefficient of [Y(c)] in the product."""
+        """<[Y(a)] [Y(b)], [X(c)]> on G/B, the coefficient of [Y(c)] in the product."""
         if a.length + b.length != c.length:
             return 0
-        num, pdat = self._numeric, self.parabolic
-        fa, fb, fc = self._pushed("Y", a), self._pushed("Y", b), self._pushed("X", c)
-        # the Euler class of G/P at u is e(T_u) / e_L(u)
-        values = {
-            u: va * fb[u] * fc[u] * num.levi_euler_at(pdat, u)
-            for u, va in fa.items()
-            if u in fb and u in fc
-        }
-        total = num.localize(values, num.euler_at(self.rs.identity), Fraction(0))
+        num = self._numeric
+        fa, fb, fc = num.opposite_schubert(a), num.opposite_schubert(b), num.schubert(c)
+        values = {u: va * fb[u] * fc[u] for u, va in fa.items() if u in fb and u in fc}
+        total = num.integrate(values)
         if total.denominator != 1:
             raise GKMError("structure constant did not come out integral")
         return int(total)

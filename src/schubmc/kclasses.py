@@ -10,7 +10,10 @@ self-intersection normalization of its product and of its restrictions.
 Demazure and Demazure-Lusztig operators act through their explicit
 fixed-point formulas.  Structure and ideal sheaves, and the motivic classes
 of ``mc``, are grown along a reduced word by ``RootSystem.along_word`` and
-memoized in the root system.
+memoized in the root system.  The operators act on the right and commute
+with left translation by w0, so the opposite structure and ideal sheaves
+(the Oop and Iop bases) are grown down from the point class at w0 by the
+same steps.
 
 ``KTheory.expand`` solves against the triangular bases O, I, Oop and Iop on
 local restrictions, not on fractions.  The restriction a|_v = c_v times
@@ -359,24 +362,22 @@ class KTheory:
         return self.rs.along_word(("k", "O"), w, self.iota, self.demazure)
 
     def ideal_sheaf(self, w):
-        return self.rs.along_word(
-            ("k", "I"), w, self.iota, lambda i, prev: (self.demazure(i, prev) - prev).reduce()
-        )
+        return self.rs.along_word(("k", "I"), w, self.iota, self._ideal_step)
 
-    def w0_twist(self, a):
-        """Left translation by the longest element, as a basis relabelling."""
+    def _ideal_step(self, i, prev):
+        return (self.demazure(i, prev) - prev).reduce()
+
+    def opp_structure_sheaf(self, v):
+        """Structure sheaf of the opposite Schubert variety of v, grown down
+        from the point class at w0."""
         w0 = self.rs.longest_element()
-        return KClass(a.ctx, {w0 * w: c.weyl_map(w0) for w, c in a.coeffs.items()})
+        return self.rs.along_word(("k", "Oop"), w0 * v, lambda _: self.iota(w0), self.demazure)
 
-    def opp_structure_sheaf(self, w):
-        return self.rs.memo(
-            ("k", "Oop", w), lambda: self.w0_twist(self.structure_sheaf(self.rs.longest_element() * w))
-        )
-
-    def opp_ideal_sheaf(self, w):
-        return self.rs.memo(
-            ("k", "Iop", w), lambda: self.w0_twist(self.ideal_sheaf(self.rs.longest_element() * w))
-        )
+    def opp_ideal_sheaf(self, v):
+        """Ideal sheaf of the boundary of the opposite Schubert variety of v,
+        grown down from the point class at w0 by the step of ``ideal_sheaf``."""
+        w0 = self.rs.longest_element()
+        return self.rs.along_word(("k", "Iop"), w0 * v, lambda _: self.iota(w0), self._ideal_step)
 
     def basis_class(self, basis, w):
         if basis == "O":

@@ -474,11 +474,6 @@ class FactoredFraction:
             self.num.star(), tuple((k, tuple(-x for x in mu)) for k, mu in self.den)
         )
 
-    def weyl_map(self, w):
-        return FactoredFraction(
-            self.num.weyl_map(w), tuple((k, w.act(mu)) for k, mu in self.den)
-        )
-
     def __repr__(self):
         if not self.den:
             return repr(self.num)

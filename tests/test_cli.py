@@ -163,6 +163,42 @@ def test_cache_dir_round_trip(tmp_path, monkeypatch):
     assert fourth == first
 
 
+def test_cache_dir_that_is_a_file_is_refused(tmp_path, monkeypatch, capsys):
+    cache = tmp_path / "cache"
+    cache.write_text("not a directory")
+    monkeypatch.setenv("SCHUBMC_CACHE_DIR", str(cache))
+    code, text = run_cli(["mc", "compute", "--type", "A2", "--cell", "s1s2"], tmp_path)
+    assert code == 2 and text is None
+    assert capsys.readouterr().err.startswith("error: cannot use SCHUBMC_CACHE_DIR")
+
+
+def test_directory_at_the_cache_file_path_is_refused(tmp_path, monkeypatch, capsys):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("SCHUBMC_CACHE_DIR", str(cache))
+    args = ["mc", "compute", "--type", "A2", "--cell", "s1s2"]
+    run_cli(args, tmp_path, "a.json")
+    (path,) = cache.iterdir()
+    path.unlink()
+    path.mkdir()
+    code, text = run_cli(args, tmp_path, "b.json")
+    assert code == 2 and text is None
+    assert capsys.readouterr().err.startswith("error: cannot read cache file")
+
+
+def test_cached_json_that_is_not_a_payload_is_a_miss(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("SCHUBMC_CACHE_DIR", str(cache))
+    args = ["mc", "compute", "--type", "A2", "--cell", "s1s2"]
+    run_cli(args, tmp_path, "a.json")
+    (path,) = cache.iterdir()
+    path.write_text("[1, 2]")
+    code, text = run_cli(args, tmp_path, "b.json")
+    assert code == 0
+    assert text == (GOLDEN / "mc_a2_s1s2.json").read_text()
+    # the recomputed payload replaced the file
+    assert json.loads(path.read_text())["cell"] == "s1s2"
+
+
 @pytest.mark.parametrize("name,other", [("__version__", "0.0.0"), ("_CACHE_SCHEMA", "0")])
 def test_cache_from_other_key_ignored(name, other, tmp_path, monkeypatch):
     cache = tmp_path / "cache"

@@ -4,10 +4,12 @@ The ``ref_*`` functions are the earlier routes, kept here as references: the
 common-denominator sum of p/d over the fixed points (one product of every
 Euler class, then one division), its two callers in the cohomology and
 Hirzebruch layers (the Hirzebruch one over a padded degree window), the
-coset grouping with a Levi Euler factor at every point, and the numeric
-point-by-point loops.  ``GKMEngine.localize`` replaces all of them with one
-signed sum divided once; ``test_localization_identities`` checks the three
-identities that makes exact.
+coset grouping with a Levi Euler factor at every point, the numeric
+point-by-point loops, and the G/P structure constants as a sum over the
+minimal representatives of the pulled-back restrictions.
+``GKMEngine.localize`` replaces all of them with one signed sum divided once;
+``test_localization_identities`` checks the three identities that makes
+exact.
 """
 
 from fractions import Fraction
@@ -110,15 +112,14 @@ def ref_num_integrate(num, f):
     return sum(v / num.euler_at(w) for w, v in f.items())
 
 
-def ref_num_pushforward(num, pdat, f):
-    return {u: sum(v / d for v, d in pairs) for u, pairs in ref_cosets(num, pdat, f).items()}
-
-
 def ref_triple(calc, a, b, c):
+    """<[Y_P(a)] [Y_P(b)], [X_P(c)]> over G/P, with the Euler class of G/P at
+    each minimal representative, on the pulled-back restrictions."""
     if a.length + b.length != c.length:
         return 0
     num = calc._numeric
-    fa, fb, fc = calc._pushed("Y", a), calc._pushed("Y", b), calc._pushed("X", c)
+    pulled = _pulled_back(calc)
+    fa, fb, fc = pulled("Y", a), pulled("Y", b), pulled("X", c)
     total = Fraction(0)
     for u, va in fa.items():
         if u in fb and u in fc:
@@ -248,29 +249,41 @@ def test_numeric_sums_match_the_point_loops(lie_type, rank):
                 assert _rational(num.integrate(f)) == _rational(ref_num_integrate(num, f))
             else:
                 assert num.integrate(f) == 0
-        for pdat in _quotients(rs):
-            got, want = num.pushforward(pdat, fx), ref_num_pushforward(num, pdat, fx)
-            assert {w: _rational(x) for w, x in got.items()} == {w: _rational(x) for w, x in want.items()}
-    for pdat in [rs.parabolic(())] + _quotients(rs):
-        for pulled in (False, True) if pdat.subset else (False,):
-            calc = SchubertCalculus(rs, pdat)
-            if pulled:
-                calc._pushed = _pulled_back(calc)
-            nonzero = 0
-            for a in calc.cells:
-                for b in calc.cells:
-                    for c in calc.cells:
-                        n = calc._triple(a, b, c)
-                        assert n == ref_triple(calc, a, b, c), (a.name(), b.name(), c.name())
-                        nonzero += n != 0
-            assert nonzero or (pdat.subset and not pulled)
+    for pdat in [rs.parabolic(s) for s in _subsets(rs.rank) if len(s) < rs.rank]:
+        assert _count_constants(rs, pdat)
+
+
+def _count_constants(rs, pdat):
+    """Check every constant of ``SchubertCalculus`` on G/P against the sum over
+    G/P, and return how many are nonzero."""
+    calc = SchubertCalculus(rs, pdat)
+    nonzero = 0
+    for a in calc.cells:
+        for b in calc.cells:
+            row = calc._constants(a, b)
+            # the G/B row of two minimal representatives stays among them
+            assert set(row) <= set(calc.cells), (a.name(), b.name())
+            for c in calc.cells:
+                n = ref_triple(calc, a, b, c)
+                assert row.get(c, 0) == n, (pdat.subset, a.name(), b.name(), c.name())
+                nonzero += n != 0
+    return nonzero
+
+
+def test_parabolic_constants_are_the_pulled_back_ones():
+    a2 = RootSystem("A", 2)
+    calc = SchubertCalculus(a2, a2.parabolic([1]))
+    assert _count_constants(a2, calc.parabolic) == 6
+    ones = [n for a in calc.cells for b in calc.cells for n in calc._constants(a, b).values()]
+    assert ones == [1] * 6
+    # Gr(2,4) = A3/P{1,3}
+    a3 = RootSystem("A", 3)
+    assert _count_constants(a3, a3.parabolic([1, 3])) == 21
 
 
 def _pulled_back(calc):
     """G/P Schubert restrictions as pull-backs: Y(v) and X(v w_P) of G/B at the
-    minimal representatives.  ``SchubertCalculus`` pushes forward instead,
-    and on a proper parabolic every triple constant then comes out 0, so the
-    Levi factor of its G/P sum is checked on these values."""
+    minimal representatives."""
     num, pdat = calc._numeric, calc.parabolic
     top = max(pdat.subgroup, key=lambda x: x.length)
 

@@ -1,11 +1,12 @@
 import importlib
 import itertools
 import pkgutil
+from fractions import Fraction
 
 import pytest
 
 import schubmc
-from schubmc.cohomology import cohomology, numeric_cohomology
+from schubmc.cohomology import NumericCohomology, cohomology, numeric_cohomology
 from schubmc.hecke import t_word
 from schubmc.hirzebruch import Hirzebruch, hirzebruch, segre_hirzebruch
 from schubmc.kclasses import ktheory
@@ -299,8 +300,11 @@ def test_numeric_twin_keys_carry_the_parameter_point(lie_type):
     rs = RootSystem(lie_type, 2)
     alone = {w: numeric_cohomology(rs).opposite_schubert(w) for w in rs.weyl_group()}
     rs.clear_memo()
+    # an engine at another point shares the memo, not its classes
+    twin = NumericCohomology(rs, (Fraction(3), Fraction(5)))
     num = numeric_cohomology(rs)
     for w in rs.weyl_group():
+        twin.opposite_schubert(w)
         num.schubert(w)
     assert {w: num.opposite_schubert(w) for w in rs.weyl_group()} == alone
 
@@ -323,6 +327,11 @@ def _word_families(rs):
         # grown down from w0: the class of v is stored at w0 * v
         "k/MCdualY": (("k", "MCdualY"), lambda u: dual_motivic_chern(kt, w0 * u)),
         "coh/csmdual": (("coh", "csmdual"), lambda u: coh.dual_csm(w0 * u)),
+        "coh/Y": (("coh", "Y"), lambda u: coh.opposite_schubert_class(w0 * u)),
+        "coh/csmY": (("coh", "csmY"), lambda u: coh.csm_opposite(w0 * u)),
+        "k/Oop": (("k", "Oop"), lambda u: kt.opp_structure_sheaf(w0 * u)),
+        "k/Iop": (("k", "Iop"), lambda u: kt.opp_ideal_sheaf(w0 * u)),
+        "num/Y": (("num", num.alphas, "Y"), lambda u: num.opposite_schubert(w0 * u)),
     }
 
 

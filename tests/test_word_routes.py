@@ -4,18 +4,21 @@ The ``ref_*`` functions are the earlier routes, kept here as references: the
 ascent searches of the dual CSM class and of the opposite dual MC class, the
 word loops of the Hirzebruch class and of its dual (each with the slack of
 its own word), and the numeric Schubert loop.  They memoize in local dicts,
-so they never read the root system's memo.
+so they never read the root system's memo.  The w0-twist routes of the
+opposite families are in ``w0_twist_reference``.
 """
 
+import functools
 import json
 from fractions import Fraction
 
 import pytest
+import w0_twist_reference as twist
 
 from schubmc.cohomology import cohomology, numeric_cohomology
 from schubmc.hirzebruch import hirzebruch
 from schubmc.kclasses import ktheory
-from schubmc.mc import dual_motivic_chern
+from schubmc.mc import dual_motivic_chern, motivic_chern
 from schubmc.roots import RootSystem
 
 
@@ -113,15 +116,15 @@ def test_dual_csm_matches_the_ascent_search(lie_type, rank):
 def test_numeric_schubert_matches_the_loop(lie_type, rank):
     rs = RootSystem(lie_type, rank)
     num, seen = numeric_cohomology(rs), {}
+    # the opposite class of w is the Schubert class of w0 w at the w0-image
+    # of the parameter point, translated by w0
+    twin, w0, twin_seen = twist.numeric_twin(num), rs.longest_element(), {}
     for w in rs.weyl_group():
         got, want = num.schubert(w), ref_numeric_schubert(num, w, seen)
         assert got == want and all(type(c) is Fraction for c in got.values()), w.name()
-        assert num.opposite_schubert(w) == {
-            rs.longest_element() * u: c
-            for u, c in ref_numeric_schubert(
-                num._transformed_twin(), rs.longest_element() * w, {}
-            ).items()
-        }
+        want = {w0 * u: c for u, c in ref_numeric_schubert(twin, w0 * w, twin_seen).items()}
+        got = num.opposite_schubert(w)
+        assert got == want and all(type(c) is Fraction for c in got.values()), w.name()
 
 
 @pytest.mark.parametrize("lie_type,rank", SYSTEMS)
@@ -144,3 +147,50 @@ def test_hirzebruch_word_routes_match_the_loops(lie_type, rank, cap):
         assert series_form(got) == series_form(ref_hirzebruch_word(hz, w, cap)), w.name()
         got = hz.dual_hirzebruch_class(w)
         assert series_form(got) == series_form(ref_dual_hirzebruch(hz, w, cap)), w.name()
+
+
+def _expansion_texts(kt, ctx, rs):
+    """Cell name -> the JSON of the Oop and Iop expansions of the MC, dual MC
+    and structure-sheaf classes, and the opposite Schubert expansions of the
+    CSM and dual CSM classes."""
+    out = {}
+    for w in rs.weyl_group():
+        classes = [
+            motivic_chern(kt, w),
+            dual_motivic_chern(kt, w, opposite=True),
+            dual_motivic_chern(kt, w, opposite=False),
+            kt.structure_sheaf(w),
+            kt.opp_structure_sheaf(w),
+        ]
+        texts = [json.dumps(kt.expand(c, b).to_json_obj()) for c in classes for b in ("Oop", "Iop")]
+        for c in (ctx.csm(w), ctx.dual_csm(w)):
+            texts.append({u.name(): _typed(p.packed) for u, p in ctx.expand(c, opposite=True).items()})
+        out[w.name()] = texts
+    return out
+
+
+@pytest.mark.parametrize("lie_type,rank", SYSTEMS + [("A", 3)])
+def test_opposite_families_match_the_w0_twists(lie_type, rank, monkeypatch):
+    rs = RootSystem(lie_type, rank)
+    kt, ctx, num = ktheory(rs), cohomology(rs), numeric_cohomology(rs)
+    for v in rs.weyl_group():
+        for got, want in [
+            (ctx.opposite_schubert_class(v), twist.opposite_schubert_class(ctx, v)),
+            (ctx.csm_opposite(v), twist.csm_opposite(ctx, v)),
+        ]:
+            assert poly_form(got) == poly_form(want), v.name()
+        # equal as values: an entry may carry 1 - e^-mu where the twist has
+        # 1 - e^mu, times a unit
+        assert kt.opp_structure_sheaf(v) == twist.opp_structure_sheaf(kt, v), v.name()
+        assert kt.opp_ideal_sheaf(v) == twist.opp_ideal_sheaf(kt, v), v.name()
+        assert num.opposite_schubert(v) == twist.numeric_opposite_schubert(num, v), v.name()
+    # the expansions against the twisted bases, on a root system of their own
+    old = RootSystem(lie_type, rank)
+    kt_old, ctx_old = ktheory(old), cohomology(old)
+    for name in ("opp_structure_sheaf", "opp_ideal_sheaf"):
+        build = getattr(twist, name)
+        monkeypatch.setattr(kt_old, name, functools.cache(lambda v, build=build: build(kt_old, v)))
+    monkeypatch.setattr(
+        ctx_old, "opposite_schubert_class", functools.cache(lambda v: twist.opposite_schubert_class(ctx_old, v))
+    )
+    assert _expansion_texts(kt, ctx, rs) == _expansion_texts(kt_old, ctx_old, old)

@@ -4,15 +4,21 @@ Artifacts are canonical: coefficients are emitted in the fixed term order and
 Weyl elements are keyed by their minimal reduced words, so identical configs
 produce byte-identical output.  Exit codes: 0 success, 1 a conjecture or
 verification was refuted, 2 invalid configuration or internal failure.
+
+Each command pays only for its own work.  An artifact is the text of
+``json.dumps(payload, indent=2)`` plus a newline, written by ``_dumps``, a
+direct recursive writer with the same bytes.  With ``SCHUBMC_CACHE_DIR`` set,
+``mc compute`` keeps that text (without the newline) on disk; a hit is parsed
+to check it is a payload and then served verbatim, before any engine is built.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _escape
 
 from . import __version__
 from . import conjectures as conj
@@ -56,8 +62,70 @@ def _refuse(args, names, what):
         raise ConfigError(f"{what} does not take {', '.join(given)}")
 
 
+_INTS = {int}
+
+
+def _key(k):
+    """A dict key as ``json.dumps`` writes it: a string, or an int, float, bool or None as text."""
+    if isinstance(k, str):
+        return _escape(k)
+    if isinstance(k, (int, float)) or k is None:
+        return _escape(json.dumps(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _write(o, nl, put):
+    """Pass the pieces of ``o``'s indent-2 JSON text to ``put``; ``nl`` is a
+    newline and the indent of the line ``o`` starts on."""
+    if isinstance(o, dict):
+        if not o:
+            put("{}")
+            return
+        inner = nl + "  "
+        lead, sep = "{" + inner, "," + inner
+        for k, v in o.items():
+            head = lead + (_escape(k) if type(k) is str else _key(k)) + ": "
+            # exact str and int values, most of every payload, are written in line
+            if type(v) is str:
+                put(head + _escape(v))
+            elif type(v) is int:
+                put(head + int.__repr__(v))
+            else:
+                put(head)
+                _write(v, inner, put)
+            lead = sep
+        put(nl + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            put("[]")
+            return
+        inner = nl + "  "
+        if set(map(type, o)) == _INTS:  # an exponent vector: one join
+            put("[" + inner + ("," + inner).join(map(int.__repr__, o)) + nl + "]")
+            return
+        lead, sep = "[" + inner, "," + inner
+        for v in o:
+            put(lead)
+            _write(v, inner, put)
+            lead = sep
+        put(nl + "]")
+    elif isinstance(o, str):
+        put(_escape(o))
+    else:
+        put(json.dumps(o))  # int, float, bool or None; TypeError for anything else
+
+
+def _dumps(obj):
+    """Exactly ``json.dumps(obj, indent=2)``, without the stdlib's pure-Python
+    indented encoder: strings go through its C escaper."""
+    parts = []
+    _write(obj, "\n", parts.append)
+    return "".join(parts)
+
+
 def _emit(args, payload):
-    text = json.dumps(payload, indent=2, sort_keys=False) + "\n"
+    """Write the artifact: a payload, or its ``_dumps`` text (a cached ``mc compute``)."""
+    text = (payload if isinstance(payload, str) else _dumps(payload)) + "\n"
     if getattr(args, "out", None):
         try:
             with open(args.out, "w") as fh:
@@ -80,6 +148,8 @@ def _cache_path(kind, key):
         os.makedirs(root, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot use SCHUBMC_CACHE_DIR {root}: {exc.strerror}")
+    import hashlib  # here, not at the top: only a cached command pays its import
+
     # a file written by another version or schema hashes elsewhere: never served
     stamped = f"schubmc {__version__} schema {_CACHE_SCHEMA}\n{key}"
     digest = hashlib.sha256(stamped.encode()).hexdigest()[:24]
@@ -91,30 +161,31 @@ _PAYLOAD_KEYS = frozenset({"space", "cell", "basis", "coeffs"})
 
 
 def _cached_json(kind, key, builder):
-    """The cached payload, or builder() when the cache file is missing,
-    unreadable or not a payload."""
+    """The ``_dumps`` text of the payload: the cache file's text, or that of
+    builder() when the file is missing, unreadable or not a payload."""
     path = _cache_path(kind, key)
     if path:
         try:
             with open(path) as fh:
-                payload = json.load(fh)
+                text = fh.read()
+            payload = json.loads(text)
             if isinstance(payload, dict) and _PAYLOAD_KEYS <= payload.keys():
-                return payload
+                return text
         except (FileNotFoundError, ValueError):
             pass
         except OSError as exc:
             raise ConfigError(f"cannot read cache file {path}: {exc.strerror}")
-    payload = builder()
+    text = _dumps(builder())
     if path:
         # a reader never sees a partly written file
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w") as fh:
-                json.dump(payload, fh, indent=2)
+                fh.write(text)
             os.replace(tmp, path)
         except OSError as exc:
             raise ConfigError(f"cannot write cache file {path}: {exc.strerror}")
-    return payload
+    return text
 
 
 def _ypoly_obj(p):
@@ -133,17 +204,19 @@ def _poly_obj(p, varnames):
 
 def cmd_mc(args):
     rs = _root_system(args)
-    kt = ktheory(rs)
     if args.action == "compute":
         _refuse(args, ["which"], "mc compute")
         w = rs.parse_element(args.cell)
-        pd = _parabolic(rs, args.parabolic)
-        if pd is not None:
+        # validated here, built on a miss: a ParabolicDatum enumerates W
+        subset = rs.parabolic_subset(_subset(args.parabolic)) if args.parabolic else None
+        if subset is not None:
             # the G/P class is the iota-basis MC class; nothing else is computed there
             _refuse(args, ["dual", "opposite", "nonequivariant", "basis"], "--parabolic")
 
         def build():
-            if pd is not None:
+            kt = ktheory(rs)
+            if subset is not None:
+                pd = rs.parabolic(subset)
                 u = pd.min_rep(w)
                 cls = mcmod.motivic_chern_parabolic(kt, pd, u)
                 coeffs = {
@@ -179,7 +252,7 @@ def cmd_mc(args):
         return 0
     if args.action == "verify":
         _refuse(args, ["parabolic", "dual", "opposite", "nonequivariant", "basis"], "mc verify")
-        return _run_mc_verify(args, rs, kt)
+        return _run_mc_verify(args, rs, ktheory(rs))
     raise ConfigError(f"unknown mc action {args.action!r}")
 
 

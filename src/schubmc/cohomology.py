@@ -631,19 +631,17 @@ class SchubertCalculus:
 
     def multiply(self, va, vb):
         """Cup product of two classes given in the Schubert-variety basis."""
-        out = {}
+        opposite = self.opposite_label
+        ybs = [(opposite(b), cb) for b, cb in vb.items() if cb]
+        out = {}  # keyed by Y-labels; the relabelling is a bijection, so order is kept
         for a, ca in va.items():
             if not ca:
                 continue
-            ya = self.opposite_label(a)
-            for b, cb in vb.items():
-                if not cb:
-                    continue
-                yb = self.opposite_label(b)
+            ya = opposite(a)
+            for yb, cb in ybs:
                 for c, n in self._constants(ya, yb).items():
-                    x = self.opposite_label(c)
-                    out[x] = out.get(x, 0) + ca * cb * n
-        return {c: v for c, v in out.items() if v}
+                    out[c] = out.get(c, 0) + ca * cb * n
+        return {opposite(c): v for c, v in out.items() if v}
 
     def csm(self, w):
         """CSM vector of the cell of w (w any element; coefficients restrict)."""

@@ -9,7 +9,6 @@ not an error.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from .cohomology import SchubertCalculus, cohomology, csm_expansion, csm_vector, h_polynomial
 from .kclasses import ktheory
@@ -17,16 +16,17 @@ from .laurent import check_log_concave, check_unimodal, has_internal_zeros
 from .mc import _sign, coefficients_in_negative_cone, motivic_chern
 
 
-@dataclass
 class ConjectureReport:
-    conjecture: str
-    lie_type: str
-    parabolic: tuple
-    cells_checked: int
-    status: str
-    counterexamples: list = field(default_factory=list)
-    notes: dict = field(default_factory=dict)
-    elapsed: float = 0.0
+    def __init__(self, conjecture, lie_type, parabolic, cells_checked, status,
+                 counterexamples=None, notes=None, elapsed=0.0):
+        self.conjecture = conjecture
+        self.lie_type = lie_type
+        self.parabolic = parabolic
+        self.cells_checked = cells_checked
+        self.status = status
+        self.counterexamples = [] if counterexamples is None else counterexamples
+        self.notes = {} if notes is None else notes
+        self.elapsed = elapsed
 
     def to_json_obj(self):
         # elapsed is intentionally not serialized: artifacts are byte-stable

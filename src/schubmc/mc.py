@@ -11,7 +11,6 @@ recursion in ``cohomology``, and these are its independent cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cohomology import GKMError
@@ -103,16 +102,16 @@ def verify_mc_duality(kt, u, v):
     return got == want, got, want
 
 
-@dataclass
 class MotivicClassRecord:
     """A motivic class together with its cached Schubert-type expansions."""
 
-    kt: object
-    cell: object
-    opposite: bool
-    dual: bool
-    kclass: KClass
-    expansions: dict = field(default_factory=dict)
+    def __init__(self, kt, cell, opposite, dual, kclass, expansions=None):
+        self.kt = kt
+        self.cell = cell
+        self.opposite = opposite
+        self.dual = dual
+        self.kclass = kclass
+        self.expansions = {} if expansions is None else expansions
 
     def expansion(self, basis="O"):
         exp = self.expansions.get(basis)

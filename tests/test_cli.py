@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import pathlib
@@ -259,3 +260,78 @@ def test_chi_of_e8_does_not_enumerate_w():
 def test_chi_rejects_a_bad_parabolic_before_enumerating(spec, tmp_path):
     code, _ = run_cli(["chi", "--type", "A2", "--parabolic", spec], tmp_path)
     assert code == 2
+
+
+def _bench_cli_commands():
+    """The command lines of the benchmark's cli-session, from bench/workloads.py."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.CLI_COMMANDS, workloads.GOLDEN
+
+
+_COMMANDS, _GOLDEN_OF = _bench_cli_commands()
+_A2_MC_COMPUTE = [c for c in _COMMANDS if c.startswith("mc compute --type A2 ")]
+
+
+def _argv(command):
+    """The arguments of a benchmark command line, without its --out."""
+    return command.replace(" --out OUT", "").split()
+
+
+@pytest.mark.parametrize("command", _A2_MC_COMPUTE)
+def test_cold_and_hot_cache_runs_give_the_same_bytes(command, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("SCHUBMC_CACHE_DIR", str(cache))
+    cold = run_cli(_argv(command), tmp_path, "cold.json")
+    (path,) = cache.iterdir()
+    written = path.read_bytes()
+    hot = run_cli(_argv(command), tmp_path, "hot.json")
+    assert cold == hot and cold[0] == 0
+    # the file holds the artifact without its final newline, and a hit leaves it as it was
+    assert cold[1] == written.decode() + "\n"
+    assert path.read_bytes() == written
+    if command in _GOLDEN_OF:
+        assert cold[1] == (GOLDEN / _GOLDEN_OF[command]).read_text()
+
+
+def _run_python(code, **env):
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path, **env), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cache_hit_enumerates_no_weyl_group(tmp_path):
+    commands = [_argv(c) for c in _A2_MC_COMPUTE + ["mc compute --type F4 --cell s1s2s3"]]
+
+    def session(run):
+        """One process running every command once, printing the root systems whose W it enumerated."""
+        return json.loads(_run_python(f"""
+import json
+from schubmc.cli import main
+from schubmc.roots import RootSystem
+calls = []
+enumerate_w = RootSystem.weyl_group
+RootSystem.weyl_group = lambda rs: calls.append(repr(rs)) or enumerate_w(rs)
+for i, command in enumerate({commands!r}):
+    if main(command + ["--out", {str(tmp_path)!r} + f"/{run}{{i}}.json"]) != 0:
+        raise SystemExit(f"exit code of {{command}}")
+print(json.dumps(calls))
+""", SCHUBMC_CACHE_DIR=str(tmp_path / "cache")))
+
+    assert "RootSystem(F4)" in session("miss")
+    assert session("hit") == []
+    for i in range(len(commands)):
+        assert (tmp_path / f"miss{i}.json").read_bytes() == (tmp_path / f"hit{i}.json").read_bytes()
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_hashlib():
+    loaded = _run_python(
+        "import sys; import schubmc.cli; "
+        "print([m for m in ('dataclasses', 'inspect', 'hashlib') if m in sys.modules])"
+    )
+    assert loaded.strip() == "[]"

@@ -293,6 +293,40 @@ def test_sm_poincare_duality_vectors():
                 assert prod.get(rs.identity, 0) == (1 if v == w else 0)
 
 
+def _multiply_loop(calc, va, vb):
+    """SchubertCalculus.multiply as it was, relabelling every constant of every row."""
+    out = {}
+    for a, ca in va.items():
+        if not ca:
+            continue
+        ya = calc.opposite_label(a)
+        for b, cb in vb.items():
+            if not cb:
+                continue
+            yb = calc.opposite_label(b)
+            for c, n in calc._constants(ya, yb).items():
+                x = calc.opposite_label(c)
+                out[x] = out.get(x, 0) + ca * cb * n
+    return {c: v for c, v in out.items() if v}
+
+
+@pytest.mark.parametrize("t,r,subset", [("A", 2, None), ("B", 2, None), ("G", 2, None), ("A", 2, (1,))])
+def test_multiply_matches_the_relabelling_loop(t, r, subset):
+    rs = root_system(t, r)
+    calc = SchubertCalculus(rs, rs.parabolic(subset) if subset else None)
+    cells = calc.cells
+    # point classes, SM and CSM vectors, and a vector holding a zero coefficient
+    vectors = [{u: 1} for u in cells] + [calc.sm_of_cell(u) for u in cells]
+    vectors += [calc.csm(u) for u in cells] + [{u: (i % 3) - 1 for i, u in enumerate(cells)}]
+    nonzero = 0
+    for va in vectors:
+        for vb in vectors:
+            got = calc.multiply(va, vb)
+            assert list(got.items()) == list(_multiply_loop(calc, va, vb).items())
+            nonzero += bool(got)
+    assert nonzero > len(vectors)
+
+
 def test_sm_equivariant_poincare_duality():
     rs = root_system("A", 2)
     ctx = cohomology(rs)

@@ -1,13 +1,22 @@
-"""Exact Laurent-polynomial term arithmetic on packed monomial keys.
+"""Exact term arithmetic on packed monomial keys, for both polynomial types.
 
-Terms are dicts mapping a key to a nonzero integer coefficient.  The key of
+Terms are dicts mapping a key to a nonzero coefficient.  The key of
 e^(e_1, ..., e_n) y^k is e_1 B^n + ... + e_n B + k with B = 2**WIDTH, every
 digit strictly inside (-HALF, HALF).  Packing is linear, so the key of a
 product of monomials is the sum of their keys, and integer order is the lex
 order on (e, k).  A digit out of range would carry into its neighbour:
-``pack`` refuses one, and ``schubmc.laurent`` bounds the digits of every
-operand so that no sum of keys can carry (packed exponent vectors,
-Monagan-Pearce, CASC 2007).
+``pack`` refuses one, and the callers bound the digits of every operand
+(``product_bound``) so that no sum of keys can carry (packed exponent
+vectors, Monagan-Pearce, CASC 2007).
+
+``laurent.LaurentPolynomial`` (integer coefficients) and ``polyring.Poly``
+(``int``, ``Fraction`` or ``YFrac`` coefficients, the total degree in the
+lowest digit) both run on these loops.  The loops never look at a
+coefficient's type: a missing key is tested with ``None`` and a zero with
+truth, so no coefficient meets an ``int`` 0.  The one division,
+``lp_divide_exact``, divides by a monomial or by a binomial with
+coefficients +-1, the only divisors the denominators ``1 - e^mu`` and
+``1 + y e^mu`` create.
 """
 
 WIDTH = 16
@@ -53,14 +62,32 @@ def digit_offset(ndigits):
     return HALF * ((1 << (WIDTH * ndigits)) - 1) // MASK
 
 
+def product_bound(a, b):
+    """A digit bound of a product of a and b: the sum of their digit bounds.
+
+    ``a`` and ``b`` carry ``_bound``, an upper bound on |digit|, and
+    ``_tighten()``, which makes it exact.  OverflowError when even the exact
+    bounds could let a digit of the product reach HALF.
+    """
+    bound = a._bound + b._bound
+    if bound >= HALF:
+        bound = a._tighten() + b._tighten()
+        if bound >= HALF:
+            raise OverflowError("a product digit could leave the packing range")
+    return bound
+
+
 def lp_add(a, b):
     out = dict(a)
+    get = out.get
     for k, v in b.items():
-        c = out.get(k, 0) + v
-        if c:
+        c = get(k)
+        if c is None:
+            out[k] = v
+        elif c := c + v:
             out[k] = c
         else:
-            out.pop(k, None)
+            del out[k]
     return out
 
 
@@ -69,7 +96,7 @@ def lp_neg(a):
 
 
 def lp_scale(a, c):
-    if c == 0:
+    if not c:
         return {}
     return {k: v * c for k, v in a.items()}
 
@@ -83,8 +110,10 @@ def lp_mul(a, b):
     for ka, ca in a.items():
         for kb, cb in b.items():
             k = ka + kb
-            c = get(k, 0) + ca * cb
-            if c:
+            c = get(k)
+            if c is None:
+                out[k] = ca * cb
+            elif c := c + ca * cb:
                 out[k] = c
             else:
                 del out[k]
@@ -92,48 +121,65 @@ def lp_mul(a, b):
 
 
 def lp_divide_exact(a, b, nvars):
-    """Quotient a/b when it is exact over the integers, else None.
+    """Exact quotient a/b of integer term dicts, or None when b does not divide a.
 
-    The keys are unpacked at the boundary.  Laurent divisibility reduces to
-    polynomial divisibility after pulling the monomial content out of each
-    operand: per-variable minimum orders of a product add, so the normalized
-    quotient has no negative exponents.  Division is lex leading-term
-    elimination; any failed coefficient or exponent step certifies
-    non-divisibility.  A quotient digit out of range raises OverflowError.
+    A monomial c0 X^k0 divides when c0 divides every coefficient, and the
+    quotient is a key shift.  A binomial must be b = c0 X^k0 + c1 X^k1 with
+    c0, c1 = +-1; any other divisor raises ValueError.  With c = c0 c1 and
+    v = k1 - k0, b = c0 X^k0 (1 + c X^v).  The terms of a fall on lines
+    k = base + t v; on each line the quotient by 1 + c X^v is the running sum
+    q_t = a_t - c q_{t-1}, and it is exact iff the line's signed sum,
+    sum_t (-c)^t a_t, is zero.  Every line's sum is checked before any
+    quotient term is built.  All of it is arithmetic on packed keys; the
+    caller keeps every quotient key and line base inside the packing range.
     """
     if not b:
         raise ZeroDivisionError("division by the zero polynomial")
+    if len(b) == 1:
+        ((k0, c0),) = b.items()
+        if any(c % c0 for c in a.values()):
+            return None
+        return {k - k0: c // c0 for k, c in a.items()}
+    (k0, c0), (k1, c1), *more = b.items()
+    if more or c0 not in (1, -1) or c1 not in (1, -1):
+        raise ValueError("the divisor is not a monomial or a binomial with coefficients +-1")
     if not a:
         return {}
-    nv = nvars + 1
-    akeys = [digits(k, nv) for k in a]
-    bkeys = [digits(k, nv) for k in b]
-    ma = [min(k[i] for k in akeys) for i in range(nv)]
-    mb = [min(k[i] for k in bkeys) for i in range(nv)]
-    rem = {tuple(k[i] - ma[i] for i in range(nv)): c for k, c in zip(akeys, a.values())}
-    div = {tuple(k[i] - mb[i] for i in range(nv)): c for k, c in zip(bkeys, b.values())}
-    lead_b = max(div)
-    cb = div[lead_b]
-    quot = {}
-    while rem:
-        lead_a = max(rem)
-        ca = rem[lead_a]
-        if ca % cb:
+    v = k1 - k0
+    r = -c0 * c1
+    # for 1 - X^v every line sum is plain, and the line sums add up to a(1)
+    if r == 1 and sum(a.values()):
+        return None
+    # a term's place t on its line is read off the lowest digit where v is nonzero
+    shift = 0
+    while not (vj := ((v >> shift) + HALF & MASK) - HALF):
+        shift += WIDTH
+    off = digit_offset(nvars + 1)
+    lines = {}
+    for k, c in a.items():
+        t = (((k + off) >> shift & MASK) - HALF) // vj
+        base = k - t * v
+        line = lines.get(base)
+        if line is None:
+            lines[base] = {t: c}
+        else:
+            line[t] = c
+    for line in lines.values():
+        if r == 1:
+            signed = sum(line.values())
+        else:
+            signed = sum(-c if t & 1 else c for t, c in line.items())
+        if signed:
             return None
-        qk = tuple(x - y for x, y in zip(lead_a, lead_b))
-        if any(x < 0 for x in qk):
-            return None
-        qc = ca // cb
-        quot[qk] = qc
-        for bk, bc in div.items():
-            k = tuple(x + y for x, y in zip(qk, bk))
-            c = rem.get(k, 0) - qc * bc
-            if c:
-                rem[k] = c
-            else:
-                rem.pop(k, None)
-    off = [ma[i] - mb[i] for i in range(nv)]
-    return {
-        pack([q[i] + off[i] for i in range(nvars)], q[nvars] + off[nvars]): c
-        for q, c in quot.items()
-    }
+    out = {}
+    for base, line in lines.items():
+        lo, hi = min(line), max(line)
+        # the quotient by b is c0 X^-k0 times the quotient by 1 + c X^v
+        key = base + lo * v - k0
+        q = 0
+        for t in range(lo, hi):
+            q = line.get(t, 0) + r * q
+            if q:
+                out[key] = c0 * q
+            key += v
+    return out

@@ -226,9 +226,12 @@ def cmd_mc(args):
                 }
                 return {"space": f"{rs.lie_type}{rs.rank}/P{sorted(pd.subset)}",
                         "cell": u.name(), "basis": "iota", "coeffs": coeffs}
-            rec = mcmod.motivic_record(kt, w, dual=args.dual, opposite=args.opposite)
+            if args.dual:
+                cls = mcmod.dual_motivic_chern(kt, w, opposite=args.opposite)
+            else:
+                cls = mcmod.motivic_chern(kt, w)
             basis = args.basis or "O"
-            exp = rec.expansion(basis)
+            exp = kt.expand(cls, basis)
             if args.nonequivariant:
                 coeffs = {
                     u.name(): _ypoly_obj(p)
@@ -294,7 +297,7 @@ def _run_mc_verify(args, rs, kt):
             bad = []
             for w in W:
                 try:
-                    mcmod.segre_mc(kt, w, check=True)
+                    mcmod.segre_mc(kt, w)
                 except mcmod.ConventionError:
                     bad.append((w.name(), "segre"))
         else:

@@ -594,6 +594,8 @@ class SchubertCalculus:
         self._numeric = numeric_cohomology(rs)
         w0 = rs.longest_element()
         self._opposite = {v: self.parabolic.min_rep(w0 * v) for v in self.cells}
+        # rows[a][b] is the row of [Y(a)][Y(b)], shared by the root system's calculators
+        self._rows = rs.memo(("num", "const"), dict)
 
     def opposite_label(self, v):
         """The cell whose opposite Schubert variety equals the variety of the cell v."""
@@ -602,20 +604,21 @@ class SchubertCalculus:
     def _constants(self, a, b):
         """Cup constants of [Y(a)][Y(b)] over the [Y(c)] basis of G/B (codims add).
 
-        The row is stored once per root system.  When a and b are minimal
-        representatives, so is every c of the row.
+        The row is built on the first request and stored once per root
+        system.  When a and b are minimal representatives, so is every c of
+        the row.
         """
-
-        def build():
+        rows = self._rows.setdefault(a, {})
+        row = rows.get(b)
+        if row is None:
             row = {}
             for c in self.rs.weyl_group():
                 if c.length == a.length + b.length:
                     n = self._triple(a, b, c)
                     if n:
                         row[c] = n
-            return row
-
-        return self.rs.memo(("num", "const", a, b), build)
+            rows[b] = row
+        return row
 
     def _triple(self, a, b, c):
         """<[Y(a)] [Y(b)], [X(c)]> on G/B, the coefficient of [Y(c)] in the product."""
@@ -638,8 +641,12 @@ class SchubertCalculus:
             if not ca:
                 continue
             ya = opposite(a)
+            rows = self._rows.setdefault(ya, {})
             for yb, cb in ybs:
-                for c, n in self._constants(ya, yb).items():
+                row = rows.get(yb)
+                if row is None:
+                    row = self._constants(ya, yb)
+                for c, n in row.items():
                     out[c] = out.get(c, 0) + ca * cb * n
         return {opposite(c): v for c, v in out.items() if v}
 

@@ -8,8 +8,6 @@ not an error.
 
 from __future__ import annotations
 
-import time
-
 from .cohomology import SchubertCalculus, cohomology, csm_expansion, csm_vector, h_polynomial
 from .kclasses import ktheory
 from .laurent import check_log_concave, check_unimodal, has_internal_zeros
@@ -18,7 +16,7 @@ from .mc import _sign, coefficients_in_negative_cone, motivic_chern
 
 class ConjectureReport:
     def __init__(self, conjecture, lie_type, parabolic, cells_checked, status,
-                 counterexamples=None, notes=None, elapsed=0.0):
+                 counterexamples=None, notes=None):
         self.conjecture = conjecture
         self.lie_type = lie_type
         self.parabolic = parabolic
@@ -26,10 +24,8 @@ class ConjectureReport:
         self.status = status
         self.counterexamples = [] if counterexamples is None else counterexamples
         self.notes = {} if notes is None else notes
-        self.elapsed = elapsed
 
     def to_json_obj(self):
-        # elapsed is intentionally not serialized: artifacts are byte-stable
         return {
             "conjecture": self.conjecture,
             "system": self.lie_type,
@@ -41,8 +37,7 @@ class ConjectureReport:
         }
 
 
-def _finish(report, t0):
-    report.elapsed = time.time() - t0
+def _finish(report):
     report.status = "verified" if not report.counterexamples else "refuted"
     return report
 
@@ -56,7 +51,6 @@ def _cells(rs, maxlen):
 def check_mc_positivity(rs, maxlen=None):
     """Sign-normalized Schubert coefficients of motivic classes lie in the
     nonnegative cone of y and inverse simple-root monomials."""
-    t0 = time.time()
     kt = ktheory(rs)
     cells, maxlen = _cells(rs, maxlen)
     rep = ConjectureReport("mc-positivity", f"{rs.lie_type}{rs.rank}", (), len(cells), "partial")
@@ -75,12 +69,11 @@ def check_mc_positivity(rs, maxlen=None):
                         "coefficient": c.to_json_obj(),
                     }
                 )
-    return _finish(rep, t0)
+    return _finish(rep)
 
 
 def check_mc_log_concavity(rs, maxlen=None):
     """Log concavity of the sign-normalized non-equivariant coefficients."""
-    t0 = time.time()
     kt = ktheory(rs)
     cells, maxlen = _cells(rs, maxlen)
     rep = ConjectureReport("mc-log-concavity", f"{rs.lie_type}{rs.rank}", (), len(cells), "partial")
@@ -99,7 +92,7 @@ def check_mc_log_concavity(rs, maxlen=None):
                         "offset": p.offset,
                     }
                 )
-    return _finish(rep, t0)
+    return _finish(rep)
 
 
 def check_csm_positivity(rs, parabolic=None, equivariant=False):
@@ -109,7 +102,6 @@ def check_csm_positivity(rs, parabolic=None, equivariant=False):
     weakest standard reading of positivity in the positive roots); zero
     coefficients are collected separately from negative ones.
     """
-    t0 = time.time()
     ctx = cohomology(rs)
     pd = rs.parabolic(parabolic) if parabolic else None
     cells = pd.min_reps if pd else rs.weyl_group()
@@ -150,12 +142,11 @@ def check_csm_positivity(rs, parabolic=None, equivariant=False):
                     zeros.append({"cell": w.name(), "basis_cell": u.name()})
     rep.notes["equivariant"] = equivariant
     rep.notes["zero_coefficients"] = zeros
-    return _finish(rep, t0)
+    return _finish(rep)
 
 
 def check_h_unimodality(rs, parabolic=None):
     """Unimodality (and in type A, log concavity) of variety H-polynomials."""
-    t0 = time.time()
     ctx = cohomology(rs)
     pd = rs.parabolic(parabolic) if parabolic else None
     cells = pd.min_reps if pd else rs.weyl_group()
@@ -179,12 +170,11 @@ def check_h_unimodality(rs, parabolic=None):
             rep.counterexamples.append(
                 {"cell": w.name(), "h_polynomial": [str(c) for c in H.coeffs], "issues": issues}
             )
-    return _finish(rep, t0)
+    return _finish(rep)
 
 
 def check_euler_alternation(rs, parabolic=None):
     """Alternating signs of SM structure constants, with the sum-rule audit."""
-    t0 = time.time()
     pd = rs.parabolic(parabolic) if parabolic else None
     calc = SchubertCalculus(rs, pd)
     cells = list(calc.cells)
@@ -208,12 +198,11 @@ def check_euler_alternation(rs, parabolic=None):
     rep.notes["sum_rule_failures"] = audit_failures
     if audit_failures:
         rep.counterexamples.extend(audit_failures)
-    return _finish(rep, t0)
+    return _finish(rep)
 
 
 def check_richardson_positivity(rs):
     """Schubert positivity of CSM classes of intersections of opposite cells."""
-    t0 = time.time()
     calc = SchubertCalculus(rs)
     cells = list(calc.cells)
     rep = ConjectureReport(
@@ -227,7 +216,7 @@ def check_richardson_positivity(rs):
                     rep.counterexamples.append(
                         {"u": u.name(), "v": v.name(), "w": w.name(), "value": c}
                     )
-    return _finish(rep, t0)
+    return _finish(rep)
 
 
 CHECKERS = {

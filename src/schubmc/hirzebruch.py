@@ -301,11 +301,11 @@ def hirzebruch_duality_check(hz, u, v, cap=None):
     return val == want, val
 
 
-def segre_hirzebruch(hz, w, cap=None, check=True):
+def segre_hirzebruch(hz, w, cap=None):
     """Hirzebruch class divided pointwise by the tangent class of the space.
 
-    With ``check`` the quotient is compared against the adjoint operator
-    word applied to the normalized point class, modulo the cap.
+    The quotient is checked against the adjoint operator word applied to the
+    normalized point class, modulo the cap.
     """
     cap = hz.cap if cap is None else cap
     h = hz.hirzebruch_class(w, cap=cap)
@@ -313,15 +313,14 @@ def segre_hirzebruch(hz, w, cap=None, check=True):
     for u, s in h.coeffs.items():
         out[u] = s * hz.todd_series_of_weights(hz.tangent_weights(u), "uTdy", s.cap).inverse()
     result = HClass(hz, out)
-    if check:
-        top = cap + hz.dim
-        word_route = hz.rs.along_word(
-            hz.prefix + ("segre", cap), w,
-            lambda e: hz.point_class(e, top).scale(hz.tangent_todd(e, "uTdy", top).inverse()),
-            lambda i, a: hz.dl_h(i, a, dual=True),
-        )
-        if not result.eq_mod_cap(word_route):
-            raise TruncationError(f"Segre routes disagree at {w.name()}")
+    top = cap + hz.dim
+    word_route = hz.rs.along_word(
+        hz.prefix + ("segre", cap), w,
+        lambda e: hz.point_class(e, top).scale(hz.tangent_todd(e, "uTdy", top).inverse()),
+        lambda i, a: hz.dl_h(i, a, dual=True),
+    )
+    if not result.eq_mod_cap(word_route):
+        raise TruncationError(f"Segre routes disagree at {w.name()}")
     return result
 
 

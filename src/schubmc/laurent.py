@@ -1,16 +1,16 @@
 """Exact multivariate Laurent arithmetic over the weight lattice with y adjoined.
 
 ``LaurentPolynomial`` keys each term by one ``int`` packing its exponent
-vector and y power (see ``_kernel_py``); integer order of the keys is the
-lex term order used for serialization.  Each polynomial carries an upper
-bound on |digit|, updated in O(1) per operation and made exact only when it
-reaches the packing range, so a product, quotient or Weyl image whose
-digits could leave the range raises OverflowError instead of carrying.
-``FactoredFraction`` keeps denominators as multisets of binomial factors
-``1 - e^mu`` and ``1 + y e^mu``, reduced only by exact division.
-``divide_exact`` cancels such a binomial (any two-term divisor with
-coefficients +-1) by line sums in one pass over the dividend; only a
-general divisor goes to the kernel's long division.
+vector and y power, and runs its sums and products on the term loops of
+``_kernel_py``; integer order of the keys is the lex term order used for
+serialization.  Each polynomial carries an upper bound on |digit|, updated
+in O(1) per operation and made exact only when it reaches the packing range,
+so a product, quotient or Weyl image whose digits could leave the range
+raises OverflowError instead of carrying.  ``FactoredFraction`` keeps
+denominators as multisets of binomial factors ``1 - e^mu`` and
+``1 + y e^mu``, reduced only by exact division.  ``divide_exact`` is the
+kernel's one division, by a monomial or by a binomial with coefficients
++-1 (line sums in one pass over the dividend); it refuses any other divisor.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import lru_cache
 
 # kernel calls go through ``_impl.<name>``, so that a tracer can wrap them
 from . import _kernel_py as _impl
-from ._kernel_py import HALF, MASK, WIDTH, digit_offset, digits, pack, unpack, ypow_of
+from ._kernel_py import HALF, MASK, WIDTH, digit_offset, digits, pack, product_bound, unpack, ypow_of
 
 BACKEND = "pure"  # the one kernel; benchmark records report it
 
@@ -110,11 +110,7 @@ class LaurentPolynomial:
         if isinstance(other, int):
             return _lp(_impl.lp_scale(self.packed, other), self.nvars, self._bound)
         other = self._coerce(other)
-        bound = self._bound + other._bound
-        if bound >= HALF:
-            bound = self._tighten() + other._tighten()
-            if bound >= HALF:
-                raise OverflowError("a product exponent could leave the packing range")
+        bound = product_bound(self, other)
         return _lp(_impl.lp_mul(self.packed, other.packed), self.nvars, bound)
 
     __rmul__ = __mul__
@@ -255,81 +251,32 @@ def _weyl_moves(w):
 
 
 def divide_exact(p, q):
-    """Exact quotient p/q, or None when q does not divide p."""
+    """Exact quotient p/q, or None when q does not divide p.
+
+    q is a monomial or a binomial with coefficients +-1; any other divisor
+    raises ValueError (``_kernel_py.lp_divide_exact``).
+    """
     if p.nvars != q.nvars:
         raise ValueError("rank mismatch")
     b = q.packed
-    # A line base k - t*v (see _divide_binomial) has digits up to
-    # |p| (1 + 2|q|); below HALF distinct lines keep distinct keys.
-    if (
-        len(b) == 2
-        and all(c in (1, -1) for c in b.values())
-        and (
-            p._bound * (1 + 2 * q._bound) < HALF
-            or p._tighten() * (1 + 2 * q._tighten()) < HALF
-        )
-    ):
-        res = _divide_binomial(p.packed, b, p.nvars)
+    if len(b) == 1:
+        # a quotient digit is a digit of p minus one of q
+        bound = product_bound(p, q)
     else:
-        res = _impl.lp_divide_exact(p.packed, b, p.nvars)
+        # A line base k - t*v (see lp_divide_exact) has digits up to
+        # |p| (1 + 2|q|); below HALF distinct lines keep distinct keys.
+        if (
+            p._bound * (1 + 2 * q._bound) >= HALF
+            and p._tighten() * (1 + 2 * q._tighten()) >= HALF
+        ):
+            raise OverflowError("a line of the division could leave the packing range")
+        # The Newton polytope of p is that of the quotient plus that of q, so
+        # when q has a constant term no quotient digit is larger than p's.
+        bound = p._bound if 0 in b else p._bound + q._bound
+    res = _impl.lp_divide_exact(p.packed, b, p.nvars)
     if res is None:
         return None
-    # The Newton polytope of p is that of the quotient plus that of q, so when
-    # q has a constant term no quotient digit is larger than p's.
-    return _lp(res, p.nvars, p._bound if 0 in b else p._bound + q._bound)
-
-
-def _divide_binomial(a, b, nvars):
-    """Quotient a/b for b = c0 X^k0 + c1 X^k1 with c0, c1 = +-1, else None.
-
-    With c = c0 c1 and v = k1 - k0, b = c0 X^k0 (1 + c X^v).  The terms of a
-    fall on lines k = base + t v; on each line the quotient by 1 + c X^v is
-    the running sum q_t = a_t - c q_{t-1}, and it is exact iff the line's
-    signed sum, sum_t (-c)^t a_t, is zero.  Every line's sum is checked
-    before any quotient term is built.  All of it is arithmetic on packed
-    keys; the caller keeps every line base inside the packing range.
-    """
-    if not a:
-        return {}
-    (k0, c0), (k1, c1) = b.items()
-    v = k1 - k0
-    r = -c0 * c1
-    # for 1 - X^v every line sum is plain, and the line sums add up to a(1)
-    if r == 1 and sum(a.values()):
-        return None
-    # a term's place t on its line is read off the lowest digit where v is nonzero
-    shift = 0
-    while not (vj := ((v >> shift) + HALF & MASK) - HALF):
-        shift += WIDTH
-    off = digit_offset(nvars + 1)
-    lines = {}
-    for k, c in a.items():
-        t = (((k + off) >> shift & MASK) - HALF) // vj
-        base = k - t * v
-        line = lines.get(base)
-        if line is None:
-            lines[base] = {t: c}
-        else:
-            line[t] = c
-    for line in lines.values():
-        if r == 1:
-            signed = sum(line.values())
-        else:
-            signed = sum(-c if t & 1 else c for t, c in line.items())
-        if signed:
-            return None
-    out = {}
-    for base, line in lines.items():
-        lo, hi = min(line), max(line)
-        # the quotient by b is c0 X^-k0 times the quotient by 1 + c X^v
-        key = base + lo * v - k0
-        q = 0
-        for t in range(lo, hi):
-            q = line.get(t, 0) + r * q
-            if q:
-                out[key] = c0 * q
-            key += v
-    return out
+    return _lp(res, p.nvars, bound)
 
 
 # -- structured fractions ------------------------------------------------------

@@ -102,34 +102,8 @@ def verify_mc_duality(kt, u, v):
     return got == want, got, want
 
 
-class MotivicClassRecord:
-    """A motivic class together with its cached Schubert-type expansions."""
-
-    def __init__(self, kt, cell, opposite, dual, kclass, expansions=None):
-        self.kt = kt
-        self.cell = cell
-        self.opposite = opposite
-        self.dual = dual
-        self.kclass = kclass
-        self.expansions = {} if expansions is None else expansions
-
-    def expansion(self, basis="O"):
-        exp = self.expansions.get(basis)
-        if exp is None:
-            exp = self.kt.expand(self.kclass, basis)
-            self.expansions[basis] = exp
-        return exp
-
-    def check_negative_cone(self, basis="O"):
-        """Every expansion coefficient uses only e^{-alpha} monomials."""
-        bad = []
-        for w, c in self.expansion(basis).items():
-            if not coefficients_in_negative_cone(self.kt.rs, c):
-                bad.append(w)
-        return bad
-
-
 def coefficients_in_negative_cone(rs, poly):
+    """Every monomial e^mu of poly has mu a nonpositive integer combination of simple roots."""
     for exp, _ in poly.terms:
         coords = rs.memo(("roots", "simple", exp), lambda: rs.weight_in_simple_roots(exp))
         for q in coords:
@@ -138,31 +112,22 @@ def coefficients_in_negative_cone(rs, poly):
     return True
 
 
-def motivic_record(kt, w, dual=False, opposite=False):
-    if dual:
-        cls = dual_motivic_chern(kt, w, opposite=opposite)
-    else:
-        cls = motivic_chern(kt, w)
-    return MotivicClassRecord(kt, w, opposite, dual, cls)
-
-
 # -- Segre form --------------------------------------------------------------------
 
 
-def segre_mc(kt, w, check=True):
-    """Segre form MC / lambda_y(T*X), pointwise; optionally checked against
-    the dual-operator route divided by the scalar product over positive roots."""
+def segre_mc(kt, w):
+    """Segre form MC / lambda_y(T*X), pointwise, checked against the
+    dual-operator route divided by the scalar product over positive roots."""
     mc = motivic_chern(kt, w)
     out = {}
     for u, c in mc.coeffs.items():
         out[u] = c.divide_by_factors(kt.lambda_y_cotangent_factors(u))
     pointwise = KClass(kt.space, out)
-    if check:
-        word_route = kt.rs.along_word(("k", "segre"), w, kt.iota, kt.dl_dual)
-        scalar = tuple(one_plus_ye(a) for a in kt.rs.positive_roots)
-        word_route = word_route.map_coefficients(lambda c: c.divide_by_factors(scalar))
-        if not pointwise == word_route:
-            raise ConventionError("Segre routes disagree")
+    word_route = kt.rs.along_word(("k", "segre"), w, kt.iota, kt.dl_dual)
+    scalar = tuple(one_plus_ye(a) for a in kt.rs.positive_roots)
+    word_route = word_route.map_coefficients(lambda c: c.divide_by_factors(scalar))
+    if not pointwise == word_route:
+        raise ConventionError("Segre routes disagree")
     return pointwise
 
 

@@ -37,8 +37,11 @@ every pair of degrees, for a series) is an integer convolution summed into
 its output key, and each output coefficient becomes one ``YFrac``,
 normalized once.  ``series_combination`` sums series times integer
 y-polynomials the same way.  The lifted form lives only inside the product.
-Products of ``int``/``Fraction`` polynomials multiply coefficient by
-coefficient.
+Sums, negatives, scalar multiples and the products of ``int``/``Fraction``
+polynomials run on the Laurent kernel's term loops (``_kernel_py.lp_add``,
+``lp_neg``, ``lp_scale``, ``lp_mul``), which serve every coefficient type.
+``Poly.divide_exact`` keeps its own leading-term elimination: its divisors
+are linear forms and Euler classes, not the kernel's binomials.
 """
 
 from __future__ import annotations
@@ -47,7 +50,9 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import add
 
-from ._kernel_py import HALF, MASK, WIDTH, digit_offset, digits, pack
+# kernel calls go through ``_impl.<name>``, so that a tracer can wrap them
+from . import _kernel_py as _impl
+from ._kernel_py import HALF, MASK, WIDTH, digit_offset, digits, pack, product_bound
 
 
 class YFrac:
@@ -381,7 +386,7 @@ def _lifted_product(a, b, cap, nvars):
     for da, ta in la.items():
         for db, tb in lb.items():
             if da + db <= cap:
-                _product_bound(a[da], b[db])
+                product_bound(a[da], b[db])
                 _convolve_into(out.setdefault(da + db, {}), width, ta, tb)
     return _lower(out, Da * Db, Ka + Kb, nvars)
 
@@ -437,16 +442,6 @@ def _poly(packed, nvars, bound):
 def _same_nvars(a, b):
     if a.nvars != b.nvars:
         raise ValueError(f"cannot combine {a.nvars} and {b.nvars} variables")
-
-
-def _product_bound(a, b):
-    """A degree bound of a * b; OverflowError if a digit of it could reach HALF."""
-    bound = a._bound + b._bound
-    if bound >= HALF:
-        bound = a._tighten() + b._tighten()
-        if bound >= HALF:
-            raise OverflowError("a product degree could leave the packing range")
-    return bound
 
 
 class Poly:
@@ -532,29 +527,21 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.packed)
-        for k, v in other.packed.items():
-            c = out.get(k)
-            c = v if c is None else c + v
-            if c:
-                out[k] = c
-            else:
-                del out[k]
-        return _poly(out, self.nvars, max(self._bound, other._bound))
+        return _poly(
+            _impl.lp_add(self.packed, other.packed), self.nvars, max(self._bound, other._bound)
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _poly({k: -v for k, v in self.packed.items()}, self.nvars, self._bound)
+        return _poly(_impl.lp_neg(self.packed), self.nvars, self._bound)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, YFrac)):
-            if not other:
-                return Poly.zero(self.nvars)
-            return _poly({k: v * other for k, v in self.packed.items()}, self.nvars, self._bound)
+            return _poly(_impl.lp_scale(self.packed, other), self.nvars, self._bound)
         if not isinstance(other, Poly):
             return NotImplemented
         _same_nvars(self, other)
@@ -562,16 +549,8 @@ class Poly:
         if _has_yfrac(a, b):
             out = _lifted_product({0: self}, {0: other}, 0, self.nvars)
             return out.get(0) or Poly.zero(self.nvars)
-        bound = _product_bound(self, other)
-        out = {}
-        get = out.get
-        b = list(b.items())
-        for ka, va in a.items():
-            for kb, vb in b:
-                k = ka + kb
-                c = get(k)
-                out[k] = va * vb if c is None else c + va * vb
-        return _poly({k: v for k, v in out.items() if v}, self.nvars, bound)
+        bound = product_bound(self, other)
+        return _poly(_impl.lp_mul(a, b), self.nvars, bound)
 
     __rmul__ = __mul__
 

@@ -221,7 +221,7 @@ def test_segre_identity():
     rs = root_system("A", 2)
     hz = hirzebruch(rs, 8)
     for w in rs.weyl_group():
-        segre_hirzebruch(hz, w, cap=8, check=True)
+        segre_hirzebruch(hz, w, cap=8)
 
 
 def test_ghrr_operator_commutation():

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schubmc import _kernel_py, laurent, root_system
+import schubmc
+from long_division_reference import long_division
+from schubmc import _kernel_py, root_system
 from schubmc._kernel_py import HALF, pack, unpack
 from schubmc.laurent import (
     FactoredFraction,
@@ -142,14 +144,24 @@ def test_star_involution(p, q):
     assert (p + q).star() == p.star() + q.star()
 
 
+def kernel_divisor(q):
+    """A monomial, or a binomial with coefficients +-1: the divisors of the kernel."""
+    return len(q.packed) == 1 or (len(q.packed) == 2 and all(c in (1, -1) for c in q.packed.values()))
+
+
 @given(polys, polys)
 @settings(max_examples=60, deadline=None)
 def test_divide_exact_roundtrip(p, q):
+    # the reference long division takes any divisor; the kernel refuses all but its own
     if not q:
         return
     prod = p * q
-    got = divide_exact(prod, q)
-    assert got is not None and got == p
+    assert long_division(prod.packed, q.packed, 2) == p.packed
+    if kernel_divisor(q):
+        assert divide_exact(prod, q) == p
+    else:
+        with pytest.raises(ValueError):
+            divide_exact(prod, q)
 
 
 factor_keys = st.one_of(
@@ -162,7 +174,7 @@ factor_keys = st.one_of(
 @given(polys, factor_keys, st.integers(0, 2), term_keys, st.sampled_from([1, -1]))
 @settings(max_examples=200, deadline=None)
 def test_binomial_division_matches_kernel(p, key, power, shift, sign):
-    # the packed binomial route and the general kernel division against the
+    # the kernel's line sums and the reference long division against the
     # tuple-keyed line sums, on p, p*f and p*f*f;
     # the shifted divisor sign*X^shift*f exercises the monomial normalization
     f = factor_polynomial(key)
@@ -172,10 +184,8 @@ def test_binomial_division_matches_kernel(p, key, power, shift, sign):
         for _ in range(power):
             a = a * b
         want = ref_divide_binomial(a.terms, b.terms)
+        assert long_division(a.packed, b.packed, 2) == (None if want is None else packed(want))
         assert _kernel_py.lp_divide_exact(a.packed, b.packed, 2) == (
-            None if want is None else packed(want)
-        )
-        assert laurent._divide_binomial(a.packed, b.packed, 2) == (
             None if want is None else packed(want)
         )
         got = divide_exact(a, b)
@@ -211,8 +221,11 @@ def test_kernels_agree():
     assert unpacked(kernel.lp_mul(pa, pb)) == ref_lp_mul(a, b)
     assert unpacked(kernel.lp_neg(pa)) == kernel.lp_neg(a)
     assert unpacked(kernel.lp_scale(pa, -5)) == kernel.lp_scale(a, -5)
+    # a general divisor goes to the reference long division; the kernel divides by a monomial
     prod = kernel.lp_mul(pa, pb)
-    assert kernel.lp_divide_exact(prod, pb, 2) == pa
+    assert long_division(prod, pb, 2) == pa
+    mono = packed({((-1, 2), -1): -4})
+    assert kernel.lp_divide_exact(kernel.lp_mul(pa, mono), mono, 2) == pa
     assert kernel.lp_divide_exact({0: 3}, {0: 2}, 2) is None
 
 
@@ -302,6 +315,35 @@ def test_digit_range_edge():
     assert q.terms == {((-HALF + 5, 0), 0): 1}
     with pytest.raises(OverflowError):
         q * LaurentPolynomial.e((-6, 0))
+
+
+def test_divide_exact_refuses_other_divisors():
+    # the kernel divides only by a monomial or a binomial with coefficients +-1
+    one = LaurentPolynomial.const(1, 2)
+    e = LaurentPolynomial.e
+    p = (one - e((1, 0))) * (one + e((0, 1)) + e((1, 1)))
+    for q in (one + e((0, 1)) + e((1, 1)), one + 2 * e((1, 0)), 2 * one - e((1, 0))):
+        with pytest.raises(ValueError):
+            schubmc.divide_exact(p * q, q)
+    assert schubmc.divide_exact(p, one - e((1, 0))) == one + e((0, 1)) + e((1, 1))
+
+
+def test_monomial_quotient_out_of_range():
+    # a monomial quotient is a key shift, bounded like a product
+    top = HALF - 1
+    y = LaurentPolynomial.y(2)
+    cases = [
+        (L({((top, 0), 0): 3}), L({((-1, 0), 0): 1})),
+        (L({((0, 0), -top): 1, ((1, 1), 0): 2}), y),
+        (L({((2, -top), 1): 6}), L({((-2, 1), 0): -2})),
+    ]
+    for p, q in cases:
+        with pytest.raises(OverflowError):
+            divide_exact(p, q)
+    # a stale bound is tightened before the quotient is refused
+    p = L({((top, 0), 0): 3}) + L({((0, 0), 0): 3}) - L({((top, 0), 0): 3})
+    assert p._bound == top
+    assert divide_exact(p, L({((0, 5), 1): -3})).terms == {((0, -5), -1): -1}
 
 
 def test_divide_exact_examples():

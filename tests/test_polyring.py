@@ -591,3 +591,108 @@ def test_packed_series_match_tuple_reference(operands, cap):
     _same_series(
         GradedSeries.from_poly(u, cap).inverse(), tuple_ref.GradedSeries.from_poly(ru, cap).inverse()
     )
+
+
+# -- the kernel's term loops against the Poly loops they replaced -------------------------
+
+
+def replaced_add(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        c = out.get(k)
+        c = v if c is None else c + v
+        if c:
+            out[k] = c
+        else:
+            del out[k]
+    return out
+
+
+def replaced_neg(a):
+    return {k: -v for k, v in a.items()}
+
+
+def replaced_scale(a, c):
+    if not c:
+        return {}
+    return {k: v * c for k, v in a.items()}
+
+
+def replaced_mul(a, b):
+    out = {}
+    get = out.get
+    b = list(b.items())
+    for ka, va in a.items():
+        for kb, vb in b:
+            k = ka + kb
+            c = get(k)
+            out[k] = va * vb if c is None else c + va * vb
+    return {k: v for k, v in out.items() if v}
+
+
+@given(st.sampled_from(sorted(_coefficients)), st.data())
+@settings(max_examples=200, deadline=None)
+def test_kernel_loops_match_replaced_poly_loops(kind, data):
+    # "int" and "Fraction" draw one coefficient type, "YFrac" mixes all three;
+    # a YFrac product is lifted, so the replaced loop checks its values only
+    coeffs = _coefficients[kind]
+    polys = st.dictionaries(_monomials, coeffs, max_size=5).map(lambda t: Poly(t, 2))
+    a, b, s = data.draw(polys), data.draw(polys), data.draw(coeffs)
+    pairs = [
+        (a + b, replaced_add(a.packed, b.packed)),
+        (a - b, replaced_add(a.packed, replaced_neg(b.packed))),
+        (a - a, {}),
+        (-a, replaced_neg(a.packed)),
+        (a * s, replaced_scale(a.packed, s)),
+        (a * b, replaced_mul(a.packed, b.packed)),
+        (b * a, replaced_mul(b.packed, a.packed)),
+    ]
+    for got, want in pairs:
+        assert all(got.packed.values()), "a zero coefficient was stored"
+        if kind == "YFrac":
+            assert got.packed == want
+        else:
+            assert _typed(got.packed) == _typed(want)
+
+
+class _Coefficient:
+    """A ring element that refuses to meet an int, as a YFrac must never meet an int 0."""
+
+    __slots__ = ("v",)
+
+    def __init__(self, v):
+        self.v = v
+
+    def _other(self, o):
+        assert type(o) is _Coefficient, f"a coefficient met {o!r}"
+        return o.v
+
+    def __add__(self, o):
+        return _Coefficient(self.v + self._other(o))
+
+    def __mul__(self, o):
+        return _Coefficient(self.v * self._other(o))
+
+    def __neg__(self):
+        return _Coefficient(-self.v)
+
+    def __bool__(self):
+        return bool(self.v)
+
+    def __eq__(self, o):
+        return self.v == self._other(o)
+
+
+def test_kernel_loops_never_mix_in_an_int():
+    from schubmc import _kernel_py as kernel
+
+    def terms(d):
+        return {k: _Coefficient(v) for k, v in d.items()}
+
+    a, b = {1: 2, 3: -1, 5: 4}, {1: -2, 2: 1, 4: 1}
+    assert kernel.lp_add(terms(a), terms(b)) == terms({2: 1, 3: -1, 4: 1, 5: 4})
+    assert kernel.lp_neg(terms(a)) == terms({k: -v for k, v in a.items()})
+    assert kernel.lp_scale(terms(a), _Coefficient(3)) == terms({k: 3 * v for k, v in a.items()})
+    assert kernel.lp_scale(terms(a), _Coefficient(0)) == {}
+    # (2 x + 1)(2 x - 1) = 4 x^2 - 1: the x terms cancel inside the loop
+    assert kernel.lp_mul(terms({1: 2, 0: 1}), terms({1: 2, 0: -1})) == terms({2: 4, 0: -1})

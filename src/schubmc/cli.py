@@ -27,7 +27,7 @@ from .cohomology import GKMError, cohomology, csm_expansion, csm_vector
 from .hecke import t_word
 from .hirzebruch import TruncationError, hirzebruch
 from .kclasses import IntegralityError, ktheory
-from .roots import RootSystemError, parse_type, root_system
+from .roots import RootSystemError, cell_order, parse_type, root_system
 
 
 class ConfigError(ValueError):
@@ -220,9 +220,8 @@ def cmd_mc(args):
                 u = pd.min_rep(w)
                 cls = mcmod.motivic_chern_parabolic(kt, pd, u)
                 coeffs = {
-                    v.name(): c.reduce().num.to_json_obj() for v, c in sorted(
-                        cls.coeffs.items(), key=lambda kv: (kv[0].length, kv[0].word)
-                    )
+                    v.name(): cls.coeffs[v].reduce().num.to_json_obj()
+                    for v in sorted(cls.coeffs, key=cell_order)
                 }
                 return {"space": f"{rs.lie_type}{rs.rank}/P{sorted(pd.subset)}",
                         "cell": u.name(), "basis": "iota", "coeffs": coeffs}
@@ -233,10 +232,8 @@ def cmd_mc(args):
             basis = args.basis or "O"
             exp = kt.expand(cls, basis)
             if args.nonequivariant:
-                coeffs = {
-                    u.name(): _ypoly_obj(p)
-                    for u, p in sorted(exp.nonequivariant().items(), key=lambda kv: (kv[0].length, kv[0].word))
-                }
+                ne = exp.nonequivariant()
+                coeffs = {u.name(): _ypoly_obj(ne[u]) for u in sorted(ne, key=cell_order)}
             else:
                 coeffs = {u.name(): c.to_json_obj() for u, c in exp.items()}
             return {
@@ -321,9 +318,7 @@ def cmd_csm(args):
         if pd is not None:
             keep = set(pd.min_reps)
             vec = {u: c for u, c in vec.items() if u in keep}
-        coeffs = {
-            u.name(): c for u, c in sorted(vec.items(), key=lambda kv: (kv[0].length, kv[0].word))
-        }
+        coeffs = {u.name(): vec[u] for u in sorted(vec, key=cell_order)}
         payload = {
             "space": f"{rs.lie_type}{rs.rank}" + (f"/P{sorted(pd.subset)}" if pd else ""),
             "cell": (pd.min_rep(w) if pd else w).name(),
@@ -336,10 +331,7 @@ def cmd_csm(args):
             raise ConfigError("--parabolic requires --nonequivariant: no equivariant G/P CSM route")
         ctx = cohomology(rs)
         exp = csm_expansion(ctx, w)
-        coeffs = {
-            u.name(): _poly_obj(p, varnames)
-            for u, p in sorted(exp.items(), key=lambda kv: (kv[0].length, kv[0].word))
-        }
+        coeffs = {u.name(): _poly_obj(exp[u], varnames) for u in sorted(exp, key=cell_order)}
         payload = {
             "space": f"{rs.lie_type}{rs.rank}",
             "cell": w.name(),
@@ -364,11 +356,8 @@ def cmd_hirzebruch(args):
     cls = hz.hirzebruch_class(w, normalized=args.normalized, cap=cap)
     varnames = [f"a{i}" for i in range(1, rs.rank + 1)]
     coeffs = {}
-    for u, s in sorted(cls.coeffs.items(), key=lambda kv: (kv[0].length, kv[0].word)):
-        coeffs[u.name()] = {
-            str(d): _poly_obj(p, varnames)
-            for d, p in sorted(s.comps.items())
-        }
+    for u in sorted(cls.coeffs, key=cell_order):
+        coeffs[u.name()] = {str(d): _poly_obj(p, varnames) for d, p in cls.coeffs[u].comps.items()}
     payload = {
         "space": f"{rs.lie_type}{rs.rank}",
         "cell": w.name(),

@@ -65,7 +65,7 @@ from fractions import Fraction
 
 from .laurent import YPolynomial
 from .polyring import Poly
-from .roots import RootSystemError, neg_weight, triangular_solve
+from .roots import RootSystemError, cell_order, neg_weight, triangular_solve
 
 
 class GKMError(ArithmeticError):
@@ -214,7 +214,7 @@ class RestrictionMap:
         return self.like({w: fn(p) for w, p in self.coeffs.items()})
 
     def support(self):
-        return sorted(self.coeffs, key=lambda w: (w.length, w.word))
+        return sorted(self.coeffs, key=cell_order)
 
     def __eq__(self, other):
         if not isinstance(other, RestrictionMap) or self._domain() is not other._domain():
@@ -485,7 +485,7 @@ def csm_expansion(ctx, w):
 
     The recursion runs on the Schubert coefficients (``csm_schubert``); this
     is its result boundary, where the coefficients become ``Fraction``s, as
-    out of ``Cohomology.expand``, in its order: by (length, word), descending.
+    out of ``Cohomology.expand``, in its order: by ``cell_order``, descending.
     """
 
     def build():
@@ -511,8 +511,8 @@ def csm_vector(ctx, w):
 
 
 def _descending(coeffs):
-    """The cells of a Schubert expansion by (length, word), descending."""
-    return sorted(coeffs, key=lambda u: (u.length, u.word), reverse=True)
+    """The cells of a Schubert expansion by ``cell_order``, descending."""
+    return sorted(coeffs, key=cell_order, reverse=True)
 
 
 # -- numeric engine for constant pairings ----------------------------------------------

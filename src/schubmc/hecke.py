@@ -15,6 +15,7 @@ independent of the fixed-point operator calculus.
 from __future__ import annotations
 
 from .laurent import LaurentPolynomial, divide_exact, factor_polynomial, one_minus_e
+from .roots import cell_order
 
 
 class HeckeElement:
@@ -79,7 +80,7 @@ class HeckeElement:
         return out
 
     def items(self):
-        return sorted(self.terms.items(), key=lambda kv: (kv[0].length, kv[0].word))
+        return [(u, self.terms[u]) for u in sorted(self.terms, key=cell_order)]
 
     def to_json_obj(self):
         return {w.name(): p.to_json_obj() for w, p in self.items()}

@@ -80,13 +80,7 @@ class HClass(RestrictionMap):
 
     def evaluate_y(self, v):
         """Specialize y, returning fixed point -> Poly over Fractions."""
-        out = {}
-        for w, s in self.coeffs.items():
-            p = Poly.zero(self.ctx.rs.rank)
-            for d, comp in s.comps.items():
-                p = p + comp.map_coefficients(lambda c: c.evaluate(v))
-            out[w] = p
-        return out
+        return {w: s.poly.map_coefficients(lambda c: c.evaluate(v)) for w, s in self.coeffs.items()}
 
 
 class Hirzebruch(GKMEngine):
@@ -219,24 +213,15 @@ class Hirzebruch(GKMEngine):
 
     def adams_normalize(self, a):
         """Scale homological degree j by (1+y)^-j; degrees measured against dim."""
-        out = {}
-        for w, s in a.coeffs.items():
-            comps = {}
-            for d, p in s.comps.items():
-                k = d - self.dim
-                if k >= 0:
-                    comps[d] = p.map_coefficients(lambda c: c * YFrac([1, 1]) ** k)
-                else:
-                    comps[d] = p.map_coefficients(lambda c: c.divide_by_one_plus_y(-k))
-            out[w] = GradedSeries(comps, s.cap, s.nvars)
+        one_plus_y = YFrac([1, 1])
+        out = {w: s.scale_degrees(lambda d: one_plus_y ** (d - self.dim)) for w, s in a.coeffs.items()}
         return HClass(self, out, normalized=True)
 
     def assert_cleared(self, a):
         for w, s in a.coeffs.items():
-            for d, p in s.comps.items():
-                for c in p.packed.values():
-                    if not c.cleared():
-                        raise TruncationError(f"(1+y) denominator survives at {w.name()}")
+            for c in s.poly.packed.values():
+                if not c.cleared():
+                    raise TruncationError(f"(1+y) denominator survives at {w.name()}")
         return a
 
     # -- the Hirzebruch classes of cells ---------------------------------------------------

@@ -39,7 +39,7 @@ from .laurent import (
     one_plus_ye,
     product_of_factors,
 )
-from .roots import RootSystemError, neg_weight, triangular_solve
+from .roots import RootSystemError, cell_order, neg_weight, triangular_solve
 
 
 class IntegralityError(ArithmeticError):
@@ -209,7 +209,7 @@ class SchubertExpansion:
         return c
 
     def items(self):
-        return sorted(self.coeffs.items(), key=lambda kv: (kv[0].length, kv[0].word))
+        return [(u, self.coeffs[u]) for u in sorted(self.coeffs, key=cell_order)]
 
     def nonequivariant(self):
         """Substitute e^lam -> 1 in every coefficient; map of YPolynomials."""
@@ -410,11 +410,11 @@ class KTheory:
 
     # -- expansions ---------------------------------------------------------------
 
-    def expand(self, a, basis="O", expect_integral=True):
+    def expand(self, a, basis="O"):
         """Coefficients of a in a Schubert-type basis.
 
         In the ``iota`` basis these are a's own coefficients, reduced to
-        Laurent polynomials unless ``expect_integral`` is false.  The bases O,
+        Laurent polynomials (``IntegralityError`` when one is not).  The bases O,
         I, Oop and Iop are triangular in Bruhat order, and the solve runs on
         local restrictions (see ``local_factors``): every entry, of the
         residual and of the basis classes alike, is a Laurent polynomial, so
@@ -425,14 +425,7 @@ class KTheory:
         integral class, and otherwise raise ``IntegralityError``.
         """
         if basis == "iota":
-            coeffs = {}
-            for w, c in a.coeffs.items():
-                coeffs[w] = _integral(w, c) if expect_integral else c
-            return SchubertExpansion(a.ctx, basis, coeffs)
-        if not expect_integral:
-            raise ValueError(
-                f"a coefficient in the {basis} basis is a Laurent polynomial or an IntegralityError"
-            )
+            return SchubertExpansion(a.ctx, basis, {w: _integral(w, c) for w, c in a.coeffs.items()})
         opposite = basis in ("Oop", "Iop")
         local = self.local_factors(a.coeffs, opposite)
 
@@ -502,7 +495,7 @@ class KTheory:
             return rs.bruhat_leq(e, u) if opposite else rs.bruhat_leq(u, e)
 
         ends = []
-        for v in sorted(support, key=lambda w: (w.length, w.word), reverse=not opposite):
+        for v in sorted(support, key=cell_order, reverse=not opposite):
             if not any(below(v, e) for e in ends):
                 ends.append(v)
         sets = {}

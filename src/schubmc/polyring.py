@@ -7,12 +7,14 @@ with the degree-one formal variable appended last when homogenizing), with a
 in y with powers of 1+y inverted) for the Hirzebruch layer.  Constructors
 keep an ``int`` an ``int``, and exact division by an integer polynomial with
 coprime coefficients keeps an integral quotient integral (Gauss's lemma).
-``GradedSeries`` is a degree-truncated series with homogeneous components,
-the working form of completed equivariant (co)homology.  Its cap is the last
-degree it knows: a sum or product keeps the least cap of its operands,
+``GradedSeries`` is a degree-truncated series, the working form of completed
+equivariant (co)homology: one ``Poly`` with no term above its cap, the last
+degree it knows.  A sum or product keeps the least cap of its operands,
 ``truncate`` never raises the cap, and ``divide_exact`` lowers it by the
-divisor's degree.  The localization sums over fixed points that use these
-types live in ``cohomology.GKMEngine.localize``.
+divisor's degree.  A term's degree is its key's lowest digit, so the
+homogeneous components (``comps``, ``component``) are views read off the
+keys.  The localization sums over fixed points that use these types live in
+``cohomology.GKMEngine.localize``.
 
 ``Poly`` keys each term by one nonnegative ``int``, packed as the Laurent
 kernel packs its keys (``_kernel_py.pack``): the exponents are digits, the
@@ -30,24 +32,29 @@ A ``YFrac`` stores integer numerators over one positive integer denominator
 and a power of (1+y), in a single normal form, so its arithmetic is integer
 convolution and gcd; ``YFrac.num`` is a ``Fraction`` view of the coefficients.
 
-A product of ``Poly``s or ``GradedSeries`` with a ``YFrac`` coefficient is
-lifted: each operand is written once over one denominator D and one (1+y)
-power K, with an integer-list numerator per key, every pair of terms (of
-every pair of degrees, for a series) is an integer convolution summed into
-its output key, and each output coefficient becomes one ``YFrac``,
-normalized once.  ``series_combination`` sums series times integer
-y-polynomials the same way.  The lifted form lives only inside the product.
-Sums, negatives, scalar multiples and the products of ``int``/``Fraction``
-polynomials run on the Laurent kernel's term loops (``_kernel_py.lp_add``,
-``lp_neg``, ``lp_scale``, ``lp_mul``), which serve every coefficient type.
-``Poly.divide_exact`` keeps its own leading-term elimination: its divisors
-are linear forms and Euler classes, not the kernel's binomials.
+One ``_lifted_product`` multiplies the terms of ``Poly``s with a ``YFrac``
+coefficient and the terms of two series.  It groups each operand by degree
+once, so a series product skips every pair of degree blocks above the cap,
+and a kept pair whose degree reaches the digit limit raises
+``OverflowError``.  With a ``YFrac`` coefficient the product is lifted: each
+operand is written once over one denominator D and one (1+y) power K, with
+an integer-list numerator per key, every pair of terms is an integer
+convolution summed into its output key, and each output coefficient becomes
+one ``YFrac``, normalized once.  ``series_combination`` sums series times
+integer y-polynomials the same way.  The lifted form lives only inside the
+product.  Sums, negatives, scalar multiples and the products of
+``int``/``Fraction`` terms run on the Laurent kernel's term loops
+(``_kernel_py.lp_add``, ``lp_neg``, ``lp_scale``, ``lp_mul``), which serve
+every coefficient type.  ``Poly.divide_exact`` keeps its own leading-term
+elimination: its divisors are linear forms and Euler classes, not the
+kernel's binomials.  The one-variable Todd-type coefficient lists are
+one-variable series, built by ``series_of_linear``, ``inverse`` and ``*``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, factorial, gcd, lcm
 from operator import add
 
 # kernel calls go through ``_impl.<name>``, so that a tracer can wrap them
@@ -297,18 +304,17 @@ def _has_yfrac(*term_dicts):
     return any(YFrac in map(type, terms.values()) for terms in term_dicts)
 
 
-def _lift(blocks):
-    """Write every coefficient of blocks over one D (1+y)^K.
+def _lift(*term_dicts):
+    """Write every coefficient of the term dicts over one D (1+y)^K.
 
-    ``blocks`` maps a tag to a ``{key: coefficient}`` dict of ``int``,
-    ``Fraction`` or ``YFrac`` coefficients.  Returns ``D``, ``K`` and the same
-    tags mapped to ``(key, n)`` lists, each coefficient being
-    ``n / (D (1+y)^K)`` with ``n`` a list of ints, D the lcm of the
-    denominators and K the largest (1+y) power.
+    Each dict maps a key to an ``int``, ``Fraction`` or ``YFrac``
+    coefficient.  Returns ``D``, ``K`` and the dicts with each coefficient
+    replaced by a list of ints n, the coefficient being ``n / (D (1+y)^K)``
+    with D the lcm of the denominators and K the largest (1+y) power.
     """
     parts = []
     D, K = 1, 0
-    for tag, terms in blocks.items():
+    for terms in term_dicts:
         items = []
         for m, c in terms.items():
             if type(c) is YFrac:
@@ -321,23 +327,23 @@ def _lift(blocks):
             D = lcm(D, d)
             if k > K:
                 K = k
-        parts.append((tag, items))
-    out = {}
-    for tag, items in parts:
-        lifted = []
+        parts.append(items)
+    out = []
+    for items in parts:
+        lifted = {}
         for m, n, d, k in items:
             if d != D:
                 s = D // d
                 n = [x * s for x in n]
             if k != K:
                 n = _mul_one_plus_y_power(n, K - k)
-            lifted.append((m, n))
-        out[tag] = lifted
+            lifted[m] = n
+        out.append(lifted)
     return D, K, out
 
 
 def _width(lifted):
-    return max((len(n) for items in lifted.values() for _, n in items), default=1)
+    return max(map(len, lifted.values()), default=1)
 
 
 def _convolve_into(acc, width, a, b):
@@ -347,7 +353,8 @@ def _convolve_into(acc, width, a, b):
     ints; the product of two numerators is their convolution.
     """
     get = acc.get
-    for ka, na in a:
+    b = b.items()
+    for ka, na in a.items():
         for kb, nb in b:
             k = ka + kb
             c = get(k)
@@ -359,53 +366,73 @@ def _convolve_into(acc, width, a, b):
                         c[j] += x * z
 
 
-def _lower(acc, D, K, nvars):
-    """{degree: {key: n}} to {degree: Poly with coefficients n / (D (1+y)^K)}."""
+def _lower(acc, D, K):
+    """{key: n} to {key: n / (D (1+y)^K)}, zeros dropped."""
     out = {}
-    for d, terms in acc.items():
-        packed = {}
-        for k, n in terms.items():
-            c = _make(n, D, K)
-            if c:
-                packed[k] = c
-        out[d] = _poly(packed, nvars, max(map(MASK.__and__, packed), default=0))
+    for k, n in acc.items():
+        c = _make(n, D, K)
+        if c:
+            out[k] = c
     return out
 
 
-def _lifted_product(a, b, cap, nvars):
-    """The product of two {degree: Poly} dicts as {degree: Poly}.
-
-    Each operand is lifted once; every pair of blocks whose degrees add up to
-    at most cap is one pass of integer convolutions, and each output
-    coefficient is normalized once.
-    """
-    Da, Ka, la = _lift({d: p.packed for d, p in a.items()})
-    Db, Kb, lb = _lift({d: p.packed for d, p in b.items()})
-    width = _width(la) + _width(lb) - 1
+def _by_degree(terms):
+    """A term dict split by degree: {degree: {key: value}}."""
     out = {}
-    for da, ta in la.items():
-        for db, tb in lb.items():
-            if da + db <= cap:
-                product_bound(a[da], b[db])
-                _convolve_into(out.setdefault(da + db, {}), width, ta, tb)
-    return _lower(out, Da * Db, Ka + Kb, nvars)
+    for k, v in terms.items():
+        d = k & MASK
+        block = out.get(d)
+        if block is None:
+            out[d] = {k: v}
+        else:
+            block[k] = v
+    return out
+
+
+def _lifted_product(a, b, cap):
+    """The terms of degree at most cap of the product of two term dicts.
+
+    Each operand is grouped by degree once, and lifted once when a
+    coefficient is a ``YFrac``.  Every pair of blocks whose degrees add up to
+    at most cap is one pass: integer convolutions, each output coefficient
+    normalized once at the end, or else the kernel's product and sum.  A
+    kept pair of degree ``HALF`` or more raises ``OverflowError``: its keys
+    could carry.
+    """
+    lifted = _has_yfrac(a, b)
+    if lifted:
+        Da, Ka, (a,) = _lift(a)
+        Db, Kb, (b,) = _lift(b)
+        width = _width(a) + _width(b) - 1
+    blocks = _by_degree(b).items()
+    out = {}
+    for da, ta in _by_degree(a).items():
+        for db, tb in blocks:
+            d = da + db
+            if d > cap:
+                continue
+            if d >= HALF:
+                raise OverflowError("a product degree could leave the packing range")
+            if lifted:
+                _convolve_into(out, width, ta, tb)
+            else:
+                out = _impl.lp_add(out, _impl.lp_mul(ta, tb))
+    return _lower(out, Da * Db, Ka + Kb) if lifted else out
 
 
 def series_combination(pairs, cap, nvars):
     """sum of s * (n_0 + n_1 y + ...) over (GradedSeries s, int list n) pairs.
 
-    The series are lifted together, so that each output coefficient is one
-    integer sum, normalized once.
+    The terms of degree at most cap of all the series are lifted together,
+    so that each output coefficient is one integer sum, normalized once.
     """
-    blocks = {(i, d): p.packed for i, (s, _) in enumerate(pairs) for d, p in s.comps.items()}
-    D, K, lifted = _lift(blocks)
-    width = _width(lifted) + max((len(n) for _, n in pairs), default=1) - 1
+    D, K, lifted = _lift(*(_truncated(s.poly, cap) for s, _ in pairs))
+    width = max(map(_width, lifted), default=1) + max((len(n) for _, n in pairs), default=1) - 1
     out = {}
-    for (i, d), items in lifted.items():
-        if d <= cap:
-            # 0 is the key of the constant monomial
-            _convolve_into(out.setdefault(d, {}), width, items, [(0, pairs[i][1])])
-    return GradedSeries(_lower(out, D, K, nvars), cap, nvars)
+    for terms, (_, n) in zip(lifted, pairs):
+        # 0 is the key of the constant monomial
+        _convolve_into(out, width, terms, {0: n})
+    return _series(_lower(out, D, K), cap, nvars)
 
 
 # -- packed monomial keys ---------------------------------------------------------------
@@ -546,10 +573,9 @@ class Poly:
             return NotImplemented
         _same_nvars(self, other)
         a, b = self.packed, other.packed
-        if _has_yfrac(a, b):
-            out = _lifted_product({0: self}, {0: other}, 0, self.nvars)
-            return out.get(0) or Poly.zero(self.nvars)
         bound = product_bound(self, other)
+        if _has_yfrac(a, b):
+            return _poly(_lifted_product(a, b, bound), self.nvars, bound)
         return _poly(_impl.lp_mul(a, b), self.nvars, bound)
 
     __rmul__ = __mul__
@@ -577,15 +603,7 @@ class Poly:
         return _poly({k: v for k, v in self.packed.items() if k & MASK == d}, self.nvars, d)
 
     def homogeneous_split(self):
-        out = {}
-        for k, v in self.packed.items():
-            d = k & MASK
-            t = out.get(d)
-            if t is None:
-                out[d] = {k: v}
-            else:
-                t[k] = v
-        return {d: _poly(t, self.nvars, d) for d, t in sorted(out.items())}
+        return {d: _poly(t, self.nvars, d) for d, t in sorted(_by_degree(self.packed).items())}
 
     def is_homogeneous(self, d=None):
         degs = set(map(MASK.__and__, self.packed))
@@ -715,107 +733,118 @@ class Poly:
         return " + ".join(bits)
 
 
-class GradedSeries:
-    """Degree-truncated series: homogeneous components indexed by degree <= cap."""
+def _truncated(poly, cap):
+    """The packed terms of poly of degree at most cap (its own dict when all are)."""
+    if poly._bound <= cap or poly._tighten() <= cap:
+        return poly.packed
+    return {k: c for k, c in poly.packed.items() if k & MASK <= cap}
 
-    __slots__ = ("comps", "cap", "nvars")
+
+def _series(packed, cap, nvars):
+    """GradedSeries on packed terms (nonzero coefficients) of degree at most cap."""
+    s = object.__new__(GradedSeries)
+    s.poly = _poly(packed, nvars, max(cap, 0))
+    s.cap = cap
+    return s
+
+
+class GradedSeries:
+    """Degree-truncated series: one ``Poly`` with no term above ``cap``.
+
+    A term's degree is its key's lowest digit, so the homogeneous components
+    are views: ``comps`` maps each degree of a nonzero component to it, and
+    ``component(d)`` is one of them.  A ``Poly`` operand of a sum or product
+    is the series of its terms up to this series' cap.
+    """
+
+    __slots__ = ("poly", "cap")
 
     def __init__(self, comps, cap, nvars):
-        self.comps = {d: p for d, p in comps.items() if p and d <= cap}
+        """The series of the homogeneous components ``comps`` ({degree: Poly})."""
+        packed = {}
+        for p in comps.values():
+            packed.update(_truncated(p, cap))
+        self.poly = _poly(packed, nvars, max(cap, 0))
         self.cap = cap
-        self.nvars = nvars
 
     @classmethod
     def zero(cls, cap, nvars):
-        return cls({}, cap, nvars)
+        return _series({}, cap, nvars)
 
     @classmethod
     def const(cls, c, cap, nvars):
-        p = Poly.const(c, nvars)
-        return cls({0: p} if p else {}, cap, nvars)
+        return cls.from_poly(Poly.const(c, nvars), cap)
 
     @classmethod
     def from_poly(cls, poly, cap):
-        return cls(poly.homogeneous_split(), cap, poly.nvars)
+        return _series(_truncated(poly, cap), cap, poly.nvars)
+
+    @property
+    def nvars(self):
+        return self.poly.nvars
+
+    @property
+    def comps(self):
+        """{degree: Poly} of the nonzero homogeneous components, by degree."""
+        return self.poly.homogeneous_split()
 
     def __bool__(self):
-        return bool(self.comps)
+        return bool(self.poly)
 
     def component(self, d):
-        return self.comps.get(d, Poly.zero(self.nvars))
+        return self.poly.homogeneous_component(d)
 
     def truncate(self, cap):
         """The series below ``min(cap, self.cap)``: a series never claims a
         degree it does not know."""
-        cap = min(cap, self.cap)
-        return GradedSeries({d: p for d, p in self.comps.items() if d <= cap}, cap, self.nvars)
+        return GradedSeries.from_poly(self.poly, min(cap, self.cap))
+
+    def _coerce(self, other):
+        if isinstance(other, (int, Fraction, YFrac)):
+            return GradedSeries.const(other, self.cap, self.nvars)
+        if isinstance(other, Poly):
+            other = GradedSeries.from_poly(other, self.cap)
+        elif not isinstance(other, GradedSeries):
+            return None
+        _same_nvars(self, other)
+        return other
 
     def __eq__(self, other):
         if not isinstance(other, GradedSeries):
             return NotImplemented
         cap = min(self.cap, other.cap)
-        for d in range(cap + 1):
-            if self.component(d) != other.component(d):
-                return False
-        return True
+        return self.truncate(cap).poly == other.truncate(cap).poly
 
     def __add__(self, other):
-        if isinstance(other, GradedSeries):
-            cap = min(self.cap, other.cap)
-            out = {d: p for d, p in self.comps.items() if d <= cap}
-            for d, p in other.comps.items():
-                if d > cap:
-                    continue
-                q = out.get(d)
-                q = p if q is None else q + p
-                if q:
-                    out[d] = q
-                else:
-                    out.pop(d, None)
-            return GradedSeries(out, cap, self.nvars)
-        return self + GradedSeries.const(other, self.cap, self.nvars)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return GradedSeries.from_poly(self.poly + other.poly, min(self.cap, other.cap))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedSeries({d: -p for d, p in self.comps.items()}, self.cap, self.nvars)
+        return _series(_impl.lp_neg(self.poly.packed), self.cap, self.nvars)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, YFrac)):
-            return GradedSeries({d: p * other for d, p in self.comps.items()}, self.cap, self.nvars)
-        if isinstance(other, Poly):
-            other = GradedSeries(other.homogeneous_split(), self.cap, self.nvars)
-        _same_nvars(self, other)
+            return _series(_impl.lp_scale(self.poly.packed, other), self.cap, self.nvars)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         cap = min(self.cap, other.cap)
-        a, b = self.comps, other.comps
-        if _has_yfrac(*(p.packed for p in a.values()), *(p.packed for p in b.values())):
-            return GradedSeries(_lifted_product(a, b, cap, self.nvars), cap, self.nvars)
-        out = {}
-        for da, pa in self.comps.items():
-            for db, pb in other.comps.items():
-                d = da + db
-                if d > cap:
-                    continue
-                q = pa * pb
-                prev = out.get(d)
-                q = q if prev is None else prev + q
-                if q:
-                    out[d] = q
-                else:
-                    out.pop(d, None)
-        return GradedSeries(out, cap, self.nvars)
+        return _series(_lifted_product(self.poly.packed, other.poly.packed, cap), cap, self.nvars)
 
     __rmul__ = __mul__
 
     def inverse(self):
         """Series inverse; the constant term must be an invertible coefficient."""
-        c0 = self.component(0).packed
-        if len(c0) != 1 or 0 not in c0:
+        c = self.poly.packed.get(0)
+        if c is None:
             raise ArithmeticError("constant term is not a unit")
-        c = c0[0]
         cinv = c.inverse() if isinstance(c, YFrac) else Fraction(1) / c
         minus_g = -((self * cinv) - GradedSeries.const(1, self.cap, self.nvars))
         acc = GradedSeries.const(1, self.cap, self.nvars)
@@ -830,122 +859,80 @@ class GradedSeries:
     def divide_exact(self, q):
         """Exact quotient self/q by a homogeneous polynomial, else None.
 
-        The contract of ``Poly.divide_exact``, component by component; the
-        quotient's cap is lowered by the degree of q.
+        The contract of ``Poly.divide_exact``; the quotient's cap is lowered
+        by the degree of q.
         """
         if not q.is_homogeneous():
             raise ValueError("divisor must be homogeneous")
-        dq = q.degree()
-        out = {}
-        for d, p in self.comps.items():
-            r = p.divide_exact(q)
-            if r is None:
-                return None
-            if r:
-                out[d - dq] = r
-        return GradedSeries(out, self.cap - dq, self.nvars)
+        r = self.poly.divide_exact(q)
+        if r is None:
+            return None
+        return _series(r.packed, self.cap - q.degree(), self.nvars)
 
-    def map_coefficients(self, fn):
+    def scale_degrees(self, factor):
+        """Each term of degree d times ``factor(d)``."""
+        factors = {}
         out = {}
-        for d, p in self.comps.items():
-            q = p.map_coefficients(fn)
-            if q:
-                out[d] = q
-        return GradedSeries(out, self.cap, self.nvars)
+        for k, c in self.poly.packed.items():
+            d = k & MASK
+            f = factors.get(d)
+            if f is None:
+                f = factors[d] = factor(d)
+            c = c * f
+            if c:
+                out[k] = c
+        return _series(out, self.cap, self.nvars)
 
     def __repr__(self):
-        return "Series{" + ", ".join(f"{d}: {p!r}" for d, p in sorted(self.comps.items())) + f"}}@{self.cap}"
+        return "Series{" + ", ".join(f"{d}: {p!r}" for d, p in self.comps.items()) + f"}}@{self.cap}"
+
+
+def series_of_linear(coeff_list, linear, cap):
+    """sum_k c_k L^k as a graded series, for a homogeneous linear L."""
+    packed = {}
+    power = Poly.const(Fraction(1), linear.nvars)
+    for k, c in enumerate(coeff_list[: cap + 1]):
+        if k:
+            power = power * linear
+        # L^k is homogeneous of degree k, so the terms of distinct k never meet
+        packed.update((power * c).packed)
+    return _series(packed, cap, linear.nvars)
 
 
 def exp_linear(linear, cap, coeff_one=None):
     """Truncated exponential of a homogeneous linear polynomial."""
     one = Fraction(1) if coeff_one is None else coeff_one
-    comps = {0: Poly.const(one, linear.nvars)}
-    power = Poly.const(one, linear.nvars)
-    fact = 1
-    for k in range(1, cap + 1):
-        power = power * linear
-        fact *= k
-        comp = power * Fraction(1, fact)
-        if comp:
-            comps[k] = comp
-    return GradedSeries(comps, cap, linear.nvars)
+    return series_of_linear([one / factorial(k) for k in range(cap + 1)], linear, cap)
 
 
-def series_of_linear(coeff_list, linear, cap):
-    """sum_k c_k L^k as a graded series, for a homogeneous linear L."""
-    comps = {}
-    power = Poly.const(Fraction(1), linear.nvars)
-    for k, c in enumerate(coeff_list):
-        if k > cap:
-            break
-        if k:
-            power = power * linear
-        comp = power * c
-        if comp:
-            comps[k] = comp
-    return GradedSeries(comps, cap, linear.nvars)
+def _todd_of(linear, cap):
+    """-L / (1 - e^L) for a linear form L in one variable."""
+    coeffs = [YFrac.const(Fraction(1, factorial(k + 1))) for k in range(cap + 1)]
+    return series_of_linear(coeffs, linear, cap).inverse()
 
 
-def univ_mul(a, b, cap):
-    out = [YFrac.const(0) for _ in range(cap + 1)]
-    for i, x in enumerate(a[: cap + 1]):
-        if not x:
-            continue
-        for j, y in enumerate(b[: cap + 1 - i]):
-            if y:
-                out[i + j] = out[i + j] + x * y
-    return out
+def _hirzebruch_of(linear, cap):
+    """(1 + y e^L) (-L) / (1 - e^L) for a linear form L in one variable."""
+    return (exp_linear(linear, cap, YFrac.y_power(1)) + 1) * _todd_of(linear, cap)
 
 
-def univ_inverse(a, cap):
-    """Inverse of a univariate coefficient list with invertible constant term."""
-    c0 = a[0]
-    c0inv = c0.inverse() if isinstance(c0, YFrac) else YFrac.const(1) / YFrac.const(c0)
-    out = [c0inv] + [YFrac.const(0)] * cap
-    for n in range(1, cap + 1):
-        s = YFrac.const(0)
-        for k in range(1, min(n, len(a) - 1) + 1):
-            s = s + a[k] * out[n - k]
-        out[n] = -(c0inv * s)
-    return out
-
-
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
+def _coefficients(series):
+    """The coefficients of a one-variable series, from degree 0 to its cap."""
+    packed = series.poly.packed
+    return [packed.get(_key((k,), 1), _ZERO) for k in range(series.cap + 1)]
 
 
 def todd_coefficients(cap):
     """Coefficients of x/(1 - e^-x) as a univariate series."""
-    v = [YFrac.const(Fraction((-1) ** k, _factorial(k + 1))) for k in range(cap + 1)]
-    return univ_inverse(v, cap)
+    return _coefficients(_todd_of(-Poly.variable(0, 1), cap))
 
 
 def unnormalized_hirzebruch_coefficients(cap):
     """Coefficients of x (1 + y e^-x) / (1 - e^-x)."""
-    v = [YFrac.const(Fraction((-1) ** k, _factorial(k + 1))) for k in range(cap + 1)]
-    n = [
-        (YFrac.const(1) if k == 0 else YFrac.const(0))
-        + YFrac.y_power(1, Fraction((-1) ** k, _factorial(k)))
-        for k in range(cap + 1)
-    ]
-    return univ_mul(n, univ_inverse(v, cap), cap)
+    return _coefficients(_hirzebruch_of(-Poly.variable(0, 1), cap))
 
 
 def normalized_hirzebruch_coefficients(cap):
     """Coefficients of x (1 + y e^{-x(1+y)}) / (1 - e^{-x(1+y)})."""
-    one_plus_y = YFrac([1, 1])
-    v = [
-        YFrac.const(Fraction((-1) ** k, _factorial(k + 1))) * one_plus_y**k
-        for k in range(cap + 1)
-    ]
-    n = []
-    for k in range(cap + 1):
-        term = YFrac.y_power(1, Fraction((-1) ** k, _factorial(k))) * one_plus_y**k
-        if k == 0:
-            term = term + YFrac.const(1)
-        n.append(term.divide_by_one_plus_y())
-    return univ_mul(n, univ_inverse(v, cap), cap)
+    linear = Poly.variable(0, 1, YFrac([-1, -1]))
+    return _coefficients(_hirzebruch_of(linear, cap) * YFrac([1], 1))

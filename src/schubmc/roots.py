@@ -97,6 +97,12 @@ def neg_weight(a):
     return tuple(-x for x in a)
 
 
+def cell_order(w):
+    """The order of cells in every listing and pivot pick: by length, then by
+    the minimal reduced word."""
+    return w.length, w.word
+
+
 class WeylElement:
     """A Weyl group element, canonically the matrix acting on weights."""
 
@@ -446,7 +452,7 @@ class RootSystem:
         return self.from_word(word)
 
     def weyl_group(self):
-        """All elements, ordered by (length, reduced word)."""
+        """All elements, in ``cell_order``."""
         if self._weyl is None:
             self._weyl = self._generate(range(1, self.rank + 1))
         return self._weyl
@@ -468,7 +474,7 @@ class RootSystem:
                         self._length[nxt.mat] = level
                         new.append(nxt)
             frontier = new
-        return tuple(sorted(found.values(), key=lambda w: (w.length, w.word)))
+        return tuple(sorted(found.values(), key=cell_order))
 
     def longest_element(self):
         if self._w0 is None:
@@ -528,7 +534,7 @@ def triangular_solve(vector, pick, basis, solve, subtract, zero, error):
     """Coefficients of a vector over a basis that is triangular in Bruhat order.
 
     ``vector`` maps Weyl elements to nonzero values.  The pivot is the entry
-    that ``pick`` (``max`` or ``min``) selects by ``(length, word)``: ``max``
+    that ``pick`` (``max`` or ``min``) selects by ``cell_order``: ``max``
     for a basis whose element at w is supported below w, ``min`` for one
     supported above.  ``basis(w)`` gives that element as a mapping,
     ``solve(w, value)`` the coefficient that cancels the pivot value, and
@@ -539,7 +545,7 @@ def triangular_solve(vector, pick, basis, solve, subtract, zero, error):
     residual = dict(vector)
     coeffs = {}
     while residual:
-        pivot = pick(residual, key=lambda w: (w.length, w.word))
+        pivot = pick(residual, key=cell_order)
         if pivot in coeffs:
             raise error("expansion did not terminate")
         c = coeffs[pivot] = solve(pivot, residual[pivot])

@@ -211,11 +211,16 @@ def test_expand_roundtrip_all_bases(rng):
     cls = kt.structure_sheaf(w) + kt.ideal_sheaf(rs.simple_reflection(1)).scale(
         LaurentPolynomial.y(2)
     )
-    for basis in ("O", "I", "Oop", "Iop", "iota"):
-        exp = kt.expand(cls, basis, expect_integral=(basis != "iota"))
+    for basis in ("O", "I", "Oop", "Iop"):
+        exp = kt.expand(cls, basis)
         back = kt.from_expansion(exp)
         assert back == cls
     assert kt.expand(kt.structure_sheaf(w), "O").coeffs == {w: LaurentPolynomial.const(1, 2)}
+    # the iota coefficients are the class's own, here Laurent polynomials
+    fixed = kt.iota(w).scale(LaurentPolynomial.y(2)) + kt.iota(rs.simple_reflection(1)).scale(
+        LaurentPolynomial.const(3, 2)
+    )
+    assert kt.from_expansion(kt.expand(fixed, "iota")) == fixed
 
 
 def test_expand_triangular_support():
@@ -239,16 +244,6 @@ def test_expand_integrality_error():
     for basis in ("O", "I", "Oop", "Iop", "iota"):
         with pytest.raises(IntegralityError):
             kt.expand(weird, basis)
-
-
-def test_expand_refuses_fractional_triangular_coefficients():
-    rs = root_system("A", 2)
-    kt = ktheory(rs)
-    cls = kt.structure_sheaf(rs.simple_reflection(1))
-    assert kt.expand(cls, "iota", expect_integral=False).coeffs == cls.coeffs
-    for basis in ("O", "I", "Oop", "Iop"):
-        with pytest.raises(ValueError):
-            kt.expand(cls, basis, expect_integral=False)
 
 
 def _differential_classes(rs, kt):

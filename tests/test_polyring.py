@@ -264,6 +264,32 @@ def test_graded_series_inverse_and_division():
     assert all(type(c) is F for p in inv.comps.values() for c in p.terms.values())
 
 
+def test_series_plus_or_minus_a_poly():
+    x = Poly.variable(0, 1)
+    s = GradedSeries.from_poly(x, 3)
+    double = GradedSeries.from_poly(2 * x, 3)
+    assert s + x == double and x + s == double
+    zero = GradedSeries.zero(3, 1)
+    assert s - x == zero and x - s == zero
+    # a Poly operand is the series of its terms up to the series' cap
+    got = s + (x + x**5)
+    assert got.cap == 3 and got == double and got.comps == {1: 2 * x}
+
+
+@pytest.mark.parametrize("coeff", [1, YFrac([1, 1])], ids=["int", "YFrac"])
+def test_series_product_guard_is_exact(coeff):
+    half = Poly({(HALF // 2,): 1}, 1) * coeff
+    below = Poly({(HALF // 2 - 1,): 1}, 1) * coeff
+    # a kept pair of degree HALF raises: only a cap of HALF or more keeps one
+    with pytest.raises(OverflowError):
+        GradedSeries.from_poly(half, HALF) * GradedSeries.from_poly(half, HALF)
+    s = GradedSeries.from_poly(half, HALF - 1)
+    assert s * s == GradedSeries.zero(HALF - 1, 1)
+    # the kept pair of degree HALF - 1 keeps its degree digit: no carry
+    got = GradedSeries.from_poly(half, HALF) * GradedSeries.from_poly(below, HALF)
+    assert got.comps == {HALF - 1: half * below}
+
+
 @pytest.mark.parametrize("cap", [6, 8])
 def test_todd_series_values(cap):
     td = todd_coefficients(cap)
@@ -447,6 +473,7 @@ def test_poly_arithmetic_across_nvars_raises():
         lambda: a == b,
         lambda: b.divide_exact(a),
         lambda: GradedSeries.from_poly(a, 2) * GradedSeries.from_poly(b, 2),
+        lambda: GradedSeries.from_poly(a, 2) * b,
     ):
         with pytest.raises(ValueError):
             op()

@@ -19,6 +19,8 @@ coefficients +-1, the only divisors the denominators ``1 - e^mu`` and
 ``1 + y e^mu`` create.
 """
 
+from struct import Struct
+
 WIDTH = 16
 BASE = 1 << WIDTH
 HALF = BASE >> 1
@@ -49,6 +51,19 @@ def unpack(key, nvars):
     """(exponent tuple, y power) of a key with nvars exponent digits."""
     *e, y = digits(key, nvars + 1)
     return tuple(e), y
+
+
+def sorted_digits(packed, ndigits, keep):
+    """Each term of ``packed`` in descending key order, as (digits,
+    coefficient): a tuple of the ``keep`` most significant of the key's
+    ndigits balanced digits.  Each key is unpacked once, in C: adding HALF to
+    every digit leaves no borrow, and flipping each digit's top bit then
+    leaves the digit in 16-bit two's complement (WIDTH is 16)."""
+    off = digit_offset(ndigits)
+    read = Struct(f">{keep}h{2 * (ndigits - keep)}x").unpack
+    size = 2 * ndigits
+    for k in sorted(packed, reverse=True):
+        yield read(((k + off) ^ off).to_bytes(size, "big")), packed[k]
 
 
 def ypow_of(key):

@@ -6,10 +6,17 @@ produce byte-identical output.  Exit codes: 0 success, 1 a conjecture or
 verification was refuted, 2 invalid configuration or internal failure.
 
 Each command pays only for its own work.  An artifact is the text of
-``json.dumps(payload, indent=2)`` plus a newline, written by ``_dumps``, a
-direct recursive writer with the same bytes.  With ``SCHUBMC_CACHE_DIR`` set,
-``mc compute`` keeps that text (without the newline) on disk; a hit is parsed
-to check it is a payload and then served verbatim, before any engine is built.
+``json.dumps(payload, indent=2)`` plus a newline, streamed to its output by
+``_emit``: the small envelope first, then one coefficient at a time, each
+coefficient's text built straight from its polynomial's packed terms (a
+``_Leaf``), so neither a tree of the terms nor the whole text is ever held.
+Everything else is written by ``_write``, a direct recursive writer with
+the stdlib's bytes (``_dumps`` is its string form); the small report
+payloads of ``conjectures`` and ``verify`` have no leaves.  With
+``SCHUBMC_CACHE_DIR`` set, ``mc compute`` streams the text (without the
+newline) into its cache file and copies the file to the output in chunks; a
+hit is parsed to check it is a payload and then copied the same way, before
+any engine is built.
 """
 
 from __future__ import annotations
@@ -99,10 +106,10 @@ def _write(o, nl, put):
         if not o:
             put("[]")
             return
-        inner = nl + "  "
         if set(map(type, o)) == _INTS:  # an exponent vector: one join
-            put("[" + inner + ("," + inner).join(map(int.__repr__, o)) + nl + "]")
+            put(_items(list(map(int.__repr__, o)), nl))
             return
+        inner = nl + "  "
         lead, sep = "[" + inner, "," + inner
         for v in o:
             put(lead)
@@ -111,6 +118,8 @@ def _write(o, nl, put):
         put(nl + "]")
     elif isinstance(o, str):
         put(_escape(o))
+    elif type(o) is _Leaf:
+        put(o.text(*o.args, nl))
     else:
         put(json.dumps(o))  # int, float, bool or None; TypeError for anything else
 
@@ -123,17 +132,80 @@ def _dumps(obj):
     return "".join(parts)
 
 
+class _Leaf:
+    """A payload value whose text is built only as it is written:
+    ``text(*args, nl)``, from a polynomial's packed terms."""
+
+    __slots__ = ("text", "args")
+
+    def __init__(self, text, *args):
+        self.text = text
+        self.args = args
+
+
+def _items(texts, nl):
+    """The text of a list whose items have the given texts, on a line opened by ``nl``."""
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join(texts) + nl + "]" if texts else "[]"
+
+
+def _rows_text(rows, nexp, y, nl):
+    """The text of a term list ``[{"exp": [...], "y": ..., "coeff": "..."}, ...]``
+    (``"y"`` only when ``y``) on a line opened by ``nl``: ``rows`` yields each
+    term's ``nexp`` exponents (then its y power) and its coefficient."""
+    i1 = nl + "  "
+    i2 = i1 + "  "
+    row = "{" + i2 + '"exp": ' + _items(["%d"] * nexp, i2) + ("," + i2 + '"y": %d' if y else "")
+    row += "," + i2 + '"coeff": %s' + i1 + "}"
+    return _items([row % (*r, _escape(str(c))) for r, c in rows], nl)
+
+
+def _laurent_text(p, nl):
+    """A Laurent polynomial's terms, each with its y power."""
+    return _rows_text(p.term_rows(), p.nvars, True, nl)
+
+
+def _poly_text(p, varnames, nl):
+    """``{"vars": varnames, "terms": [...]}`` of a ``Poly``."""
+    i1 = nl + "  "
+    names = _items([_escape(v) for v in varnames], i1)
+    terms = _rows_text(p.sorted_terms(), p.nvars, False, i1)
+    return "{" + i1 + '"vars": ' + names + "," + i1 + '"terms": ' + terms + nl + "}"
+
+
+def _ypoly_text(p, nl):
+    """``{"offset": ..., "coeffs": [...]}`` of a ``YPolynomial``."""
+    i1 = nl + "  "
+    coeffs = _items([_escape(str(c)) for c in p.coeffs], i1)
+    return "{" + i1 + '"offset": %d,' % p.offset + i1 + '"coeffs": ' + coeffs + nl + "}"
+
+
 def _emit(args, payload):
-    """Write the artifact: a payload, or its ``_dumps`` text (a cached ``mc compute``)."""
-    text = (payload if isinstance(payload, str) else _dumps(payload)) + "\n"
-    if getattr(args, "out", None):
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write --out {args.out}: {exc.strerror}")
+    """Write the artifact and its final newline to ``--out`` or stdout, piece
+    by piece: a payload, or the path of the cache file that holds its text
+    (a cached ``mc compute``), copied in chunks."""
+    out = getattr(args, "out", None)
+    try:
+        if out:
+            with open(out, "w") as fh:
+                _stream(payload, fh.write)
+        else:
+            _stream(payload, sys.stdout.write)
+            sys.stdout.flush()
+    except OSError as exc:
+        where = f"--out {out}" if out else "the artifact to stdout"
+        raise ConfigError(f"cannot write {where}: {exc.strerror}")
+
+
+def _stream(payload, put):
+    """Pass the artifact's text and its final newline to ``put``."""
+    if isinstance(payload, str):
+        with open(payload) as fh:
+            while chunk := fh.read(1 << 16):
+                put(chunk)
     else:
-        sys.stdout.write(text)
+        _write(payload, "\n", put)
+    put("\n")
 
 
 # Bump when the layout of a cached payload changes.
@@ -161,42 +233,32 @@ _PAYLOAD_KEYS = frozenset({"space", "cell", "basis", "coeffs"})
 
 
 def _cached_json(kind, key, builder):
-    """The ``_dumps`` text of the payload: the cache file's text, or that of
-    builder() when the file is missing, unreadable or not a payload."""
+    """What ``_emit`` writes for builder()'s payload: the path of its cache
+    file, which holds its text without the final newline, or without a cache
+    the payload itself.  A file that is missing, unreadable or not a payload
+    is written again from builder()."""
     path = _cache_path(kind, key)
-    if path:
-        try:
-            with open(path) as fh:
-                text = fh.read()
-            payload = json.loads(text)
-            if isinstance(payload, dict) and _PAYLOAD_KEYS <= payload.keys():
-                return text
-        except (FileNotFoundError, ValueError):
-            pass
-        except OSError as exc:
-            raise ConfigError(f"cannot read cache file {path}: {exc.strerror}")
-    text = _dumps(builder())
-    if path:
-        # a reader never sees a partly written file
-        tmp = f"{path}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "w") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
-        except OSError as exc:
-            raise ConfigError(f"cannot write cache file {path}: {exc.strerror}")
-    return text
-
-
-def _ypoly_obj(p):
-    return {"offset": p.offset, "coeffs": [str(c) for c in p.coeffs]}
-
-
-def _poly_obj(p, varnames):
-    out = []
-    for k, v in p.sorted_terms():
-        out.append({"exp": list(k), "coeff": str(v)})
-    return {"vars": varnames, "terms": out}
+    if not path:
+        return builder()
+    try:
+        with open(path) as fh:
+            cached = json.load(fh)
+        if isinstance(cached, dict) and _PAYLOAD_KEYS <= cached.keys():
+            return path
+    except (FileNotFoundError, ValueError):
+        pass
+    except OSError as exc:
+        raise ConfigError(f"cannot read cache file {path}: {exc.strerror}")
+    payload = builder()
+    # a reader never sees a partly written file
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            _write(payload, "\n", fh.write)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write cache file {path}: {exc.strerror}")
+    return path
 
 
 # -- subcommand: mc ------------------------------------------------------------------
@@ -220,7 +282,7 @@ def cmd_mc(args):
                 u = pd.min_rep(w)
                 cls = mcmod.motivic_chern_parabolic(kt, pd, u)
                 coeffs = {
-                    v.name(): cls.coeffs[v].reduce().num.to_json_obj()
+                    v.name(): _Leaf(_laurent_text, cls.coeffs[v].reduce().num)
                     for v in sorted(cls.coeffs, key=cell_order)
                 }
                 return {"space": f"{rs.lie_type}{rs.rank}/P{sorted(pd.subset)}",
@@ -233,9 +295,9 @@ def cmd_mc(args):
             exp = kt.expand(cls, basis)
             if args.nonequivariant:
                 ne = exp.nonequivariant()
-                coeffs = {u.name(): _ypoly_obj(ne[u]) for u in sorted(ne, key=cell_order)}
+                coeffs = {u.name(): _Leaf(_ypoly_text, ne[u]) for u in sorted(ne, key=cell_order)}
             else:
-                coeffs = {u.name(): c.to_json_obj() for u, c in exp.items()}
+                coeffs = {u.name(): _Leaf(_laurent_text, c) for u, c in exp.items()}
             return {
                 "space": f"{rs.lie_type}{rs.rank}",
                 "cell": w.name(),
@@ -331,7 +393,9 @@ def cmd_csm(args):
             raise ConfigError("--parabolic requires --nonequivariant: no equivariant G/P CSM route")
         ctx = cohomology(rs)
         exp = csm_expansion(ctx, w)
-        coeffs = {u.name(): _poly_obj(exp[u], varnames) for u in sorted(exp, key=cell_order)}
+        coeffs = {
+            u.name(): _Leaf(_poly_text, exp[u], varnames) for u in sorted(exp, key=cell_order)
+        }
         payload = {
             "space": f"{rs.lie_type}{rs.rank}",
             "cell": w.name(),
@@ -357,7 +421,9 @@ def cmd_hirzebruch(args):
     varnames = [f"a{i}" for i in range(1, rs.rank + 1)]
     coeffs = {}
     for u in sorted(cls.coeffs, key=cell_order):
-        coeffs[u.name()] = {str(d): _poly_obj(p, varnames) for d, p in cls.coeffs[u].comps.items()}
+        coeffs[u.name()] = {
+            str(d): _Leaf(_poly_text, p, varnames) for d, p in cls.coeffs[u].comps.items()
+        }
     payload = {
         "space": f"{rs.lie_type}{rs.rank}",
         "cell": w.name(),
@@ -379,7 +445,7 @@ def cmd_hecke(args):
     payload = {
         "system": f"{rs.lie_type}{rs.rank}",
         "element": w.name(),
-        "terms": el.to_json_obj(),
+        "terms": {u.name(): _Leaf(_laurent_text, p) for u, p in el.items()},
     }
     _emit(args, payload)
     return 0
@@ -399,7 +465,7 @@ def cmd_chi(args):
         "space": f"{rs.lie_type}{rs.rank}" + (f"/P{list(subset)}" if subset is not None else ""),
         "cell": cell.name() if cell else None,
         "variable": "q",
-        "chi": _ypoly_obj(chi),
+        "chi": _Leaf(_ypoly_text, chi),
     }
     _emit(args, payload)
     return 0

@@ -82,9 +82,6 @@ class HeckeElement:
     def items(self):
         return [(u, self.terms[u]) for u in sorted(self.terms, key=cell_order)]
 
-    def to_json_obj(self):
-        return {w.name(): p.to_json_obj() for w, p in self.items()}
-
     def __repr__(self):
         bits = [f"D[{w.name()}]*({p!r})" for w, p in self.items()]
         return " + ".join(bits) if bits else "0"

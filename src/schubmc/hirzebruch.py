@@ -105,6 +105,11 @@ class Hirzebruch(GKMEngine):
         )
 
     def _univ(self, mode, cap):
+        """The Todd-type coefficient list of mode, at least cap + 1 long: one
+        list per mode, built at the largest cap asked so far (a truncated
+        series knows each coefficient up to its cap exactly, so the list of a
+        smaller cap is a prefix of it)."""
+
         def build():
             if mode == "Td":
                 return todd_coefficients(cap)
@@ -114,7 +119,11 @@ class Hirzebruch(GKMEngine):
                 return normalized_hirzebruch_coefficients(cap)
             raise ValueError(f"unknown Todd mode {mode!r}")
 
-        return self.memo(("univ", mode, cap), build)
+        lists = self.memo(("univ",), dict)
+        have = lists.get(mode)
+        if have is None or len(have) <= cap:
+            have = lists[mode] = build()
+        return have
 
     def todd_series(self, weight, mode="Td", cap=None):
         """The chosen Todd-type series of a single weight, truncated."""

@@ -20,7 +20,9 @@ from functools import lru_cache
 
 # kernel calls go through ``_impl.<name>``, so that a tracer can wrap them
 from . import _kernel_py as _impl
-from ._kernel_py import HALF, MASK, WIDTH, digit_offset, digits, pack, product_bound, unpack, ypow_of
+from ._kernel_py import (
+    HALF, MASK, WIDTH, digit_offset, digits, pack, product_bound, sorted_digits, unpack, ypow_of,
+)
 
 BACKEND = "pure"  # the one kernel; benchmark records report it
 
@@ -142,10 +144,14 @@ class LaurentPolynomial:
             self._hash = hash((self.nvars, frozenset(self.packed.items())))
         return self._hash
 
+    def term_rows(self):
+        """(exponents followed by the y power, coefficient) of each term, in
+        the canonical order: lex on exponent, then y power, descending."""
+        return sorted_digits(self.packed, self.nvars + 1, self.nvars + 1)
+
     def sorted_terms(self):
-        """Canonical order: lex on exponent, then y power, descending."""
-        n = self.nvars
-        return [(unpack(k, n), c) for k, c in sorted(self.packed.items(), reverse=True)]
+        """((exponent tuple, y power), coefficient) pairs in the canonical order."""
+        return [((r[:-1], r[-1]), c) for r, c in self.term_rows()]
 
     # -- queries and maps ------------------------------------------------------
 

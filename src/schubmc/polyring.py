@@ -59,7 +59,9 @@ from operator import add
 
 # kernel calls go through ``_impl.<name>``, so that a tracer can wrap them
 from . import _kernel_py as _impl
-from ._kernel_py import HALF, MASK, WIDTH, digit_offset, digits, pack, product_bound
+from ._kernel_py import (
+    HALF, MASK, WIDTH, digit_offset, digits, pack, product_bound, sorted_digits,
+)
 
 
 class YFrac:
@@ -720,8 +722,7 @@ class Poly:
 
     def sorted_terms(self):
         """(exponent tuple, coefficient) pairs in descending lex order."""
-        n = self.nvars + 1
-        return [(tuple(digits(k, n)[:-1]), c) for k, c in sorted(self.packed.items(), reverse=True)]
+        return list(sorted_digits(self.packed, self.nvars + 1, self.nvars))
 
     def __repr__(self):
         if not self.packed:

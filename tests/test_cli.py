@@ -1,12 +1,18 @@
+import contextlib
+import errno
 import importlib.util
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schubmc import cli
 from schubmc.cli import main
@@ -335,3 +341,92 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_hashlib():
         "print([m for m in ('dataclasses', 'inspect', 'hashlib') if m in sys.modules])"
     )
     assert loaded.strip() == "[]"
+
+
+class _FailingStdout(io.StringIO):
+    def __init__(self, fail):
+        super().__init__()
+        self.fail = fail
+
+    def write(self, text):
+        if self.fail == "write":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(text)
+
+    def flush(self):
+        if self.fail == "flush":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("fail", ["write", "flush"])
+def test_a_failed_stdout_write_is_a_bad_configuration(fail, monkeypatch, capsys):
+    # a full disk or a closed pipe is exit 2, not a refutation, and no traceback
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(fail))
+    assert main(["chi", "--type", "A2"]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"error: cannot write the artifact to stdout: {os.strerror(errno.ENOSPC)}"
+    ]
+
+
+# -- every subcommand under random flag sets, malformed values included --------------------
+
+_cell = st.sampled_from(["id", "s1", "s2", "s1s2", "s2s1", "w0", "s9", "s1s1", "x"])
+_subset = st.sampled_from(["", "1", "2", "1,2", "0", "3", "x", "1,x"])
+
+
+def _which(names):
+    return st.lists(st.sampled_from(names + ["nope"]), min_size=1, max_size=3).map(",".join)
+
+
+_verifications = _which(["duality", "specialize", "star", "parabolic", "segre"])
+_switch = st.none()
+_MC_FLAGS = {
+    "--cell": _cell, "--basis": st.sampled_from(["O", "I", "iota", "Oop", "Iop", "Z"]),
+    "--dual": _switch, "--opposite": _switch, "--nonequivariant": _switch,
+    "--parabolic": _subset, "--which": _verifications,
+}
+_SUBCOMMANDS = {
+    ("mc", "compute"): _MC_FLAGS,
+    ("mc", "verify"): _MC_FLAGS,
+    ("csm",): {"--cell": _cell, "--nonequivariant": _switch, "--parabolic": _subset},
+    ("hirzebruch",): {"--cell": _cell, "--normalized": _switch,
+                      "--cap": st.sampled_from(["-1", "0", "1", "3", "x"])},
+    ("hecke", "expand"): {"--element": _cell},
+    ("chi",): {"--parabolic": _subset, "--cell": _cell},
+    ("conjectures", "run"): {"--which": _which(sorted(cli.conj.CHECKERS)), "--parabolic": _subset,
+                             "--maxlen": st.sampled_from(["-3", "0", "1", "x"])},
+    ("verify",): {"--which": _verifications},
+}
+
+
+@st.composite
+def _command_line(draw):
+    words = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    flags = draw(st.fixed_dictionaries({}, optional=_SUBCOMMANDS[words]))
+    lie_type = draw(st.sampled_from(["A1", "A2", "B2", "C2", "G2", "A0", "Q2", "B"]))
+    argv = [*words, "--type", lie_type]
+    for flag, value in flags.items():
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_command_line(), st.booleans())
+def test_every_command_line_exits_0_1_or_2_without_a_traceback(tmp_path_factory, argv, cached):
+    out, err = io.StringIO(), io.StringIO()
+    cache = str(tmp_path_factory.getbasetemp() / "fuzz-cache")
+    env = {"SCHUBMC_CACHE_DIR": cache} if cached else {}
+    with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing a flag or its value
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        # refused before any byte of the artifact was written
+        assert out.getvalue() == "" and err.getvalue()
+    else:
+        json.loads(out.getvalue())

@@ -330,3 +330,20 @@ def test_integral_stops_at_the_cap_of_its_class():
         assert val.cap == 4 - hz.dim, u.name()
         full = hz.integrate(hz.hirzebruch_class(u, cap=8) * hz.dual_hirzebruch_class(u, cap=8))
         assert val == full, u.name()
+
+
+def test_todd_lists_are_built_once_per_mode_and_served_as_prefixes(monkeypatch):
+    import sys
+
+    module = sys.modules["schubmc.hirzebruch"]
+    fresh = {"Td": module.todd_coefficients, "uTdy": module.unnormalized_hirzebruch_coefficients}
+    built = []
+    for name, mode in [("todd_coefficients", "Td"), ("unnormalized_hirzebruch_coefficients", "uTdy")]:
+        build = fresh[mode]
+        monkeypatch.setattr(
+            module, name, lambda cap, mode=mode, build=build: built.append((mode, cap)) or build(cap)
+        )
+    hz = hirzebruch(RootSystem("A", 1), 4)
+    for mode, cap in [("uTdy", 3), ("uTdy", 7), ("uTdy", 5), ("uTdy", 0), ("Td", 2), ("uTdy", 7)]:
+        assert hz._univ(mode, cap)[: cap + 1] == fresh[mode](cap)
+    assert built == [("uTdy", 3), ("uTdy", 7), ("Td", 2)]

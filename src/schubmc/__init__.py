@@ -16,6 +16,7 @@ from .mc import (
     chi_minus_q,
     chi_y_genus,
     dual_motivic_chern,
+    mc_expansion,
     motivic_chern,
     motivic_chern_parabolic,
     parabolic_pushforward,
@@ -61,6 +62,7 @@ __all__ = [
     "hirzebruch",
     "ktheory",
     "mc_coefficients_oracle",
+    "mc_expansion",
     "motivic_chern",
     "motivic_chern_parabolic",
     "parabolic_pushforward",

@@ -287,12 +287,11 @@ def cmd_mc(args):
                 }
                 return {"space": f"{rs.lie_type}{rs.rank}/P{sorted(pd.subset)}",
                         "cell": u.name(), "basis": "iota", "coeffs": coeffs}
-            if args.dual:
-                cls = mcmod.dual_motivic_chern(kt, w, opposite=args.opposite)
-            else:
-                cls = mcmod.motivic_chern(kt, w)
             basis = args.basis or "O"
-            exp = kt.expand(cls, basis)
+            if args.dual:
+                exp = kt.expand(mcmod.dual_motivic_chern(kt, w, opposite=args.opposite), basis)
+            else:
+                exp = mcmod.mc_expansion(kt, w, basis)
             if args.nonequivariant:
                 ne = exp.nonequivariant()
                 coeffs = {u.name(): _Leaf(_ypoly_text, ne[u]) for u in sorted(ne, key=cell_order)}

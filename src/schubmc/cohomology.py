@@ -294,10 +294,7 @@ class Cohomology(GKMEngine):
 
     def opposite_schubert_class(self, v):
         """The opposite Schubert class of v, grown down from the point class at w0."""
-        w0 = self.rs.longest_element()
-        return self.rs.along_word(
-            self.prefix + ("Y",), w0 * v, lambda _: self.point_class(w0), self.bgg
-        )
+        return self.rs.down_from_w0(self.prefix + ("Y",), v, self.point_class, self.bgg)
 
     def csm(self, w):
         """Homogenized CSM class of the cell of w, by the twisted recursion."""
@@ -375,10 +372,7 @@ class Cohomology(GKMEngine):
     def csm_opposite(self, v):
         """Homogenized CSM class of the opposite cell of v, grown down from
         the point class at w0 by the twisted recursion."""
-        w0 = self.rs.longest_element()
-        return self.rs.along_word(
-            self.prefix + ("csmY",), w0 * v, lambda _: self.point_class(w0), self.dl_coh
-        )
+        return self.rs.down_from_w0(self.prefix + ("csmY",), v, self.point_class, self.dl_coh)
 
     def sm(self, w, opposite=False):
         """Segre-MacPherson class: CSM with the total-Chern denominator implicit."""
@@ -388,9 +382,8 @@ class Cohomology(GKMEngine):
     def dual_csm(self, v):
         """Dual CSM class attached to the opposite cell of v: the adjoint
         operators at ascents of v, grown down from the point class at w0."""
-        w0 = self.rs.longest_element()
-        return self.rs.along_word(
-            self.prefix + ("csmdual",), w0 * v, lambda _: self.point_class(w0),
+        return self.rs.down_from_w0(
+            self.prefix + ("csmdual",), v, self.point_class,
             lambda i, a: self.dl_coh(i, a, dual=True),
         )
 
@@ -555,9 +548,8 @@ class NumericCohomology(GKMEngine):
     def opposite_schubert(self, v):
         """The restrictions of the opposite Schubert class of v, grown down
         from the point class at w0."""
-        w0 = self.rs.longest_element()
-        return self.rs.along_word(
-            self.prefix + ("Y",), w0 * v, lambda _: {w0: self.euler_at(w0)}, self._bgg_values
+        return self.rs.down_from_w0(
+            self.prefix + ("Y",), v, lambda e: {e: self.euler_at(e)}, self._bgg_values
         )
 
     def _bgg_values(self, i, f):

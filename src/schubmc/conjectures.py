@@ -11,7 +11,7 @@ from __future__ import annotations
 from .cohomology import SchubertCalculus, cohomology, csm_expansion, csm_vector, h_polynomial
 from .kclasses import ktheory
 from .laurent import check_log_concave, check_unimodal, has_internal_zeros
-from .mc import _sign, coefficients_in_negative_cone, motivic_chern
+from .mc import _sign, coefficients_in_negative_cone, mc_expansion
 
 
 class ConjectureReport:
@@ -56,7 +56,7 @@ def check_mc_positivity(rs, maxlen=None):
     rep = ConjectureReport("mc-positivity", f"{rs.lie_type}{rs.rank}", (), len(cells), "partial")
     rep.notes["maxlen"] = maxlen
     for w in cells:
-        exp = kt.expand(motivic_chern(kt, w), "O")
+        exp = mc_expansion(kt, w)
         for u, c in exp.items():
             normalized = c if _sign(w.length - u.length) == 1 else -c
             bad_coeff = any(v < 0 for v in normalized.terms.values())
@@ -79,7 +79,7 @@ def check_mc_log_concavity(rs, maxlen=None):
     rep = ConjectureReport("mc-log-concavity", f"{rs.lie_type}{rs.rank}", (), len(cells), "partial")
     rep.notes["maxlen"] = maxlen
     for w in cells:
-        exp = kt.expand(motivic_chern(kt, w), "O")
+        exp = mc_expansion(kt, w)
         for u, c in exp.items():
             p = c.substitute_nonequivariant()
             p = p if _sign(w.length - u.length) == 1 else -p

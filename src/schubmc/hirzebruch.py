@@ -14,8 +14,15 @@ differences and localization sums (integrals and push-forwards) from there.  ``H
 is a ``cohomology.RestrictionMap`` that also carries its truncation cap and
 whether it is normalized; it combines with the classes of every Hirzebruch
 engine of its root system, since those differ only in their default cap.
-Operator words are grown by ``RootSystem.along_word`` from a point class at
-``cap + dim``, the slack of the longest word, under keys that carry ``cap``.
+Operator words are grown by ``RootSystem.along_word`` (the dual classes by
+``RootSystem.down_from_w0``) from a point class at ``cap + dim``, the slack
+of the longest word, under keys that carry ``cap``.
+
+The Hirzebruch class of a cell has one production route, the
+Demazure-Lusztig word route of ``hirzebruch_class``.  The Todd transform of
+the motivic Chern class (``todd_transform``) is its independent
+cross-check: it runs only when ``check_routes=True`` is passed, once per
+cell and cap, and nothing in the CLI passes it.
 """
 
 from __future__ import annotations
@@ -235,37 +242,48 @@ class Hirzebruch(GKMEngine):
 
     # -- the Hirzebruch classes of cells ---------------------------------------------------
 
-    def hirzebruch_class(self, w, normalized=False, cap=None, check_routes=True):
-        """Hirzebruch class of the cell of w, two routes compared modulo cap; the
-        normalized class is the Adams normalization of the unnormalized one."""
+    def hirzebruch_class(self, w, normalized=False, cap=None, check_routes=False):
+        """Hirzebruch class of the cell of w by the Demazure-Lusztig word route;
+        the normalized class is the Adams normalization of the unnormalized one.
+
+        With ``check_routes`` the unnormalized class is also compared, modulo
+        cap, with the Todd transform of the motivic Chern class, and
+        ``TruncationError`` is raised if they differ.  The comparison is
+        memoized on its own, once per (w, cap), so it runs even when the class
+        is already built.
+        """
         cap = self.cap if cap is None else cap
 
         def build():
             if normalized:
-                unnormalized = self.hirzebruch_class(w, False, cap, check_routes)
+                unnormalized = self.hirzebruch_class(w, False, cap)
                 return self.assert_cleared(self.adams_normalize(unnormalized))
-            from .mc import motivic_chern
-            from .kclasses import ktheory
-
-            word_route = self.rs.along_word(
+            return self.rs.along_word(
                 self.prefix + ("Hword", cap), w,
                 lambda e: self.point_class(e, cap + self.dim), self.dl_h,
             ).truncate(cap)
-            if check_routes:
-                direct = self.todd_transform(motivic_chern(ktheory(self.rs), w), cap)
-                if not word_route.eq_mod_cap(direct, cap):
-                    raise TruncationError(f"Hirzebruch routes disagree at {w.name()}")
-            return word_route
 
-        return self.memo(("H", w, normalized, cap, check_routes), build)
+        cls = self.memo(("H", w, normalized, cap), build)
+        if check_routes:
+            self.memo(("Hcheck", w, cap), lambda: self._check_routes(w, cap))
+        return cls
+
+    def _check_routes(self, w, cap):
+        """The cross-check of ``hirzebruch_class`` at (w, cap)."""
+        from .kclasses import ktheory
+        from .mc import motivic_chern
+
+        direct = self.todd_transform(motivic_chern(ktheory(self.rs), w), cap)
+        if not self.hirzebruch_class(w, cap=cap).eq_mod_cap(direct, cap):
+            raise TruncationError(f"Hirzebruch routes disagree at {w.name()}")
+        return True
 
     def dual_hirzebruch_class(self, v, cap=None):
         """The orthogonal-dual class of v, grown down from the point class at w0."""
         cap = self.cap if cap is None else cap
-        w0 = self.rs.longest_element()
-        return self.rs.along_word(
-            self.prefix + ("Hdual", cap), w0 * v,
-            lambda _: self.point_class(w0, cap + self.dim), self.l_h,
+        return self.rs.down_from_w0(
+            self.prefix + ("Hdual", cap), v,
+            lambda e: self.point_class(e, cap + self.dim), self.l_h,
         ).truncate(cap)
 
     # -- localization integrals --------------------------------------------------------------

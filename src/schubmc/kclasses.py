@@ -370,14 +370,12 @@ class KTheory:
     def opp_structure_sheaf(self, v):
         """Structure sheaf of the opposite Schubert variety of v, grown down
         from the point class at w0."""
-        w0 = self.rs.longest_element()
-        return self.rs.along_word(("k", "Oop"), w0 * v, lambda _: self.iota(w0), self.demazure)
+        return self.rs.down_from_w0(("k", "Oop"), v, self.iota, self.demazure)
 
     def opp_ideal_sheaf(self, v):
         """Ideal sheaf of the boundary of the opposite Schubert variety of v,
         grown down from the point class at w0 by the step of ``ideal_sheaf``."""
-        w0 = self.rs.longest_element()
-        return self.rs.along_word(("k", "Iop"), w0 * v, lambda _: self.iota(w0), self._ideal_step)
+        return self.rs.down_from_w0(("k", "Iop"), v, self.iota, self._ideal_step)
 
     def basis_class(self, basis, w):
         if basis == "O":

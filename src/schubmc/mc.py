@@ -2,7 +2,11 @@
 star duality, chi_y genera, and push-forwards to partial flag manifolds.
 
 Every operator-word class is grown by ``RootSystem.along_word``; the dual
-class of an opposite cell is grown down from w0 and stored at ``w0 * w``.
+class of an opposite cell is grown down from w0 by ``RootSystem.down_from_w0``.
+``mc_expansion`` is the one expansion of an MC class in a Schubert-type
+basis, memoized in the root system: the ``mc compute`` command, the MC
+conjecture checkers, star duality and the ``csm_from_mc_*`` functions all
+read it, so each cell is solved once.
 
 The ``csm_from_mc_*`` functions take CSM classes as leading terms of MC
 classes, the paper's route; the program's CSM classes come from the
@@ -40,12 +44,19 @@ def motivic_chern(kt, w):
     return kt.rs.along_word(("k", "MC"), w, kt.iota, kt.dl_operator)
 
 
+def mc_expansion(kt, w, basis="O"):
+    """The coefficients of ``motivic_chern(kt, w)`` in a Schubert-type basis
+    (a ``SchubertExpansion``): the one expansion of an MC class, memoized in
+    the root system, so every command and checker solves a cell once."""
+    return kt.rs.memo(("k", "MCexp", basis, w), lambda: kt.expand(motivic_chern(kt, w), basis))
+
+
 def csm_from_mc_nonequivariant(kt, w):
     """Integer CSM coefficients by divide-then-specialize on MC coefficients."""
     rank = kt.rs.rank
     one_plus_y = LaurentPolynomial({((0,) * rank, 0): 1, ((0,) * rank, 1): 1}, rank)
     out = {}
-    for u, c in kt.expand(motivic_chern(kt, w), "O").coeffs.items():
+    for u, c in mc_expansion(kt, w).coeffs.items():
         p = c.substitute_nonequivariant().to_laurent(rank)
         for _ in range(u.length):
             p = divide_exact(p, one_plus_y)
@@ -62,7 +73,7 @@ def csm_from_mc_equivariant(kt, ctx, w):
     simple roots and the homogenizing variable.
     """
     out = {}
-    for u, c in kt.expand(motivic_chern(kt, w), "O").coeffs.items():
+    for u, c in mc_expansion(kt, w).coeffs.items():
         total = Poly.zero(ctx.nvars)
         for (lam, k), coeff in c.terms.items():
             series = exp_linear(ctx.form(lam) - ctx.hbar() * Fraction(k), u.length)
@@ -80,10 +91,7 @@ def dual_motivic_chern(kt, w, opposite=True):
     """
     if not opposite:
         return kt.rs.along_word(("k", "MCdualX"), w, kt.iota, kt.l_operator)
-    w0 = kt.rs.longest_element()
-    return kt.rs.along_word(
-        ("k", "MCdualY"), w0 * w, lambda _: kt.opp_structure_sheaf(w0), kt.l_operator
-    )
+    return kt.rs.down_from_w0(("k", "MCdualY"), w, kt.opp_structure_sheaf, kt.l_operator)
 
 
 def lambda_y_opposite_cotangent(kt):
@@ -205,8 +213,10 @@ def star_duality_report(kt, w):
             for u in set(a_exp.coeffs) | set(b_exp.coeffs)
         )
 
-    results["coeffs_O_vs_starI"] = starred_with_signs(kt.expand(mc, "O"), kt.expand(mdx, "I"))
-    results["coeffs_I_vs_O"] = starred_with_signs(kt.expand(mc, "I"), kt.expand(mdx, "O"))
+    results["coeffs_O_vs_starI"] = starred_with_signs(
+        mc_expansion(kt, w, "O"), kt.expand(mdx, "I")
+    )
+    results["coeffs_I_vs_O"] = starred_with_signs(mc_expansion(kt, w, "I"), kt.expand(mdx, "O"))
 
     ideal = kt.ideal_sheaf(w)
     lhs = kt.trivial_bundle_mul(neg_weight(rho), kt.line_bundle_mul(neg_weight(rho), ideal))

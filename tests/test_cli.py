@@ -246,20 +246,36 @@ def test_package_main_entry():
     _run_module("schubmc")
 
 
-def test_chi_of_e8_does_not_enumerate_w():
+def _schubmc(*argv):
+    """Run the CLI in a child process; returns (exit code, stdout, stderr, seconds)."""
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     t0 = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "schubmc", "chi", "--type", "E8"],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-        timeout=60,
-    )
-    assert proc.returncode == 0 and time.perf_counter() - t0 < 5
-    coeffs = [int(c) for c in json.loads(proc.stdout)["chi"]["coeffs"]]
+    proc = subprocess.run([sys.executable, "-m", "schubmc", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - t0
+
+
+def test_chi_of_e8_does_not_enumerate_w():
+    code, out, _, seconds = _schubmc("chi", "--type", "E8")
+    assert code == 0 and seconds < 5
+    coeffs = [int(c) for c in json.loads(out)["chi"]["coeffs"]]
     assert len(coeffs) == 121 and sum(coeffs) == 696729600  # |W(E8)|
+
+
+@pytest.mark.parametrize("command", [
+    f"{cmd} --type {t} --cell s1" for cmd in ("mc compute", "chi") for t in ("E7", "E8", "A8")
+])
+def test_commands_that_enumerate_a_huge_weyl_group_are_refused(command):
+    code, out, err, seconds = _schubmc(*command.split())
+    assert code == 2 and out == "" and seconds < 10
+    assert len(err.splitlines()) == 1 and err.startswith("error: the Weyl group of")
+
+
+@pytest.mark.parametrize("command", ["csm --type E7 --cell s1", "hecke expand --type E8 --element s1s2s3"])
+def test_commands_that_never_enumerate_w_run_on_e7_and_e8(command):
+    code, out, err, _ = _schubmc(*command.split())
+    assert code == 0 and err == "" and json.loads(out)
 
 
 @pytest.mark.parametrize("spec", ["0", "3", "1,x"])

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from schubmc import cli
 from schubmc import conjectures as C
-from schubmc.roots import root_system
+from schubmc.kclasses import KTheory
+from schubmc.roots import RootSystem, root_system
 
 
 @pytest.mark.parametrize("t,r", [("A", 2), ("B", 2)])
@@ -69,3 +71,15 @@ def test_counterexamples_are_payloads():
         "counterexamples",
         "notes",
     }
+
+
+def test_conjectures_run_expands_each_mc_class_once(monkeypatch, tmp_path):
+    rs = RootSystem("A", 2)
+    monkeypatch.setattr(cli, "root_system", lambda *_: rs)  # a memo of its own
+    calls = []
+    expand = KTheory.expand
+    monkeypatch.setattr(
+        KTheory, "expand", lambda self, a, basis="O": calls.append(basis) or expand(self, a, basis)
+    )
+    assert cli.main(["conjectures", "run", "--type", "A2", "--out", str(tmp_path / "r.json")]) == 0
+    assert calls == ["O"] * len(rs.weyl_group())

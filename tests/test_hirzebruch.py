@@ -3,7 +3,14 @@ from fractions import Fraction as F
 import pytest
 
 from schubmc.cohomology import cohomology
-from schubmc.hirzebruch import HClass, TruncationError, hirzebruch
+from schubmc.hirzebruch import (
+    HClass,
+    Hirzebruch,
+    TruncationError,
+    hirzebruch,
+    hirzebruch_duality_check,
+    segre_hirzebruch,
+)
 from schubmc.mc import motivic_chern
 from schubmc.kclasses import ktheory
 from schubmc.polyring import GradedSeries, Poly, YFrac
@@ -96,12 +103,68 @@ def test_point_class_and_identity_cell():
     assert cls.eq_mod_cap(hz.point_class(rs.identity, 8))
 
 
-@pytest.mark.parametrize("t,r,cap", [("A", 1, 6), ("A", 2, 8)])
+@pytest.mark.parametrize(
+    "t,r,cap", [("A", 1, 6), ("A", 1, 8), ("A", 2, 8), ("B", 2, 8), ("G", 2, 8), ("A", 3, 8)]
+)
 def test_route_agreement(t, r, cap):
+    # the word route against the Todd transform of the motivic Chern class
     rs = root_system(t, r)
     hz = hirzebruch(rs, cap)
     for w in rs.weyl_group():
         hz.hirzebruch_class(w, cap=cap, check_routes=True)
+
+
+def _count_todd_transforms(monkeypatch):
+    calls = []
+    todd = Hirzebruch.todd_transform
+    monkeypatch.setattr(
+        Hirzebruch, "todd_transform", lambda *a, **k: calls.append(a) or todd(*a, **k)
+    )
+    return calls
+
+
+def test_default_classes_take_the_word_route_alone(monkeypatch):
+    rs = RootSystem("A", 2)  # a memo of its own
+    hz = hirzebruch(rs, 6)
+    calls = _count_todd_transforms(monkeypatch)
+    cells = rs.weyl_group()
+    for w in cells:
+        hz.hirzebruch_class(w)
+        hz.hirzebruch_class(w, normalized=True)
+        segre_hirzebruch(hz, w)
+        for v in cells:
+            assert hirzebruch_duality_check(hz, w, v)[0]
+    assert calls == []
+    assert not [key for key in rs._memo if key[0] == "k"], "a K-theory class was built"
+
+
+def test_route_check_runs_once_per_cell_and_cap(monkeypatch):
+    rs = RootSystem("B", 2)
+    hz = hirzebruch(rs, 6)
+    w = rs.element_by_name("s1s2")
+    built = hz.hirzebruch_class(w)
+    calls = _count_todd_transforms(monkeypatch)
+    assert hz.hirzebruch_class(w, check_routes=True) is built
+    assert len(calls) == 1
+    hz.hirzebruch_class(w, check_routes=True)
+    hz.hirzebruch_class(w, normalized=True, check_routes=True)
+    assert len(calls) == 1
+    hz.hirzebruch_class(w, cap=4, check_routes=True)
+    assert len(calls) == 2
+
+
+def test_a_wrong_todd_route_fails_the_route_check(monkeypatch):
+    rs = RootSystem("A", 2)
+    hz = hirzebruch(rs, 6)
+    todd = Hirzebruch.todd_transform
+    monkeypatch.setattr(
+        Hirzebruch, "todd_transform",
+        lambda self, a, cap=None: todd(self, a, cap).scale(YFrac.const(2)),
+    )
+    for w in rs.weyl_group():
+        hz.hirzebruch_class(w)
+        with pytest.raises(TruncationError, match="routes disagree"):
+            hz.hirzebruch_class(w, check_routes=True)
 
 
 def test_y0_specialization_is_ideal_sheaf_todd():

@@ -10,7 +10,7 @@ from schubmc.laurent import (
     one_plus_ye,
     product_of_factors,
 )
-from schubmc.roots import neg_weight, root_system
+from schubmc.roots import RootSystem, neg_weight, root_system
 
 
 def nonequiv_table(rs, kt, dual=False):
@@ -332,3 +332,16 @@ def test_chi_by_macdonald_matches_enumeration(lie_type, rank, subsets):
         assert rs.poincare_polynomial(subset) == [counts[n] for n in range(len(counts))]
         assert M.chi_y_genus(rs, subset or None) == want
         assert M.chi_y_genus(rs, rs.parabolic(subset)) == want
+
+
+@pytest.mark.parametrize("lie_type,rank", [("A", 2), ("B", 2), ("G", 2)])
+def test_mc_expansion_is_the_memoized_expansion_of_the_mc_class(lie_type, rank):
+    rs = RootSystem(lie_type, rank)
+    kt = ktheory(rs)
+    for w in rs.weyl_group():
+        for basis in ("O", "I", "Oop", "Iop"):
+            got = M.mc_expansion(kt, w, basis)
+            want = kt.expand(M.motivic_chern(kt, w), basis)
+            assert got.basis == basis and got.coeffs == want.coeffs, (w.name(), basis)
+            assert got.to_json_obj() == want.to_json_obj()
+            assert M.mc_expansion(kt, w, basis) is got

@@ -12,6 +12,7 @@ from schubmc.hirzebruch import Hirzebruch, hirzebruch, segre_hirzebruch
 from schubmc.kclasses import ktheory
 from schubmc.mc import dual_motivic_chern, motivic_chern
 from schubmc.roots import (
+    MAX_WEYL_ORDER,
     RootSystem,
     RootSystemError,
     cartan_matrix,
@@ -45,6 +46,25 @@ def test_root_closure_large_types(lie_type, rank, npos):
     # root closure only; the Weyl group is not enumerated here
     rs = root_system(lie_type, rank)
     assert rs.num_positive_roots == npos
+
+
+@pytest.mark.parametrize("lie_type,rank", [("D", 7), ("A", 8), ("E", 7), ("E", 8)])
+def test_a_weyl_group_over_the_limit_is_refused_before_enumerating(lie_type, rank):
+    rs = RootSystem(lie_type, rank)
+    known = len(rs._elements)
+    with pytest.raises(RootSystemError, match=f"over the {MAX_WEYL_ORDER:,}"):
+        rs.weyl_group()
+    # a parabolic datum asks for W before it enumerates its own subgroup
+    with pytest.raises(RootSystemError):
+        rs.parabolic(range(1, rank))
+    assert len(rs._elements) == known
+
+
+def test_the_weyl_group_limit_lies_between_e6_and_d7():
+    # W(E6) is the largest finite Weyl group under the limit, W(D7) the smallest over it
+    order = {t: sum(RootSystem(*t).poincare_polynomial()) for t in [("E", 6), ("D", 7)]}
+    assert order == {("E", 6): 51840, ("D", 7): 322560}
+    assert order["E", 6] <= MAX_WEYL_ORDER < order["D", 7]
 
 
 def test_invalid_types():
@@ -388,6 +408,8 @@ def test_normalized_hirzebruch_class_reads_the_unnormalized_one(monkeypatch):
     assert calls == []
     rs.clear_memo()
     fresh = hirzebruch(rs, 6).hirzebruch_class(w, normalized=True)
+    assert calls == []  # the word route alone
+    hirzebruch(rs, 6).hirzebruch_class(w, normalized=True, check_routes=True)
     assert len(calls) == 1  # the route check of the unnormalized class
     assert normalized.normalized and fresh.normalized
     assert {u: (s.cap, s.comps) for u, s in normalized.coeffs.items()} == {

@@ -116,11 +116,13 @@ def lp_scale(a, c):
     return {k: v * c for k, v in a.items()}
 
 
-def lp_mul(a, b):
-    """Product of two term dicts; the caller guarantees no digit can carry."""
+def lp_mul(a, b, out=None):
+    """Product of two term dicts, added into ``out`` (and returned) when it
+    is given; the caller guarantees no digit can carry."""
     if len(a) > len(b):
         a, b = b, a
-    out = {}
+    if out is None:
+        out = {}
     get = out.get
     for ka, ca in a.items():
         for kb, cb in b.items():

@@ -15,7 +15,7 @@ independent of the fixed-point operator calculus.
 from __future__ import annotations
 
 from .laurent import LaurentPolynomial, divide_exact, factor_polynomial, one_minus_e
-from .roots import cell_order
+from .roots import MAX_WEYL_ORDER, RootSystemError, cell_order
 
 
 class HeckeElement:
@@ -131,7 +131,20 @@ def t_generator(rs, i):
 
 
 def t_word(rs, w):
-    """Product of quadratic generators along a reduced word of w."""
+    """Product of quadratic generators along a reduced word of w.
+
+    Its terms are indexed by the Bruhat interval [id, w], which by the
+    subword property has at most min(|W|, 2^l(w)) elements; ``RootSystemError``
+    is raised, before anything is built, when that bound is over
+    ``roots.MAX_WEYL_ORDER``.
+    """
+    size = min(sum(rs.poincare_polynomial()), 2**w.length)
+    if size > MAX_WEYL_ORDER:
+        raise RootSystemError(
+            f"the Bruhat interval below an element of length {w.length} in "
+            f"{rs.lie_type}{rs.rank} may hold {size:,} elements, over the "
+            f"{MAX_WEYL_ORDER:,} that a command may build"
+        )
     return rs.along_word(
         ("hecke", "T"), w, lambda _: HeckeElement.one(rs), lambda i, prev: prev * t_generator(rs, i)
     )

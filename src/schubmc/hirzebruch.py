@@ -27,6 +27,8 @@ cell and cap, and nothing in the CLI passes it.
 
 from __future__ import annotations
 
+from math import comb
+
 from .cohomology import GKMEngine, RestrictionMap
 from .polyring import (
     GradedSeries,
@@ -36,10 +38,22 @@ from .polyring import (
     normalized_hirzebruch_coefficients,
     series_combination,
     series_of_linear,
+    times_series_of_linear,
     todd_coefficients,
     unnormalized_hirzebruch_coefficients,
 )
-from .roots import neg_weight
+from .roots import RootSystemError, neg_weight
+
+
+# The most monomials the Euler class of a fixed point may have: it is a product
+# of |positive roots| linear forms in rank variables, so it has at most
+# C(|positive roots| + rank - 1, rank - 1) monomials, and every point class,
+# divided difference and localization sum of the engine is at least that big.
+# ``hirzebruch --cell s1 --cap 2`` (one run each, one core, Python 3.11): D5
+# (10,626) 0.5 s; D6 (324,632) 3.5 s and 280 MiB; A7 (1,344,904) 5.4 s and
+# 473 MiB; B6 (749,398) 9.5 s and 616 MiB; E6 (749,398) 13.2 s and 838 MiB;
+# E7 (119,877,472) has run past 120 s.
+MAX_EULER_TERMS = 500_000
 
 
 class TruncationError(ArithmeticError):
@@ -96,8 +110,16 @@ class Hirzebruch(GKMEngine):
     prefix = ("hz",)
 
     def __init__(self, rs, cap=None):
+        """Raises ``RootSystemError`` when an Euler class could have more than
+        ``MAX_EULER_TERMS`` monomials."""
         self.rs = rs
         self.dim = rs.num_positive_roots
+        terms = comb(self.dim + rs.rank - 1, rs.rank - 1)
+        if terms > MAX_EULER_TERMS:
+            raise RootSystemError(
+                f"an Euler class of {rs.lie_type}{rs.rank} may have {terms:,} monomials, "
+                f"over the {MAX_EULER_TERMS:,} that a Hirzebruch class may build"
+            )
         self.cap = 2 * self.dim if cap is None else cap
         self.one = Poly.const(YFrac.const(1), rs.rank)
 
@@ -141,11 +163,15 @@ class Hirzebruch(GKMEngine):
             lambda: series_of_linear(self._univ(mode, cap), self.form(weight), cap),
         )
 
+    def times_todd(self, s, weight, mode, cap):
+        """s times the Todd-type series of one weight, below min(cap, s.cap)."""
+        return times_series_of_linear(s, self._univ(mode, cap), self.form(tuple(weight)), cap)
+
     def todd_series_of_weights(self, weights, mode="Td", cap=None):
         cap = self.cap if cap is None else cap
         out = GradedSeries.const(YFrac.const(1), cap, self.rs.rank)
         for mu in weights:
-            out = out * self.todd_series(mu, mode, cap)
+            out = self.times_todd(out, mu, mode, cap)
         return out
 
     def tangent_weights(self, w):
@@ -200,9 +226,9 @@ class Hirzebruch(GKMEngine):
 
     # -- operators -------------------------------------------------------------------
 
-    def _relative_todd_at(self, u, i, mode, cap):
+    def _times_relative_todd(self, s, u, i, mode, cap):
         # relative tangent weight of the rank-one projection at the point u
-        return self.todd_series(neg_weight(u.act(self.rs.simple_root(i))), mode, cap)
+        return self.times_todd(s, neg_weight(u.act(self.rs.simple_root(i))), mode, cap)
 
     def dl_h(self, i, a, normalized=False, dual=False):
         """Hirzebruch analogues of the Demazure-Lusztig operators."""
@@ -210,13 +236,13 @@ class Hirzebruch(GKMEngine):
         cap = a.cap()
         if dual:
             scaled = a.like(
-                {u: s * self._relative_todd_at(u, i, mode, cap) for u, s in a.coeffs.items()}
+                {u: self._times_relative_todd(s, u, i, mode, cap) for u, s in a.coeffs.items()}
             )
             first = self.bgg(i, scaled)
         else:
             d = self.bgg(i, a)
             first = d.like(
-                {u: s * self._relative_todd_at(u, i, mode, s.cap) for u, s in d.coeffs.items()}
+                {u: self._times_relative_todd(s, u, i, mode, s.cap) for u, s in d.coeffs.items()}
             )
         return first - a.truncate(first.cap())
 
@@ -235,9 +261,8 @@ class Hirzebruch(GKMEngine):
 
     def assert_cleared(self, a):
         for w, s in a.coeffs.items():
-            for c in s.poly.packed.values():
-                if not c.cleared():
-                    raise TruncationError(f"(1+y) denominator survives at {w.name()}")
+            if not s.poly.cleared():
+                raise TruncationError(f"(1+y) denominator survives at {w.name()}")
         return a
 
     # -- the Hirzebruch classes of cells ---------------------------------------------------
@@ -306,8 +331,7 @@ def hirzebruch_duality_check(hz, u, v, cap=None):
     cap = hz.cap if cap is None else cap
     val = hz.pair(hz.hirzebruch_class(u, cap=cap), hz.dual_hirzebruch_class(v, cap=cap))
     if u == v:
-        w0 = hz.rs.longest_element()
-        want = hz.todd_series_of_weights(hz.tangent_weights(w0), "uTdy", val.cap)
+        want = hz.tangent_todd(hz.rs.longest_element(), "uTdy", val.cap)
     else:
         want = GradedSeries.zero(val.cap, hz.rs.rank)
     return val == want, val
@@ -323,7 +347,7 @@ def segre_hirzebruch(hz, w, cap=None):
     h = hz.hirzebruch_class(w, cap=cap)
     out = {}
     for u, s in h.coeffs.items():
-        out[u] = s * hz.todd_series_of_weights(hz.tangent_weights(u), "uTdy", s.cap).inverse()
+        out[u] = s * hz.tangent_todd(u, "uTdy", s.cap).inverse()
     result = HClass(hz, out)
     top = cap + hz.dim
     word_route = hz.rs.along_word(

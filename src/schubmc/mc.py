@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import hecke
 from .cohomology import GKMError
-from .kclasses import KClass, Space
+from .kclasses import KClass, SchubertExpansion, Space
 from .laurent import (
     FactoredFraction,
     LaurentPolynomial,
@@ -29,7 +30,7 @@ from .laurent import (
     product_of_factors,
 )
 from .polyring import Poly, exp_linear
-from .roots import ParabolicDatum, neg_weight
+from .roots import ParabolicDatum, cell_order, neg_weight
 
 
 class ConventionError(AssertionError):
@@ -47,8 +48,33 @@ def motivic_chern(kt, w):
 def mc_expansion(kt, w, basis="O"):
     """The coefficients of ``motivic_chern(kt, w)`` in a Schubert-type basis
     (a ``SchubertExpansion``): the one expansion of an MC class, memoized in
-    the root system, so every command and checker solves a cell once."""
-    return kt.rs.memo(("k", "MCexp", basis, w), lambda: kt.expand(motivic_chern(kt, w), basis))
+    the root system, so every command and checker expands a cell once.
+
+    The O coefficients are read off the Hecke right-normal form of
+    T_{w^-1} (``hecke.mc_coefficients_oracle``), with no fixed-point solve.
+    Since [O_u] is the sum of [I_v] over v <= u, the I coefficient at v is
+    the sum of the O coefficients at the u >= v.  The other bases keep the
+    triangular solve of ``KTheory.expand``.  Coefficients are listed in
+    descending ``cell_order``, the order in which that solve finds them.
+    """
+
+    def build():
+        rs = kt.rs
+        if basis == "O":
+            coeffs = hecke.mc_coefficients_oracle(rs, w)
+        elif basis == "I":
+            o = mc_expansion(kt, w, "O").coeffs
+            coeffs = {}
+            for v in kt.space.points:
+                c = sum((p for u, p in o.items() if rs.bruhat_leq(v, u)), LaurentPolynomial.zero(rs.rank))
+                if c:
+                    coeffs[v] = c
+        else:
+            return kt.expand(motivic_chern(kt, w), basis)
+        order = sorted(coeffs, key=cell_order, reverse=True)
+        return SchubertExpansion(kt.space, basis, {u: coeffs[u] for u in order})
+
+    return kt.rs.memo(("k", "MCexp", basis, w), build)
 
 
 def csm_from_mc_nonequivariant(kt, w):

@@ -22,8 +22,9 @@ first variable the most significant, and the lowest digit holds the total
 degree.  A monomial product is a sum of keys, integer order is the lex order
 of the exponent tuples, the degree of a term is ``key & MASK``, and one
 subtraction with a guard bit above each digit tests whether one monomial
-divides another.  ``Poly.packed`` is the stored dict; ``Poly.terms`` is the
-same polynomial keyed by exponent tuples, built on each access.  A product or
+divides another.  ``Poly.packed`` maps each key to its coefficient;
+``Poly.terms`` is the same polynomial keyed by exponent tuples, built on each
+access.  A product or
 quotient step whose degree could reach the digit limit raises
 ``OverflowError``; no key ever carries into its neighbour.  ``Poly``s of
 different numbers of variables do not combine: that raises ``ValueError``.
@@ -32,28 +33,38 @@ A ``YFrac`` stores integer numerators over one positive integer denominator
 and a power of (1+y), in a single normal form, so its arithmetic is integer
 convolution and gcd; ``YFrac.num`` is a ``Fraction`` view of the coefficients.
 
-One ``_lifted_product`` multiplies the terms of ``Poly``s with a ``YFrac``
-coefficient and the terms of two series.  It groups each operand by degree
-once, so a series product skips every pair of degree blocks above the cap,
-and a kept pair whose degree reaches the digit limit raises
-``OverflowError``.  With a ``YFrac`` coefficient the product is lifted: each
-operand is written once over one denominator D and one (1+y) power K, with
-an integer-list numerator per key, every pair of terms is an integer
-convolution summed into its output key, and each output coefficient becomes
-one ``YFrac``, normalized once.  ``series_combination`` sums series times
-integer y-polynomials the same way.  The lifted form lives only inside the
-product.  Sums, negatives, scalar multiples and the products of
-``int``/``Fraction`` terms run on the Laurent kernel's term loops
-(``_kernel_py.lp_add``, ``lp_neg``, ``lp_scale``, ``lp_mul``), which serve
-every coefficient type.  ``Poly.divide_exact`` keeps its own leading-term
-elimination: its divisors are linear forms and Euler classes, not the
-kernel's binomials.  The one-variable Todd-type coefficient lists are
-one-variable series, built by ``series_of_linear``, ``inverse`` and ``*``.
+A ``Poly`` with a ``YFrac`` coefficient is lifted: it is stored as one integer
+polynomial in the variables and y, over one positive integer D and one power
+(1+y)^K.  y is one more packed digit, above the variables' digits, so
+``key & MASK`` is still the degree and every degree-block and truncation
+path reads lifted keys unchanged; the y digit is the most significant, so no
+product carries out of it.  The lifted form is kept in one normal form: when
+K > 0, 1 + y does not divide the numerator, and D shares no factor with all
+of its coefficients.  The form is unique, so equality and hashing read it
+directly.  A product is the kernel's ``lp_mul`` over D_a D_b (1+y)^(K_a +
+K_b); a sum aligns D and K, then calls ``lp_add``; normalizing divides by
+1 + y with the kernel's binomial division, ``lp_divide_exact``.
+``Poly.divide_exact`` of a lifted polynomial eliminates on the integer
+numerators (lex, y first) and normalizes once.  The ``YFrac`` of each
+monomial is a view, built only when read (``packed``, ``terms``,
+``sorted_terms``), so nothing is lifted before or lowered after an
+operation: the per-product helpers that did so (``_lift``, ``_lower``,
+``_convolve_into`` and ``_width``) are gone.  ``int``/``Fraction`` polynomials store their
+coefficients as they are, and their sums, negatives, scalar multiples,
+products and quotients keep their own code path on the same kernel loops
+(``lp_add``, ``lp_neg``, ``lp_scale``, ``lp_mul``), which serve every
+coefficient type.  ``GradedSeries`` products and ``series_combination`` run
+on the same stored terms; a series product multiplies only the pairs of
+degree blocks that stay within the cap.  The
+one-variable Todd-type coefficient lists are one-variable series, built by
+``series_of_linear``, ``inverse`` and ``*``; a series times the series of
+one linear form (``times_series_of_linear``) is Horner's rule in that form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import comb, factorial, gcd, lcm
 from operator import add
 
@@ -299,83 +310,141 @@ def _mul_one_plus_y_power(num, p):
     return out
 
 
-# -- lifted products: integer numerators over one denominator -----------------------
+# -- lifted polynomials: one integer numerator in the variables and y -------------------
 
 
-def _has_yfrac(*term_dicts):
-    return any(YFrac in map(type, terms.values()) for terms in term_dicts)
+def _y_shift(nvars):
+    """The bit offset of the y digit of a lifted key: above every variable."""
+    return WIDTH * (nvars + 1)
 
 
-def _lift(*term_dicts):
-    """Write every coefficient of the term dicts over one D (1+y)^K.
+def _parts(c):
+    """(numerator list, denominator, (1+y) power) of an int, Fraction or YFrac."""
+    if type(c) is YFrac:
+        return c._n, c._d, c.k
+    if type(c) is int:
+        return (c,), 1, 0
+    return (c.numerator,), c.denominator, 0
 
-    Each dict maps a key to an ``int``, ``Fraction`` or ``YFrac``
-    coefficient.  Returns ``D``, ``K`` and the dicts with each coefficient
-    replaced by a list of ints n, the coefficient being ``n / (D (1+y)^K)``
-    with D the lcm of the denominators and K the largest (1+y) power.
-    """
-    parts = []
-    D, K = 1, 0
-    for terms in term_dicts:
-        items = []
-        for m, c in terms.items():
-            if type(c) is YFrac:
-                n, d, k = c._n, c._d, c.k
-            elif type(c) is int:
-                n, d, k = (c,), 1, 0
-            else:
-                n, d, k = (c.numerator,), c.denominator, 0
-            items.append((m, n, d, k))
-            D = lcm(D, d)
-            if k > K:
-                K = k
-        parts.append(items)
+
+def _over_common(parts):
+    """(numerator lists, D, K) of (n, d, k) triples, each n / (d (1+y)^k),
+    all written over one D (1+y)^K: D the lcm of the d, K the largest k."""
+    D = lcm(*(d for _, d, _ in parts))
+    K = max((k for *_, k in parts), default=0)
     out = []
-    for items in parts:
-        lifted = {}
-        for m, n, d, k in items:
-            if d != D:
-                s = D // d
-                n = [x * s for x in n]
-            if k != K:
-                n = _mul_one_plus_y_power(n, K - k)
-            lifted[m] = n
-        out.append(lifted)
-    return D, K, out
+    for n, d, k in parts:
+        if n and k != K:
+            n = _mul_one_plus_y_power(n, K - k)
+        s = D // d
+        out.append([x * s for x in n] if s != 1 else n)
+    return out, D, K
 
 
-def _width(lifted):
-    return max(map(len, lifted.values()), default=1)
+def _y_terms(n, nvars):
+    """The integer y-polynomial n_0 + n_1 y + ... as lifted terms."""
+    sh = _y_shift(nvars)
+    return {i << sh: x for i, x in enumerate(n) if x}
 
 
-def _convolve_into(acc, width, a, b):
-    """Add the product of every (key, n) of a and every one of b to acc.
+def _lifted_terms(coeffs, nvars):
+    """{key: int, Fraction or YFrac} written as (t, D, K): the value at a key
+    is the sum over i of ``t[key + (i << y_shift)] y^i``, over D (1+y)^K.
 
-    ``acc`` maps a key to its accumulated numerator, a list of ``width``
-    ints; the product of two numerators is their convolution.
+    D is the lcm of the denominators and K the largest (1+y) power.  Each
+    coefficient is in its own normal form, so the result is in the normal
+    form of a lifted ``Poly``: a coefficient with the largest power of a
+    prime in D, or with K itself, keeps that factor from cancelling.
     """
-    get = acc.get
-    b = b.items()
-    for ka, na in a.items():
-        for kb, nb in b:
-            k = ka + kb
-            c = get(k)
-            if c is None:
-                c = acc[k] = [0] * width
-            for i, x in enumerate(na):
-                if x:
-                    for j, z in enumerate(nb, i):
-                        c[j] += x * z
+    ns, D, K = _over_common([_parts(c) for c in coeffs.values()])
+    sh = _y_shift(nvars)
+    t = {}
+    for key, n in zip(coeffs, ns):
+        for i, x in enumerate(n):
+            if x:
+                t[key + (i << sh)] = x
+    return t, D, K
 
 
-def _lower(acc, D, K):
-    """{key: n} to {key: n / (D (1+y)^K)}, zeros dropped."""
-    out = {}
-    for k, n in acc.items():
-        c = _make(n, D, K)
-        if c:
-            out[k] = c
-    return out
+def _one_plus_y_power(p, nvars):
+    """(1 + y)^p as lifted terms."""
+    return _y_terms([comb(p, i) for i in range(p + 1)], nvars)
+
+
+def _cancel_one_plus_y(t, most, nvars):
+    """t divided by (1 + y) while it divides, at most ``most`` times (None:
+    no limit); returns the quotient and the number of factors removed."""
+    sh = _y_shift(nvars)
+    one_plus_y = {0: 1, 1 << sh: 1}
+    j = 0
+    while j != most:
+        # 1 + y divides t only if t vanishes at y = -1 and every variable 1
+        if sum(-c if key >> sh & 1 else c for key, c in t.items()):
+            break
+        q = _impl.lp_divide_exact(t, one_plus_y, nvars + 1)
+        if q is None:
+            break
+        t, j = q, j + 1
+    return t, j
+
+
+def _normal(t, d, k, nvars, bound, cancel=True):
+    """The lifted Poly t / (d (1+y)^k) in its normal form: 1 + y does not
+    divide t when k > 0, and d shares no factor with every value of t.
+    ``cancel=False`` skips the (1+y) test, for a t it cannot divide."""
+    if not t:
+        return _poly({}, nvars, bound, 1, 0)
+    if k and cancel:
+        t, j = _cancel_one_plus_y(t, k, nvars)
+        k -= j
+    if d != 1:
+        g = gcd(d, *t.values())
+        if g != 1:
+            t = {key: c // g for key, c in t.items()}
+            d //= g
+    return _poly(t, nvars, bound, d, k)
+
+
+def _lifted(p):
+    """p itself when lifted, else its int and Fraction terms lifted."""
+    if p._d is not None:
+        return p
+    t, d, k = _lifted_terms(p._t, p.nvars)
+    return _poly(t, p.nvars, p._bound, d, k)
+
+
+def _lifted_sum(a, b):
+    """a + b for lifted a and b: D and K aligned, then the kernel's sum."""
+    ta, tb = a._t, b._t
+    if not tb:
+        return a
+    if not ta:
+        return b
+    da, db, k = a._d, b._d, a._k
+    if k != b._k:
+        if k < b._k:
+            ta, k = _impl.lp_mul(ta, _one_plus_y_power(b._k - k, a.nvars)), b._k
+        else:
+            tb = _impl.lp_mul(tb, _one_plus_y_power(k - b._k, a.nvars))
+    if da != db:
+        g = gcd(da, db)
+        ma, mb = db // g, da // g
+        ta = {key: c * ma for key, c in ta.items()}
+        tb = {key: c * mb for key, c in tb.items()}
+        da *= ma
+    return _normal(_impl.lp_add(ta, tb), da, k, a.nvars, max(a._bound, b._bound))
+
+
+def _lifted_product(a, b, t, bound, whole=True):
+    """The lifted Poly of the product terms t of lifted a and b.
+
+    (1+y) is prime, so it can divide the whole product only when exactly
+    one of the two carries a (1+y) denominator: the other numerator may hold
+    the factor.  With ``whole=False`` t holds only some of the product's
+    terms (a truncated series product), and the test always runs.
+    """
+    cancel = not whole or (a._k == 0) != (b._k == 0)
+    return _normal(t, a._d * b._d, a._k + b._k, a.nvars, bound, cancel)
 
 
 def _by_degree(terms):
@@ -391,21 +460,14 @@ def _by_degree(terms):
     return out
 
 
-def _lifted_product(a, b, cap):
+def _truncated_product(a, b, cap):
     """The terms of degree at most cap of the product of two term dicts.
 
-    Each operand is grouped by degree once, and lifted once when a
-    coefficient is a ``YFrac``.  Every pair of blocks whose degrees add up to
-    at most cap is one pass: integer convolutions, each output coefficient
-    normalized once at the end, or else the kernel's product and sum.  A
+    Each operand is grouped by degree once, and every pair of blocks whose
+    degrees add up to at most cap is one kernel product, summed in place.  A
     kept pair of degree ``HALF`` or more raises ``OverflowError``: its keys
     could carry.
     """
-    lifted = _has_yfrac(a, b)
-    if lifted:
-        Da, Ka, (a,) = _lift(a)
-        Db, Kb, (b,) = _lift(b)
-        width = _width(a) + _width(b) - 1
     blocks = _by_degree(b).items()
     out = {}
     for da, ta in _by_degree(a).items():
@@ -415,26 +477,23 @@ def _lifted_product(a, b, cap):
                 continue
             if d >= HALF:
                 raise OverflowError("a product degree could leave the packing range")
-            if lifted:
-                _convolve_into(out, width, ta, tb)
-            else:
-                out = _impl.lp_add(out, _impl.lp_mul(ta, tb))
-    return _lower(out, Da * Db, Ka + Kb) if lifted else out
+            _impl.lp_mul(ta, tb, out)
+    return out
 
 
 def series_combination(pairs, cap, nvars):
     """sum of s * (n_0 + n_1 y + ...) over (GradedSeries s, int list n) pairs.
 
-    The terms of degree at most cap of all the series are lifted together,
-    so that each output coefficient is one integer sum, normalized once.
+    The terms of degree at most cap of every series are written over one
+    D (1+y)^K, each times its y-polynomial is one kernel product, and the sum
+    is normalized once.
     """
-    D, K, lifted = _lift(*(_truncated(s.poly, cap) for s, _ in pairs))
-    width = max(map(_width, lifted), default=1) + max((len(n) for _, n in pairs), default=1) - 1
+    polys = [_lifted(_truncated(s.poly, cap)) for s, _ in pairs]
+    ns, D, K = _over_common([(n, p._d, p._k) for p, (_, n) in zip(polys, pairs)])
     out = {}
-    for terms, (_, n) in zip(lifted, pairs):
-        # 0 is the key of the constant monomial
-        _convolve_into(out, width, terms, {0: n})
-    return _series(_lower(out, D, K), cap, nvars)
+    for p, n in zip(polys, ns):
+        _impl.lp_mul(p._t, _y_terms(n, nvars), out)
+    return _series(_normal(out, D, K, nvars, max(cap, 0)), cap)
 
 
 # -- packed monomial keys ---------------------------------------------------------------
@@ -459,13 +518,24 @@ def _var_key(j, nvars):
     return (1 << _shift(j, nvars)) + 1
 
 
-def _poly(packed, nvars, bound):
-    """Poly on packed terms (nonzero coefficients) of degree at most bound."""
+def _poly(t, nvars, bound, d=None, k=0):
+    """Poly on packed terms of degree at most bound: nonzero int or Fraction
+    values, or with d given the lifted t / (d (1+y)^k) in its normal form."""
     p = object.__new__(Poly)
-    p.packed = packed
+    p._t = t
     p.nvars = nvars
     p._bound = bound
+    p._d = d
+    p._k = k
     return p
+
+
+def _from_coeffs(coeffs, nvars, bound):
+    """Poly on {key: nonzero coefficient}: lifted when a coefficient is a YFrac."""
+    if YFrac not in map(type, coeffs.values()):
+        return _poly(coeffs, nvars, bound)
+    t, d, k = _lifted_terms(coeffs, nvars)
+    return _poly(t, nvars, bound, d, k)
 
 
 def _same_nvars(a, b):
@@ -476,20 +546,26 @@ def _same_nvars(a, b):
 class Poly:
     """Sparse multivariate polynomial over an exact coefficient ring.
 
-    ``packed`` maps the packed key of each monomial to its nonzero
-    coefficient.  The key of x_0^e_0 ... x_{n-1}^e_{n-1} is
+    The key of x_0^e_0 ... x_{n-1}^e_{n-1} is
     ``_kernel_py.pack((e_0, ..., e_{n-1}), e_0 + ... + e_{n-1})``: the
     Laurent layer's packing, with the total degree in the digit that holds
     the y power there.  Every digit is nonnegative and below ``HALF``, the
     first variable is the most significant, so integer order of the keys is
     the lex order of the exponent tuples, a monomial product is a key sum,
-    and the degree is ``key & MASK``.  ``terms`` is the same polynomial keyed
-    by exponent tuples, built on each access.  Each ``Poly`` carries an upper
-    bound on its degree, its largest digit; a product whose degree could
-    reach ``HALF`` raises ``OverflowError`` instead of carrying.
+    and the degree is ``key & MASK``.
+
+    With ``int`` and ``Fraction`` coefficients the stored terms map each key
+    to its coefficient.  With ``YFrac`` coefficients the polynomial is
+    lifted: one integer polynomial in the variables and y over one positive
+    integer D and one power (1+y)^K, y a digit above the variables' (see the
+    module docstring).  ``packed`` maps each key to its coefficient in both
+    cases, a view built on each access when lifted; ``terms`` is the same
+    polynomial keyed by exponent tuples.  Each ``Poly`` carries an upper
+    bound on its degree; a product whose degree could reach ``HALF`` raises
+    ``OverflowError`` instead of carrying.
     """
 
-    __slots__ = ("packed", "nvars", "_bound")
+    __slots__ = ("_t", "nvars", "_bound", "_d", "_k")
 
     def __init__(self, terms, nvars):
         packed = {}
@@ -497,9 +573,28 @@ class Poly:
             k = _key(e, nvars)
             if c:
                 packed[k] = c
-        self.packed = packed
-        self.nvars = nvars
+        p = _from_coeffs(packed, nvars, 0)
+        self._t, self.nvars, self._d, self._k = p._t, nvars, p._d, p._k
         self._tighten()
+
+    @property
+    def packed(self):
+        """{key: coefficient}; when lifted, a ``YFrac`` per key, built here."""
+        if self._d is None:
+            return self._t
+        sh = _y_shift(self.nvars)
+        mask = (1 << sh) - 1
+        lists = {}
+        for key, c in self._t.items():
+            x, i = key & mask, key >> sh
+            n = lists.get(x)
+            if n is None:
+                n = lists[x] = []
+            if len(n) <= i:
+                n.extend([0] * (i + 1 - len(n)))
+            n[i] = c
+        d, k = self._d, self._k
+        return {x: _make(n, d, k) for x, n in lists.items()}
 
     @property
     def terms(self):
@@ -508,8 +603,14 @@ class Poly:
 
     def _tighten(self):
         """Set the degree bound to the degree (0 for zero), and return it."""
-        self._bound = max(map(MASK.__and__, self.packed), default=0)
+        self._bound = max(map(MASK.__and__, self._t), default=0)
         return self._bound
+
+    def _select(self, t, bound):
+        """The Poly of some of this one's stored terms, in its normal form."""
+        if self._d is None:
+            return _poly(t, self.nvars, bound)
+        return _normal(t, self._d, self._k, self.nvars, bound)
 
     @classmethod
     def zero(cls, nvars):
@@ -517,19 +618,23 @@ class Poly:
 
     @classmethod
     def const(cls, c, nvars):
-        return _poly({0: c} if c else {}, nvars, 0)
+        return _from_coeffs({0: c} if c else {}, nvars, 0)
 
     @classmethod
     def variable(cls, j, nvars, coeff=1):
-        return _poly({_var_key(j, nvars): coeff} if coeff else {}, nvars, 1)
+        return _from_coeffs({_var_key(j, nvars): coeff} if coeff else {}, nvars, 1)
 
     @classmethod
     def linear(cls, coeffs):
         nvars = len(coeffs)
-        return _poly({_var_key(j, nvars): c for j, c in enumerate(coeffs) if c}, nvars, 1)
+        return _from_coeffs({_var_key(j, nvars): c for j, c in enumerate(coeffs) if c}, nvars, 1)
 
     def __bool__(self):
-        return bool(self.packed)
+        return bool(self._t)
+
+    def cleared(self):
+        """True when no (1+y) denominator remains in any coefficient."""
+        return not self._k
 
     def _coerce(self, other):
         if isinstance(other, Poly):
@@ -541,44 +646,73 @@ class Poly:
 
     def __eq__(self, other):
         other = self._coerce(other)
-        return other is not None and self.packed == other.packed
+        if other is None:
+            return False
+        a, b = self, other
+        if (a._d is None) != (b._d is None):
+            a, b = _lifted(a), _lifted(b)
+        return a._t == b._t and a._d == b._d and a._k == b._k
 
     def __hash__(self):
-        packed = self.packed
-        if not packed:
+        t = self._t
+        if not t:
             return 0
-        if len(packed) == 1 and 0 in packed:
-            # a constant hashes as the coefficient it equals
-            return hash(packed[0])
-        return hash((self.nvars, frozenset(packed.items())))
+        if self._d is None:
+            if len(t) == 1 and 0 in t:
+                # a constant hashes as the coefficient it equals
+                return hash(t[0])
+            return hash((self.nvars, frozenset(t.items())))
+        sh = _y_shift(self.nvars)
+        mask = (1 << sh) - 1
+        if not any(key & mask for key in t):
+            return hash(self.packed[0])
+        if not self._k and max(t) >> sh == 0:
+            # no y: hash as the int and Fraction terms it equals
+            d = self._d
+            return hash((self.nvars, frozenset((key, Fraction(c, d)) for key, c in t.items())))
+        return hash((self.nvars, self._d, self._k, frozenset(t.items())))
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _poly(
-            _impl.lp_add(self.packed, other.packed), self.nvars, max(self._bound, other._bound)
-        )
+        if self._d is None and other._d is None:
+            return _poly(
+                _impl.lp_add(self._t, other._t), self.nvars, max(self._bound, other._bound)
+            )
+        return _lifted_sum(_lifted(self), _lifted(other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _poly(_impl.lp_neg(self.packed), self.nvars, self._bound)
+        return _poly(_impl.lp_neg(self._t), self.nvars, self._bound, self._d, self._k)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, YFrac)):
-            return _poly(_impl.lp_scale(self.packed, other), self.nvars, self._bound)
-        if not isinstance(other, Poly):
+        if isinstance(other, (int, Fraction)):
+            if self._d is None:
+                return _poly(_impl.lp_scale(self._t, other), self.nvars, self._bound)
+            if not other:
+                return _poly({}, self.nvars, self._bound, 1, 0)
+            if type(other) is int:
+                # the stored terms share no factor with d, so gcd(d, other) is all that cancels
+                g = gcd(self._d, other)
+                t = _impl.lp_scale(self._t, other // g)
+                return _poly(t, self.nvars, self._bound, self._d // g, self._k)
+            t = _impl.lp_scale(self._t, other.numerator)
+            return _normal(t, self._d * other.denominator, self._k, self.nvars, self._bound)
+        if isinstance(other, YFrac):
+            other = Poly.const(other, self.nvars)
+        elif not isinstance(other, Poly):
             return NotImplemented
         _same_nvars(self, other)
-        a, b = self.packed, other.packed
         bound = product_bound(self, other)
-        if _has_yfrac(a, b):
-            return _poly(_lifted_product(a, b, bound), self.nvars, bound)
-        return _poly(_impl.lp_mul(a, b), self.nvars, bound)
+        if self._d is None and other._d is None:
+            return _poly(_impl.lp_mul(self._t, other._t), self.nvars, bound)
+        a, b = _lifted(self), _lifted(other)
+        return _lifted_product(a, b, _impl.lp_mul(a._t, b._t), bound)
 
     __rmul__ = __mul__
 
@@ -596,19 +730,19 @@ class Poly:
             c = fn(v)
             if c:
                 out[k] = c
-        return _poly(out, self.nvars, self._bound)
+        return _from_coeffs(out, self.nvars, self._bound)
 
     def degree(self):
-        return max(map(MASK.__and__, self.packed), default=-1)
+        return max(map(MASK.__and__, self._t), default=-1)
 
     def homogeneous_component(self, d):
-        return _poly({k: v for k, v in self.packed.items() if k & MASK == d}, self.nvars, d)
+        return self._select({k: v for k, v in self._t.items() if k & MASK == d}, d)
 
     def homogeneous_split(self):
-        return {d: _poly(t, self.nvars, d) for d, t in sorted(_by_degree(self.packed).items())}
+        return {d: self._select(t, d) for d, t in sorted(_by_degree(self._t).items())}
 
     def is_homogeneous(self, d=None):
-        degs = set(map(MASK.__and__, self.packed))
+        degs = set(map(MASK.__and__, self._t))
         if not degs:
             return True
         return len(degs) == 1 and (d is None or degs == {d})
@@ -640,18 +774,19 @@ class Poly:
                 out[k] = c
             else:
                 out.pop(k, None)
-        return _poly(out, self.nvars, self._bound)
+        return _from_coeffs(out, self.nvars, self._bound)
 
     def drop_last_variable(self):
         """Forget the final variable (which must not occur)."""
         if not self.nvars:
             raise ValueError("no variable to drop")
         out = {}
-        for k, v in self.packed.items():
+        for k, v in self._t.items():
             if (k >> WIDTH) & MASK:
                 raise ValueError("last variable still occurs")
+            # a lifted key's y digit moves down with the variables above it
             out[(k >> 2 * WIDTH << WIDTH) + (k & MASK)] = v
-        return _poly(out, self.nvars - 1, self._bound)
+        return _poly(out, self.nvars - 1, self._bound, self._d, self._k)
 
     def substitute_linear(self, images):
         """Substitute variable j -> images[j] (a Poly), ring homomorphism."""
@@ -677,22 +812,22 @@ class Poly:
         divisor's ``int`` leading coefficient divides stays an ``int``
         (always, for a primitive divisor of an integral multiple); any other
         step multiplies by the exact inverse of that leading coefficient.
+        A lifted operand divides on the numerators (``_lifted_quotient``).
         """
         _same_nvars(self, q)
-        if not q.packed:
+        if not q._t:
             raise ZeroDivisionError("division by the zero polynomial")
-        if not self.packed:
+        if self._d is not None or q._d is not None:
+            return _lifted_quotient(_lifted(self), _lifted(q))
+        if not self._t:
             return Poly.zero(self.nvars)
-        rem = dict(self.packed)
-        lead_q = max(q.packed)
-        cq = q.packed[lead_q]
-        try:
-            inv = cq.inverse() if isinstance(cq, YFrac) else Fraction(1) / cq
-        except ArithmeticError:
-            return None
+        rem = dict(self._t)
+        lead_q = max(q._t)
+        cq = q._t[lead_q]
+        inv = Fraction(1) / cq
         integral = type(cq) is int
         # the leading term of the remainder cancels exactly at each step
-        tail = [(k, -c) for k, c in q.packed.items() if k != lead_q]
+        tail = [(k, -c) for k, c in q._t.items() if k != lead_q]
         guard = digit_offset(self.nvars + 1)
         room = HALF - q._tighten()
         get = rem.get
@@ -725,7 +860,7 @@ class Poly:
         return list(sorted_digits(self.packed, self.nvars + 1, self.nvars))
 
     def __repr__(self):
-        if not self.packed:
+        if not self._t:
             return "0"
         bits = []
         for e, v in self.sorted_terms():
@@ -734,17 +869,89 @@ class Poly:
         return " + ".join(bits)
 
 
+def _lifted_quotient(a, q):
+    """a / q for lifted a and q, or None when q does not divide a.
+
+    As for the unlifted quotient, the divisor's leading coefficient in the
+    variables must be a unit of Q[y, (1+y)^-1], c (1+y)^m.  Its numerator is
+    written (1+y)^m g P with g an integer and P primitive and prime to 1 + y.
+    Then a / q is (a's numerator / P) over a D (1+y)^K read off the parts,
+    and P divides a's numerator in Q[x, y] exactly when it does over the
+    coefficient ring.  By Gauss's lemma that quotient is integral, so the
+    leading-term elimination (lex, y first, its keys kept in a heap) runs on
+    integers, and a step that the leading coefficient of P does not divide
+    proves q does not divide a.  The result is normalized once.
+    """
+    nvars = a.nvars
+    if not a._t:
+        return _poly({}, nvars, a._bound, 1, 0)
+    tq = q._t
+    sh = _y_shift(nvars)
+    mask = (1 << sh) - 1
+    lead_x = max(k & mask for k in tq)
+    ys = {k >> sh: c for k, c in tq.items() if k & mask == lead_x}
+    lead = [ys.get(i, 0) for i in range(max(ys) + 1)]
+    while len(lead) > 1:
+        lead = _divide_one_plus_y(lead)
+        if lead is None:
+            return None
+    tq, m = _cancel_one_plus_y(tq, None, nvars)
+    g = gcd(*tq.values())
+    if g != 1:
+        tq = {k: c // g for k, c in tq.items()}
+    rem = dict(a._t)
+    lead_q = max(tq)
+    cq = tq[lead_q]
+    tail = [(k, -c) for k, c in tq.items() if k != lead_q]
+    guard = digit_offset(nvars + 2)
+    room = HALF - q._tighten()
+    get = rem.get
+    heap = [-k for k in rem]
+    heapify(heap)
+    quot = {}
+    while heap:
+        lead_r = -heappop(heap)
+        r = rem.pop(lead_r, None)
+        if r is None:
+            continue
+        if ((lead_r | guard) - lead_q) & guard != guard:
+            return None
+        qc, bad = divmod(r, cq)
+        if bad:
+            return None
+        qk = lead_r - lead_q
+        if qk & MASK >= room:
+            raise OverflowError("a remainder degree could leave the packing range")
+        quot[qk] = qc
+        for bk, bc in tail:
+            k = qk + bk
+            c = get(k)
+            if c is None:
+                rem[k] = qc * bc
+                heappush(heap, -k)
+            elif c := c + qc * bc:
+                rem[k] = c
+            else:
+                del rem[k]
+    k = a._k + m - q._k
+    if k < 0:
+        quot, k = _impl.lp_mul(quot, _one_plus_y_power(-k, nvars)), 0
+    if q._d != 1:
+        quot = _impl.lp_scale(quot, q._d)
+    return _normal(quot, a._d * g, k, nvars, a._bound)
+
+
 def _truncated(poly, cap):
-    """The packed terms of poly of degree at most cap (its own dict when all are)."""
+    """poly's terms of degree at most cap (poly itself when all are)."""
     if poly._bound <= cap or poly._tighten() <= cap:
-        return poly.packed
-    return {k: c for k, c in poly.packed.items() if k & MASK <= cap}
+        return poly
+    return poly._select({k: c for k, c in poly._t.items() if k & MASK <= cap}, cap)
 
 
-def _series(packed, cap, nvars):
-    """GradedSeries on packed terms (nonzero coefficients) of degree at most cap."""
+def _series(poly, cap):
+    """GradedSeries on a Poly with no term above cap."""
     s = object.__new__(GradedSeries)
-    s.poly = _poly(packed, nvars, max(cap, 0))
+    s.poly = poly
     s.cap = cap
     return s
 
@@ -762,15 +969,15 @@ class GradedSeries:
 
     def __init__(self, comps, cap, nvars):
         """The series of the homogeneous components ``comps`` ({degree: Poly})."""
-        packed = {}
+        poly = Poly.zero(nvars)
         for p in comps.values():
-            packed.update(_truncated(p, cap))
-        self.poly = _poly(packed, nvars, max(cap, 0))
+            poly = poly + _truncated(p, cap)
+        self.poly = poly
         self.cap = cap
 
     @classmethod
     def zero(cls, cap, nvars):
-        return _series({}, cap, nvars)
+        return _series(Poly.zero(nvars), cap)
 
     @classmethod
     def const(cls, c, cap, nvars):
@@ -778,7 +985,7 @@ class GradedSeries:
 
     @classmethod
     def from_poly(cls, poly, cap):
-        return _series(_truncated(poly, cap), cap, poly.nvars)
+        return _series(_truncated(poly, cap), cap)
 
     @property
     def nvars(self):
@@ -825,19 +1032,24 @@ class GradedSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        return _series(_impl.lp_neg(self.poly.packed), self.cap, self.nvars)
+        return _series(-self.poly, self.cap)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, YFrac)):
-            return _series(_impl.lp_scale(self.poly.packed, other), self.cap, self.nvars)
+            return _series(self.poly * other, self.cap)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         cap = min(self.cap, other.cap)
-        return _series(_lifted_product(self.poly.packed, other.poly.packed, cap), cap, self.nvars)
+        a, b = self.poly, other.poly
+        bound = max(cap, 0)
+        if a._d is None and b._d is None:
+            return _series(_poly(_truncated_product(a._t, b._t, cap), a.nvars, bound), cap)
+        a, b = _lifted(a), _lifted(b)
+        return _series(_lifted_product(a, b, _truncated_product(a._t, b._t, cap), bound, False), cap)
 
     __rmul__ = __mul__
 
@@ -868,21 +1080,34 @@ class GradedSeries:
         r = self.poly.divide_exact(q)
         if r is None:
             return None
-        return _series(r.packed, self.cap - q.degree(), self.nvars)
+        return _series(r, self.cap - q.degree())
 
     def scale_degrees(self, factor):
-        """Each term of degree d times ``factor(d)``."""
-        factors = {}
+        """Each term of degree d times ``factor(d)``; the result is lifted.
+
+        Each degree block is one kernel product by its factor's numerator,
+        normalized on its own, so a (1+y) denominator of the factor cancels
+        against that block alone; the blocks, which share no key, are then
+        written over one D (1+y)^K.
+        """
+        p = _lifted(self.poly)
+        nvars = self.nvars
+        blocks = []
+        for d, block in _by_degree(p._t).items():
+            n, dd, k = _parts(factor(d))
+            if n:
+                t = _impl.lp_mul(block, _y_terms(n, nvars))
+                blocks.append(_normal(t, p._d * dd, p._k + k, nvars, d))
+        D = lcm(*(b._d for b in blocks))
+        K = max((b._k for b in blocks), default=0)
         out = {}
-        for k, c in self.poly.packed.items():
-            d = k & MASK
-            f = factors.get(d)
-            if f is None:
-                f = factors[d] = factor(d)
-            c = c * f
-            if c:
-                out[k] = c
-        return _series(out, self.cap, self.nvars)
+        for b in blocks:
+            t = b._t
+            if b._k != K:
+                t = _impl.lp_mul(t, _one_plus_y_power(K - b._k, nvars))
+            s = D // b._d
+            out.update({key: c * s for key, c in t.items()} if s != 1 else t)
+        return _series(_normal(out, D, K, nvars, p._bound), self.cap)
 
     def __repr__(self):
         return "Series{" + ", ".join(f"{d}: {p!r}" for d, p in self.comps.items()) + f"}}@{self.cap}"
@@ -890,14 +1115,57 @@ class GradedSeries:
 
 def series_of_linear(coeff_list, linear, cap):
     """sum_k c_k L^k as a graded series, for a homogeneous linear L."""
-    packed = {}
+    out = Poly.zero(linear.nvars)
     power = Poly.const(Fraction(1), linear.nvars)
     for k, c in enumerate(coeff_list[: cap + 1]):
         if k:
             power = power * linear
-        # L^k is homogeneous of degree k, so the terms of distinct k never meet
-        packed.update((power * c).packed)
-    return _series(packed, cap, linear.nvars)
+        out = out + power * c
+    return _series(out, cap)
+
+
+def times_series_of_linear(s, coeff_list, linear, cap):
+    """s * sum_k c_k L^k below min(cap, s.cap), for a linear form L with no
+    constant term; the product is lifted.
+
+    Horner's rule, s c_0 + L (s c_1 + L (s c_2 + ...)), on the stored
+    integers: with L = t / E, E = d (1+y)^j, and the c_k over one
+    D (1+y)^K as n_k, the sum is sum_k n_k E^(m-k) t^k s over
+    D E^m (1+y)^K.  The partial sum that t^k will multiply only needs its
+    terms of degree at most the cap minus k, so each step is one kernel
+    product by t and one by a y-polynomial, no power of L is expanded, and
+    the result is normalized once.
+    """
+    cap = min(cap, s.cap)
+    if cap >= HALF:
+        raise OverflowError("a product degree could leave the packing range")
+    p, lin = _lifted(s.poly), _lifted(linear)
+    nvars = p.nvars
+    m = min(cap, len(coeff_list) - 1)
+    ns, D, K = _over_common([_parts(c) for c in coeff_list[: m + 1]])
+    ys = []
+    for k, n in enumerate(ns):
+        e = m - k
+        if n and lin._k:
+            n = _mul_one_plus_y_power(n, lin._k * e)
+        ys.append(_y_terms([x * lin._d**e for x in n], nvars))
+    blocks = _by_degree(p._t)
+    # the terms of s of degree at most cap - k, grown as k falls
+    low = {}
+    for d, block in blocks.items():
+        if d < cap - m:
+            low.update(block)
+    out = {}
+    for k in range(m, -1, -1):
+        if out:
+            out = _impl.lp_mul(out, lin._t)
+        block = blocks.get(cap - k)
+        if block:
+            low.update(block)
+        if ys[k] and low:
+            _impl.lp_mul(low, ys[k], out)
+    d, k = p._d * D * lin._d**m, p._k + K + lin._k * m
+    return _series(_normal(out, d, k, nvars, max(cap, 0)), cap)
 
 
 def exp_linear(linear, cap, coeff_one=None):

@@ -278,6 +278,23 @@ def test_commands_that_never_enumerate_w_run_on_e7_and_e8(command):
     assert code == 0 and err == "" and json.loads(out)
 
 
+@pytest.mark.parametrize("command,start", [
+    ("hecke expand --type E7 --element w0", "error: the Bruhat interval below"),
+    ("hecke expand --type E8 --element w0", "error: the Bruhat interval below"),
+    ("hirzebruch --type E7 --cell s1 --cap 2", "error: an Euler class of E7"),
+    ("hirzebruch --type E6 --cell s1 --cap 2", "error: an Euler class of E6"),
+])
+def test_commands_too_large_to_finish_are_refused(command, start):
+    code, out, err, seconds = _schubmc(*command.split())
+    assert code == 2 and out == "" and seconds < 10
+    assert len(err.splitlines()) == 1 and err.startswith(start)
+
+
+def test_hirzebruch_below_the_euler_class_limit_still_runs():
+    code, out, err, _ = _schubmc("hirzebruch", "--type", "D5", "--cell", "s1", "--cap", "2")
+    assert code == 0 and err == "" and json.loads(out)["space"] == "D5"
+
+
 @pytest.mark.parametrize("spec", ["0", "3", "1,x"])
 def test_chi_rejects_a_bad_parabolic_before_enumerating(spec, tmp_path):
     code, _ = run_cli(["chi", "--type", "A2", "--parabolic", spec], tmp_path)

@@ -4,8 +4,9 @@ import pytest
 
 from schubmc import cli
 from schubmc import conjectures as C
+from schubmc import hecke
 from schubmc.kclasses import KTheory
-from schubmc.roots import RootSystem, root_system
+from schubmc.roots import RootSystem, cell_order, root_system
 
 
 @pytest.mark.parametrize("t,r", [("A", 2), ("B", 2)])
@@ -76,10 +77,12 @@ def test_counterexamples_are_payloads():
 def test_conjectures_run_expands_each_mc_class_once(monkeypatch, tmp_path):
     rs = RootSystem("A", 2)
     monkeypatch.setattr(cli, "root_system", lambda *_: rs)  # a memo of its own
-    calls = []
-    expand = KTheory.expand
+    calls, read = [], []
+    expand, oracle = KTheory.expand, hecke.mc_coefficients_oracle
     monkeypatch.setattr(
         KTheory, "expand", lambda self, a, basis="O": calls.append(basis) or expand(self, a, basis)
     )
+    monkeypatch.setattr(hecke, "mc_coefficients_oracle", lambda rs, w: read.append(w) or oracle(rs, w))
     assert cli.main(["conjectures", "run", "--type", "A2", "--out", str(tmp_path / "r.json")]) == 0
-    assert calls == ["O"] * len(rs.weyl_group())
+    # each MC class is read off the Hecke form once, and no fixed-point solve runs
+    assert calls == [] and sorted(read, key=cell_order) == list(rs.weyl_group())

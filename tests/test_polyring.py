@@ -15,6 +15,7 @@ from schubmc.polyring import (
     exp_linear,
     normalized_hirzebruch_coefficients,
     series_of_linear,
+    times_series_of_linear,
     todd_coefficients,
     unnormalized_hirzebruch_coefficients,
 )
@@ -542,12 +543,21 @@ def _typed(terms):
 
 
 def _same(got, want):
-    """A packed Poly and a reference Poly with equal terms, coefficient types included."""
+    """A packed Poly and a reference Poly with equal terms, coefficient types
+    included.  A Poly with a ``YFrac`` coefficient is lifted, and each of its
+    coefficients reads as a ``YFrac``, where the reference may keep an int or
+    a Fraction beside them: there the values must be equal."""
     if want is None:
         assert got is None
         return
     assert got.nvars == want.nvars
-    assert _typed(got.terms) == _typed(want.terms)
+    kinds = {type(v) for v in got.terms.values()}
+    if YFrac in kinds:
+        assert kinds == {YFrac}
+        assert got.terms == want.terms
+    else:
+        assert YFrac not in {type(v) for v in want.terms.values()}
+        assert _typed(got.terms) == _typed(want.terms)
     assert all(got.packed.values()), "a zero coefficient was stored"
 
 
@@ -723,3 +733,115 @@ def test_kernel_loops_never_mix_in_an_int():
     assert kernel.lp_scale(terms(a), _Coefficient(0)) == {}
     # (2 x + 1)(2 x - 1) = 4 x^2 - 1: the x terms cancel inside the loop
     assert kernel.lp_mul(terms({1: 2, 0: 1}), terms({1: 2, 0: -1})) == terms({2: 4, 0: -1})
+
+
+# -- the lifted form: one integer polynomial in the variables and y over D (1+y)^K --
+
+
+def _assert_normal(p):
+    """A lifted Poly stores the one normal form of its value: lifting its own
+    coefficients again gives the same numerator, D and K."""
+    if p._d is None or not p:
+        return
+    again = Poly(p.terms, p.nvars)
+    assert (again._t, again._d, again._k) == (p._t, p._d, p._k)
+    assert gcd(p._d, *p._t.values()) == 1
+
+
+def _ref_sum(a, b):
+    """a + b one coefficient at a time."""
+    out = dict(a.terms)
+    for m, c in b.terms.items():
+        out[m] = out[m] + c if m in out else c
+    return {m: c for m, c in out.items() if c}
+
+
+# unequal denominators and (1+y) powers: a value times c / (d (1+y)^k)
+_rescale = st.builds(
+    lambda c, d, k: YFrac([F(c, d)], k),
+    st.integers(1, 3), st.sampled_from([1, 2, 3, 4, 6]), st.integers(0, 3),
+)
+
+
+@given(_yfrac_polys, _yfrac_polys, _yfrac_polys, _rescale, _rescale)
+@settings(max_examples=300, deadline=None)
+def test_lifted_sums_and_products_match_the_coefficients(a, b, c, r, s):
+    a, b = a * r, b * s
+    for x, y in ((a, b), (b, a), (a, a * YFrac([1, 1])), (a, -a), (a, b * YFrac([1], 2))):
+        for got, want in ((x + y, _ref_sum(x, y)), (x - y, _ref_sum(x, -y))):
+            _assert_normal(got)
+            assert got.terms == want
+        _assert_normal(x * y)
+        _assert_same_poly(x * y, ref_poly_mul(x, y))
+    # two routes to one value: equal, and equal hashes
+    for left, right in (
+        ((a + b) * c, a * c + b * c),
+        (a * b * c, c * (b * a)),
+        ((a - b) * (a + b), a * a - b * b),
+        (a * YFrac([1, 1]) * YFrac([1], 1), a),
+    ):
+        _assert_normal(left)
+        _assert_normal(right)
+        assert left == right and hash(left) == hash(right)
+
+
+def test_lifted_normal_form_cancels_one_plus_y_and_d():
+    x = Poly.variable(0, 2)
+    over = YFrac([1], 1)  # 1 / (1+y)
+    # x / (1+y) + y x / (1+y) = x: the sum cancels (1+y), and reads as the int polynomial x
+    got = x * over + x * YFrac([0, 1], 1)
+    assert got == x and hash(got) == hash(x) and got._k == 0 and got._t == x._t
+    # (1+y) x times 1 / (1+y)^2: one factor cancels in the product
+    got = Poly.variable(0, 2, YFrac([1, 1])) * Poly.const(YFrac([1], 2), 2)
+    assert got.terms == {(1, 0): over} and got._k == 1
+    # x/2 + x/2 = x: the sum cancels D
+    half = x * YFrac.const(F(1, 2))
+    assert (half + half)._d == 1 and half + half == x
+    # unequal D and K: x/(2 (1+y)) + x/3
+    got = x * YFrac([F(1, 2)], 1) + x * YFrac.const(F(1, 3))
+    assert got.terms == {(1, 0): YFrac([F(5, 6), F(1, 3)], 1)} and (got._d, got._k) == (6, 1)
+    # a truncated series product can hold a (1+y) that the whole product does not:
+    # ((1+y)(1 + x) + x^2)/(1+y) times (1 + x)/(1+y) below degree 2 is (1 + 2x)/(1+y)
+    one = Poly.const(1, 2)
+    sa = GradedSeries.from_poly(((one + x) * YFrac([1, 1]) + x * x) * over, 2)
+    sb = GradedSeries.from_poly((one + x) * over, 1)
+    assert sa.poly._k == sb.poly._k == 1
+    got = (sa * sb).poly
+    assert got == (one + x * 2) * over and got._k == 1
+    # a quotient by (1+y) x is normalized once
+    num = Poly.variable(0, 2, YFrac([1, 2, 1])) * Poly.variable(1, 2)
+    assert num.divide_exact(Poly.variable(0, 2, YFrac([1, 1]))) == Poly.variable(1, 2, YFrac([1, 1]))
+    assert Poly.variable(0, 2).divide_exact(Poly.variable(0, 2, YFrac([1, 1]))) == Poly.const(over, 2)
+
+
+@given(_yfrac_polys, st.sampled_from([YFrac([1]), YFrac([2, 2]), YFrac([F(1, 3)], 2)]))
+@settings(max_examples=150, deadline=None)
+def test_lifted_quotients_undo_products(a, unit):
+    x, y = Poly.variable(0, 2), Poly.variable(1, 2)
+    for divisor in ((x * 2 - y) * unit, (x + y * YFrac([0, 1])) * unit, x * x * 3 * unit):
+        got = (a * divisor).divide_exact(divisor)
+        _assert_normal(got)
+        assert got == a and hash(got) == hash(a)
+        if a:
+            assert (a * divisor + Poly.variable(1, 2, YFrac([1], 1)) ** 3).divide_exact(divisor) is None
+
+
+_linear_coeffs = st.one_of(st.integers(-2, 2), _lift_yfracs)
+
+
+@given(
+    _yfrac_polys,
+    st.lists(_lift_coeffs, min_size=1, max_size=6),
+    st.tuples(_linear_coeffs, _linear_coeffs).filter(any),
+    st.integers(0, 5),
+    st.integers(0, 6),
+)
+@settings(max_examples=200, deadline=None)
+def test_horner_product_matches_the_series_product(a, coeffs, lin, cap_s, cap):
+    s = GradedSeries.from_poly(a * YFrac([1]), cap_s)
+    linear = Poly.linear(list(lin))
+    got = times_series_of_linear(s, coeffs, linear, cap)
+    want = s * series_of_linear(coeffs, linear, cap)
+    assert got.cap == want.cap == min(cap, cap_s)
+    _assert_normal(got.poly)
+    assert got.poly == want.poly and hash(got.poly) == hash(want.poly)

@@ -50,10 +50,12 @@ from .roots import RootSystemError, neg_weight
 # C(|positive roots| + rank - 1, rank - 1) monomials, and every point class,
 # divided difference and localization sum of the engine is at least that big.
 # ``hirzebruch --cell s1 --cap 2`` (one run each, one core, Python 3.11): D5
-# (10,626) 0.5 s; D6 (324,632) 3.5 s and 280 MiB; A7 (1,344,904) 5.4 s and
-# 473 MiB; B6 (749,398) 9.5 s and 616 MiB; E6 (749,398) 13.2 s and 838 MiB;
-# E7 (119,877,472) has run past 120 s.
-MAX_EULER_TERMS = 500_000
+# (10,626) 0.5 s; D6 (324,632) 3.5 s and 280 MiB; B6 (749,398) 9.5 s and
+# 616 MiB; E6 (749,398) 13.2 s and 838 MiB; A7 (1,344,904) 5.4 s and 473 MiB;
+# D7 (12,271,512), the next bound above A7's, ran out of a 3 GiB address space
+# after 112 s; E7 (119,877,472) has run past 120 s.  The bound does not depend
+# on the cap, and a large cap is not refused: D6 at cap 60 ran past 100 s.
+MAX_EULER_TERMS = 2_000_000
 
 
 class TruncationError(ArithmeticError):

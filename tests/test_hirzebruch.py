@@ -14,7 +14,7 @@ from schubmc.hirzebruch import (
 from schubmc.mc import motivic_chern
 from schubmc.kclasses import ktheory
 from schubmc.polyring import GradedSeries, Poly, YFrac
-from schubmc.roots import RootSystem, root_system
+from schubmc.roots import RootSystem, RootSystemError, root_system
 
 
 def test_chern_character_basics():
@@ -410,3 +410,13 @@ def test_todd_lists_are_built_once_per_mode_and_served_as_prefixes(monkeypatch):
     for mode, cap in [("uTdy", 3), ("uTdy", 7), ("uTdy", 5), ("uTdy", 0), ("Td", 2), ("uTdy", 7)]:
         assert hz._univ(mode, cap)[: cap + 1] == fresh[mode](cap)
     assert built == [("uTdy", 3), ("uTdy", 7), ("Td", 2)]
+
+
+def test_the_euler_class_limit_lies_between_a7_and_d7():
+    # A7 has the largest Euler class bound served, 1,344,904 monomials;
+    # D7 (12,271,512) and E7 are refused before anything is built
+    for t, r in (("E", 6), ("B", 6), ("C", 6), ("A", 7)):
+        Hirzebruch(root_system(t, r))
+    for t, r in (("D", 7), ("B", 7), ("A", 8), ("E", 7)):
+        with pytest.raises(RootSystemError, match=f"an Euler class of {t}{r}"):
+            Hirzebruch(root_system(t, r))

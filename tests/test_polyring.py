@@ -542,32 +542,41 @@ def _typed(terms):
     return {k: (type(v), v) for k, v in terms.items()}
 
 
-def _same(got, want):
+def _has_yfrac(terms):
+    """Whether a term dict has a nonzero ``YFrac`` coefficient: a Poly made
+    from it is lifted."""
+    return any(type(v) is YFrac and v for v in terms.values())
+
+
+def _same(got, want, lifted):
     """A packed Poly and a reference Poly with equal terms, coefficient types
-    included.  A Poly with a ``YFrac`` coefficient is lifted, and each of its
-    coefficients reads as a ``YFrac``, where the reference may keep an int or
-    a Fraction beside them: there the values must be equal."""
+    and printed coefficients included.
+
+    ``lifted`` says that an operand had a ``YFrac`` coefficient.  The packed
+    result is then lifted, and reads every coefficient as a ``YFrac``: where
+    the reference keeps an int or a Fraction c, the packed Poly reads
+    ``YFrac.const(c)``, so ``2`` prints as ``(2)``.  Otherwise the types are
+    the reference's.
+    """
     if want is None:
         assert got is None
         return
     assert got.nvars == want.nvars
-    kinds = {type(v) for v in got.terms.values()}
-    if YFrac in kinds:
-        assert kinds == {YFrac}
-        assert got.terms == want.terms
-    else:
-        assert YFrac not in {type(v) for v in want.terms.values()}
-        assert _typed(got.terms) == _typed(want.terms)
+    expect = want.terms
+    if lifted:
+        expect = {k: v if type(v) is YFrac else YFrac.const(v) for k, v in expect.items()}
+    assert _typed(got.terms) == _typed(expect)
+    assert {k: str(v) for k, v in got.terms.items()} == {k: str(v) for k, v in expect.items()}
     assert all(got.packed.values()), "a zero coefficient was stored"
 
 
-def _same_series(got, want):
+def _same_series(got, want, lifted):
     if want is None:
         assert got is None
         return
     assert (got.cap, set(got.comps)) == (want.cap, set(want.comps))
     for d, p in want.comps.items():
-        _same(got.comps[d], p)
+        _same(got.comps[d], p, lifted)
 
 
 def _both(terms, n):
@@ -579,31 +588,41 @@ def _both(terms, n):
 def test_packed_poly_matches_tuple_reference(operands):
     n, dicts = operands
     (a, ra), (b, rb), (c, rc) = (_both(t, n) for t in dicts)
-    for (x, rx), (y, ry) in (((a, ra), (b, rb)), ((a, ra), (a, ra)), ((b, rb), (c, rc))):
-        _same(x * y, rx * ry)
-        _same(x + y, rx + ry)
-        _same(x - y, rx - ry)
+    la, lb, lc = map(_has_yfrac, dicts)
+    pairs = (((a, ra), (b, rb), la or lb), ((a, ra), (a, ra), la), ((b, rb), (c, rc), lb or lc))
+    for (x, rx), (y, ry), lifted in pairs:
+        _same(x * y, rx * ry, lifted)
+        _same(x + y, rx + ry, lifted)
+        _same(x - y, rx - ry, lifted)
     if b:
         # exact, and failing unless c happens to be a multiple of b
-        _same((a * b).divide_exact(b), (ra * rb).divide_exact(rb))
-        _same((a * b + c).divide_exact(b), (ra * rb + rc).divide_exact(rb))
-        _same(a.divide_exact(b), ra.divide_exact(rb))
+        _same((a * b).divide_exact(b), (ra * rb).divide_exact(rb), la or lb)
+        _same((a * b + c).divide_exact(b), (ra * rb + rc).divide_exact(rb), la or lb or lc)
+        _same(a.divide_exact(b), ra.divide_exact(rb), la or lb)
     assert a.degree() == ra.degree()
     split, rsplit = a.homogeneous_split(), ra.homogeneous_split()
     assert list(split) == list(rsplit)
     for d in rsplit:
-        _same(split[d], rsplit[d])
+        _same(split[d], rsplit[d], la)
         assert split[d].is_homogeneous(d)
     for j in range(n):
         for value in (0, 2, F(1, 2)):
-            _same(a.set_variable(j, value), ra.set_variable(j, value))
-    _same(a.set_variable(n - 1, 0).drop_last_variable(), ra.set_variable(n - 1, 0).drop_last_variable())
+            _same(a.set_variable(j, value), ra.set_variable(j, value), la)
+    _same(
+        a.set_variable(n - 1, 0).drop_last_variable(),
+        ra.set_variable(n - 1, 0).drop_last_variable(),
+        la,
+    )
     # a substitution of linear forms, on the terms of degree at most 4
     low = {e: v for e, v in dicts[0].items() if sum(e) <= 4}
     coeffs = [[(i + 2 * j) % 3 - 1 for i in range(n)] for j in range(n)]
     images = [Poly.linear(cs) for cs in coeffs]
     rimages = [tuple_ref.Poly.linear(cs) for cs in coeffs]
-    _same(Poly(low, n).substitute_linear(images), tuple_ref.Poly(low, n).substitute_linear(rimages))
+    _same(
+        Poly(low, n).substitute_linear(images),
+        tuple_ref.Poly(low, n).substitute_linear(rimages),
+        _has_yfrac(low),
+    )
 
 
 @given(_operands(), st.integers(0, 3))
@@ -611,22 +630,25 @@ def test_packed_poly_matches_tuple_reference(operands):
 def test_packed_series_match_tuple_reference(operands, cap):
     n, dicts = operands
     (a, ra), (b, rb), _ = (_both(t, n) for t in dicts)
+    la, lb = _has_yfrac(dicts[0]), _has_yfrac(dicts[1])
     sa, rsa = GradedSeries.from_poly(a, cap), tuple_ref.GradedSeries.from_poly(ra, cap)
     sb, rsb = GradedSeries.from_poly(b, cap + 1), tuple_ref.GradedSeries.from_poly(rb, cap + 1)
-    _same_series(sa * sb, rsa * rsb)
+    _same_series(sa * sb, rsa * rsb, la or lb)
     if b:
         top = b.homogeneous_component(b.degree())
         rtop = rb.homogeneous_component(rb.degree())
         st_, rst = GradedSeries.from_poly(top, cap + 2), tuple_ref.GradedSeries.from_poly(rtop, cap + 2)
         prod, rprod = sa * st_, rsa * rst
-        _same_series(prod.divide_exact(top), rprod.divide_exact(rtop))
-        _same_series(sb.divide_exact(top), rsb.divide_exact(rtop))
+        _same_series(prod.divide_exact(top), rprod.divide_exact(rtop), la or lb)
+        _same_series(sb.divide_exact(top), rsb.divide_exact(rtop), lb)
     # a unit constant term: the constant term of a replaced by 3
     unit = YFrac.const(3) if any(type(v) is YFrac for v in dicts[0].values()) else 3
     dicts[0][(0,) * n] = unit
     (u, ru) = _both(dicts[0], n)
     _same_series(
-        GradedSeries.from_poly(u, cap).inverse(), tuple_ref.GradedSeries.from_poly(ru, cap).inverse()
+        GradedSeries.from_poly(u, cap).inverse(),
+        tuple_ref.GradedSeries.from_poly(ru, cap).inverse(),
+        _has_yfrac(dicts[0]),
     )
 
 

@@ -144,7 +144,8 @@ class GKMEngine:
         s = self.rs.simple_reflection(i)
         alpha = self.rs.simple_root(i)
         out = {}
-        for u in set(a.coeffs) | {v * s for v in a.coeffs}:
+        # a's points, then their images: a set of elements, hashed by address, has no fixed order
+        for u in dict.fromkeys([*a.coeffs, *(v * s for v in a.coeffs)]):
             num = a.coefficient(u * s) - a.coefficient(u)
             if not num:
                 continue
@@ -279,7 +280,8 @@ class Cohomology(GKMEngine):
 
     def si_auto(self, i, a):
         s = self.rs.simple_reflection(i)
-        return CohClass(self, {u: a.coefficient(u * s) for u in (set(a.coeffs) | {v * s for v in a.coeffs})})
+        points = dict.fromkeys([*a.coeffs, *(v * s for v in a.coeffs)])
+        return CohClass(self, {u: a.coefficient(u * s) for u in points})
 
     def dl_coh(self, i, a, dual=False):
         """Homogenized twisted operator: hbar * bgg -+ right-translation."""

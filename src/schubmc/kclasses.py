@@ -430,9 +430,16 @@ class KTheory:
         def entry(w, c):
             rest, left, unit = _match_associates(c.den, local(w))
             num = c.num if unit is None else c.num * unit
-            for f in rest:
-                num = num * factor_polynomial(f)
+            if rest:
+                rest = tuple(rest)
+                num = num * self.rs.memo(
+                    ("k", "factors", rest), lambda: product_of_factors(rest, self.nvars)
+                )
             return _integral(w, FactoredFraction(num, left)) if left else num
+
+        # triangular_solve subtracts a pivot's basis entries right after
+        # solving the pivot, so its coefficient is negated once, here
+        neg_c = None
 
         def solve(pivot, value):
             pivot_coeff = self.basis_class(basis, pivot).coefficient(pivot)
@@ -454,13 +461,15 @@ class KTheory:
                     raise IntegralityError(
                         f"coefficient at {pivot.name()} is not a Laurent polynomial"
                     )
+            nonlocal neg_c
+            neg_c = -value
             return value
 
         def basis_entries(pivot):
             return {w: entry(w, c) for w, c in self.basis_class(basis, pivot).coeffs.items()}
 
         def subtract(cur, e, c):
-            return (cur + e * -c) or None
+            return cur.add_product(e, neg_c) or None
 
         coeffs = triangular_solve(
             {w: entry(w, c) for w, c in a.coeffs.items()},

@@ -118,6 +118,12 @@ class LaurentPolynomial:
     __rmul__ = __mul__
     __radd__ = __add__
 
+    def add_product(self, a, b):
+        """self + a * b, the product added into a copy of self's terms by one
+        kernel call; a and b are polynomials of the same rank."""
+        bound = max(self._bound, product_bound(a, b))
+        return _lp(_impl.lp_mul(a.packed, b.packed, dict(self.packed)), self.nvars, bound)
+
     def _coerce(self, other):
         if isinstance(other, LaurentPolynomial):
             if other.nvars != self.nvars:

@@ -320,6 +320,21 @@ def test_commands_too_large_to_finish_are_refused(command, start):
     assert len(err.splitlines()) == 1 and err.startswith(start)
 
 
+@pytest.mark.parametrize("command,element", [
+    ("mc compute --type A2 --cell s1s1", "id"),
+    ("csm --type A2 --cell s1s2s2", "s1"),
+    ("hecke expand --type A3 --element s2s1s2s1", "s1s2"),
+    ("chi --type A3 --cell s1s2s1s2", "s2s1"),
+])
+def test_a_cell_word_that_is_not_reduced_is_refused(command, element, capsys):
+    # cells are named by reduced words: s1s1 is not a name of the identity cell
+    assert main(command.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [
+        f"error: {command.split()[-1]} is not a reduced word; it is the element {element}"
+    ]
+
+
 def test_hirzebruch_below_the_euler_class_limit_still_runs():
     code, out, err, _ = _schubmc("hirzebruch", "--type", "D5", "--cell", "s1", "--cap", "2")
     assert code == 0 and err == "" and json.loads(out)["space"] == "D5"

@@ -426,15 +426,19 @@ class KTheory:
             return SchubertExpansion(a.ctx, basis, {w: _integral(w, c) for w, c in a.coeffs.items()})
         opposite = basis in ("Oop", "Iop")
         local = self.local_factors(a.coeffs, opposite)
+        # the product of each leftover local-factor tuple, for this solve only:
+        # kept in the root system's memo they would outlive it
+        products = {}
 
         def entry(w, c):
             rest, left, unit = _match_associates(c.den, local(w))
             num = c.num if unit is None else c.num * unit
             if rest:
                 rest = tuple(rest)
-                num = num * self.rs.memo(
-                    ("k", "factors", rest), lambda: product_of_factors(rest, self.nvars)
-                )
+                prod = products.get(rest)
+                if prod is None:
+                    prod = products[rest] = product_of_factors(rest, self.nvars)
+                num = num * prod
             return _integral(w, FactoredFraction(num, left)) if left else num
 
         # triangular_solve subtracts a pivot's basis entries right after

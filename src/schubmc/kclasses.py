@@ -426,8 +426,8 @@ class KTheory:
             return SchubertExpansion(a.ctx, basis, {w: _integral(w, c) for w, c in a.coeffs.items()})
         opposite = basis in ("Oop", "Iop")
         local = self.local_factors(a.coeffs, opposite)
-        # the product of each leftover local-factor tuple, for this solve only:
-        # kept in the root system's memo they would outlive it
+        # the product of each leftover local-factor tuple, memoized for this
+        # solve only, so that none outlives it
         products = {}
 
         def entry(w, c):

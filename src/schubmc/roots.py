@@ -161,9 +161,7 @@ class WeylElement:
         if rs is not other.rs:
             raise RootSystemError("elements from different root systems")
         # (u v) rho = u (v rho): one matrix-vector product, one lookup
-        image = _mat_vec(self.mat, other.image)
-        el = rs._elements.get(image)
-        return el if el is not None else rs._element(image)
+        return rs._element(_mat_vec(self.mat, other.image))
 
     def act(self, weight):
         """Image of a weight (fundamental-weight coordinates) under self."""
@@ -541,7 +539,6 @@ class RootSystem:
         is W's), and its word (j,) + word(s_j v) there.
         """
         indices = [i - 1 for i in indices]
-        alphas = self._simple_roots
         found = [self._identity]
         frontier = [self._identity]
         level = 0
@@ -551,9 +548,8 @@ class RootSystem:
             for w in frontier:
                 image = w.image
                 for i in indices:
-                    k = image[i]
-                    if k > 0:
-                        up = tuple([a - k * b for a, b in zip(image, alphas[i])])
+                    if image[i] > 0:
+                        up = self._left_step(image, i)
                         if min(up[:i], default=0) >= 0:
                             v = self._element(up)
                             v.length, v.word = level, (i + 1,) + w.word

@@ -136,9 +136,9 @@ class WeylElement:
     A root system interns one element per image, so equality is identity
     and the hash is the default one.  ``length``, ``word`` (the
     lexicographically minimal reduced word) and ``mat`` (the integer matrix
-    of w on the weight lattice, which ``act`` applies) are slots filled on
-    first use: ``__getattr__`` runs only while a slot is unset, and after
-    that each is a plain read.
+    of w on the weight lattice, which ``act`` applies) are slots, filled by
+    the enumeration or on first use: ``__getattr__`` runs only while a slot
+    is unset, and after that each is a plain read.
     """
 
     __slots__ = ("rs", "image", "length", "word", "mat")

@@ -264,6 +264,8 @@ def test_parse_element_aliases():
         rs.parse_element("s9")
     with pytest.raises(RootSystemError):
         rs.parse_element("garbage")
+    with pytest.raises(RootSystemError, match="s1s2s1s2 is not a reduced word; it is the element s2s1$"):
+        rs.parse_element("s1s2s1s2")
 
 
 def test_triangular_solve_guards():

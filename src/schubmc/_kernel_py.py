@@ -16,7 +16,8 @@ coefficient's type: a missing key is tested with ``None`` and a zero with
 truth, so no coefficient meets an ``int`` 0.  The one division,
 ``lp_divide_exact``, divides by a monomial or by a binomial with
 coefficients +-1, the only divisors the denominators ``1 - e^mu`` and
-``1 + y e^mu`` create.
+``1 + y e^mu`` create.  By a binomial it sweeps each line of the dividend
+once, and a line is exact iff the running quotient at its last term is zero.
 """
 
 from struct import Struct
@@ -145,10 +146,14 @@ def lp_divide_exact(a, b, nvars):
     c0, c1 = +-1; any other divisor raises ValueError.  With c = c0 c1 and
     v = k1 - k0, b = c0 X^k0 (1 + c X^v).  The terms of a fall on lines
     k = base + t v; on each line the quotient by 1 + c X^v is the running sum
-    q_t = a_t - c q_{t-1}, and it is exact iff the line's signed sum,
-    sum_t (-c)^t a_t, is zero.  Every line's sum is checked before any
-    quotient term is built.  All of it is arithmetic on packed keys; the
-    caller keeps every quotient key and line base inside the packing range.
+    q_t = a_t - c q_{t-1}.  One pass over a sorts its terms into lines of
+    (t, a_t), and one sweep of each sorted line emits q_t from its first
+    term up to its last, through the gaps too, where q_t is constant
+    (c = -1) or alternates in sign (c = 1).  The line is exact iff the
+    running value at its last term is zero, so a one-term line never is.
+    A failing division may stop with some quotient terms built, but it
+    returns None.  All of it is arithmetic on packed keys; the caller keeps
+    every quotient key and line base inside the packing range.
     """
     if not b:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -178,25 +183,33 @@ def lp_divide_exact(a, b, nvars):
         base = k - t * v
         line = lines.get(base)
         if line is None:
-            lines[base] = {t: c}
+            lines[base] = [(t, c)]
         else:
-            line[t] = c
-    for line in lines.values():
-        if r == 1:
-            signed = sum(line.values())
-        else:
-            signed = sum(-c if t & 1 else c for t, c in line.items())
-        if signed:
-            return None
+            line.append((t, c))
     out = {}
     for base, line in lines.items():
-        lo, hi = min(line), max(line)
+        line.sort()
+        t, q = line[0]
         # the quotient by b is c0 X^-k0 times the quotient by 1 + c X^v
-        key = base + lo * v - k0
-        q = 0
-        for t in range(lo, hi):
-            q = line.get(t, 0) + r * q
-            if q:
-                out[key] = c0 * q
-            key += v
+        key = base + t * v - k0
+        for u, c in line[1:]:
+            if u - t == 1:
+                if q:
+                    out[key] = c0 * q
+                q = c + r * q
+                key += v
+            elif q:
+                # in a gap a_t = 0, so q_t = r q_{t-1}; q carries c0 here
+                q *= c0
+                for _ in range(u - t):
+                    out[key] = q
+                    q *= r
+                    key += v
+                q = c + c0 * q
+            else:
+                key += (u - t) * v
+                q = c
+            t = u
+        if q:
+            return None
     return out

@@ -19,7 +19,10 @@ Operator words are grown by ``RootSystem.along_word`` (the dual classes by
 of the longest word, under keys that carry ``cap``.
 
 The Hirzebruch class of a cell has one production route, the
-Demazure-Lusztig word route of ``hirzebruch_class``.  The Todd transform of
+Demazure-Lusztig word route of ``hirzebruch_class``.  Below the cell's
+codimension, at a cap under |positive roots| - l(w), the class is zero
+(``Hirzebruch.vanishes``), and it is returned without building an Euler
+class.  The Todd transform of
 the motivic Chern class (``todd_transform``) is its independent
 cross-check: it runs only when ``check_routes=True`` is passed, once per
 cell and cap, and nothing in the CLI passes it.
@@ -273,7 +276,9 @@ class Hirzebruch(GKMEngine):
         """Hirzebruch class of the cell of w by the Demazure-Lusztig word route;
         the normalized class is the Adams normalization of the unnormalized one.
 
-        With ``check_routes`` the unnormalized class is also compared, modulo
+        Below the codimension (see ``vanishes``) the class is zero, and it is
+        returned as such without building an Euler class.  With
+        ``check_routes`` the unnormalized class is also compared, modulo
         cap, with the Todd transform of the motivic Chern class, and
         ``TruncationError`` is raised if they differ.  The comparison is
         memoized on its own, once per (w, cap), so it runs even when the class
@@ -285,6 +290,8 @@ class Hirzebruch(GKMEngine):
             if normalized:
                 unnormalized = self.hirzebruch_class(w, False, cap)
                 return self.assert_cleared(self.adams_normalize(unnormalized))
+            if self.vanishes(w, cap):
+                return HClass(self, {})
             return self.rs.along_word(
                 self.prefix + ("Hword", cap), w,
                 lambda e: self.point_class(e, cap + self.dim), self.dl_h,
@@ -294,6 +301,15 @@ class Hirzebruch(GKMEngine):
         if check_routes:
             self.memo(("Hcheck", w, cap), lambda: self._check_routes(w, cap))
         return cls
+
+    def vanishes(self, w, cap):
+        """Whether the Hirzebruch class of the cell of w is zero below cap.
+
+        The word route starts at a point class, homogeneous of degree dim,
+        and each ``dl_h`` lowers the least degree by at most one, so every
+        term of the class has degree at least dim - l(w).
+        """
+        return cap < self.dim - w.length
 
     def _check_routes(self, w, cap):
         """The cross-check of ``hirzebruch_class`` at (w, cap)."""

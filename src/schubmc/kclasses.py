@@ -24,7 +24,10 @@ bases).  A curve that leaves the support's intervals ends where a vanishes,
 so by the GKM condition (Goresky-Kottwitz-MacPherson; Knutson-Rosu for
 equivariant K-theory) its factor divides a|_v: the local restriction is a
 Laurent polynomial for every integral class.  Keeping only the local factors
-keeps the entries of small cells small at every rank.
+keeps the entries of small cells small at every rank.  A pivot's own entry
+is never multiplied back by its coefficient: the coefficient is the pivot
+value divided exactly by that entry's factors, so the pivot cancels by
+construction.
 """
 
 from __future__ import annotations
@@ -420,7 +423,12 @@ class KTheory:
         coefficient at a pivot p is p's entry divided by its local normal
         factors, the local factors that do not divide the basis class's own
         restriction at p; these exact binomial divisions succeed for every
-        integral class, and otherwise raise ``IntegralityError``.
+        integral class, and otherwise raise ``IntegralityError``.  The basis
+        class's own entry at p is an associate unit times those factors,
+        read off the same factorization, so the exact divisions prove that
+        the coefficient times it is p's entry: ``subtract`` drops the pivot
+        from the residual without that product, and subtracts every other
+        entry.
         """
         if basis == "iota":
             return SchubertExpansion(a.ctx, basis, {w: _integral(w, c) for w, c in a.coeffs.items()})
@@ -430,20 +438,27 @@ class KTheory:
         # solve only, so that none outlives it
         products = {}
 
-        def entry(w, c):
-            rest, left, unit = _match_associates(c.den, local(w))
-            num = c.num if unit is None else c.num * unit
+        def scaled(num, rest, unit):
+            """num times the associate unit and the leftover local factors."""
+            if unit is not None:
+                num = num * unit
             if rest:
                 rest = tuple(rest)
                 prod = products.get(rest)
                 if prod is None:
                     prod = products[rest] = product_of_factors(rest, self.nvars)
                 num = num * prod
+            return num
+
+        def entry(w, c):
+            rest, left, unit = _match_associates(c.den, local(w))
+            num = scaled(c.num, rest, unit)
             return _integral(w, FactoredFraction(num, left)) if left else num
 
         # triangular_solve subtracts a pivot's basis entries right after
-        # solving the pivot, so its coefficient is negated once, here
-        neg_c = None
+        # solving the pivot, so its coefficient is negated once, here, and
+        # the pivot's own entry is kept to be told apart by identity
+        neg_c = pivot_entry = None
 
         def solve(pivot, value):
             pivot_coeff = self.basis_class(basis, pivot).coefficient(pivot)
@@ -454,9 +469,12 @@ class KTheory:
             rest, left, unit = _match_associates(pivot_coeff.den, local(pivot))
             if left:
                 raise StructuralError("basis pivot has a factor outside the local set")
-            # d = value * prod(pivot den) / prod(local factors): the inverse of
-            # the associate unit (star inverts a monomial +-e^lam), then the
-            # local normal factors
+            # the pivot's entry is unit * prod(rest), built from a fresh 1 so
+            # that no other entry is the same object; d = value / entry: the
+            # inverse of the unit (star inverts a monomial +-e^lam), then
+            # the local normal factors
+            nonlocal neg_c, pivot_entry
+            pivot_entry = scaled(LaurentPolynomial.const(1, self.nvars), rest, unit)
             if unit is not None:
                 value = value * unit.star()
             for f in rest:
@@ -465,14 +483,19 @@ class KTheory:
                     raise IntegralityError(
                         f"coefficient at {pivot.name()} is not a Laurent polynomial"
                     )
-            nonlocal neg_c
             neg_c = -value
             return value
 
         def basis_entries(pivot):
-            return {w: entry(w, c) for w, c in self.basis_class(basis, pivot).coeffs.items()}
+            return {
+                w: pivot_entry if w is pivot else entry(w, c)
+                for w, c in self.basis_class(basis, pivot).coeffs.items()
+            }
 
         def subtract(cur, e, c):
+            # the exact divisions in solve prove value = c * pivot_entry
+            if e is pivot_entry:
+                return None
             return cur.add_product(e, neg_c) or None
 
         coeffs = triangular_solve(

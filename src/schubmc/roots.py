@@ -173,10 +173,9 @@ class WeylElement:
         return self.rs.from_word(reversed(self.word))
 
     def right_descents(self):
-        rs = self.rs
-        return tuple(
-            i for i in range(1, rs.rank + 1) if not rs.is_positive_root(self.act(rs.simple_root(i)))
-        )
+        """The i with w alpha_i < 0: the left descents of w^-1, the negative
+        entries of w^-1 rho, read with no matrix."""
+        return tuple(i for i, x in enumerate(self.inverse().image, start=1) if x < 0)
 
     def is_identity(self):
         return self is self.rs.identity
@@ -197,12 +196,21 @@ class ParabolicDatum:
         subset = rs.parabolic_subset(subset)
         self.rs = rs
         self.subset = subset
-        # W first: its size guard also bounds the subgroup, which is smaller
-        self.min_reps = tuple(
-            w
-            for w in rs.weyl_group()
-            if all(rs.is_positive_root(w.act(rs.simple_root(i))) for i in subset)
-        )
+        # W first: its size guard also bounds the subgroup, which is smaller.
+        # w is minimal in w W_P iff no i in P is a right descent, iff
+        # (w^-1 rho)_i > 0 for every i in P.  W comes in cell order, so the
+        # word of w less its last letter j, the word of w s_j, comes first,
+        # and w^-1 rho = s_j (w s_j)^-1 rho is one left step from its image
+        inverse_images = {(): rs.rho}
+        min_reps = []
+        for w in rs.weyl_group():
+            word = w.word
+            if word:
+                inverse_images[word] = rs._left_step(inverse_images[word[:-1]], word[-1] - 1)
+            image = inverse_images[word]
+            if all(image[i - 1] > 0 for i in subset):
+                min_reps.append(w)
+        self.min_reps = tuple(min_reps)
         self.subgroup = rs._generate(subset)
         self._min_set = set(self.min_reps)
         # positive roots of the Levi: support contained in the subset

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from schubmc import cli
 from schubmc.cli import main
+from schubmc.hirzebruch import Hirzebruch
 from schubmc.roots import cell_order, parse_type, root_system
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -340,6 +341,38 @@ def test_hirzebruch_below_the_euler_class_limit_still_runs():
     assert code == 0 and err == "" and json.loads(out)["space"] == "D5"
 
 
+@pytest.mark.parametrize("t,r", [("A", 2), ("B", 2), ("G", 2), ("A", 3)])
+def test_hirzebruch_below_the_codimension_is_answered_up_front(t, r, tmp_path, monkeypatch):
+    # the class is zero exactly below the codimension, and there the artifact
+    # answered up front equals the one the word route builds, byte for byte
+    rs = root_system(t, r)
+    dim = rs.num_positive_roots
+    runs = [
+        (w, cap, normalized)
+        for w in rs.weyl_group()
+        for cap in range(dim - w.length + 2)
+        for normalized in (False, True)
+    ]
+
+    def artifacts():
+        rs.clear_memo()
+        out = []
+        for w, cap, normalized in runs:
+            args = ["hirzebruch", "--type", f"{t}{r}", "--cell", w.name(), "--cap", str(cap)]
+            code, text = run_cli(args + ["--normalized"] * normalized, tmp_path)
+            assert code == 0
+            out.append(text)
+        rs.clear_memo()
+        return out
+
+    up_front = artifacts()
+    monkeypatch.setattr(Hirzebruch, "vanishes", lambda self, w, cap: False)
+    built = artifacts()
+    assert up_front == built
+    for (w, cap, _), text in zip(runs, built):
+        assert (json.loads(text)["coeffs"] == {}) == (cap < dim - w.length)
+
+
 @pytest.mark.parametrize("spec", ["0", "3", "1,x"])
 def test_chi_rejects_a_bad_parabolic_before_enumerating(spec, tmp_path):
     code, _ = run_cli(["chi", "--type", "A2", "--parabolic", spec], tmp_path)
@@ -397,6 +430,7 @@ def test_cache_hit_enumerates_no_weyl_group(tmp_path):
         return json.loads(_run_python(f"""
 import json
 from schubmc.cli import main
+from schubmc.hirzebruch import Hirzebruch
 from schubmc.roots import RootSystem
 calls = []
 enumerate_w = RootSystem.weyl_group

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import random_kclass
 from fraction_solve_reference import expand_by_fractions
+from schubmc import kclasses, laurent
 from schubmc.kclasses import IntegralityError, ktheory
 from schubmc.laurent import (
     FactoredFraction,
@@ -15,7 +16,7 @@ from schubmc.laurent import (
     product_of_factors,
 )
 from schubmc.mc import dual_motivic_chern, motivic_chern
-from schubmc.roots import neg_weight, root_system
+from schubmc.roots import neg_weight, root_system, triangular_solve
 
 
 def one_plus_y(n):
@@ -290,6 +291,46 @@ def test_local_solve_matches_fraction_solve(t, r, bases):
             got = kt.expand(cls, basis)
             assert list(got.coeffs.items()) == list(want.coeffs.items())
             assert json.dumps(got.to_json_obj()) == json.dumps(want.to_json_obj())
+
+
+@pytest.mark.parametrize("t,r", [("A", 2), ("B", 2)])
+def test_no_pivot_entry_is_multiplied_back(monkeypatch, t, r):
+    # solve's exact divisions prove value = c * (the pivot's own entry), so
+    # subtract drops the pivot without a product: no add_product and no
+    # kernel product receives that entry, in any basis
+    rs = root_system(t, r)
+    kt = ktheory(rs)
+    classes = [motivic_chern(kt, w) for w in rs.weyl_group()]
+    pivot_entries, operands = [], []
+
+    def spy_solve(vector, pick, basis, *rest):
+        def spy_basis(pivot):
+            entries = basis(pivot)
+            pivot_entries.append(entries[pivot])
+            return entries
+
+        return triangular_solve(vector, pick, spy_basis, *rest)
+
+    add_product, lp_mul = LaurentPolynomial.add_product, laurent._impl.lp_mul
+
+    def spy_add_product(cur, a, b):
+        operands.extend((cur, a, b))
+        return add_product(cur, a, b)
+
+    def spy_lp_mul(a, b, out=None):
+        operands.extend((a, b))
+        return lp_mul(a, b, out)
+
+    monkeypatch.setattr(kclasses, "triangular_solve", spy_solve)
+    monkeypatch.setattr(LaurentPolynomial, "add_product", spy_add_product)
+    monkeypatch.setattr(laurent._impl, "lp_mul", spy_lp_mul)
+    npivots = 0
+    for basis in ("O", "I", "Oop", "Iop"):
+        for cls in classes:
+            npivots += len(kt.expand(cls, basis).coeffs)
+    assert len(pivot_entries) == npivots > 0 and operands
+    seen = {id(x) for x in operands}
+    assert not any(id(e) in seen or id(e.packed) in seen for e in pivot_entries)
 
 
 def test_top_coefficient_formula():

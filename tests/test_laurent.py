@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schubmc
-from long_division_reference import long_division
+from long_division_reference import line_sum_division, long_division
 from schubmc import _kernel_py, root_system
 from schubmc._kernel_py import HALF, pack, unpack
 from schubmc.laurent import (
@@ -191,6 +191,46 @@ def test_binomial_division_matches_kernel(p, key, power, shift, sign):
         got = divide_exact(a, b)
         assert (got is None) if want is None else (got.terms == want)
         assert divide_exact(p * b, b) == p
+
+
+# a line of a dividend: its terms' places t along the divisor's direction,
+# sparse, so that most lines have gaps
+line_places = st.dictionaries(st.integers(-3, 6), st.integers(-9, 9).filter(bool), max_size=4)
+
+
+@given(
+    st.lists(st.tuples(term_keys, line_places), max_size=3),
+    factor_keys,
+    st.one_of(st.none(), st.tuples(term_keys, st.sampled_from([1, -1]))),
+    term_keys,
+    st.integers(-9, 9).filter(bool),
+)
+@settings(max_examples=200, deadline=None)
+def test_line_sweep_matches_two_pass_division(lines, key, shift, stray, c):
+    # the kernel's one sweep per line against the two-pass line sums, as
+    # dicts with None included: on sparse lines q along the divisor's
+    # direction (exact or not, one-term lines among them), on the exact
+    # product q*b, which has the gaps of q, and on q*b plus one stray term
+    # (never exact); 1 - e^mu has r = 1 and 1 + y e^mu has r = -1, and the
+    # shifted divisor exercises the monomial normalization
+    f = factor_polynomial(key)
+    b = f if shift is None else f * L({shift[0]: shift[1]})
+    ((e0, y0), _), ((e1, y1), _) = f.terms.items()
+    q = L({})
+    for (e, y), line in lines:
+        q = q + L({
+            (tuple(x + t * (x1 - x0) for x, x0, x1 in zip(e, e0, e1)), y + t * (y1 - y0)): ct
+            for t, ct in line.items()
+        })
+    exact = q * b
+    near = exact + L({stray: c})
+    for a in (q, exact, near, L({stray: c})):
+        got = _kernel_py.lp_divide_exact(a.packed, b.packed, 2)
+        assert got == line_sum_division(a.packed, b.packed, 2)
+        if a is exact:
+            assert got == q.packed
+        elif a is near or len(a.packed) == 1:
+            assert got is None
 
 
 def test_fraction_reduce_single_pass_is_complete():

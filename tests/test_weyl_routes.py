@@ -8,12 +8,13 @@ rho-image route is for: interned elements, equal by identity, and an
 enumeration that makes no matrix product.
 """
 
+import itertools
 import random
 
 import pytest
 
 from schubmc import roots
-from schubmc.roots import RootSystem, WeylElement
+from schubmc.roots import ParabolicDatum, RootSystem, WeylElement
 from weyl_matrix_reference import MatrixWeylGroup, mat_mul, mat_vec
 
 
@@ -53,6 +54,21 @@ def test_every_element_matches_the_matrix_route(t, r):
         assert W[a] * W[b] is by_mat(mat_mul(mats[a], mats[b]))
     for beta in rs.positive_roots:
         assert rs.reflection(beta) is by_mat(ref.reflection(beta))
+
+
+@pytest.mark.parametrize("t,r", [("A", 3), ("B", 3), ("G", 2), ("F", 4)])
+def test_min_reps_and_right_descents_match_the_matrix_route(t, r):
+    # right descents read off w^-1 rho, and the minimal coset representatives
+    # of every parabolic, against the descents of the matrices
+    rs = RootSystem(t, r)
+    ref = MatrixWeylGroup(rs)
+    W = rs.weyl_group()
+    descents = [ref.right_descents(m) for m in ref.elements()]
+    assert [w.right_descents() for w in W] == descents
+    for k in range(r + 1):
+        for subset in itertools.combinations(range(1, r + 1), k):
+            want = tuple(w for w, d in zip(W, descents) if not set(d) & set(subset))
+            assert ParabolicDatum(rs, subset).min_reps == want
 
 
 @pytest.mark.parametrize("t,r", [("A", 3), ("G", 2)])
@@ -127,3 +143,13 @@ def test_enumerating_w_e6_makes_no_matrix_product(monkeypatch):
     assert [w for w in W if roots._known(w, "mat") is not None] == [rs.identity]
     # a parabolic subgroup is enumerated the same way
     assert len(rs._generate([1, 3])) == 6 and calls == []  # W(A2)
+
+
+def test_min_reps_of_e6_make_no_matrix(monkeypatch):
+    calls = []
+    mat_vec_ = roots._mat_vec
+    monkeypatch.setattr(roots, "_mat_vec", lambda m, v: calls.append("mat_vec") or mat_vec_(m, v))
+    rs = RootSystem("E", 6)
+    pd = ParabolicDatum(rs, {1})
+    assert len(pd.min_reps) == 51840 // 2 and calls == []
+    assert [w for w in rs.weyl_group() if roots._known(w, "mat") is not None] == [rs.identity]

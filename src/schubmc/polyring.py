@@ -43,7 +43,15 @@ K > 0, 1 + y does not divide the numerator, and D shares no factor with all
 of its coefficients.  The form is unique, so equality and hashing read it
 directly.  A product is the kernel's ``lp_mul`` over D_a D_b (1+y)^(K_a +
 K_b); a sum aligns D and K, then calls ``lp_add``; normalizing divides by
-1 + y with the kernel's binomial division, ``lp_divide_exact``.
+1 + y with the kernel's binomial division, ``lp_divide_exact``.  A lifted
+series product (``GradedSeries.__mul__``) and the Horner loop of
+``times_series_of_linear`` substitute in y (Kronecker): each x-monomial's
+y-polynomial is packed into one integer N = n_0 + n_1 2^S + ..., with S
+proven wide enough for every coefficient of every partial sum, so ``lp_mul``
+multiplies {x-key: N} dicts, and the result is read back into balanced
+S-bit digits once before it is normalized.  ``Poly.__mul__``,
+``series_combination`` and ``scale_degrees`` multiply short y-polynomials
+and stay on the lifted terms, where packing measured slower.
 ``Poly.divide_exact`` of a lifted polynomial eliminates on the integer
 numerators (lex, y first) and normalizes once.  The ``YFrac`` of each
 monomial is a view, built only when read (``packed``, ``terms``,
@@ -53,9 +61,9 @@ operation: the per-product helpers that did so (``_lift``, ``_lower``,
 coefficients as they are, and their sums, negatives, scalar multiples,
 products and quotients keep their own code path on the same kernel loops
 (``lp_add``, ``lp_neg``, ``lp_scale``, ``lp_mul``), which serve every
-coefficient type.  ``GradedSeries`` products and ``series_combination`` run
-on the same stored terms; a series product multiplies only the pairs of
-degree blocks that stay within the cap.  The
+coefficient type.  ``GradedSeries`` products (packed in y when lifted) and
+``series_combination`` run on the same kernel loops; a series product
+multiplies only the pairs of degree blocks that stay within the cap.  The
 one-variable Todd-type coefficient lists are one-variable series, built by
 ``series_of_linear``, ``inverse`` and ``*``; a series times the series of
 one linear form (``times_series_of_linear``) is Horner's rule in that form.
@@ -197,9 +205,6 @@ class YFrac:
         return _make(out, self._d * other._d, self.k + other.k)
 
     __rmul__ = __mul__
-
-    def divide_by_one_plus_y(self, power=1):
-        return _make(list(self._n), self._d, self.k + power)
 
     def inverse(self):
         """Inverse when the numerator is c (1+y)^m; raises otherwise."""
@@ -445,6 +450,75 @@ def _lifted_product(a, b, t, bound, whole=True):
     """
     cancel = not whole or (a._k == 0) != (b._k == 0)
     return _normal(t, a._d * b._d, a._k + b._k, a.nvars, bound, cancel)
+
+
+# -- lifted products on packed y-integers (Kronecker substitution in y) ----------------
+
+
+def _l1(t):
+    """The sum of the absolute values of a term dict's coefficients."""
+    return sum(map(abs, t.values()))
+
+
+def _y_width(bound):
+    """The bits S of one y-digit of a packed y-integer whose coefficients are
+    at most ``bound`` in absolute value: a balanced digit holds |n| < 2^(S-1)."""
+    return bound.bit_length() + 1
+
+
+def _y_pack(t, nvars, S):
+    """Lifted terms as {x-key: N}: each x-monomial's y-polynomial
+    n_0 + n_1 y + ... at y = 2^S, N = sum_i n_i 2^(S i)."""
+    sh = _y_shift(nvars)
+    mask = (1 << sh) - 1
+    out = {}
+    get = out.get
+    for key, c in t.items():
+        x = key & mask
+        n = c << S * (key >> sh)
+        prev = get(x)
+        out[x] = n if prev is None else prev + n
+    return out
+
+
+def _y_unpack(packed, nvars, S):
+    """The lifted terms of {x-key: N}, each N read in balanced S-bit digits."""
+    step = 1 << _y_shift(nvars)
+    half = 1 << (S - 1)
+    mask = (1 << S) - 1
+    t = {}
+    for key, n in packed.items():
+        # |N| < 2^b takes at most b // S + 1 balanced digits
+        for _ in range(n.bit_length() // S + 1):
+            c = n & mask
+            n >>= S
+            if c >= half:
+                c -= mask + 1
+                n += 1
+            if c:
+                t[key] = c
+            key += step
+    return t
+
+
+def _y_product(ta, tb, nvars, cap):
+    """The terms of degree at most cap of the product of two lifted term
+    dicts, by Kronecker substitution in y.
+
+    Each x-monomial's y-polynomial is packed into one integer N, the kernel
+    multiplies the {x-key: N} dicts block by block (``_truncated_product``),
+    and the sum is read back in balanced digits once.  A term of a meets at
+    most one term of b in each coefficient of the product, so no partial or
+    final sum exceeds min(L1(a) max|b|, max|a| L1(b)) in absolute value: it
+    fits one digit, no digit carries into the next, and an N is zero exactly
+    when its y-polynomial is.
+    """
+    if not ta or not tb:
+        return {}
+    top_a, top_b = max(map(abs, ta.values())), max(map(abs, tb.values()))
+    S = _y_width(min(_l1(ta) * top_b, top_a * _l1(tb)))
+    out = _truncated_product(_y_pack(ta, nvars, S), _y_pack(tb, nvars, S), cap)
+    return _y_unpack(out, nvars, S)
 
 
 def _by_degree(terms):
@@ -776,18 +850,6 @@ class Poly:
                 out.pop(k, None)
         return _from_coeffs(out, self.nvars, self._bound)
 
-    def drop_last_variable(self):
-        """Forget the final variable (which must not occur)."""
-        if not self.nvars:
-            raise ValueError("no variable to drop")
-        out = {}
-        for k, v in self._t.items():
-            if (k >> WIDTH) & MASK:
-                raise ValueError("last variable still occurs")
-            # a lifted key's y digit moves down with the variables above it
-            out[(k >> 2 * WIDTH << WIDTH) + (k & MASK)] = v
-        return _poly(out, self.nvars - 1, self._bound, self._d, self._k)
-
     def substitute_linear(self, images):
         """Substitute variable j -> images[j] (a Poly), ring homomorphism."""
         if len(images) != self.nvars:
@@ -1049,7 +1111,8 @@ class GradedSeries:
         if a._d is None and b._d is None:
             return _series(_poly(_truncated_product(a._t, b._t, cap), a.nvars, bound), cap)
         a, b = _lifted(a), _lifted(b)
-        return _series(_lifted_product(a, b, _truncated_product(a._t, b._t, cap), bound, False), cap)
+        t = _y_product(a._t, b._t, a.nvars, cap)
+        return _series(_lifted_product(a, b, t, bound, False), cap)
 
     __rmul__ = __mul__
 
@@ -1134,7 +1197,8 @@ def times_series_of_linear(s, coeff_list, linear, cap):
     D E^m (1+y)^K.  The partial sum that t^k will multiply only needs its
     terms of degree at most the cap minus k, so each step is one kernel
     product by t and one by a y-polynomial, no power of L is expanded, and
-    the result is normalized once.
+    the result is normalized once.  Every operand is packed in y
+    (``_y_pack``), so a kernel term product is one per x-monomial pair.
     """
     cap = min(cap, s.cap)
     if cap >= HALF:
@@ -1149,7 +1213,13 @@ def times_series_of_linear(s, coeff_list, linear, cap):
         if n and lin._k:
             n = _mul_one_plus_y_power(n, lin._k * e)
         ys.append(_y_terms([x * lin._d**e for x in n], nvars))
-    blocks = _by_degree(p._t)
+    # the partial sum after step k is sum_{j >= k} n_j t^(j-k) s_j, s_j some
+    # terms of s, so none of its coefficients exceeds sum_j L1(n_j) L1(t)^j L1(s)
+    l1_lin = max(_l1(lin._t), 1)
+    S = _y_width(_l1(p._t) * sum(_l1(n) * l1_lin**k for k, n in enumerate(ys)))
+    ys = [_y_pack(n, nvars, S) for n in ys]
+    t = _y_pack(lin._t, nvars, S)
+    blocks = _by_degree(_y_pack(p._t, nvars, S))
     # the terms of s of degree at most cap - k, grown as k falls
     low = {}
     for d, block in blocks.items():
@@ -1158,14 +1228,14 @@ def times_series_of_linear(s, coeff_list, linear, cap):
     out = {}
     for k in range(m, -1, -1):
         if out:
-            out = _impl.lp_mul(out, lin._t)
+            out = _impl.lp_mul(out, t)
         block = blocks.get(cap - k)
         if block:
             low.update(block)
         if ys[k] and low:
             _impl.lp_mul(low, ys[k], out)
     d, k = p._d * D * lin._d**m, p._k + K + lin._k * m
-    return _series(_normal(out, d, k, nvars, max(cap, 0)), cap)
+    return _series(_normal(_y_unpack(out, nvars, S), d, k, nvars, max(cap, 0)), cap)
 
 
 def exp_linear(linear, cap, coeff_one=None):

@@ -135,13 +135,14 @@ class WeylElement:
     rho, so ``image``, w rho in fundamental-weight coordinates, determines w.
     A root system interns one element per image, so equality is identity
     and the hash is the default one.  ``length``, ``word`` (the
-    lexicographically minimal reduced word) and ``mat`` (the integer matrix
-    of w on the weight lattice, which ``act`` applies) are slots, filled by
-    the enumeration or on first use: ``__getattr__`` runs only while a slot
-    is unset, and after that each is a plain read.
+    lexicographically minimal reduced word), ``mat`` (the integer matrix of
+    w on the weight lattice, which ``act`` applies) and ``_inv`` (w^-1, which
+    ``inverse`` returns) are slots, filled by the enumeration or on first
+    use: ``__getattr__`` runs only while a slot is unset, and after that each
+    is a plain read.
     """
 
-    __slots__ = ("rs", "image", "length", "word", "mat")
+    __slots__ = ("rs", "image", "length", "word", "mat", "_inv")
 
     def __init__(self, rs, image):
         self.rs = rs
@@ -152,6 +153,10 @@ class WeylElement:
             self.rs._fill_matrix(self)
         elif name in ("length", "word"):
             self.rs._fill_word(self)
+        elif name == "_inv":
+            # w^-1 = s_{i_k} ... s_{i_1}, by l(w) left steps; set both ways
+            inv = self._inv = self.rs.from_word(reversed(self.word))
+            inv._inv = self
         else:
             raise AttributeError(name)
         return _peek(self, name)
@@ -170,7 +175,7 @@ class WeylElement:
         return _mat_vec(self.mat, weight)
 
     def inverse(self):
-        return self.rs.from_word(reversed(self.word))
+        return self._inv
 
     def right_descents(self):
         """The i with w alpha_i < 0: the left descents of w^-1, the negative

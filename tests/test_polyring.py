@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lifted_reference as lifted_ref
 import tuple_poly_reference as tuple_ref
 
 from schubmc._kernel_py import HALF
@@ -135,8 +136,8 @@ def test_yfrac_matches_reference_model(a, b, unit, n, f):
     inv = ([v / c for v in _ref_one_plus_y(ku)], m)
     _check(u.inverse(), inv)
     _check(x / u, (_ref_mul(ra[0], inv[0]), ra[1] + inv[1]))
-    _check(x.divide_by_one_plus_y(), (ra[0], ra[1] + 1))
-    _check(x.divide_by_one_plus_y(2), (ra[0], ra[1] + 2))
+    _check(lifted_ref.divide_by_one_plus_y(x), (ra[0], ra[1] + 1))
+    _check(lifted_ref.divide_by_one_plus_y(x, 2), (ra[0], ra[1] + 2))
     assert x + y == y + x and hash(x + y) == hash(y + x)
     assert (x * y) * u == x * (y * u)
 
@@ -232,7 +233,7 @@ def test_poly_substitution():
     assert q == y * y + x
     assert p.set_variable(1, 5) == x * x + Poly.const(5, 2)
     lifted = (x + Poly.const(1, 2)).set_variable(1, 0)
-    assert lifted.drop_last_variable() == Poly.variable(0, 1) + Poly.const(1, 1)
+    assert lifted_ref.drop_last_variable(lifted) == Poly.variable(0, 1) + Poly.const(1, 1)
 
 
 def test_graded_series_matches_polynomials_below_cap():
@@ -609,7 +610,7 @@ def test_packed_poly_matches_tuple_reference(operands):
         for value in (0, 2, F(1, 2)):
             _same(a.set_variable(j, value), ra.set_variable(j, value), la)
     _same(
-        a.set_variable(n - 1, 0).drop_last_variable(),
+        lifted_ref.drop_last_variable(a.set_variable(n - 1, 0)),
         ra.set_variable(n - 1, 0).drop_last_variable(),
         la,
     )
@@ -867,3 +868,75 @@ def test_horner_product_matches_the_series_product(a, coeffs, lin, cap_s, cap):
     assert got.cap == want.cap == min(cap, cap_s)
     _assert_normal(got.poly)
     assert got.poly == want.poly and hash(got.poly) == hash(want.poly)
+
+
+# -- packed y-integer products against the term-by-term loops they replaced --
+
+
+def _stored(p):
+    """A lifted Poly as it is stored: integer terms, D and K."""
+    return p._t, p._d, p._k
+
+
+_huge = st.one_of(st.integers(-3, 3), st.integers(-(2**300), 2**300)).filter(bool)
+# a y-polynomial of degree 0 to 40 with a few nonzero coefficients, some huge
+_ylists = st.dictionaries(st.integers(0, 40), _huge, min_size=1, max_size=4).map(
+    lambda ys: [ys.get(i, 0) for i in range(max(ys) + 1)]
+)
+_wide_coeffs = st.one_of(
+    _huge,
+    st.builds(
+        lambda n, d, k: YFrac([F(c, d) for c in n], k),
+        _ylists, st.sampled_from([1, 2, 3, 6]), st.integers(0, 3),
+    ),
+)
+
+
+@st.composite
+def _wide_case(draw):
+    """nvars (1 to 3), three polys with wide coefficients, and a cap from -1
+    to above their top degree."""
+    n = draw(st.integers(1, 3))
+    mono = st.tuples(*[st.integers(0, 3)] * n)
+    polys = [Poly(draw(st.dictionaries(mono, _wide_coeffs, max_size=5)), n) for _ in range(3)]
+    top = max(p.degree() for p in polys)
+    return n, polys, draw(st.integers(-1, 2 * max(top, 0) + 2))
+
+
+@given(_wide_case(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_packed_products_match_the_term_loops(case, data):
+    n, (a, b, c), cap = case
+    series = lambda p, extra=0: GradedSeries.from_poly(p * YFrac([1]), cap + extra)
+    # (a + b)(a - b): the cross terms cancel exactly, as does b * (c - c)
+    for x, y in ((a, b), (b, a), (a + b, a - b), (a, c - c), (a * b, c)):
+        sx, sy = series(x), series(y, data.draw(st.integers(0, 2)))
+        got, want = sx * sy, lifted_ref.series_product(sx, sy)
+        assert got.cap == want.cap
+        assert _stored(got.poly) == _stored(want.poly)
+    coeffs = data.draw(st.lists(_wide_coeffs, min_size=1, max_size=6))
+    lin = Poly.linear(data.draw(st.lists(st.one_of(st.integers(-3, 3), _wide_coeffs), min_size=n, max_size=n)))
+    for s in (series(a), series(a + b), series(c - c)):
+        got = times_series_of_linear(s, coeffs, lin, cap)
+        want = lifted_ref.times_series_of_linear(s, coeffs, lin, cap)
+        assert got.cap == want.cap
+        assert _stored(got.poly) == _stored(want.poly)
+
+
+def test_packed_products_cancel_exactly():
+    x, y = Poly.variable(0, 2), Poly.variable(1, 2)
+    big = YFrac([2**300, -(2**299), 0, 1], 2)
+    a, b = x * big, y * YFrac([-(2**300), 7], 1)
+    sp, sm = GradedSeries.from_poly(a + b, 3), GradedSeries.from_poly(a - b, 3)
+    # the xy terms cancel, and x^2 big^2 - y^2 (...)^2 is stored over one D (1+y)^K
+    got = sp * sm
+    assert _stored(got.poly) == _stored(lifted_ref.series_product(sp, sm).poly)
+    assert got.poly == a * a - b * b
+    # below the lowest degree of the product nothing is left
+    assert not GradedSeries.from_poly(a + b, 1) * sm
+    # (x + y)(1 + L) with L = (1+y)(x - y): the xy terms of s L cancel
+    s = GradedSeries.from_poly(x + y, 4)
+    lin = Poly.linear([YFrac([1, 1]), YFrac([-1, -1])])
+    got = times_series_of_linear(s, [1, 1], lin, 4)
+    assert _stored(got.poly) == _stored(lifted_ref.times_series_of_linear(s, [1, 1], lin, 4).poly)
+    assert got.poly == (x + y) + (x * x - y * y) * YFrac([1, 1])

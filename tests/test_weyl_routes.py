@@ -153,3 +153,22 @@ def test_min_reps_of_e6_make_no_matrix(monkeypatch):
     pd = ParabolicDatum(rs, {1})
     assert len(pd.min_reps) == 51840 // 2 and calls == []
     assert [w for w in rs.weyl_group() if roots._known(w, "mat") is not None] == [rs.identity]
+
+
+@pytest.mark.parametrize("t,r", [("A", 3), ("B", 3), ("G", 2)])
+def test_a_second_inverse_makes_no_left_step(monkeypatch, t, r):
+    rs = RootSystem(t, r)
+    W = rs.weyl_group()
+    steps = []
+    left_step = rs._left_step
+    monkeypatch.setattr(rs, "_left_step", lambda image, i: steps.append(i) or left_step(image, i))
+    for w in W:
+        before = len(steps)
+        u = w.inverse()
+        assert len(steps) - before <= w.length
+        # kept both ways: w^-1 knows w, and no call walks again
+        before = len(steps)
+        assert w.inverse() is u and u.inverse() is w and u.inverse().inverse() is u
+        w.right_descents(), u.right_descents()
+        assert len(steps) == before
+    assert all((w * w.inverse()).is_identity() for w in W)

@@ -162,7 +162,7 @@ def lp_divide_exact(a, b, nvars):
         raise ZeroDivisionError("division by the zero polynomial")
     if len(b) == 1:
         ((k0, c0),) = b.items()
-        if any(c % c0 for c in a.values()):
+        if c0 not in (1, -1) and any(c % c0 for c in a.values()):
             return None
         return {k - k0: c // c0 for k, c in a.items()}
     (k0, c0), (k1, c1), *more = b.items()

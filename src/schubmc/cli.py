@@ -459,7 +459,12 @@ def cmd_chi(args):
     # chi is Macdonald's product and W is never enumerated
     subset = rs.parabolic_subset(_subset(args.parabolic)) if args.parabolic else None
     cell = rs.parse_element(args.cell) if args.cell else None
-    chi = mcmod.chi_minus_q(rs, subset, cell)
+    parabolic = subset
+    if cell is not None and subset is not None:
+        # a cell of G/P is named by its minimal representative, as in mc compute
+        parabolic = rs.parabolic(subset)
+        cell = parabolic.min_rep(cell)
+    chi = mcmod.chi_minus_q(rs, parabolic, cell)
     payload = {
         "space": f"{rs.lie_type}{rs.rank}" + (f"/P{list(subset)}" if subset is not None else ""),
         "cell": cell.name() if cell else None,

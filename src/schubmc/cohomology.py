@@ -10,14 +10,17 @@ from motivic Chern classes is in ``mc``, and this layer imports no K-theory.
 Euler classes, the divided difference ``bgg`` and ``localize``, the one
 localization sum.  w permutes the positive roots up to l(w) signs, so
 e(T_w) = (-1)^l(w) e(T_id), and an integral over G/B is the signed sum of
-the restrictions divided once by e(T_id).  Within a coset u W_P the Levi
+the restrictions divided by e(T_id).  Within a coset u W_P the Levi
 Euler factor obeys the same rule, so a push-forward to G/P
-(``coset_sums``) is one division per coset, and the Euler class of G/P at
+(``coset_sums``) is one ``localize`` per coset, and the Euler class of G/P at
 u is e(T_u) / e_L(u).  An engine supplies ``form(weight)``, its unit
 ``one`` and its memo-key ``prefix``: ``Cohomology`` here over
 Z[alpha, hbar], ``NumericCohomology`` at a rational point, and
-``hirzebruch.Hirzebruch`` over truncated series; the numeric engine also
-replaces ``divide``, the exact division of ``bgg`` and ``localize``.  ``RestrictionMap`` holds
+``hirzebruch.Hirzebruch`` over truncated series.  Every divisor is a tuple
+of degree-one factors (``weight_factors``, ``chern_factors``,
+``diagonal_factors``), and ``divide`` divides by one at a time with
+polyring's one division; the numeric engine divides by their product.
+``RestrictionMap`` holds
 the pointwise arithmetic of their classes (``CohClass``, ``HClass``) and of
 the K-theory classes (``kclasses.KClass``, whose context is a ``Space``):
 sums, products, scaling, coefficient maps, coefficient-wise equality and the
@@ -62,6 +65,7 @@ representative (Kostant-Kumar), so G/B and G/P share one table of rows.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from .laurent import YPolynomial
 from .polyring import Poly
@@ -83,17 +87,21 @@ class GKMEngine:
     def memo(self, key, build):
         return self.rs.memo(self.prefix + key, build)
 
+    def weight_factors(self, roots, w):
+        """The forms ``form(-w beta)`` over the roots beta: the degree-one
+        factors of the Euler class at w of the tangent directions they span."""
+        return tuple(self.form(neg_weight(w.act(beta))) for beta in roots)
+
     def weight_product(self, roots, w):
-        """The product of ``form(-w beta)`` over the roots beta: the Euler
-        class at w of the tangent directions they span."""
-        p = self.one
-        for beta in roots:
-            p = p * self.form(neg_weight(w.act(beta)))
-        return p
+        return prod(self.weight_factors(roots, w), start=self.one)
+
+    def euler_factors(self, w):
+        """The degree-one factors of the Euler class at the fixed point w."""
+        return self.memo(("eulerf", w), lambda: self.weight_factors(self.rs.positive_roots, w))
 
     def euler_at(self, w):
         """Equivariant Euler class of the tangent space at the fixed point w."""
-        return self.memo(("euler", w), lambda: self.weight_product(self.rs.positive_roots, w))
+        return self.memo(("euler", w), lambda: prod(self.euler_factors(w), start=self.one))
 
     def levi_euler_at(self, pdat, u):
         """Euler class at u of the fiber of G/B -> G/P (the Levi's positive roots)."""
@@ -101,42 +109,42 @@ class GKMEngine:
             ("levi", pdat.subset, u), lambda: self.weight_product(pdat.levi_positive_roots, u)
         )
 
-    def divide(self, num, den):
-        """The exact quotient of a restriction by a class; GKMError if inexact."""
-        q = num.divide_exact(den)
-        if q is None:
-            raise GKMError("quotient is not exact; not a GKM class")
-        return q
+    def divide(self, num, factors):
+        """num over the product of degree-one factors; GKMError if inexact."""
+        for f in factors:
+            num = num.divide_exact(f)
+            if num is None:
+                raise GKMError("quotient is not exact; not a GKM class")
+        return num
 
-    def localize(self, values, divisor, zero):
+    def localize(self, values, factors, zero):
         """``zero`` plus the sum of ``(-1)^l(w) p`` over the items (w, p) of
-        ``values``, divided once by ``divisor``.
+        ``values``, divided by the product of ``factors``.
 
         ``zero`` is the value of an empty sum; a zero series also bounds the
         cap of the sum.  This is every localization sum of the engines.  w permutes the
         positive roots up to l(w) signs, so e(T_w) = (-1)^l(w) e(T_id) and
-        the integral of a is ``localize(a, e(T_id))``; likewise
+        the integral of a is ``localize(a, euler_factors(id))``; likewise
         e_L(ux) = (-1)^l(x) e_L(u) for x in W_P, as ``coset_sums`` uses.
         """
         total = zero
         for w, p in values.items():
             total = total - p if w.length & 1 else total + p
-        return self.divide(total, divisor)
+        return self.divide(total, factors)
 
     def coset_sums(self, pdat, values, zero):
         """Push-forward of restriction values to the fixed points of G/P.
 
         At each minimal representative u it is the sum of values[v] / e_L(v)
-        over the coset u W_P, that is one ``localize`` of the coset by
-        (-1)^l(u) e_L(u).
+        over the coset u W_P: one ``localize`` by e_L(u), times (-1)^l(u).
         """
         groups = {}
         for v, p in values.items():
             groups.setdefault(pdat.min_rep(v), {})[v] = p
         out = {}
         for u, group in groups.items():
-            levi = self.levi_euler_at(pdat, u)
-            out[u] = self.localize(group, -levi if u.length & 1 else levi, zero)
+            q = self.localize(group, self.weight_factors(pdat.levi_positive_roots, u), zero)
+            out[u] = -q if u.length & 1 else q
         return out
 
     def bgg(self, i, a):
@@ -149,7 +157,7 @@ class GKMEngine:
             num = a.coefficient(u * s) - a.coefficient(u)
             if not num:
                 continue
-            out[u] = self.divide(num, self.form(u.act(alpha)))
+            out[u] = self.divide(num, (self.form(u.act(alpha)),))
         return a.like(out)
 
 
@@ -268,13 +276,14 @@ class Cohomology(GKMEngine):
     def zero(self):
         return CohClass(self, {})
 
+    def chern_factors(self, w, dual=False):
+        """The factors 1 -+ form(w alpha), alpha > 0, of ``total_chern_at``."""
+        forms = (self.form(w.act(a)) for a in self.rs.positive_roots)
+        return tuple(self.one + f if dual else self.one - f for f in forms)
+
     def total_chern_at(self, w, dual=False):
         """c of the (co)tangent space restricted at w: prod (1 -+ w alpha)."""
-        p = one = self.one
-        for a in self.rs.positive_roots:
-            wa = self.form(w.act(a))
-            p = p * (one + wa if dual else one - wa)
-        return p
+        return prod(self.chern_factors(w, dual), start=self.one)
 
     # -- operators -------------------------------------------------------------
 
@@ -393,12 +402,19 @@ class Cohomology(GKMEngine):
 
     def integrate(self, a):
         """Localization sum over fixed points; must clear to a polynomial."""
-        return self.localize(a.coeffs, self.euler_at(self.rs.identity), Poly.zero(self.nvars))
+        return self.localize(a.coeffs, self.euler_factors(self.rs.identity), Poly.zero(self.nvars))
 
     def pair(self, a, b):
         return self.integrate(a * b)
 
     # -- Schubert expansion ----------------------------------------------------------
+
+    def diagonal_factors(self, w, opposite=False):
+        """The degree-one factors of X(w)|_w, or of Y(w)|_w when ``opposite``:
+        form(-w beta) over the beta > 0 with w beta > 0 (w beta < 0)."""
+        rs = self.rs
+        roots = [b for b in rs.positive_roots if rs.is_positive_root(w.act(b)) != opposite]
+        return self.weight_factors(roots, w)
 
     def expand(self, a, opposite=False):
         """Triangular solve against the (opposite) Schubert classes.
@@ -409,10 +425,7 @@ class Cohomology(GKMEngine):
         basis = self.opposite_schubert_class if opposite else self.schubert_class
 
         def solve(pivot, value):
-            c = value.divide_exact(basis(pivot).coefficient(pivot))
-            if c is None:
-                raise GKMError(f"expansion coefficient at {pivot.name()} is not polynomial")
-            return c
+            return self.divide(value, self.diagonal_factors(pivot, opposite))
 
         coeffs = triangular_solve(
             a.coeffs,
@@ -454,8 +467,8 @@ class SegreMacPherson:
             w: p * ctx.total_chern_at(w, dual=True)
             for w, p in (self.numerator * other).coeffs.items()
         }
-        divisor = ctx.euler_at(ident) * ctx.total_chern_at(ident) * ctx.total_chern_at(ident, dual=True)
-        return ctx.localize(values, divisor, Poly.zero(ctx.nvars))
+        factors = ctx.euler_factors(ident) + ctx.chern_factors(ident)
+        return ctx.localize(values, factors + ctx.chern_factors(ident, True), Poly.zero(ctx.nvars))
 
 
 class CohClass(RestrictionMap):
@@ -538,8 +551,8 @@ class NumericCohomology(GKMEngine):
 
     form = weight_value
 
-    def divide(self, num, den):
-        return num / den
+    def divide(self, num, factors):
+        return num / prod(factors, start=self.one)
 
     def schubert(self, w):
         """The restrictions of the Schubert class of w, as a dict."""
@@ -558,7 +571,8 @@ class NumericCohomology(GKMEngine):
         return self.bgg(i, RestrictionMap(self, f)).coeffs
 
     def integrate(self, f):
-        return self.localize(f, self.euler_at(self.rs.identity), Fraction(0))
+        # one factor, the memoized product of the values, for the structure constants' many sums
+        return self.localize(f, (self.euler_at(self.rs.identity),), Fraction(0))
 
 
 def numeric_cohomology(rs):
@@ -730,4 +744,4 @@ def integrate_quotient(ctx, pdat, a):
     ``localize`` of a|_u e_L(u) by e(T_id).
     """
     values = {u: p * ctx.levi_euler_at(pdat, u) for u, p in a.coeffs.items()}
-    return ctx.localize(values, ctx.euler_at(ctx.rs.identity), Poly.zero(ctx.nvars))
+    return ctx.localize(values, ctx.euler_factors(ctx.rs.identity), Poly.zero(ctx.nvars))

@@ -5,8 +5,8 @@ into degree-truncated series over Q[y, (1+y)^-1].  Every identity is checked
 modulo the truncation degree.  A series never claims a degree it does not
 know: a sum keeps the least cap of its terms, and truncating to a larger cap
 keeps the series' own.  A localization sum divides the signed sum of the
-restrictions once by a homogeneous Euler class of degree d, so it is exact
-below the least cap of its terms minus d.
+restrictions by the d linear forms of an Euler class, one cap lower each,
+so it is exact below the least cap of its terms minus d.
 
 ``Hirzebruch`` is a ``cohomology.GKMEngine``: it supplies the first Chern
 class of a weight over ``YFrac``, and takes its Euler classes, divided
@@ -338,7 +338,7 @@ class Hirzebruch(GKMEngine):
         lower the class's own cap.
         """
         zero = GradedSeries.zero(a.cap() if cap is None else cap, self.rs.rank)
-        return self.localize(a.coeffs, self.euler_at(self.rs.identity), zero)
+        return self.localize(a.coeffs, self.euler_factors(self.rs.identity), zero)
 
     def pair(self, a, b, cap=None):
         return self.integrate(a * b, cap)

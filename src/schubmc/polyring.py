@@ -7,11 +7,14 @@ with the degree-one formal variable appended last when homogenizing), with a
 in y with powers of 1+y inverted) for the Hirzebruch layer.  Constructors
 keep an ``int`` an ``int``, and exact division by an integer polynomial with
 coprime coefficients keeps an integral quotient integral (Gauss's lemma).
+There is one division, ``Poly.divide_exact``, by a divisor of degree one
+only: the GKM engines divide by linear forms and products of them, one
+factor at a time.
 ``GradedSeries`` is a degree-truncated series, the working form of completed
 equivariant (co)homology: one ``Poly`` with no term above its cap, the last
 degree it knows.  A sum or product keeps the least cap of its operands,
-``truncate`` never raises the cap, and ``divide_exact`` lowers it by the
-divisor's degree.  A term's degree is its key's lowest digit, so the
+``truncate`` never raises the cap, and ``divide_exact`` by a linear form
+lowers it by one.  A term's degree is its key's lowest digit, so the
 homogeneous components (``comps``, ``component``) are views read off the
 keys.  The localization sums over fixed points that use these types live in
 ``cohomology.GKMEngine.localize``.
@@ -20,14 +23,13 @@ keys.  The localization sums over fixed points that use these types live in
 kernel packs its keys (``_kernel_py.pack``): the exponents are digits, the
 first variable the most significant, and the lowest digit holds the total
 degree.  A monomial product is a sum of keys, integer order is the lex order
-of the exponent tuples, the degree of a term is ``key & MASK``, and one
-subtraction with a guard bit above each digit tests whether one monomial
-divides another.  ``Poly.packed`` maps each key to its coefficient;
-``Poly.terms`` is the same polynomial keyed by exponent tuples, built on each
-access.  A product or
-quotient step whose degree could reach the digit limit raises
-``OverflowError``; no key ever carries into its neighbour.  ``Poly``s of
-different numbers of variables do not combine: that raises ``ValueError``.
+of the exponent tuples, and the degree of a term is ``key & MASK``.
+``Poly.packed`` maps each key to its coefficient; ``Poly.terms`` is the same
+polynomial keyed by exponent tuples, built on each access.  A product whose
+degree could reach the digit limit raises ``OverflowError``, and no quotient
+key outgrows its dividend's, so no key ever carries into its neighbour.
+``Poly``s of different numbers of variables do not combine: that raises
+``ValueError``.
 
 A ``YFrac`` stores integer numerators over one positive integer denominator
 and a power of (1+y), in a single normal form, so its arithmetic is integer
@@ -51,10 +53,10 @@ proven wide enough for every coefficient of every partial sum, so ``lp_mul``
 multiplies {x-key: N} dicts, and the result is read back into balanced
 S-bit digits once before it is normalized.  ``Poly.__mul__``,
 ``series_combination`` and ``scale_degrees`` multiply short y-polynomials
-and stay on the lifted terms, where packing measured slower.
-``Poly.divide_exact`` of a lifted polynomial eliminates on the integer
-numerators (lex, y first) and normalizes once.  The ``YFrac`` of each
-monomial is a view, built only when read (``packed``, ``terms``,
+and stay on the lifted terms, where packing measured slower.  The one
+division divides a lifted numerator in integers (``_lifted_divisor``) and
+normalizes once.  The ``YFrac`` of each monomial is a view, built only
+when read (``packed``, ``terms``,
 ``sorted_terms``), so nothing is lifted before or lowered after an
 operation: the per-product helpers that did so (``_lift``, ``_lower``,
 ``_convolve_into`` and ``_width``) are gone.  ``int``/``Fraction`` polynomials store their
@@ -72,14 +74,13 @@ one linear form (``times_series_of_linear``) is Horner's rule in that form.
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import comb, factorial, gcd, lcm
 from operator import add
 
 # kernel calls go through ``_impl.<name>``, so that a tracer can wrap them
 from . import _kernel_py as _impl
 from ._kernel_py import (
-    HALF, MASK, WIDTH, digit_offset, digits, pack, product_bound, sorted_digits,
+    HALF, MASK, WIDTH, digits, pack, product_bound, sorted_digits,
 )
 
 
@@ -865,57 +866,36 @@ class Poly:
         return out
 
     def divide_exact(self, q):
-        """Exact quotient self/q over the coefficient ring, else None.
+        """Exact quotient self/q, else None; q = c x_j + m has degree one.
 
-        Lex leading-term elimination on the keys.  The leading exponent of
-        the remainder is divisible by that of q exactly when no digit of
-        their difference borrows, which a guard bit above each digit tests
-        in one subtraction.  A quotient step whose ``int`` coefficient the
-        divisor's ``int`` leading coefficient divides stays an ``int``
-        (always, for a primitive divisor of an integral multiple); any other
-        step multiplies by the exact inverse of that leading coefficient.
-        A lifted operand divides on the numerators (``_lifted_quotient``).
+        Synthetic division in x_j, the first variable of q; any other divisor
+        raises ``ValueError``.  A quotient coefficient is an ``int`` where c
+        divides an ``int`` and the exact ``Fraction`` elsewhere.  A lifted
+        operand divides on the integer numerators (``_lifted_divisor``).
         """
         _same_nvars(self, q)
         if not q._t:
             raise ZeroDivisionError("division by the zero polynomial")
+        if q._tighten() != 1:
+            raise ValueError("the divisor is not of degree one")
         if self._d is not None or q._d is not None:
-            return _lifted_quotient(_lifted(self), _lifted(q))
-        if not self._t:
-            return Poly.zero(self.nvars)
-        rem = dict(self._t)
-        lead_q = max(q._t)
-        cq = q._t[lead_q]
-        inv = Fraction(1) / cq
-        integral = type(cq) is int
-        # the leading term of the remainder cancels exactly at each step
-        tail = [(k, -c) for k, c in q._t.items() if k != lead_q]
-        guard = digit_offset(self.nvars + 1)
-        room = HALF - q._tighten()
-        get = rem.get
-        quot = {}
-        while rem:
-            lead_r = max(rem)
-            if ((lead_r | guard) - lead_q) & guard != guard:
-                return None
-            r = rem.pop(lead_r)
-            if integral and type(r) is int and not r % cq:
-                qc = r // cq
-            else:
-                qc = inv * r
-            qk = lead_r - lead_q
-            if qk & MASK >= room:
-                raise OverflowError("a remainder degree could leave the packing range")
-            quot[qk] = qc
-            for bk, bc in tail:
-                k = qk + bk
-                c = get(k)
-                c = qc * bc if c is None else c + qc * bc
-                if c:
-                    rem[k] = c
-                else:
-                    del rem[k]
-        return _poly(quot, self.nvars, self._bound)
+            a = _lifted(self)
+            if not a._t:
+                return _poly({}, self.nvars, a._bound, 1, 0)
+            return _lifted_divisor(_lifted(q), a)
+        xkey = max(q._t)
+        m = dict(q._t)
+        c = m.pop(xkey)
+        inv = Fraction(1) / c
+
+        def divide(s):
+            return {
+                k - xkey: v // c if type(v) is type(c) is int and not v % c else inv * v
+                for k, v in s.items()
+            }
+
+        quot = _synthetic_quotient(self._t, xkey, m, divide)
+        return None if quot is None else _poly(quot, self.nvars, self._bound)
 
     def sorted_terms(self):
         """(exponent tuple, coefficient) pairs in descending lex order."""
@@ -931,28 +911,54 @@ class Poly:
         return " + ".join(bits)
 
 
-def _lifted_quotient(a, q):
-    """a / q for lifted a and q, or None when q does not divide a.
+def _synthetic_quotient(t, xkey, m, divide):
+    """The terms t over c x_j + m (x_j of key ``xkey``, m free of it), or None.
 
-    As for the unlifted quotient, the divisor's leading coefficient in the
-    variables must be a unit of Q[y, (1+y)^-1], c (1+y)^m.  Its numerator is
-    written (1+y)^m g P with g an integer and P primitive and prime to 1 + y.
-    Then a / q is (a's numerator / P) over a D (1+y)^K read off the parts,
-    and P divides a's numerator in Q[x, y] exactly when it does over the
-    coefficient ring.  By Gauss's lemma that quotient is integral, so the
-    leading-term elimination (lex, y first, its keys kept in a heap) runs on
-    integers, and a step that the leading coefficient of P does not divide
-    proves q does not divide a.  The result is normalized once.
+    ``divide`` divides terms by c x_j, or returns None.  With a_k the x_j^k
+    slice of t and b_k that of the quotient, a_k = c b_(k-1) + m b_k, so
+    b_(k-1) = (a_k - m b_k) / c from the top slice down, one kernel product
+    per slice, and the division is exact when a_0 = m b_0.  Slices keep
+    their keys, and no quotient key outgrows t's.
+    """
+    shift = (xkey - 1).bit_length() - 1
+    # no x_j exponent exceeds the degree of t
+    slices = [{} for _ in range(max(map(MASK.__and__, t), default=0) + 1)]
+    for key, c in t.items():
+        slices[key >> shift & MASK][key] = c
+    neg_m = _impl.lp_neg(m)
+    quot = {}
+    b = {}
+    for r in slices[:0:-1]:
+        if b:
+            _impl.lp_mul(neg_m, b, r)
+        b = divide(r) if r else {}
+        if b is None:
+            return None
+        quot.update(b)
+    r = slices[0]
+    if b:
+        _impl.lp_mul(neg_m, b, r)
+    return None if r else quot
+
+
+def _lifted_divisor(q, a):
+    """a / q for lifted a and q of degree one, or None.
+
+    q's leading coefficient must be a unit, h (1+y)^r; else None.  With q's
+    numerator g (1+y)^m P, g its content and P primitive and prime to 1 + y,
+    a / q is (a's numerator / P) over a D (1+y)^K read off the parts.  By
+    Gauss's lemma that quotient is integral, so the synthetic division runs
+    on integers, and a slice that P's leading coefficient does not divide
+    proves q does not divide a.
     """
     nvars = a.nvars
-    if not a._t:
-        return _poly({}, nvars, a._bound, 1, 0)
-    tq = q._t
     sh = _y_shift(nvars)
     mask = (1 << sh) - 1
-    lead_x = max(k & mask for k in tq)
-    ys = {k >> sh: c for k, c in tq.items() if k & mask == lead_x}
+    tq = q._t
+    xkey = max(k & mask for k in tq)
+    ys = {k >> sh: c for k, c in tq.items() if k & mask == xkey}
     lead = [ys.get(i, 0) for i in range(max(ys) + 1)]
+    r = len(lead) - 1
     while len(lead) > 1:
         lead = _divide_one_plus_y(lead)
         if lead is None:
@@ -961,40 +967,17 @@ def _lifted_quotient(a, q):
     g = gcd(*tq.values())
     if g != 1:
         tq = {k: c // g for k, c in tq.items()}
-    rem = dict(a._t)
-    lead_q = max(tq)
-    cq = tq[lead_q]
-    tail = [(k, -c) for k, c in tq.items() if k != lead_q]
-    guard = digit_offset(nvars + 2)
-    room = HALF - q._tighten()
-    get = rem.get
-    heap = [-k for k in rem]
-    heapify(heap)
-    quot = {}
-    while heap:
-        lead_r = -heappop(heap)
-        r = rem.pop(lead_r, None)
-        if r is None:
-            continue
-        if ((lead_r | guard) - lead_q) & guard != guard:
-            return None
-        qc, bad = divmod(r, cq)
-        if bad:
-            return None
-        qk = lead_r - lead_q
-        if qk & MASK >= room:
-            raise OverflowError("a remainder degree could leave the packing range")
-        quot[qk] = qc
-        for bk, bc in tail:
-            k = qk + bk
-            c = get(k)
-            if c is None:
-                rem[k] = qc * bc
-                heappush(heap, -k)
-            elif c := c + qc * bc:
-                rem[k] = c
-            else:
-                del rem[k]
+    # P's leading term is h (1+y)^r x_j
+    r, h = r - m, {xkey: lead[0] // g}
+
+    def divide(s):
+        s, j = _cancel_one_plus_y(s, r, nvars)
+        return _impl.lp_divide_exact(s, h, nvars + 1) if j == r else None
+
+    rest = {k: c for k, c in tq.items() if k & mask != xkey}
+    quot = _synthetic_quotient(a._t, xkey, rest, divide)
+    if quot is None:
+        return None
     k = a._k + m - q._k
     if k < 0:
         quot, k = _impl.lp_mul(quot, _one_plus_y_power(-k, nvars)), 0
@@ -1133,17 +1116,13 @@ class GradedSeries:
         return acc * cinv
 
     def divide_exact(self, q):
-        """Exact quotient self/q by a homogeneous polynomial, else None.
-
-        The contract of ``Poly.divide_exact``; the quotient's cap is lowered
-        by the degree of q.
-        """
+        """Exact quotient self/q by a linear form q, else None; the cap drops by one."""
         if not q.is_homogeneous():
             raise ValueError("divisor must be homogeneous")
         r = self.poly.divide_exact(q)
         if r is None:
             return None
-        return _series(r, self.cap - q.degree())
+        return _series(r, self.cap - 1)
 
     def scale_degrees(self, factor):
         """Each term of degree d times ``factor(d)``; the result is lifted.

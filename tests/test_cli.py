@@ -373,6 +373,19 @@ def test_hirzebruch_below_the_codimension_is_answered_up_front(t, r, tmp_path, m
         assert (json.loads(text)["coeffs"] == {}) == (cap < dim - w.length)
 
 
+@pytest.mark.parametrize("lie_type,rank,spec", [("A", 2, "1"), ("A", 3, "1,3")])
+def test_chi_names_a_parabolic_cell_by_its_minimal_representative(lie_type, rank, spec, tmp_path):
+    rs = root_system(lie_type, rank)
+    pd = rs.parabolic([int(i) for i in spec.split(",")])
+    for w in rs.weyl_group():
+        u = pd.min_rep(w)
+        head = ["chi", "--type", f"{lie_type}{rank}", "--parabolic", spec, "--cell"]
+        code, got = run_cli(head + [w.name()], tmp_path)
+        assert code == 0
+        _, want = run_cli(head + [u.name()], tmp_path, "min_rep.json")
+        assert json.loads(got)["cell"] == u.name() and got == want, w.name()
+
+
 @pytest.mark.parametrize("spec", ["0", "3", "1,x"])
 def test_chi_rejects_a_bad_parabolic_before_enumerating(spec, tmp_path):
     code, _ = run_cli(["chi", "--type", "A2", "--parabolic", spec], tmp_path)

@@ -1,6 +1,9 @@
 from fractions import Fraction as F
+from math import prod
 
 import pytest
+
+import poly_division_reference as division_ref
 
 from schubmc.cohomology import (
     CohClass,
@@ -243,6 +246,19 @@ def test_csm_schubert_recursion_equals_gkm_solve(t, r, cells):
     ctx = cohomology(rs)
     for w in rs.weyl_group() if cells is None else [rs.parse_element(cells)]:
         _assert_fraction_expansion(csm_expansion(ctx, w), ctx.expand(ctx.csm(w)))
+
+
+@pytest.mark.parametrize("t,r", [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3)])
+def test_diagonal_factors_are_the_classes_own_restrictions(t, r):
+    # expand divides each pivot by these factors instead of by X(p)|_p or Y(v)|_v
+    rs = RootSystem(t, r)
+    ctx = cohomology(rs)
+    for w in rs.weyl_group():
+        for opposite, basis in ((False, ctx.schubert_class), (True, ctx.opposite_schubert_class)):
+            factors = ctx.diagonal_factors(w, opposite)
+            assert len(factors) == (w.length if opposite else rs.num_positive_roots - w.length)
+            assert all(f.is_homogeneous(1) for f in factors)
+            assert prod(factors, start=ctx.one) == basis(w).coefficient(w), (w.name(), opposite)
 
 
 @pytest.mark.parametrize("t,r", [("A", 2), ("B", 2), ("G", 2), ("A", 3)])
@@ -528,7 +544,7 @@ def test_parabolic_two_step_coh():
         cur_n, cur_d = num.get(u, (P.zero(ctx.nvars), P.const(1, ctx.nvars)))
         num[u] = (cur_n * d + p * cur_d, cur_d * d)
     for u, (n, d) in num.items():
-        q = n.divide_exact(d)
+        q = division_ref.divide_exact(n, d)
         assert q is not None
         if q:
             out[u] = q

@@ -6,7 +6,9 @@ Euler class, then one division), its two callers in the cohomology and
 Hirzebruch layers (the Hirzebruch one over a padded degree window), the
 coset grouping with a Levi Euler factor at every point, the numeric
 point-by-point loops, and the G/P structure constants as a sum over the
-minimal representatives of the pulled-back restrictions.
+minimal representatives of the pulled-back restrictions.  Their sums are
+divided by products of Euler classes with the general elimination of
+``poly_division_reference``, independent of ``Poly.divide_exact``.
 ``GKMEngine.localize`` replaces all of them with one signed sum divided once;
 ``test_localization_identities`` checks the three identities that makes
 exact.
@@ -15,6 +17,8 @@ exact.
 from fractions import Fraction
 
 import pytest
+
+import poly_division_reference as division_ref
 
 from schubmc.cohomology import (
     SchubertCalculus,
@@ -38,7 +42,7 @@ def ref_fraction_sum(pairs, zero, one):
 
 def ref_coh_sum(ctx, pairs):
     num, den = ref_fraction_sum(pairs, Poly.zero(ctx.nvars), ctx.one)
-    q = num.divide_exact(den)
+    q = division_ref.divide_exact(num, den)
     assert q is not None
     return q
 
@@ -88,7 +92,7 @@ def ref_hz_sum(pairs, dim, cap, nvars):
     for d in range(0, target_cap + 1):
         comp = num.component(d + m)
         if comp:
-            q = comp.divide_exact(den)
+            q = division_ref.divide_exact(comp, den)
             assert q is not None
             comps[d] = q
     return GradedSeries(comps, target_cap, nvars)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lifted_reference as lifted_ref
+import poly_division_reference as division_ref
 import tuple_poly_reference as tuple_ref
 
 from schubmc._kernel_py import HALF
@@ -205,12 +206,17 @@ def test_poly_divide_exact_over_int_polynomials():
 _int_polys = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-9, 9), max_size=5
 ).map(lambda t: Poly(t, 2))
+# c0 x + c1 y + c2 with (c0, c1) != (0, 0): the divisors of the one division
+_int_forms = st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9)).filter(
+    lambda c: c[0] or c[1]
+).map(lambda c: Poly({(1, 0): c[0], (0, 1): c[1], (0, 0): c[2]}, 2))
 
 
-@given(_int_polys, _int_polys.filter(bool))
+@given(_int_polys, _int_forms)
 @settings(max_examples=200, deadline=None)
 def test_poly_divide_exact_matches_fraction_division(a, b):
-    """Dividing int polynomials agrees with dividing their Fraction copies."""
+    """Dividing int polynomials by a form of degree one agrees with dividing
+    their Fraction copies."""
     p = a * b
     for num in (p, p + Poly.const(1, 2)):
         got = num.divide_exact(b)
@@ -507,9 +513,9 @@ def test_packing_limit_raises_overflow():
         GradedSeries.from_poly(half, HALF) * GradedSeries.from_poly(half, HALF)
     with pytest.raises(OverflowError):
         Poly.const(YFrac([1, 1]), 1) * half * half
-    # x0^2 / (x0 - x1^(HALF/2)) leaves the remainder x1^HALF after two steps
+    # x0 - x1^(HALF/2) is not of degree one: the one division refuses it
     x0 = Poly.variable(0, 2)
-    with pytest.raises(OverflowError):
+    with pytest.raises(ValueError):
         (x0 * x0).divide_exact(x0 - Poly({(0, HALF // 2): 1}, 2))
 
 
@@ -531,12 +537,17 @@ _coefficients = {
 
 @st.composite
 def _operands(draw):
-    """nvars and three tuple-keyed term dicts of one coefficient kind."""
+    """nvars, three tuple-keyed term dicts of one coefficient kind and a
+    fourth of degree one, a divisor."""
     n = draw(st.integers(1, 5))
     kind = draw(st.sampled_from(sorted(_coefficients)))
     mono = st.tuples(*[st.integers(0, 2)] * n)
     terms = st.dictionaries(mono, _coefficients[kind], max_size=4)
-    return n, [draw(terms) for _ in range(3)]
+    low = [tuple(int(i == j) for i in range(n)) for j in range(-1, n)]
+    form = st.dictionaries(st.sampled_from(low), _coefficients[kind], max_size=n + 1).filter(
+        lambda t: any(v for e, v in t.items() if any(e))
+    )
+    return n, [draw(terms) for _ in range(3)] + [draw(form)]
 
 
 def _typed(terms):
@@ -588,18 +599,17 @@ def _both(terms, n):
 @settings(max_examples=150, deadline=None)
 def test_packed_poly_matches_tuple_reference(operands):
     n, dicts = operands
-    (a, ra), (b, rb), (c, rc) = (_both(t, n) for t in dicts)
-    la, lb, lc = map(_has_yfrac, dicts)
+    (a, ra), (b, rb), (c, rc), (d, rd) = (_both(t, n) for t in dicts)
+    la, lb, lc, ld = map(_has_yfrac, dicts)
     pairs = (((a, ra), (b, rb), la or lb), ((a, ra), (a, ra), la), ((b, rb), (c, rc), lb or lc))
     for (x, rx), (y, ry), lifted in pairs:
         _same(x * y, rx * ry, lifted)
         _same(x + y, rx + ry, lifted)
         _same(x - y, rx - ry, lifted)
-    if b:
-        # exact, and failing unless c happens to be a multiple of b
-        _same((a * b).divide_exact(b), (ra * rb).divide_exact(rb), la or lb)
-        _same((a * b + c).divide_exact(b), (ra * rb + rc).divide_exact(rb), la or lb or lc)
-        _same(a.divide_exact(b), ra.divide_exact(rb), la or lb)
+    # exact, and failing unless c happens to be a multiple of the divisor d
+    _same((a * d).divide_exact(d), (ra * rd).divide_exact(rd), la or ld)
+    _same((a * d + c).divide_exact(d), (ra * rd + rc).divide_exact(rd), la or ld or lc)
+    _same(a.divide_exact(d), ra.divide_exact(rd), la or ld)
     assert a.degree() == ra.degree()
     split, rsplit = a.homogeneous_split(), ra.homogeneous_split()
     assert list(split) == list(rsplit)
@@ -630,18 +640,18 @@ def test_packed_poly_matches_tuple_reference(operands):
 @settings(max_examples=100, deadline=None)
 def test_packed_series_match_tuple_reference(operands, cap):
     n, dicts = operands
-    (a, ra), (b, rb), _ = (_both(t, n) for t in dicts)
+    (a, ra), (b, rb), _, (d, rd) = (_both(t, n) for t in dicts)
     la, lb = _has_yfrac(dicts[0]), _has_yfrac(dicts[1])
     sa, rsa = GradedSeries.from_poly(a, cap), tuple_ref.GradedSeries.from_poly(ra, cap)
     sb, rsb = GradedSeries.from_poly(b, cap + 1), tuple_ref.GradedSeries.from_poly(rb, cap + 1)
     _same_series(sa * sb, rsa * rsb, la or lb)
-    if b:
-        top = b.homogeneous_component(b.degree())
-        rtop = rb.homogeneous_component(rb.degree())
-        st_, rst = GradedSeries.from_poly(top, cap + 2), tuple_ref.GradedSeries.from_poly(rtop, cap + 2)
-        prod, rprod = sa * st_, rsa * rst
-        _same_series(prod.divide_exact(top), rprod.divide_exact(rtop), la or lb)
-        _same_series(sb.divide_exact(top), rsb.divide_exact(rtop), lb)
+    # the linear part of the divisor d
+    top, rtop = d.homogeneous_component(1), rd.homogeneous_component(1)
+    lt = _has_yfrac(rtop.terms)
+    st_, rst = GradedSeries.from_poly(top, cap + 2), tuple_ref.GradedSeries.from_poly(rtop, cap + 2)
+    prod, rprod = sa * st_, rsa * rst
+    _same_series(prod.divide_exact(top), rprod.divide_exact(rtop), la or lt)
+    _same_series(sb.divide_exact(top), rsb.divide_exact(rtop), lb or lt)
     # a unit constant term: the constant term of a replaced by 3
     unit = YFrac.const(3) if any(type(v) is YFrac for v in dicts[0].values()) else 3
     dicts[0][(0,) * n] = unit
@@ -841,7 +851,7 @@ def test_lifted_normal_form_cancels_one_plus_y_and_d():
 @settings(max_examples=150, deadline=None)
 def test_lifted_quotients_undo_products(a, unit):
     x, y = Poly.variable(0, 2), Poly.variable(1, 2)
-    for divisor in ((x * 2 - y) * unit, (x + y * YFrac([0, 1])) * unit, x * x * 3 * unit):
+    for divisor in ((x * 2 - y) * unit, (x + y * YFrac([0, 1])) * unit, x * 3 * unit):
         got = (a * divisor).divide_exact(divisor)
         _assert_normal(got)
         assert got == a and hash(got) == hash(a)
@@ -940,3 +950,99 @@ def test_packed_products_cancel_exactly():
     got = times_series_of_linear(s, [1, 1], lin, 4)
     assert _stored(got.poly) == _stored(lifted_ref.times_series_of_linear(s, [1, 1], lin, 4).poly)
     assert got.poly == (x + y) + (x * x - y * y) * YFrac([1, 1])
+
+
+# -- the one division against the general eliminations it replaced --------------------
+
+# leading coefficients of a divisor: units, (1+y)^m units, the non-unit 1 + 2y,
+# and 2, which is a unit of Q[y, (1+y)^-1] but not of Z
+_division_leads = {
+    "int": [1, -1, 2, 3],
+    "Fraction": [F(1), F(-2, 3), F(5, 2)],
+    "lifted": [YFrac([1]), YFrac([-1, -1]), YFrac([1, 2, 1]), YFrac([F(1, 3)], 2), YFrac([1, 2]), 2],
+}
+_division_coeffs = {
+    "int": st.integers(-4, 4),
+    "Fraction": st.fractions(min_value=-2, max_value=2, max_denominator=3),
+    "lifted": _lift_coeffs,
+}
+
+
+@st.composite
+def _division_case(draw):
+    """A dividend, a divisor c x_j + (later variables) [+ constant] of one
+    coefficient kind, its content doubled or not, and a stray term."""
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(sorted(_division_coeffs)))
+    coeff = _division_coeffs[kind]
+    mono = st.tuples(*[st.integers(0, 3)] * n)
+    a = Poly(draw(st.dictionaries(mono, coeff, max_size=5)), n)
+    j = draw(st.integers(0, n - 1))
+    forms = {tuple(int(i == k) for i in range(n)): draw(coeff) for k in range(j + 1, n)}
+    forms[tuple(int(i == j) for i in range(n))] = draw(st.sampled_from(_division_leads[kind]))
+    affine = draw(st.booleans())
+    if affine:
+        forms[(0,) * n] = draw(coeff.filter(bool))
+    q = Poly(forms, n)
+    if draw(st.booleans()):
+        q = q * 2
+    stray = Poly({draw(mono): draw(coeff.filter(bool))}, n)
+    return a, q, stray, affine
+
+
+def _exact_form(p):
+    """A quotient as it is stored, coefficient types included, or None."""
+    if p is None:
+        return None
+    return p.nvars, {k: (type(v), v) for k, v in p._t.items()}, p._d, p._k
+
+
+@given(_division_case(), st.lists(st.integers(-1, 8), min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_one_division_matches_the_general_eliminations(case, caps):
+    a, q, stray, affine = case
+    for num in (a * q, a * q + stray, a):
+        got = num.divide_exact(q)
+        assert _exact_form(got) == _exact_form(division_ref.divide_exact(num, q))
+        if got is not None:
+            _assert_normal(got)
+    got = (a * q).divide_exact(q)
+    if got is not None:
+        assert got == a
+    if affine:
+        with pytest.raises(ValueError):
+            GradedSeries.from_poly(a, 3).divide_exact(q)
+        return
+    for cap in caps:
+        for s in (GradedSeries.from_poly(a * q, cap), GradedSeries.from_poly(a * q + stray, cap)):
+            got, want = s.divide_exact(q), division_ref.series_divide_exact(s, q)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.cap == want.cap == cap - 1
+                assert _exact_form(got.poly) == _exact_form(want.poly)
+
+
+@pytest.mark.parametrize("lifted", [False, True])
+def test_the_one_division_refuses_other_degrees(lifted):
+    c = YFrac([1, 1]) if lifted else 1
+    x, y = Poly.variable(0, 2, c), Poly.variable(1, 2)
+    p = x * x * y + y
+    for q in (Poly.const(c, 2), Poly.const(3, 2), x * y, x * x + y, x * y + x):
+        with pytest.raises(ValueError):
+            p.divide_exact(q)
+    with pytest.raises(ValueError):
+        GradedSeries.from_poly(p, 4).divide_exact(x * y)
+    with pytest.raises(ZeroDivisionError):
+        p.divide_exact(Poly.zero(2))
+    # the reference eliminations divide by any of them
+    assert division_ref.divide_exact(p * (x * y + x), x * y + x) == p
+
+
+def test_a_lead_with_a_one_plus_y_factor_must_divide_every_slice():
+    # (x + 1) / ((1+y) x + 1): the x slice, 1, is not a multiple of 1 + y, though the
+    # constant slice equals m times 1 / h, h = 1
+    x, one = Poly.variable(0, 1), Poly.const(1, 1)
+    q = Poly.variable(0, 1, YFrac([1, 1])) + one
+    assert (x + one).divide_exact(q) is None
+    assert division_ref.divide_exact(x + one, q) is None
+    assert (q * (x + one * 2)).divide_exact(q) == x + one * 2

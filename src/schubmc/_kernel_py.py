@@ -13,10 +13,14 @@ vectors, Monagan-Pearce, CASC 2007).
 (``int``, ``Fraction`` or ``YFrac`` coefficients, the total degree in the
 lowest digit) both run on these loops.  The loops never look at a
 coefficient's type: a missing key is tested with ``None`` and a zero with
-truth, so no coefficient meets an ``int`` 0.  ``lp_mul`` also multiplies
-packed y-integers: ``polyring`` keys a lifted series by x-monomial alone and
-stores its y-polynomial as one integer N = n_0 + n_1 2^S + ..., and with
-digits bounded below 2^(S-1) an N is zero exactly when its polynomial is.  The one division,
+truth, so no coefficient meets an ``int`` 0.  A lifted ``Poly`` holds its
+Hirzebruch variable as t = 1 + y, not y: its top digit is a balanced power
+of t, so a (1+y) denominator is a negative exponent there, as a negative
+exponent of e^mu is here.  ``lp_mul`` also multiplies packed t-integers:
+``polyring`` keys a lifted series by x-monomial alone and stores its
+t-polynomial, over its least power of t, as one integer N = n_0 + n_1 2^S +
+..., and with digits bounded below 2^(S-1) an N is zero exactly when its
+polynomial is.  The one division,
 ``lp_divide_exact``, divides by a monomial or by a binomial with
 coefficients +-1, the only divisors the denominators ``1 - e^mu`` and
 ``1 + y e^mu`` create.  By a binomial it sweeps each line of the dividend

@@ -662,18 +662,6 @@ class SchubertCalculus:
         """CSM vector of the cell of w (w any element; coefficients restrict)."""
         return {u: c for u, c in csm_vector(cohomology(self.rs), w).items() if u in self._cell_set}
 
-    def total_chern(self):
-        """The total Chern class of the space, the sum of its cells' CSM vectors."""
-
-        def build():
-            out = {}
-            for w in self.cells:
-                for u, c in self.csm(w).items():
-                    out[u] = out.get(u, 0) + c
-            return {u: c for u, c in out.items() if c}
-
-        return self.rs.memo(("coh", "totalchern", self.parabolic.subset), build)
-
     def sm_of_opposite(self, u):
         """SM class of the opposite cell of u, in the Schubert-variety basis."""
         return self.sm_of_cell(self.opposite_label(u))
@@ -712,11 +700,16 @@ class SchubertCalculus:
 
     def richardson_csm(self, u, v):
         """CSM vector of the intersection of the opposite cell of u with the
-        cell of v, expanded over opposite Schubert varieties."""
-        s1 = self.sm_of_opposite(u)
-        s2 = self.sm_of_cell(v)
-        prod = self.multiply(s1, s2)
-        total = self.multiply(prod, self.total_chern())
+        cell of v in G/B, expanded over opposite Schubert varieties.
+
+        That class is SM(opposite cell of u) SM(cell of v) c(T), and
+        SM(cell of v) c(T) is the CSM class of the cell of v: one product.
+        The signed CSM vectors of ``sm_of_cell`` are SM classes on G/B only,
+        so a calculator of a proper G/P refuses.
+        """
+        if self.parabolic.subset:
+            raise GKMError("Richardson cells are served on G/B only")
+        total = self.multiply(self.sm_of_opposite(u), self.csm(v))
         # re-express over opposite varieties: [Y(w)] = [X(w0 w)]
         return {self.opposite_label(c): val for c, val in total.items()}
 

@@ -1,7 +1,9 @@
 """Equivariant Chern character, Todd transformation, and Hirzebruch classes.
 
 All values live in the completed equivariant homology: GKM restriction maps
-into degree-truncated series over Q[y, (1+y)^-1].  Every identity is checked
+into degree-truncated series over Q[y, (1+y)^-1], which ``polyring`` stores
+in t = 1 + y as Q[t, t^-1]; y survives only where a value is read or
+written (``YFrac``).  Every identity is checked
 modulo the truncation degree.  A series never claims a degree it does not
 know: a sum keeps the least cap of its terms, and truncating to a larger cap
 keeps the series' own.  A localization sum divides the signed sum of the
@@ -252,16 +254,16 @@ class Hirzebruch(GKMEngine):
         return first - a.truncate(first.cap())
 
     def l_h(self, i, a, normalized=False):
-        one_plus_y = YFrac([1, 1])
         b = self.dl_h(i, a, normalized, dual=True)
-        return b + a.truncate(b.cap()).scale(one_plus_y)
+        # the factor 1 + y is t, a shift
+        return b + a.truncate(b.cap()).map_coefficients(lambda s: s.shift_t(lambda d: 1))
 
     # -- Adams operation ----------------------------------------------------------------
 
     def adams_normalize(self, a):
-        """Scale homological degree j by (1+y)^-j; degrees measured against dim."""
-        one_plus_y = YFrac([1, 1])
-        out = {w: s.scale_degrees(lambda d: one_plus_y ** (d - self.dim)) for w, s in a.coeffs.items()}
+        """Scale homological degree j by (1+y)^-j; degrees measured against
+        dim, so a term of degree d is shifted by t^(d - dim)."""
+        out = {w: s.shift_t(lambda d: d - self.dim) for w, s in a.coeffs.items()}
         return HClass(self, out, normalized=True)
 
     def assert_cleared(self, a):

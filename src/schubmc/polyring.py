@@ -19,8 +19,8 @@ homogeneous components (``comps``, ``component``) are views read off the
 keys.  The localization sums over fixed points that use these types live in
 ``cohomology.GKMEngine.localize``.
 
-``Poly`` keys each term by one nonnegative ``int``, packed as the Laurent
-kernel packs its keys (``_kernel_py.pack``): the exponents are digits, the
+``Poly`` keys each term by one ``int``, packed as the Laurent kernel packs
+its keys (``_kernel_py.pack``): the exponents are digits, the
 first variable the most significant, and the lowest digit holds the total
 degree.  A monomial product is a sum of keys, integer order is the lex order
 of the exponent tuples, and the degree of a term is ``key & MASK``.
@@ -31,51 +31,55 @@ key outgrows its dividend's, so no key ever carries into its neighbour.
 ``Poly``s of different numbers of variables do not combine: that raises
 ``ValueError``.
 
-A ``YFrac`` stores integer numerators over one positive integer denominator
-and a power of (1+y), in a single normal form, so its arithmetic is integer
-convolution and gcd; ``YFrac.num`` is a ``Fraction`` view of the coefficients.
+The Hirzebruch ring Q[y, (1+y)^-1] is stored in the variable t = 1 + y, as
+the Laurent ring Q[t, t^-1]: a (1+y) denominator is a negative power of t.
+A ``YFrac`` stores the integer coefficients of one Laurent polynomial in t
+over one positive integer denominator, so its arithmetic is integer
+convolution and gcd, and its one normal form asks only that the denominator
+share no factor with every coefficient.  The y basis survives only at the
+API edge: ``YFrac(num, k)``, ``YFrac.const`` and ``YFrac.y_power`` read a
+value in y, and ``YFrac.num``, ``YFrac.k``, ``repr`` and ``evaluate`` write
+it back in y, so every artifact is written in y.
 
 A ``Poly`` with a ``YFrac`` coefficient is lifted: it is stored as one integer
-polynomial in the variables and y, over one positive integer D and one power
-(1+y)^K.  y is one more packed digit, above the variables' digits, so
-``key & MASK`` is still the degree and every degree-block and truncation
-path reads lifted keys unchanged; the y digit is the most significant, so no
-product carries out of it.  The lifted form is kept in one normal form: when
-K > 0, 1 + y does not divide the numerator, and D shares no factor with all
-of its coefficients.  The form is unique, so equality and hashing read it
-directly.  A product is the kernel's ``lp_mul`` over D_a D_b (1+y)^(K_a +
-K_b); a sum aligns D and K, then calls ``lp_add``; normalizing divides by
-1 + y with the kernel's binomial division, ``lp_divide_exact``.  A lifted
-series product (``GradedSeries.__mul__``) and the Horner loop of
-``times_series_of_linear`` substitute in y (Kronecker): each x-monomial's
-y-polynomial is packed into one integer N = n_0 + n_1 2^S + ..., with S
-proven wide enough for every coefficient of every partial sum, so ``lp_mul``
-multiplies {x-key: N} dicts, and the result is read back into balanced
-S-bit digits once before it is normalized.  ``Poly.__mul__``,
-``series_combination`` and ``scale_degrees`` multiply short y-polynomials
-and stay on the lifted terms, where packing measured slower.  The one
-division divides a lifted numerator in integers (``_lifted_divisor``) and
-normalizes once.  The ``YFrac`` of each monomial is a view, built only
-when read (``packed``, ``terms``,
-``sorted_terms``), so nothing is lifted before or lowered after an
-operation: the per-product helpers that did so (``_lift``, ``_lower``,
-``_convolve_into`` and ``_width``) are gone.  ``int``/``Fraction`` polynomials store their
-coefficients as they are, and their sums, negatives, scalar multiples,
-products and quotients keep their own code path on the same kernel loops
-(``lp_add``, ``lp_neg``, ``lp_scale``, ``lp_mul``), which serve every
-coefficient type.  ``GradedSeries`` products (packed in y when lifted) and
-``series_combination`` run on the same kernel loops; a series product
-multiplies only the pairs of degree blocks that stay within the cap.  The
-one-variable Todd-type coefficient lists are one-variable series, built by
-``series_of_linear``, ``inverse`` and ``*``; a series times the series of
-one linear form (``times_series_of_linear``) is Horner's rule in that form.
+Laurent polynomial in the variables and t, over one positive integer D.  t is
+one more packed digit, above the variables' digits, so ``key & MASK`` is
+still the degree and every degree-block and truncation path reads lifted
+keys unchanged.  The t digit is the most significant, and it is balanced: a
+negative power of t makes a negative key, and ``key >> shift`` reads its
+exponent back, since every digit below it is nonnegative; no product carries
+out of it.  The normal form is D sharing no factor with all of the
+coefficients.  It is unique, so equality and hashing read it directly.  A
+product is the kernel's ``lp_mul`` over D_a D_b, a sum aligns D and calls
+``lp_add``, a power of t is a key shift (``GradedSeries.shift_t``, the Adams
+normalization of the Hirzebruch layer), and each result is normalized by one
+gcd.  A lifted series product (``GradedSeries.__mul__``) and the Horner loop
+of ``times_series_of_linear`` substitute in t (Kronecker): each
+x-monomial's t-polynomial, over the least power of t of its operand, is
+packed into one integer N = n_0 + n_1 2^S + ..., with S proven wide enough
+for every coefficient of every partial sum, so ``lp_mul`` multiplies {x-key:
+N} dicts, and the result is read back into balanced S-bit digits once before
+it is normalized.  ``Poly.__mul__`` and ``series_combination`` multiply short
+t-polynomials and stay on the lifted terms, where packing measured slower.
+The one division divides a lifted numerator in integers
+(``_lifted_divisor``) and normalizes once.  The ``YFrac`` of each monomial is
+a view, built only when read (``packed``, ``terms``, ``sorted_terms``), so
+nothing is lifted before or lowered after an operation.  ``int``/``Fraction``
+polynomials store their coefficients as they are, and their sums, negatives,
+scalar multiples, products and quotients keep their own code path on the
+same kernel loops (``lp_add``, ``lp_neg``, ``lp_scale``, ``lp_mul``), which
+serve every coefficient type.  ``GradedSeries`` products (packed in t when
+lifted) and ``series_combination`` run on the same kernel loops; a series
+product multiplies only the pairs of degree blocks that stay within the cap.
+The one-variable Todd-type coefficient lists have closed forms in the
+Bernoulli numbers; a series times the series of one linear form
+(``times_series_of_linear``) is Horner's rule in that form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
-from operator import add
 
 # kernel calls go through ``_impl.<name>``, so that a tracer can wrap them
 from . import _kernel_py as _impl
@@ -85,39 +89,48 @@ from ._kernel_py import (
 
 
 class YFrac:
-    """Element of Q[y, (1+y)^-1]: a y-polynomial over a power of (1+y).
+    """Element of Q[y, (1+y)^-1], stored as a Laurent polynomial in t = 1 + y.
 
-    The value is ``(n_0 + n_1 y + ... + n_m y^m) / (d (1+y)^k)`` with integer
-    numerators ``n_i`` and one positive integer denominator ``d``.  Each value
-    has one form: ``n_m != 0``, ``gcd(n_0, ..., n_m, d) == 1`` and, when
-    ``k > 0``, ``1 + y`` does not divide the numerator (zero is ``()``,
-    ``d = 1``, ``k = 0``).  ``num`` is a read-only view of the coefficients
-    as ``Fraction``s, ``n_i / d``.
+    The value is ``(n_0 t^lo + n_1 t^(lo+1) + ... + n_m t^(lo+m)) / d`` with
+    integer numerators ``n_i`` and one positive integer denominator ``d``.
+    Each value has one form: ``n_0 != 0``, ``n_m != 0`` and
+    ``gcd(n_0, ..., n_m, d) == 1`` (zero is ``()``, ``lo = 0``, ``d = 1``).
+
+    The y basis is read and written only here.  ``YFrac(num, k)`` is
+    ``(num_0 + num_1 y + ...) / (1+y)^k``.  ``k`` is ``max(0, -lo)`` and
+    ``num`` the coefficients, as ``Fraction``s, of the y-numerator over
+    ``(1+y)^k``.  The change of variable is unimodular, so that numerator has
+    the content of the t one; when ``k > 0`` its value at y = -1 is ``n_0``,
+    not zero, so 1 + y does not divide it.
     """
 
-    __slots__ = ("_n", "_d", "k")
+    __slots__ = ("_n", "_lo", "_d")
 
     def __init__(self, num, k=0):
         num = [c if isinstance(c, int) else Fraction(c) for c in num]
         d = lcm(*(c.denominator for c in num)) if num else 1
-        _set(self, [c.numerator * (d // c.denominator) for c in num], d, k)
+        _set(self, _taylor_shift([c.numerator * (d // c.denominator) for c in num], -1), -k, d)
 
     @property
     def num(self):
         d = self._d
-        return tuple(Fraction(c, d) for c in self._n)
+        return tuple(Fraction(c, d) for c in _y_numerator(self))
+
+    @property
+    def k(self):
+        return max(-self._lo, 0)
 
     @classmethod
     def const(cls, c):
         if isinstance(c, int):
-            return _make([c], 1, 0)
+            return _make([c], 0, 1)
         c = Fraction(c)
-        return _make([c.numerator], c.denominator, 0)
+        return _make([c.numerator], 0, c.denominator)
 
     @classmethod
     def y_power(cls, p, c=1):
         c = Fraction(c)
-        return _make([0] * p + [c.numerator], c.denominator, 0)
+        return _make(_taylor_shift([0] * p + [c.numerator], -1), 0, c.denominator)
 
     def __bool__(self):
         return bool(self._n)
@@ -128,16 +141,16 @@ class YFrac:
         return (
             isinstance(other, YFrac)
             and self._n == other._n
+            and self._lo == other._lo
             and self._d == other._d
-            and self.k == other.k
         )
 
     def __hash__(self):
         n = self._n
-        if self.k == 0 and len(n) <= 1:
+        if not self._lo and len(n) <= 1:
             # a constant hashes as the rational number it equals
             return hash(Fraction(n[0], self._d)) if n else 0
-        return hash((n, self._d, self.k))
+        return hash((n, self._lo, self._d))
 
     def __add__(self, other):
         if not isinstance(other, YFrac):
@@ -149,11 +162,11 @@ class YFrac:
             return self
         if not a:
             return other
-        k = self.k
-        if k < other.k:
-            a, k = _mul_one_plus_y_power(a, other.k - k), other.k
-        elif k > other.k:
-            b = _mul_one_plus_y_power(b, k - other.k)
+        lo = self._lo
+        if lo < other._lo:
+            b = (0,) * (other._lo - lo) + b
+        elif lo > other._lo:
+            a, lo = (0,) * (lo - other._lo) + a, other._lo
         d, db = self._d, other._d
         if d != db:
             g = gcd(d, db)
@@ -168,12 +181,12 @@ class YFrac:
         out = list(a)
         for i, x in enumerate(b):
             out[i] += x
-        return _make(out, d, k)
+        return _make(out, lo, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _new(tuple(-c for c in self._n), self._d, self.k)
+        return _new(tuple(-c for c in self._n), self._lo, self._d)
 
     def __sub__(self, other):
         return self + (-other)
@@ -184,10 +197,10 @@ class YFrac:
     def __mul__(self, other):
         if not isinstance(other, YFrac):
             if isinstance(other, int):
-                return _make([c * other for c in self._n], self._d, self.k)
+                return _make([c * other for c in self._n], self._lo, self._d)
             if isinstance(other, Fraction):
                 p = other.numerator
-                return _make([c * p for c in self._n], self._d * other.denominator, self.k)
+                return _make([c * p for c in self._n], self._lo, self._d * other.denominator)
             return NotImplemented
         a, b = self._n, other._n
         if not a or not b:
@@ -203,30 +216,24 @@ class YFrac:
                 if c:
                     for i, x in enumerate(a, j):
                         out[i] += x * c
-        return _make(out, self._d * other._d, self.k + other.k)
+        return _make(out, self._lo + other._lo, self._d * other._d)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Inverse when the numerator is c (1+y)^m; raises otherwise."""
-        num = self._n
-        m = 0
-        while len(num) > 1:
-            q = _divide_one_plus_y(num)
-            if q is None:
-                raise ArithmeticError(f"{self!r} is not invertible in Q[y,(1+y)^-1]")
-            num = q
-            m += 1
-        if not num:
-            raise ZeroDivisionError("inverting zero")
-        c = num[0]
-        d = self._d if c > 0 else -self._d
-        return _make(_mul_one_plus_y_power((d,), self.k), abs(c), m)
+        """Inverse of a unit, c t^lo; raises for any other value."""
+        n = self._n
+        if len(n) != 1:
+            if not n:
+                raise ZeroDivisionError("inverting zero")
+            raise ArithmeticError(f"{self!r} is not invertible in Q[y,(1+y)^-1]")
+        c = n[0]
+        return _new((self._d if c > 0 else -self._d,), -self._lo, abs(c))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             other = 1 / Fraction(other)
-            return _make([c * other.numerator for c in self._n], self._d * other.denominator, self.k)
+            return _make([c * other.numerator for c in self._n], self._lo, self._d * other.denominator)
         return self * other.inverse()
 
     def __pow__(self, n):
@@ -237,223 +244,156 @@ class YFrac:
         return out
 
     def cleared(self):
-        """True when no (1+y) denominator remains."""
-        return self.k == 0
+        """True when no (1+y) denominator remains: no negative power of t."""
+        return self._lo >= 0
 
     def evaluate(self, v):
-        v = Fraction(v)
-        val = sum(c * v**i for i, c in enumerate(self.num))
-        if self.k:
-            if v == -1:
-                raise ZeroDivisionError("pole at y = -1")
-            val /= (1 + v) ** self.k
-        return val
+        t = 1 + Fraction(v)
+        if not t and self._lo < 0:
+            raise ZeroDivisionError("pole at y = -1")
+        return sum((c * t**e for e, c in enumerate(self._n, self._lo)), Fraction(0)) / self._d
 
     def __repr__(self):
-        body = " + ".join(f"{c}*y^{i}" if i else str(c) for i, c in enumerate(self.num) if c)
+        num, k = self.num, self.k
+        body = " + ".join(f"{c}*y^{i}" if i else str(c) for i, c in enumerate(num) if c)
         body = body or "0"
-        return f"({body})/(1+y)^{self.k}" if self.k else f"({body})"
+        return f"({body})/(1+y)^{k}" if k else f"({body})"
 
 
-def _new(n, d, k):
+def _new(n, lo, d):
     out = object.__new__(YFrac)
-    out._n, out._d, out.k = n, d, k
+    out._n, out._lo, out._d = n, lo, d
     return out
 
 
-def _set(out, n, d, k):
-    """Store n / (d (1+y)^k) in out, brought to the one form (n a list of ints)."""
+def _set(out, n, lo, d):
+    """Store (n_0 t^lo + n_1 t^(lo+1) + ...) / d in out, brought to the one
+    form (n a list of ints)."""
     while n and not n[-1]:
         n.pop()
     if not n:
-        out._n, out._d, out.k = (), 1, 0
+        out._n, out._lo, out._d = (), 0, 1
         return out
-    # 1 + y divides n exactly when n(-1) = 0
-    while k > 0 and sum(n[::2]) == sum(n[1::2]):
-        n = _divide_one_plus_y(n)
-        k -= 1
+    i = 0
+    while not n[i]:
+        i += 1
+    if i:
+        n, lo = n[i:], lo + i
     if d != 1:
         g = gcd(d, *n)
         if g != 1:
             n = [c // g for c in n]
             d //= g
-    out._n, out._d, out.k = tuple(n), d, k
+    out._n, out._lo, out._d = tuple(n), lo, d
     return out
 
 
-def _make(n, d, k):
-    return _set(object.__new__(YFrac), n, d, k)
+def _make(n, lo, d):
+    return _set(object.__new__(YFrac), n, lo, d)
 
 
-_ZERO = _new((), 1, 0)
+_ZERO = _new((), 0, 1)
 
 
-def _divide_one_plus_y(num):
-    """Exact quotient of an integer coefficient list by (1 + y), or None."""
-    if not num:
-        return []
+def _taylor_shift(n, s):
+    """The coefficients of sum_i n_i (z + s)^i, by Horner's rule: with s = -1
+    those of a y-polynomial in t = y + 1, with s = 1 those of a t-polynomial
+    in y."""
     out = []
-    carry = 0
-    for c in num:
-        carry = c - carry
-        out.append(carry)
-    if carry:
-        return None
-    out.pop()
+    for c in reversed(n):
+        out = [a + s * b for a, b in zip([c, *out], [*out, 0])]
     return out
 
 
-def _mul_one_plus_y_power(num, p):
-    """The integer coefficient list num times (1 + y)^p."""
-    if p == 1:
-        return [num[0], *map(add, num[1:], num[:-1]), num[-1]]
-    binom = [comb(p, j) for j in range(p + 1)]
-    out = [0] * (len(num) + p)
-    for i, c in enumerate(num):
-        if c:
-            for j, b in enumerate(binom, i):
-                out[j] += c * b
-    return out
+def _y_numerator(x):
+    """The integer y-numerator of x over d (1+y)^k: the t-polynomial x t^k,
+    written in y."""
+    return _taylor_shift([0] * x._lo + list(x._n), 1)
 
 
-# -- lifted polynomials: one integer numerator in the variables and y -------------------
+# -- lifted polynomials: one integer Laurent numerator in the variables and t -----------
 
 
-def _y_shift(nvars):
-    """The bit offset of the y digit of a lifted key: above every variable."""
+def _t_shift(nvars):
+    """The bit offset of the t digit of a lifted key: above every variable."""
     return WIDTH * (nvars + 1)
 
 
 def _parts(c):
-    """(numerator list, denominator, (1+y) power) of an int, Fraction or YFrac."""
+    """(t-coefficients, least power of t, denominator) of an int, Fraction or YFrac."""
     if type(c) is YFrac:
-        return c._n, c._d, c.k
+        return c._n, c._lo, c._d
     if type(c) is int:
-        return (c,), 1, 0
-    return (c.numerator,), c.denominator, 0
+        return (c,), 0, 1
+    return (c.numerator,), 0, c.denominator
 
 
-def _over_common(parts):
-    """(numerator lists, D, K) of (n, d, k) triples, each n / (d (1+y)^k),
-    all written over one D (1+y)^K: D the lcm of the d, K the largest k."""
-    D = lcm(*(d for _, d, _ in parts))
-    K = max((k for *_, k in parts), default=0)
-    out = []
-    for n, d, k in parts:
-        if n and k != K:
-            n = _mul_one_plus_y_power(n, K - k)
-        s = D // d
-        out.append([x * s for x in n] if s != 1 else n)
-    return out, D, K
-
-
-def _y_terms(n, nvars):
-    """The integer y-polynomial n_0 + n_1 y + ... as lifted terms."""
-    sh = _y_shift(nvars)
-    return {i << sh: x for i, x in enumerate(n) if x}
+def _t_terms(n, lo, nvars):
+    """The integer t-polynomial n_0 t^lo + n_1 t^(lo+1) + ... as lifted terms."""
+    sh = _t_shift(nvars)
+    return {e << sh: x for e, x in enumerate(n, lo) if x}
 
 
 def _lifted_terms(coeffs, nvars):
-    """{key: int, Fraction or YFrac} written as (t, D, K): the value at a key
-    is the sum over i of ``t[key + (i << y_shift)] y^i``, over D (1+y)^K.
+    """{key: int, Fraction or YFrac} written as (t, D): the value at a key is
+    the sum over e of ``t[key + (e << t_shift)] t^e``, over D.
 
-    D is the lcm of the denominators and K the largest (1+y) power.  Each
-    coefficient is in its own normal form, so the result is in the normal
-    form of a lifted ``Poly``: a coefficient with the largest power of a
-    prime in D, or with K itself, keeps that factor from cancelling.
+    D is the lcm of the denominators.  Each coefficient is in its own normal
+    form, so the result is in the normal form of a lifted ``Poly``: a
+    coefficient with the largest power of a prime in D keeps that factor from
+    cancelling.
     """
-    ns, D, K = _over_common([_parts(c) for c in coeffs.values()])
-    sh = _y_shift(nvars)
+    parts = [_parts(c) for c in coeffs.values()]
+    D = lcm(*(d for *_, d in parts))
+    sh = _t_shift(nvars)
     t = {}
-    for key, n in zip(coeffs, ns):
-        for i, x in enumerate(n):
+    for key, (n, lo, d) in zip(coeffs, parts):
+        s = D // d
+        for e, x in enumerate(n, lo):
             if x:
-                t[key + (i << sh)] = x
-    return t, D, K
+                t[key + (e << sh)] = x * s
+    return t, D
 
 
-def _one_plus_y_power(p, nvars):
-    """(1 + y)^p as lifted terms."""
-    return _y_terms([comb(p, i) for i in range(p + 1)], nvars)
-
-
-def _cancel_one_plus_y(t, most, nvars):
-    """t divided by (1 + y) while it divides, at most ``most`` times (None:
-    no limit); returns the quotient and the number of factors removed."""
-    sh = _y_shift(nvars)
-    one_plus_y = {0: 1, 1 << sh: 1}
-    j = 0
-    while j != most:
-        # 1 + y divides t only if t vanishes at y = -1 and every variable 1
-        if sum(-c if key >> sh & 1 else c for key, c in t.items()):
-            break
-        q = _impl.lp_divide_exact(t, one_plus_y, nvars + 1)
-        if q is None:
-            break
-        t, j = q, j + 1
-    return t, j
-
-
-def _normal(t, d, k, nvars, bound, cancel=True):
-    """The lifted Poly t / (d (1+y)^k) in its normal form: 1 + y does not
-    divide t when k > 0, and d shares no factor with every value of t.
-    ``cancel=False`` skips the (1+y) test, for a t it cannot divide."""
+def _normal(t, d, nvars, bound):
+    """The lifted Poly t / d in its normal form: d shares no factor with
+    every value of t."""
     if not t:
-        return _poly({}, nvars, bound, 1, 0)
-    if k and cancel:
-        t, j = _cancel_one_plus_y(t, k, nvars)
-        k -= j
+        return _poly({}, nvars, bound, 1)
     if d != 1:
         g = gcd(d, *t.values())
         if g != 1:
             t = {key: c // g for key, c in t.items()}
             d //= g
-    return _poly(t, nvars, bound, d, k)
+    return _poly(t, nvars, bound, d)
 
 
 def _lifted(p):
     """p itself when lifted, else its int and Fraction terms lifted."""
     if p._d is not None:
         return p
-    t, d, k = _lifted_terms(p._t, p.nvars)
-    return _poly(t, p.nvars, p._bound, d, k)
+    t, d = _lifted_terms(p._t, p.nvars)
+    return _poly(t, p.nvars, p._bound, d)
 
 
 def _lifted_sum(a, b):
-    """a + b for lifted a and b: D and K aligned, then the kernel's sum."""
+    """a + b for lifted a and b: D aligned, then the kernel's sum."""
     ta, tb = a._t, b._t
     if not tb:
         return a
     if not ta:
         return b
-    da, db, k = a._d, b._d, a._k
-    if k != b._k:
-        if k < b._k:
-            ta, k = _impl.lp_mul(ta, _one_plus_y_power(b._k - k, a.nvars)), b._k
-        else:
-            tb = _impl.lp_mul(tb, _one_plus_y_power(k - b._k, a.nvars))
+    da, db = a._d, b._d
     if da != db:
         g = gcd(da, db)
         ma, mb = db // g, da // g
         ta = {key: c * ma for key, c in ta.items()}
         tb = {key: c * mb for key, c in tb.items()}
         da *= ma
-    return _normal(_impl.lp_add(ta, tb), da, k, a.nvars, max(a._bound, b._bound))
+    return _normal(_impl.lp_add(ta, tb), da, a.nvars, max(a._bound, b._bound))
 
 
-def _lifted_product(a, b, t, bound, whole=True):
-    """The lifted Poly of the product terms t of lifted a and b.
-
-    (1+y) is prime, so it can divide the whole product only when exactly
-    one of the two carries a (1+y) denominator: the other numerator may hold
-    the factor.  With ``whole=False`` t holds only some of the product's
-    terms (a truncated series product), and the test always runs.
-    """
-    cancel = not whole or (a._k == 0) != (b._k == 0)
-    return _normal(t, a._d * b._d, a._k + b._k, a.nvars, bound, cancel)
-
-
-# -- lifted products on packed y-integers (Kronecker substitution in y) ----------------
+# -- lifted products on packed t-integers (Kronecker substitution in t) ----------------
 
 
 def _l1(t):
@@ -461,34 +401,43 @@ def _l1(t):
     return sum(map(abs, t.values()))
 
 
-def _y_width(bound):
-    """The bits S of one y-digit of a packed y-integer whose coefficients are
+def _t_width(bound):
+    """The bits S of one t-digit of a packed t-integer whose coefficients are
     at most ``bound`` in absolute value: a balanced digit holds |n| < 2^(S-1)."""
     return bound.bit_length() + 1
 
 
-def _y_pack(t, nvars, S):
-    """Lifted terms as {x-key: N}: each x-monomial's y-polynomial
-    n_0 + n_1 y + ... at y = 2^S, N = sum_i n_i 2^(S i)."""
-    sh = _y_shift(nvars)
+def _least_t(t, nvars):
+    """The least power of t among lifted terms (0 for none)."""
+    return min(t, default=0) >> _t_shift(nvars)
+
+
+def _t_pack(t, nvars, S, off):
+    """Lifted terms, no power of t below ``off``, as {x-key: N}: each
+    x-monomial's t-polynomial sum_e n_e t^e over t^off at t = 2^S,
+    N = sum_e n_e 2^(S (e - off))."""
+    sh = _t_shift(nvars)
     mask = (1 << sh) - 1
     out = {}
     get = out.get
     for key, c in t.items():
         x = key & mask
-        n = c << S * (key >> sh)
+        n = c << S * ((key >> sh) - off)
         prev = get(x)
         out[x] = n if prev is None else prev + n
     return out
 
 
-def _y_unpack(packed, nvars, S):
-    """The lifted terms of {x-key: N}, each N read in balanced S-bit digits."""
-    step = 1 << _y_shift(nvars)
+def _t_unpack(packed, nvars, S, off):
+    """The lifted terms of {x-key: N} times t^off, each N read in balanced
+    S-bit digits."""
+    sh = _t_shift(nvars)
+    step, base = 1 << sh, off << sh
     half = 1 << (S - 1)
     mask = (1 << S) - 1
     t = {}
     for key, n in packed.items():
+        key += base
         # |N| < 2^b takes at most b // S + 1 balanced digits
         for _ in range(n.bit_length() // S + 1):
             c = n & mask
@@ -502,24 +451,26 @@ def _y_unpack(packed, nvars, S):
     return t
 
 
-def _y_product(ta, tb, nvars, cap):
+def _t_product(ta, tb, nvars, cap):
     """The terms of degree at most cap of the product of two lifted term
-    dicts, by Kronecker substitution in y.
+    dicts, by Kronecker substitution in t.
 
-    Each x-monomial's y-polynomial is packed into one integer N, the kernel
-    multiplies the {x-key: N} dicts block by block (``_truncated_product``),
-    and the sum is read back in balanced digits once.  A term of a meets at
+    Each x-monomial's t-polynomial, over the least power of t of its operand,
+    is packed into one integer N, the kernel multiplies the {x-key: N} dicts
+    block by block (``_truncated_product``), and the sum is read back in
+    balanced digits once, times the two least powers.  A term of a meets at
     most one term of b in each coefficient of the product, so no partial or
     final sum exceeds min(L1(a) max|b|, max|a| L1(b)) in absolute value: it
     fits one digit, no digit carries into the next, and an N is zero exactly
-    when its y-polynomial is.
+    when its t-polynomial is.
     """
     if not ta or not tb:
         return {}
     top_a, top_b = max(map(abs, ta.values())), max(map(abs, tb.values()))
-    S = _y_width(min(_l1(ta) * top_b, top_a * _l1(tb)))
-    out = _truncated_product(_y_pack(ta, nvars, S), _y_pack(tb, nvars, S), cap)
-    return _y_unpack(out, nvars, S)
+    S = _t_width(min(_l1(ta) * top_b, top_a * _l1(tb)))
+    oa, ob = _least_t(ta, nvars), _least_t(tb, nvars)
+    out = _truncated_product(_t_pack(ta, nvars, S, oa), _t_pack(tb, nvars, S, ob), cap)
+    return _t_unpack(out, nvars, S, oa + ob)
 
 
 def _by_degree(terms):
@@ -559,16 +510,17 @@ def _truncated_product(a, b, cap):
 def series_combination(pairs, cap, nvars):
     """sum of s * (n_0 + n_1 y + ...) over (GradedSeries s, int list n) pairs.
 
-    The terms of degree at most cap of every series are written over one
-    D (1+y)^K, each times its y-polynomial is one kernel product, and the sum
-    is normalized once.
+    The terms of degree at most cap of every series are written over one D,
+    each times its y-polynomial, written in t, is one kernel product, and the
+    sum is normalized once.
     """
     polys = [_lifted(_truncated(s.poly, cap)) for s, _ in pairs]
-    ns, D, K = _over_common([(n, p._d, p._k) for p, (_, n) in zip(polys, pairs)])
+    D = lcm(*(p._d for p in polys))
     out = {}
-    for p, n in zip(polys, ns):
-        _impl.lp_mul(p._t, _y_terms(n, nvars), out)
-    return _series(_normal(out, D, K, nvars, max(cap, 0)), cap)
+    for p, (_, n) in zip(polys, pairs):
+        s = D // p._d
+        _impl.lp_mul(p._t, _t_terms([x * s for x in _taylor_shift(n, -1)], 0, nvars), out)
+    return _series(_normal(out, D, nvars, max(cap, 0)), cap)
 
 
 # -- packed monomial keys ---------------------------------------------------------------
@@ -593,15 +545,14 @@ def _var_key(j, nvars):
     return (1 << _shift(j, nvars)) + 1
 
 
-def _poly(t, nvars, bound, d=None, k=0):
+def _poly(t, nvars, bound, d=None):
     """Poly on packed terms of degree at most bound: nonzero int or Fraction
-    values, or with d given the lifted t / (d (1+y)^k) in its normal form."""
+    values, or with d given the lifted t / d in its normal form."""
     p = object.__new__(Poly)
     p._t = t
     p.nvars = nvars
     p._bound = bound
     p._d = d
-    p._k = k
     return p
 
 
@@ -609,8 +560,8 @@ def _from_coeffs(coeffs, nvars, bound):
     """Poly on {key: nonzero coefficient}: lifted when a coefficient is a YFrac."""
     if YFrac not in map(type, coeffs.values()):
         return _poly(coeffs, nvars, bound)
-    t, d, k = _lifted_terms(coeffs, nvars)
-    return _poly(t, nvars, bound, d, k)
+    t, d = _lifted_terms(coeffs, nvars)
+    return _poly(t, nvars, bound, d)
 
 
 def _same_nvars(a, b):
@@ -631,16 +582,16 @@ class Poly:
 
     With ``int`` and ``Fraction`` coefficients the stored terms map each key
     to its coefficient.  With ``YFrac`` coefficients the polynomial is
-    lifted: one integer polynomial in the variables and y over one positive
-    integer D and one power (1+y)^K, y a digit above the variables' (see the
-    module docstring).  ``packed`` maps each key to its coefficient in both
+    lifted: one integer Laurent polynomial in the variables and t = 1 + y
+    over one positive integer D, t a balanced digit above the variables' (see
+    the module docstring).  ``packed`` maps each key to its coefficient in both
     cases, a view built on each access when lifted; ``terms`` is the same
     polynomial keyed by exponent tuples.  Each ``Poly`` carries an upper
     bound on its degree; a product whose degree could reach ``HALF`` raises
     ``OverflowError`` instead of carrying.
     """
 
-    __slots__ = ("_t", "nvars", "_bound", "_d", "_k")
+    __slots__ = ("_t", "nvars", "_bound", "_d")
 
     def __init__(self, terms, nvars):
         packed = {}
@@ -649,7 +600,7 @@ class Poly:
             if c:
                 packed[k] = c
         p = _from_coeffs(packed, nvars, 0)
-        self._t, self.nvars, self._d, self._k = p._t, nvars, p._d, p._k
+        self._t, self.nvars, self._d = p._t, nvars, p._d
         self._tighten()
 
     @property
@@ -657,19 +608,25 @@ class Poly:
         """{key: coefficient}; when lifted, a ``YFrac`` per key, built here."""
         if self._d is None:
             return self._t
-        sh = _y_shift(self.nvars)
+        sh = _t_shift(self.nvars)
         mask = (1 << sh) - 1
-        lists = {}
+        powers = {}
         for key, c in self._t.items():
-            x, i = key & mask, key >> sh
-            n = lists.get(x)
-            if n is None:
-                n = lists[x] = []
-            if len(n) <= i:
-                n.extend([0] * (i + 1 - len(n)))
-            n[i] = c
-        d, k = self._d, self._k
-        return {x: _make(n, d, k) for x, n in lists.items()}
+            x = key & mask
+            ts = powers.get(x)
+            if ts is None:
+                powers[x] = {key >> sh: c}
+            else:
+                ts[key >> sh] = c
+        d = self._d
+        out = {}
+        for x, ts in powers.items():
+            lo = min(ts)
+            n = [0] * (max(ts) - lo + 1)
+            for e, c in ts.items():
+                n[e - lo] = c
+            out[x] = _make(n, lo, d)
+        return out
 
     @property
     def terms(self):
@@ -685,7 +642,7 @@ class Poly:
         """The Poly of some of this one's stored terms, in its normal form."""
         if self._d is None:
             return _poly(t, self.nvars, bound)
-        return _normal(t, self._d, self._k, self.nvars, bound)
+        return _normal(t, self._d, self.nvars, bound)
 
     @classmethod
     def zero(cls, nvars):
@@ -708,8 +665,9 @@ class Poly:
         return bool(self._t)
 
     def cleared(self):
-        """True when no (1+y) denominator remains in any coefficient."""
-        return not self._k
+        """True when no (1+y) denominator remains in any coefficient: no
+        negative power of t, so no negative key."""
+        return self._d is None or min(self._t, default=0) >= 0
 
     def _coerce(self, other):
         if isinstance(other, Poly):
@@ -726,7 +684,7 @@ class Poly:
         a, b = self, other
         if (a._d is None) != (b._d is None):
             a, b = _lifted(a), _lifted(b)
-        return a._t == b._t and a._d == b._d and a._k == b._k
+        return a._t == b._t and a._d == b._d
 
     def __hash__(self):
         t = self._t
@@ -737,15 +695,15 @@ class Poly:
                 # a constant hashes as the coefficient it equals
                 return hash(t[0])
             return hash((self.nvars, frozenset(t.items())))
-        sh = _y_shift(self.nvars)
+        sh = _t_shift(self.nvars)
         mask = (1 << sh) - 1
         if not any(key & mask for key in t):
             return hash(self.packed[0])
-        if not self._k and max(t) >> sh == 0:
-            # no y: hash as the int and Fraction terms it equals
+        if min(t) >= 0 and max(t) >> sh == 0:
+            # no power of t: hash as the int and Fraction terms it equals
             d = self._d
             return hash((self.nvars, frozenset((key, Fraction(c, d)) for key, c in t.items())))
-        return hash((self.nvars, self._d, self._k, frozenset(t.items())))
+        return hash((self.nvars, self._d, frozenset(t.items())))
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -760,7 +718,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        return _poly(_impl.lp_neg(self._t), self.nvars, self._bound, self._d, self._k)
+        return _poly(_impl.lp_neg(self._t), self.nvars, self._bound, self._d)
 
     def __sub__(self, other):
         return self + (-other)
@@ -770,14 +728,14 @@ class Poly:
             if self._d is None:
                 return _poly(_impl.lp_scale(self._t, other), self.nvars, self._bound)
             if not other:
-                return _poly({}, self.nvars, self._bound, 1, 0)
+                return _poly({}, self.nvars, self._bound, 1)
             if type(other) is int:
                 # the stored terms share no factor with d, so gcd(d, other) is all that cancels
                 g = gcd(self._d, other)
                 t = _impl.lp_scale(self._t, other // g)
-                return _poly(t, self.nvars, self._bound, self._d // g, self._k)
+                return _poly(t, self.nvars, self._bound, self._d // g)
             t = _impl.lp_scale(self._t, other.numerator)
-            return _normal(t, self._d * other.denominator, self._k, self.nvars, self._bound)
+            return _normal(t, self._d * other.denominator, self.nvars, self._bound)
         if isinstance(other, YFrac):
             other = Poly.const(other, self.nvars)
         elif not isinstance(other, Poly):
@@ -787,7 +745,7 @@ class Poly:
         if self._d is None and other._d is None:
             return _poly(_impl.lp_mul(self._t, other._t), self.nvars, bound)
         a, b = _lifted(self), _lifted(other)
-        return _lifted_product(a, b, _impl.lp_mul(a._t, b._t), bound)
+        return _normal(_impl.lp_mul(a._t, b._t), a._d * b._d, self.nvars, bound)
 
     __rmul__ = __mul__
 
@@ -881,7 +839,7 @@ class Poly:
         if self._d is not None or q._d is not None:
             a = _lifted(self)
             if not a._t:
-                return _poly({}, self.nvars, a._bound, 1, 0)
+                return _poly({}, self.nvars, a._bound, 1)
             return _lifted_divisor(_lifted(q), a)
         xkey = max(q._t)
         m = dict(q._t)
@@ -944,46 +902,31 @@ def _synthetic_quotient(t, xkey, m, divide):
 def _lifted_divisor(q, a):
     """a / q for lifted a and q of degree one, or None.
 
-    q's leading coefficient must be a unit, h (1+y)^r; else None.  With q's
-    numerator g (1+y)^m P, g its content and P primitive and prime to 1 + y,
-    a / q is (a's numerator / P) over a D (1+y)^K read off the parts.  By
-    Gauss's lemma that quotient is integral, so the synthetic division runs
-    on integers, and a slice that P's leading coefficient does not divide
+    q's leading coefficient must be a unit, h t^r; else None.  With q's
+    numerator g P, g its content and P primitive, a / q is (a's numerator /
+    P) over a D read off the parts.  By Gauss's lemma that quotient is
+    integral, so the synthetic division runs on integers, each slice divided
+    by P's leading term h t^r x_j, a monomial; a slice that h does not divide
     proves q does not divide a.
     """
     nvars = a.nvars
-    sh = _y_shift(nvars)
-    mask = (1 << sh) - 1
+    mask = (1 << _t_shift(nvars)) - 1
     tq = q._t
     xkey = max(k & mask for k in tq)
-    ys = {k >> sh: c for k, c in tq.items() if k & mask == xkey}
-    lead = [ys.get(i, 0) for i in range(max(ys) + 1)]
-    r = len(lead) - 1
-    while len(lead) > 1:
-        lead = _divide_one_plus_y(lead)
-        if lead is None:
-            return None
-    tq, m = _cancel_one_plus_y(tq, None, nvars)
+    lead = [k for k in tq if k & mask == xkey]
+    if len(lead) != 1:
+        return None
     g = gcd(*tq.values())
     if g != 1:
         tq = {k: c // g for k, c in tq.items()}
-    # P's leading term is h (1+y)^r x_j
-    r, h = r - m, {xkey: lead[0] // g}
-
-    def divide(s):
-        s, j = _cancel_one_plus_y(s, r, nvars)
-        return _impl.lp_divide_exact(s, h, nvars + 1) if j == r else None
-
+    h = {lead[0]: tq[lead[0]]}
     rest = {k: c for k, c in tq.items() if k & mask != xkey}
-    quot = _synthetic_quotient(a._t, xkey, rest, divide)
+    quot = _synthetic_quotient(a._t, xkey, rest, lambda s: _impl.lp_divide_exact(s, h, nvars + 1))
     if quot is None:
         return None
-    k = a._k + m - q._k
-    if k < 0:
-        quot, k = _impl.lp_mul(quot, _one_plus_y_power(-k, nvars)), 0
     if q._d != 1:
         quot = _impl.lp_scale(quot, q._d)
-    return _normal(quot, a._d * g, k, nvars, a._bound)
+    return _normal(quot, a._d * g, nvars, a._bound)
 
 
 def _truncated(poly, cap):
@@ -1094,8 +1037,8 @@ class GradedSeries:
         if a._d is None and b._d is None:
             return _series(_poly(_truncated_product(a._t, b._t, cap), a.nvars, bound), cap)
         a, b = _lifted(a), _lifted(b)
-        t = _y_product(a._t, b._t, a.nvars, cap)
-        return _series(_lifted_product(a, b, t, bound, False), cap)
+        t = _t_product(a._t, b._t, a.nvars, cap)
+        return _series(_normal(t, a._d * b._d, a.nvars, bound), cap)
 
     __rmul__ = __mul__
 
@@ -1124,32 +1067,23 @@ class GradedSeries:
             return None
         return _series(r, self.cap - 1)
 
-    def scale_degrees(self, factor):
-        """Each term of degree d times ``factor(d)``; the result is lifted.
+    def shift_t(self, by):
+        """Each term of degree d times t^by(d), t = 1 + y; the result is lifted.
 
-        Each degree block is one kernel product by its factor's numerator,
-        normalized on its own, so a (1+y) denominator of the factor cancels
-        against that block alone; the blocks, which share no key, are then
-        written over one D (1+y)^K.
+        A power of t is a shift of the t digit, so no coefficient changes and
+        the normal form holds.
         """
         p = _lifted(self.poly)
-        nvars = self.nvars
-        blocks = []
-        for d, block in _by_degree(p._t).items():
-            n, dd, k = _parts(factor(d))
-            if n:
-                t = _impl.lp_mul(block, _y_terms(n, nvars))
-                blocks.append(_normal(t, p._d * dd, p._k + k, nvars, d))
-        D = lcm(*(b._d for b in blocks))
-        K = max((b._k for b in blocks), default=0)
-        out = {}
-        for b in blocks:
-            t = b._t
-            if b._k != K:
-                t = _impl.lp_mul(t, _one_plus_y_power(K - b._k, nvars))
-            s = D // b._d
-            out.update({key: c * s for key, c in t.items()} if s != 1 else t)
-        return _series(_normal(out, D, K, nvars, p._bound), self.cap)
+        sh = _t_shift(self.nvars)
+        shifts = {}
+        t = {}
+        for key, c in p._t.items():
+            d = key & MASK
+            e = shifts.get(d)
+            if e is None:
+                e = shifts[d] = by(d) << sh
+            t[key + e] = c
+        return _series(_poly(t, p.nvars, p._bound, p._d), self.cap)
 
     def __repr__(self):
         return "Series{" + ", ".join(f"{d}: {p!r}" for d, p in self.comps.items()) + f"}}@{self.cap}"
@@ -1171,13 +1105,14 @@ def times_series_of_linear(s, coeff_list, linear, cap):
     constant term; the product is lifted.
 
     Horner's rule, s c_0 + L (s c_1 + L (s c_2 + ...)), on the stored
-    integers: with L = t / E, E = d (1+y)^j, and the c_k over one
-    D (1+y)^K as n_k, the sum is sum_k n_k E^(m-k) t^k s over
-    D E^m (1+y)^K.  The partial sum that t^k will multiply only needs its
-    terms of degree at most the cap minus k, so each step is one kernel
-    product by t and one by a y-polynomial, no power of L is expanded, and
-    the result is normalized once.  Every operand is packed in y
-    (``_y_pack``), so a kernel term product is one per x-monomial pair.
+    integers: with L = t^r u / E, u free of negative powers of t, and the c_k
+    over one D as n_k, the sum is sum_k n_k E^(m-k) t^(k r) u^k s over
+    D E^m.  The partial sum that u^k will multiply only needs its terms of
+    degree at most the cap minus k, so each step is one kernel product by u
+    and one by a t-polynomial, no power of L is expanded, and the result is
+    normalized once.  Every operand is packed in t (``_t_pack``), over the
+    least power of t of its kind, so a kernel term product is one per
+    x-monomial pair.
     """
     cap = min(cap, s.cap)
     if cap >= HALF:
@@ -1185,20 +1120,23 @@ def times_series_of_linear(s, coeff_list, linear, cap):
     p, lin = _lifted(s.poly), _lifted(linear)
     nvars = p.nvars
     m = min(cap, len(coeff_list) - 1)
-    ns, D, K = _over_common([_parts(c) for c in coeff_list[: m + 1]])
-    ys = []
-    for k, n in enumerate(ns):
-        e = m - k
-        if n and lin._k:
-            n = _mul_one_plus_y_power(n, lin._k * e)
-        ys.append(_y_terms([x * lin._d**e for x in n], nvars))
-    # the partial sum after step k is sum_{j >= k} n_j t^(j-k) s_j, s_j some
-    # terms of s, so none of its coefficients exceeds sum_j L1(n_j) L1(t)^j L1(s)
-    l1_lin = max(_l1(lin._t), 1)
-    S = _y_width(_l1(p._t) * sum(_l1(n) * l1_lin**k for k, n in enumerate(ys)))
-    ys = [_y_pack(n, nvars, S) for n in ys]
-    t = _y_pack(lin._t, nvars, S)
-    blocks = _by_degree(_y_pack(p._t, nvars, S))
+    parts = [_parts(c) for c in coeff_list[: m + 1]]
+    D = lcm(*(d for *_, d in parts))
+    r = _least_t(lin._t, nvars)
+    u = {key - (r << _t_shift(nvars)): c for key, c in lin._t.items()}
+    ys = [
+        _t_terms([x * (D // d) * lin._d ** (m - k) for x in n], lo + k * r, nvars)
+        for k, (n, lo, d) in enumerate(parts)
+    ]
+    # the partial sum after step k is sum_{j >= k} n_j u^(j-k) s_j, s_j some
+    # terms of s, so none of its coefficients exceeds sum_j L1(n_j) L1(u)^j L1(s)
+    l1_lin = max(_l1(u), 1)
+    S = _t_width(_l1(p._t) * sum(_l1(n) * l1_lin**k for k, n in enumerate(ys)))
+    off = min((_least_t(n, nvars) for n in ys if n), default=0)
+    ys = [_t_pack(n, nvars, S, off) for n in ys]
+    u = _t_pack(u, nvars, S, 0)
+    least = _least_t(p._t, nvars)
+    blocks = _by_degree(_t_pack(p._t, nvars, S, least))
     # the terms of s of degree at most cap - k, grown as k falls
     low = {}
     for d, block in blocks.items():
@@ -1207,14 +1145,14 @@ def times_series_of_linear(s, coeff_list, linear, cap):
     out = {}
     for k in range(m, -1, -1):
         if out:
-            out = _impl.lp_mul(out, t)
+            out = _impl.lp_mul(out, u)
         block = blocks.get(cap - k)
         if block:
             low.update(block)
         if ys[k] and low:
             _impl.lp_mul(low, ys[k], out)
-    d, k = p._d * D * lin._d**m, p._k + K + lin._k * m
-    return _series(_normal(_y_unpack(out, nvars, S), d, k, nvars, max(cap, 0)), cap)
+    out = _t_unpack(out, nvars, S, least + off)
+    return _series(_normal(out, p._d * D * lin._d**m, nvars, max(cap, 0)), cap)
 
 
 def exp_linear(linear, cap, coeff_one=None):
@@ -1223,34 +1161,29 @@ def exp_linear(linear, cap, coeff_one=None):
     return series_of_linear([one / factorial(k) for k in range(cap + 1)], linear, cap)
 
 
-def _todd_of(linear, cap):
-    """-L / (1 - e^L) for a linear form L in one variable."""
-    coeffs = [YFrac.const(Fraction(1, factorial(k + 1))) for k in range(cap + 1)]
-    return series_of_linear(coeffs, linear, cap).inverse()
-
-
-def _hirzebruch_of(linear, cap):
-    """(1 + y e^L) (-L) / (1 - e^L) for a linear form L in one variable."""
-    return (exp_linear(linear, cap, YFrac.y_power(1)) + 1) * _todd_of(linear, cap)
-
-
-def _coefficients(series):
-    """The coefficients of a one-variable series, from degree 0 to its cap."""
-    packed = series.poly.packed
-    return [packed.get(_key((k,), 1), _ZERO) for k in range(series.cap + 1)]
+def _todd_numbers(cap):
+    """b_k = (-1)^k B_k / k!, k from 0 to cap, the coefficients of x / (1 - e^-x),
+    with the Bernoulli numbers B_m = -(sum_{j<m} C(m+1, j) B_j) / (m + 1)."""
+    bernoulli = []
+    for m in range(cap + 1):
+        b = -sum(comb(m + 1, j) * x for j, x in enumerate(bernoulli)) / (m + 1) if m else Fraction(1)
+        bernoulli.append(b)
+    return [(-1) ** k * b / factorial(k) for k, b in enumerate(bernoulli)]
 
 
 def todd_coefficients(cap):
-    """Coefficients of x/(1 - e^-x) as a univariate series."""
-    return _coefficients(_todd_of(-Poly.variable(0, 1), cap))
+    """Coefficients of x/(1 - e^-x) as a univariate series: the b_k."""
+    return [YFrac.const(b) for b in _todd_numbers(cap)]
 
 
 def unnormalized_hirzebruch_coefficients(cap):
-    """Coefficients of x (1 + y e^-x) / (1 - e^-x)."""
-    return _coefficients(_hirzebruch_of(-Poly.variable(0, 1), cap))
+    """Coefficients of x (1 + y e^-x) / (1 - e^-x): b_k (1 + (-1)^k y), which
+    is b_k t for even k and b_k (2 - t) for odd k."""
+    even, odd = _new((1,), 1, 1), _new((2, -1), 0, 1)
+    return [(odd if k % 2 else even) * b for k, b in enumerate(_todd_numbers(cap))]
 
 
 def normalized_hirzebruch_coefficients(cap):
-    """Coefficients of x (1 + y e^{-x(1+y)}) / (1 - e^{-x(1+y)})."""
-    linear = Poly.variable(0, 1, YFrac([-1, -1]))
-    return _coefficients(_hirzebruch_of(linear, cap) * YFrac([1], 1))
+    """Coefficients of x (1 + y e^{-x(1+y)}) / (1 - e^{-x(1+y)}): those of
+    x (1 + y e^-x) / (1 - e^-x) times t^(k-1)."""
+    return [c * _new((1,), k - 1, 1) for k, c in enumerate(unnormalized_hirzebruch_coefficients(cap))]

@@ -4,7 +4,10 @@
 division in its leading variable.  This module keeps the two eliminations it
 replaced, which divide by any polynomial: the lex leading-term loop over
 ``int`` and ``Fraction`` coefficients, and the heap-ordered loop on the
-integer numerators of lifted polynomials.  The differential test in
+integer numerators of lifted polynomials, in the y layout of
+``lifted_reference`` (over D (1+y)^K, 1 + y cancelled by the kernel's
+binomial division), read from and written back to a ``Poly`` at the y edge
+of ``YFrac``.  The differential test in
 ``test_polyring.py`` checks the one division against them, and the reference
 localization routes in ``test_localization_routes.py`` and
 ``test_cohomology.py`` divide their common-denominator sums by products of
@@ -16,20 +19,17 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
 
+from lifted_reference import (
+    cancel_one_plus_y,
+    divide_one_plus_y,
+    lift,
+    normal,
+    one_plus_y_power,
+    y_shift,
+)
 from schubmc import _kernel_py as _impl
 from schubmc._kernel_py import HALF, MASK, digit_offset
-from schubmc.polyring import (
-    Poly,
-    _cancel_one_plus_y,
-    _divide_one_plus_y,
-    _lifted,
-    _normal,
-    _one_plus_y_power,
-    _poly,
-    _same_nvars,
-    _series,
-    _y_shift,
-)
+from schubmc.polyring import Poly, _poly, _same_nvars, _series
 
 
 def divide_exact(a, q):
@@ -47,7 +47,8 @@ def divide_exact(a, q):
     if not q._t:
         raise ZeroDivisionError("division by the zero polynomial")
     if a._d is not None or q._d is not None:
-        return lifted_quotient(_lifted(a), _lifted(q))
+        quot = lifted_quotient(lift(a), lift(q), HALF - q._tighten())
+        return None if quot is None else quot.to_poly()
     if not a._t:
         return Poly.zero(a.nvars)
     rem = dict(a._t)
@@ -85,8 +86,9 @@ def divide_exact(a, q):
     return _poly(quot, a.nvars, a._bound)
 
 
-def lifted_quotient(a, q):
-    """a / q for lifted a and q, or None when q does not divide a.
+def lifted_quotient(a, q, room):
+    """a / q for ``lifted_reference.YLifted`` a and q, or None when q does not
+    divide a; no quotient term may reach the degree ``room``.
 
     The divisor's leading coefficient in the variables must be a unit of
     Q[y, (1+y)^-1], c (1+y)^m.  Its numerator is written (1+y)^m g P with g
@@ -97,28 +99,27 @@ def lifted_quotient(a, q):
     proves q does not divide a.  The result is normalized once.
     """
     nvars = a.nvars
-    if not a._t:
-        return _poly({}, nvars, a._bound, 1, 0)
-    tq = q._t
-    sh = _y_shift(nvars)
+    if not a.t:
+        return normal({}, 1, 0, nvars, a.bound)
+    tq = q.t
+    sh = y_shift(nvars)
     mask = (1 << sh) - 1
     lead_x = max(k & mask for k in tq)
     ys = {k >> sh: c for k, c in tq.items() if k & mask == lead_x}
     lead = [ys.get(i, 0) for i in range(max(ys) + 1)]
     while len(lead) > 1:
-        lead = _divide_one_plus_y(lead)
+        lead = divide_one_plus_y(lead)
         if lead is None:
             return None
-    tq, m = _cancel_one_plus_y(tq, None, nvars)
+    tq, m = cancel_one_plus_y(tq, None, nvars)
     g = gcd(*tq.values())
     if g != 1:
         tq = {k: c // g for k, c in tq.items()}
-    rem = dict(a._t)
+    rem = dict(a.t)
     lead_q = max(tq)
     cq = tq[lead_q]
     tail = [(k, -c) for k, c in tq.items() if k != lead_q]
     guard = digit_offset(nvars + 2)
-    room = HALF - q._tighten()
     get = rem.get
     heap = [-k for k in rem]
     heapify(heap)
@@ -147,12 +148,12 @@ def lifted_quotient(a, q):
                 rem[k] = c
             else:
                 del rem[k]
-    k = a._k + m - q._k
+    k = a.k + m - q.k
     if k < 0:
-        quot, k = _impl.lp_mul(quot, _one_plus_y_power(-k, nvars)), 0
-    if q._d != 1:
-        quot = _impl.lp_scale(quot, q._d)
-    return _normal(quot, a._d * g, k, nvars, a._bound)
+        quot, k = _impl.lp_mul(quot, one_plus_y_power(-k, nvars)), 0
+    if q.d != 1:
+        quot = _impl.lp_scale(quot, q.d)
+    return normal(quot, a.d * g, k, nvars, a.bound)
 
 
 def series_divide_exact(s, q):

@@ -479,6 +479,30 @@ def test_richardson_csm_euler_characteristics():
     assert h_polynomial({rs.identity: 1}) == YPolynomial([1])
 
 
+def _richardson_by_total_chern(calc, total, u, v):
+    """The CSM class of a Richardson cell as SM(u) SM(v) c(T): two products,
+    c(T) the sum of the cells' CSM vectors."""
+    prod = calc.multiply(calc.multiply(calc.sm_of_opposite(u), calc.sm_of_cell(v)), total)
+    return {calc.opposite_label(c): val for c, val in prod.items()}
+
+
+@pytest.mark.parametrize("lie_type, rank", [("A", 2), ("B", 2), ("G", 2), ("A", 3)])
+def test_richardson_csm_is_one_product(lie_type, rank):
+    rs = root_system(lie_type, rank)
+    calc = SchubertCalculus(rs)
+    total = {}
+    for w in calc.cells:
+        for x, c in calc.csm(w).items():
+            total[x] = total.get(x, 0) + c
+    total = {x: c for x, c in total.items() if c}
+    for u in calc.cells:
+        for v in calc.cells:
+            assert calc.richardson_csm(u, v) == _richardson_by_total_chern(calc, total, u, v)
+    # the signed CSM vectors are SM classes on G/B only
+    with pytest.raises(GKMError, match="G/B only"):
+        SchubertCalculus(rs, rs.parabolic([1])).richardson_csm(rs.identity, rs.identity)
+
+
 def test_parabolic_pushforward_coh_gates():
     rs = root_system("A", 2)
     ctx = cohomology(rs)

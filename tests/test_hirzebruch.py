@@ -222,6 +222,22 @@ def test_adams_degree_scaling():
     )
 
 
+@pytest.mark.parametrize("lie_type, rank", [("A", 2), ("B", 2), ("G", 2)])
+def test_normalized_classes_store_as_many_terms_as_unnormalized(lie_type, rank):
+    # the Adams normalization shifts powers of t = 1 + y: every stored term
+    # moves, none is added or cancelled
+    rs = root_system(lie_type, rank)
+    hz = hirzebruch(rs, 8)
+    for w in rs.weyl_group():
+        plain = hz.hirzebruch_class(w)
+        normalized = hz.hirzebruch_class(w, normalized=True)
+        assert set(normalized.coeffs) == set(plain.coeffs)
+        for u, s in plain.coeffs.items():
+            n = normalized.coeffs[u].poly
+            assert len(n._t) == len(s.poly._t) and n._d == s.poly._d, (w.name(), u.name())
+            assert sorted(n._t.values()) == sorted(s.poly._t.values())
+
+
 def test_adams_intertwines_operators():
     rs = root_system("A", 2)
     hz = hirzebruch(rs, 8)

@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import comb, gcd
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +9,7 @@ import lifted_reference as lifted_ref
 import poly_division_reference as division_ref
 import tuple_poly_reference as tuple_ref
 
-from schubmc._kernel_py import HALF
+from schubmc._kernel_py import HALF, WIDTH
 from schubmc.polyring import (
     GradedSeries,
     Poly,
@@ -150,6 +150,39 @@ def test_yfrac_evaluate():
     with pytest.raises(ZeroDivisionError):
         b.evaluate(-1)
     assert b.evaluate(0) == 1
+
+
+# -- the y edge of the t layout: YFrac(num, k), num, k and repr ---------------------
+
+
+def _ref_repr(num, k):
+    """The text of a value in its y form (num, k), as ``_ref_normal`` gives it."""
+    body = " + ".join(f"{c}*y^{i}" if i else str(c) for i, c in enumerate(num) if c) or "0"
+    return f"({body})/(1+y)^{k}" if k else f"({body})"
+
+
+@given(st.lists(_coeffs, max_size=5), st.integers(0, 3), st.integers(0, 3))
+@settings(max_examples=300, deadline=None)
+def test_y_to_t_to_y_round_trip(p, j, k):
+    # p (1+y)^j / (1+y)^k: a numerator that 1 + y divides j times or more
+    ref = (_ref_mul(p, _ref_one_plus_y(j)), k)
+    num, kk = _ref_normal(ref)
+    x = YFrac(*ref)
+    assert (x.num, x.k) == (num, kk)
+    assert repr(x) == _ref_repr(num, kk)
+    assert repr(Poly.const(x, 2).packed.get(0, YFrac([]))) == repr(x)
+    # in t = 1 + y a (1+y) denominator is the least, negative, power of t
+    assert not x or (x._n[0] and x._n[-1])
+    assert x._lo == -kk if kk else x._lo >= 0
+    assert x.cleared() == (kk == 0)
+    again = YFrac(x.num, x.k)
+    assert (again._n, again._lo, again._d) == (x._n, x._lo, x._d)
+    for v in (0, 2, F(-1, 2), -1):
+        if v == -1 and kk:
+            with pytest.raises(ZeroDivisionError, match="pole at y = -1"):
+                x.evaluate(v)
+        else:
+            assert x.evaluate(v) == sum(c * F(v) ** i for i, c in enumerate(num)) / (1 + F(v)) ** kk
 
 
 def test_poly_arithmetic_and_division():
@@ -310,6 +343,40 @@ def test_todd_series_values(cap):
     assert all(c.cleared() for c in nm)
     assert [c.evaluate(-1) for c in nm[:4]] == [1, 1, 0, 0]
     assert [c.evaluate(0) for c in nm[:3]] == [1, F(1, 2), F(1, 12)]
+
+
+def _series_todd_lists(cap):
+    """The three Todd-type lists as the series they expand: -L / (1 - e^L) by a
+    series inversion, (1 + y e^L) times it, and the normalized list from
+    L = -(1+y) x over (1+y)."""
+
+    def todd_of(linear):
+        coeffs = [YFrac.const(F(1, factorial(k + 1))) for k in range(cap + 1)]
+        return series_of_linear(coeffs, linear, cap).inverse()
+
+    def hirzebruch_of(linear):
+        return (exp_linear(linear, cap, YFrac.y_power(1)) + 1) * todd_of(linear)
+
+    def coefficients(series):
+        terms = series.poly.terms
+        return [terms.get((k,), YFrac([])) for k in range(cap + 1)]
+
+    x = Poly.variable(0, 1)
+    normalized = hirzebruch_of(Poly.variable(0, 1, YFrac([-1, -1]))) * YFrac([1], 1)
+    return coefficients(todd_of(-x)), coefficients(hirzebruch_of(-x)), coefficients(normalized)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 5, 20])
+def test_closed_form_todd_lists_match_the_series_inversion(cap):
+    got = (
+        todd_coefficients(cap),
+        unnormalized_hirzebruch_coefficients(cap),
+        normalized_hirzebruch_coefficients(cap),
+    )
+    for have, want in zip(got, _series_todd_lists(cap)):
+        assert len(have) == len(want) == cap + 1
+        assert all(type(c) is YFrac for c in have)
+        assert have == want and list(map(repr, have)) == list(map(repr, want))
 
 
 def test_series_of_linear_is_homogeneous():
@@ -773,12 +840,17 @@ def test_kernel_loops_never_mix_in_an_int():
 
 def _assert_normal(p):
     """A lifted Poly stores the one normal form of its value: lifting its own
-    coefficients again gives the same numerator, D and K."""
+    coefficients again gives the same numerator and D."""
     if p._d is None or not p:
         return
     again = Poly(p.terms, p.nvars)
-    assert (again._t, again._d, again._k) == (p._t, p._d, p._k)
-    assert gcd(p._d, *p._t.values()) == 1
+    assert (again._t, again._d) == (p._t, p._d)
+    assert p._d > 0 and gcd(p._d, *p._t.values()) == 1
+
+
+def _t_powers(p):
+    """The powers of t = 1 + y among a lifted Poly's stored terms."""
+    return {key >> WIDTH * (p.nvars + 1) for key in p._t}
 
 
 def _ref_sum(a, b):
@@ -823,24 +895,26 @@ def test_lifted_normal_form_cancels_one_plus_y_and_d():
     over = YFrac([1], 1)  # 1 / (1+y)
     # x / (1+y) + y x / (1+y) = x: the sum cancels (1+y), and reads as the int polynomial x
     got = x * over + x * YFrac([0, 1], 1)
-    assert got == x and hash(got) == hash(x) and got._k == 0 and got._t == x._t
+    assert got == x and hash(got) == hash(x) and got.cleared() and got._t == x._t
     # (1+y) x times 1 / (1+y)^2: one factor cancels in the product
     got = Poly.variable(0, 2, YFrac([1, 1])) * Poly.const(YFrac([1], 2), 2)
-    assert got.terms == {(1, 0): over} and got._k == 1
+    assert got.terms == {(1, 0): over} and _t_powers(got) == {-1} and not got.cleared()
     # x/2 + x/2 = x: the sum cancels D
     half = x * YFrac.const(F(1, 2))
     assert (half + half)._d == 1 and half + half == x
     # unequal D and K: x/(2 (1+y)) + x/3
     got = x * YFrac([F(1, 2)], 1) + x * YFrac.const(F(1, 3))
-    assert got.terms == {(1, 0): YFrac([F(5, 6), F(1, 3)], 1)} and (got._d, got._k) == (6, 1)
+    assert got.terms == {(1, 0): YFrac([F(5, 6), F(1, 3)], 1)}
+    # (5 + 2y) / (6 (1+y)) = (3 t^-1 + 2) / 6
+    assert got._d == 6 and _t_powers(got) == {-1, 0}
     # a truncated series product can hold a (1+y) that the whole product does not:
     # ((1+y)(1 + x) + x^2)/(1+y) times (1 + x)/(1+y) below degree 2 is (1 + 2x)/(1+y)
     one = Poly.const(1, 2)
     sa = GradedSeries.from_poly(((one + x) * YFrac([1, 1]) + x * x) * over, 2)
     sb = GradedSeries.from_poly((one + x) * over, 1)
-    assert sa.poly._k == sb.poly._k == 1
+    assert min(_t_powers(sa.poly)) == min(_t_powers(sb.poly)) == -1
     got = (sa * sb).poly
-    assert got == (one + x * 2) * over and got._k == 1
+    assert got == (one + x * 2) * over and _t_powers(got) == {-1}
     # a quotient by (1+y) x is normalized once
     num = Poly.variable(0, 2, YFrac([1, 2, 1])) * Poly.variable(1, 2)
     assert num.divide_exact(Poly.variable(0, 2, YFrac([1, 1]))) == Poly.variable(1, 2, YFrac([1, 1]))
@@ -884,8 +958,16 @@ def test_horner_product_matches_the_series_product(a, coeffs, lin, cap_s, cap):
 
 
 def _stored(p):
-    """A lifted Poly as it is stored: integer terms, D and K."""
-    return p._t, p._d, p._k
+    """A lifted Poly as it is stored: integer terms and D."""
+    return p._t, p._d
+
+
+def _same_lifted(got, want):
+    """Two lifted Polys equal by value, as stored, and by their ``packed``
+    views with coefficient types."""
+    assert got == want and hash(got) == hash(want)
+    assert _stored(got) == _stored(want)
+    assert _typed(got.packed) == _typed(want.packed)
 
 
 _huge = st.one_of(st.integers(-3, 3), st.integers(-(2**300), 2**300)).filter(bool)
@@ -923,14 +1005,14 @@ def test_packed_products_match_the_term_loops(case, data):
         sx, sy = series(x), series(y, data.draw(st.integers(0, 2)))
         got, want = sx * sy, lifted_ref.series_product(sx, sy)
         assert got.cap == want.cap
-        assert _stored(got.poly) == _stored(want.poly)
+        _same_lifted(got.poly, want.poly)
     coeffs = data.draw(st.lists(_wide_coeffs, min_size=1, max_size=6))
     lin = Poly.linear(data.draw(st.lists(st.one_of(st.integers(-3, 3), _wide_coeffs), min_size=n, max_size=n)))
     for s in (series(a), series(a + b), series(c - c)):
         got = times_series_of_linear(s, coeffs, lin, cap)
         want = lifted_ref.times_series_of_linear(s, coeffs, lin, cap)
         assert got.cap == want.cap
-        assert _stored(got.poly) == _stored(want.poly)
+        _same_lifted(got.poly, want.poly)
 
 
 def test_packed_products_cancel_exactly():
@@ -950,6 +1032,54 @@ def test_packed_products_cancel_exactly():
     got = times_series_of_linear(s, [1, 1], lin, 4)
     assert _stored(got.poly) == _stored(lifted_ref.times_series_of_linear(s, [1, 1], lin, 4).poly)
     assert got.poly == (x + y) + (x * x - y * y) * YFrac([1, 1])
+
+
+# -- the t layout against the y layout it replaced ---------------------------------------
+
+
+@given(
+    _yfrac_polys, _yfrac_polys, _rescale, _rescale, st.integers(0, 4),
+    st.lists(_lift_coeffs, min_size=1, max_size=6),
+    st.tuples(_linear_coeffs, _linear_coeffs).filter(any),
+)
+@settings(max_examples=200, deadline=None)
+def test_t_layout_matches_the_y_layout(a, b, r, s, cap, coeffs, lin):
+    a, b = a * r, b * s
+    x, y = Poly.variable(0, 2), Poly.variable(1, 2)
+    for p, q in ((a, b), (b, a), (a, -a), (a, b * YFrac([1], 2)), (a * YFrac([1, 1]), b)):
+        _same_lifted(p + q, lifted_ref.lifted_sum(p, q))
+        _same_lifted(p - q, lifted_ref.lifted_sum(p, -q))
+        _same_lifted(p * q, lifted_ref.lifted_product(p, q))
+        sp, sq = GradedSeries.from_poly(p, cap), GradedSeries.from_poly(q, cap + 1)
+        _same_lifted((sp * sq).poly, lifted_ref.series_product(sp, sq).poly)
+    # quotients by forms with unit leads: 2, t^-2 / 3, t
+    for divisor in ((x * 2 - y) * r, (x + y * YFrac([0, 1])) * YFrac([F(1, 3)], 2), x * YFrac([1, 1])):
+        for num in (a * divisor, a * divisor + y ** 3 * s):
+            got, want = num.divide_exact(divisor), division_ref.divide_exact(num, divisor)
+            assert (got is None) == (want is None)
+            if got is not None:
+                _same_lifted(got, want)
+    # Horner products, by a form with negative powers of t among its coefficients
+    linear = Poly.linear(list(lin))
+    for series in (GradedSeries.from_poly(a, cap + 2), GradedSeries.from_poly(a * b, cap)):
+        got = times_series_of_linear(series, coeffs, linear, cap + 1)
+        want = lifted_ref.times_series_of_linear(series, coeffs, linear, cap + 1)
+        assert got.cap == want.cap
+        _same_lifted(got.poly, want.poly)
+
+
+@given(_yfrac_polys, _rescale, st.integers(-1, 6), st.integers(0, 4))
+@settings(max_examples=150, deadline=None)
+def test_t_shift_is_the_degree_scaling_of_the_y_layout(a, r, cap, dim):
+    one_plus_y = YFrac([1, 1])
+    for s in (GradedSeries.from_poly(a * r, cap), GradedSeries.from_poly(a.map_coefficients(lambda c: 3), cap)):
+        for by in (lambda d: d - dim, lambda d: 1, lambda d: -d):
+            got = s.shift_t(by)
+            want = lifted_ref.scale_degrees(s, lambda d: one_plus_y ** by(d))
+            assert got.cap == want.cap == s.cap
+            _same_lifted(got.poly, want.poly)
+            # a power of t moves keys and keeps every coefficient
+            assert sorted(got.poly._t.values()) == sorted((s.poly * YFrac([1]))._t.values())
 
 
 # -- the one division against the general eliminations it replaced --------------------
@@ -994,7 +1124,7 @@ def _exact_form(p):
     """A quotient as it is stored, coefficient types included, or None."""
     if p is None:
         return None
-    return p.nvars, {k: (type(v), v) for k, v in p._t.items()}, p._d, p._k
+    return p.nvars, {k: (type(v), v) for k, v in p._t.items()}, p._d
 
 
 @given(_division_case(), st.lists(st.integers(-1, 8), min_size=1, max_size=3))

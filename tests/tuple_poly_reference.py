@@ -2,8 +2,10 @@
 
 This is the polynomial layer as it stood before ``Poly`` keyed its terms by
 packed ints: every term is keyed by its exponent tuple, and a monomial
-product is ``tuple(map(add, ...))``.  ``YFrac`` and the (1+y) helpers come
-from ``schubmc.polyring``, since the coefficient ring is not under test.  The
+product is ``tuple(map(add, ...))``.  ``YFrac`` comes from
+``schubmc.polyring``, since the coefficient ring is not under test, and is
+read and written in y only (``num``, ``k``, ``YFrac(num, k)``); the (1+y)
+helpers come from ``lifted_reference``.  The
 differential tests in ``test_polyring.py`` check the packed layer against it.
 """
 
@@ -11,7 +13,9 @@ from fractions import Fraction
 from math import lcm
 from operator import add
 
-from schubmc.polyring import YFrac, _make, _mul_one_plus_y_power
+from lifted_reference import mul_one_plus_y_power
+from lifted_reference import parts as y_parts
+from schubmc.polyring import YFrac
 
 
 def _has_yfrac(*term_dicts):
@@ -32,12 +36,7 @@ def _lift(blocks):
     for tag, terms in blocks.items():
         items = []
         for m, c in terms.items():
-            if type(c) is YFrac:
-                n, d, k = c._n, c._d, c.k
-            elif type(c) is int:
-                n, d, k = (c,), 1, 0
-            else:
-                n, d, k = (c.numerator,), c.denominator, 0
+            n, d, k = y_parts(c)
             items.append((m, n, d, k))
             D = lcm(D, d)
             if k > K:
@@ -51,7 +50,7 @@ def _lift(blocks):
                 s = D // d
                 n = [x * s for x in n]
             if k != K:
-                n = _mul_one_plus_y_power(n, K - k)
+                n = mul_one_plus_y_power(n, K - k)
             lifted.append((m, n))
         out[tag] = lifted
     return D, K, out
@@ -82,7 +81,7 @@ def _convolve_into(acc, width, a, b):
 def _lower(acc, D, K, nvars):
     """{degree: {monomial: n}} to {degree: Poly with coefficients n / (D (1+y)^K)}."""
     return {
-        d: Poly({m: _make(n, D, K) for m, n in terms.items()}, nvars)
+        d: Poly({m: YFrac([Fraction(x, D) for x in n], K) for m, n in terms.items()}, nvars)
         for d, terms in acc.items()
     }
 

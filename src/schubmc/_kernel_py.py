@@ -20,11 +20,18 @@ exponent of e^mu is here.  ``lp_mul`` also multiplies packed t-integers:
 ``polyring`` keys a lifted series by x-monomial alone and stores its
 t-polynomial, over its least power of t, as one integer N = n_0 + n_1 2^S +
 ..., and with digits bounded below 2^(S-1) an N is zero exactly when its
-polynomial is.  The one division,
+polynomial is.  The loops run the same way on the y-images of
+``kclasses.KTheory.expand``: ``y_pack`` writes each x-monomial's
+y-polynomial, over the least y power, as one integer at y = 2^S, under a
+key whose y digit is 0, and ``y_unpack`` reads it back in balanced S-bit
+digits.  The one division,
 ``lp_divide_exact``, divides by a monomial or by a binomial with
 coefficients +-1, the only divisors the denominators ``1 - e^mu`` and
 ``1 + y e^mu`` create.  By a binomial it sweeps each line of the dividend
-once, and a line is exact iff the running quotient at its last term is zero.
+once, and a line is exact iff the running quotient at its last term is zero;
+on y-images its line sums are the images of the y-polynomials' line sums.
+A monomial with a coefficient other than +-1 divides an image's integers,
+not their digits, so no such division reaches an image.
 """
 
 from struct import Struct
@@ -108,6 +115,21 @@ def lp_add(a, b):
         if c is None:
             out[k] = v
         elif c := c + v:
+            out[k] = c
+        else:
+            del out[k]
+    return out
+
+
+def lp_sub(a, b):
+    """a - b: each term of b subtracted in place from a copy of a."""
+    out = dict(a)
+    get = out.get
+    for k, v in b.items():
+        c = get(k)
+        if c is None:
+            out[k] = -v
+        elif c := c - v:
             out[k] = c
         else:
             del out[k]
@@ -219,4 +241,43 @@ def lp_divide_exact(a, b, nvars):
             t = u
         if q:
             return None
+    return out
+
+
+def y_pack(a, S, off):
+    """The image of integer terms at y = 2^S over y^off, as {x-key: N}.
+
+    Each x-monomial's y-polynomial sum_k n_k y^k becomes the one integer
+    N = sum_k n_k 2^(S (k - off)), keyed by the term's key with its y digit
+    zeroed.  The caller keeps off at most every y power and every |n_k|
+    below 2^(S-1), so N is zero exactly when its polynomial is.
+    """
+    out = {}
+    get = out.get
+    for k, c in a.items():
+        y = ((k + HALF) & MASK) - HALF
+        x = k - y
+        n = c << S * (y - off)
+        prev = get(x)
+        out[x] = n if prev is None else prev + n
+    return out
+
+
+def y_unpack(packed, S, off):
+    """The integer terms whose image at y = 2^S over y^off is {x-key: N}:
+    each N read in balanced S-bit digits, the lowest at y^off."""
+    half = 1 << (S - 1)
+    mask = (1 << S) - 1
+    out = {}
+    for k, n in packed.items():
+        k += off
+        while n:
+            c = n & mask
+            n >>= S
+            if c >= half:
+                c -= mask + 1
+                n += 1
+            if c:
+                out[k] = c
+            k += 1
     return out

@@ -66,6 +66,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import prod
+from operator import add, neg, sub
 
 from .laurent import YPolynomial
 from .polyring import Poly
@@ -188,20 +189,25 @@ class RestrictionMap:
         if self._domain() is not other._domain():
             raise RootSystemError("classes live on different engines")
 
-    def __add__(self, other):
+    def _pointwise(self, other, op, lone):
+        """op(self|_w, other|_w) at each point, ``lone(other|_w)`` where self
+        has no entry; zeros dropped."""
         self._check(other)
         out = dict(self.coeffs)
         for w, p in other.coeffs.items():
             q = out.get(w)
-            q = p if q is None else q + p
+            q = lone(p) if q is None else op(q, p)
             if q:
                 out[w] = q
             else:
                 out.pop(w, None)
         return self.like(out)
 
+    def __add__(self, other):
+        return self._pointwise(other, add, lambda p: p)
+
     def __sub__(self, other):
-        return self + (-other)
+        return self._pointwise(other, sub, neg)
 
     def __neg__(self):
         return self.map_coefficients(lambda p: -p)

@@ -28,11 +28,30 @@ keeps the entries of small cells small at every rank.  A pivot's own entry
 is never multiplied back by its coefficient: the coefficient is the pivot
 value divided exactly by that entry's factors, so the pivot cancels by
 construction.
+
+The basis entries, their associate units and the local factors carry no y,
+so the solve is Z[y]-linear and runs on images: each entry of a becomes its
+image at y = 2^S over y^oy, oy the least y power among the entries, one
+integer N = sum_k n_k 2^(S (k - oy)) per x-monomial (Kronecker substitution;
+Harvey, J. Symb. Comp. 44, 2009).  Each image carries an upper bound B on the
+L1 norm of its polynomial, kept without decoding: B(cur + e c) = B(cur) +
+L1(e) B(c); a unit leaves B unchanged; and a quotient by a +-1 binomial
+takes at each x-monomial a signed sum of the dividend's y-polynomials along
+one line, so its digits are at most B(dividend), and B(quotient) = (its
+number of x-monomials) B(dividend).  Every B stays below 2^(S-1): a bound
+that would reach it is tightened by decoding the operands (a quotient, whose
+digits are exact, by decoding itself), and if it still reaches it the solve
+restarts at 2S, from S = 64.  Below that bound an N is zero exactly when its
+polynomial is and decodes to its own digits, so the line remainders, the
+early exit of a binomial division, the residual entries that reach zero and
+the final decode of each coefficient are all exact.  No monomial division by
+c0 other than +-1 meets an image: it would divide N, not its digits.
 """
 
 from __future__ import annotations
 
 from . import laurent
+from ._kernel_py import ypow_of
 from .cohomology import RestrictionMap
 from .laurent import (
     FactoredFraction,
@@ -51,6 +70,19 @@ class IntegralityError(ArithmeticError):
 
 class StructuralError(RuntimeError):
     """A triangular solve did not terminate against the requested basis."""
+
+
+class _Widen(Exception):
+    """An image bound reached half the digit width: solve again at twice it."""
+
+
+# the digit width, in bits, of the first attempt of a solve on y-images
+_IMAGE_BITS = 64
+
+
+def _l1(p):
+    """The sum of the absolute values of a polynomial's coefficients."""
+    return sum(map(abs, p.packed.values()))
 
 
 def _integral(w, c):
@@ -429,6 +461,12 @@ class KTheory:
         the coefficient times it is p's entry: ``subtract`` drops the pivot
         from the residual without that product, and subtracts every other
         entry.
+
+        The solve runs on the entries' images at y = 2^S over their least y
+        power, each with an L1 bound (see the module docstring), and decodes
+        each coefficient once.  A bound that would reach 2^(S-1) is first
+        tightened by decoding; if it still would, the solve restarts at 2S.
+        A basis entry with y raises ``StructuralError``.
         """
         if basis == "iota":
             return SchubertExpansion(a.ctx, basis, {w: _integral(w, c) for w, c in a.coeffs.items()})
@@ -455,58 +493,112 @@ class KTheory:
             num = scaled(c.num, rest, unit)
             return _integral(w, FactoredFraction(num, left)) if left else num
 
-        # triangular_solve subtracts a pivot's basis entries right after
-        # solving the pivot, so its coefficient is negated once, here, and
-        # the pivot's own entry is kept to be told apart by identity
-        neg_c = pivot_entry = None
+        vector = {w: entry(w, c) for w, c in a.coeffs.items()}
+        ys = [ypow_of(k) for p in vector.values() for k in p.packed]
+        oy, ytop = min(ys, default=0), max(ys, default=0)
+        ybound = max(abs(oy), abs(ytop))
 
-        def solve(pivot, value):
-            pivot_coeff = self.basis_class(basis, pivot).coefficient(pivot)
-            if pivot_coeff.num != 1:
-                pivot_coeff = pivot_coeff.reduce()
+        def solve_at(bits):
+            """The coefficients as (image at y = 2^bits, bound) pairs; _Widen
+            when a bound reaches 2^(bits-1) even from exact operands."""
+            lim = 1 << (bits - 1)
+
+            def exact(img):
+                # below lim every digit of an image is its polynomial's own
+                return _l1(img.y_decoded(bits, oy, ybound))
+
+            def image(p):
+                bound = _l1(p)
+                if bound >= lim:
+                    raise _Widen
+                return p.y_image(bits, oy), bound
+
+            # triangular_solve subtracts a pivot's basis entries right after
+            # solving the pivot, so its coefficient is negated once, here,
+            # and the pivot's own entry is kept to be told apart by identity
+            neg_c = pivot_entry = None
+
+            def solve(pivot, value):
+                value, bound = value
+                pivot_coeff = self.basis_class(basis, pivot).coefficient(pivot)
                 if pivot_coeff.num != 1:
-                    raise StructuralError("basis pivot is not an inverted product")
-            rest, left, unit = _match_associates(pivot_coeff.den, local(pivot))
-            if left:
-                raise StructuralError("basis pivot has a factor outside the local set")
-            # the pivot's entry is unit * prod(rest), built from a fresh 1 so
-            # that no other entry is the same object; d = value / entry: the
-            # inverse of the unit (star inverts a monomial +-e^lam), then
-            # the local normal factors
-            nonlocal neg_c, pivot_entry
-            pivot_entry = scaled(LaurentPolynomial.const(1, self.nvars), rest, unit)
-            if unit is not None:
-                value = value * unit.star()
-            for f in rest:
-                value = laurent.divide_exact(value, factor_polynomial(f))
-                if value is None:
-                    raise IntegralityError(
-                        f"coefficient at {pivot.name()} is not a Laurent polynomial"
-                    )
-            neg_c = -value
-            return value
+                    pivot_coeff = pivot_coeff.reduce()
+                    if pivot_coeff.num != 1:
+                        raise StructuralError("basis pivot is not an inverted product")
+                rest, left, unit = _match_associates(pivot_coeff.den, local(pivot))
+                if left:
+                    raise StructuralError("basis pivot has a factor outside the local set")
+                # the pivot's entry is unit * prod(rest), built from a fresh 1
+                # so that no other entry is the same object; d = value / entry:
+                # the inverse of the unit (star inverts a monomial +-e^lam),
+                # then the local normal factors, all free of y
+                nonlocal neg_c, pivot_entry
+                pivot_entry = scaled(LaurentPolynomial.const(1, self.nvars), rest, unit)
+                if unit is not None:
+                    value = value * unit.star()
+                for f in rest:
+                    value = laurent.divide_exact(value, factor_polynomial(f))
+                    if value is None:
+                        raise IntegralityError(
+                            f"coefficient at {pivot.name()} is not a Laurent polynomial"
+                        )
+                    # a quotient's y-polynomial at each x-monomial is a signed
+                    # sum of the dividend's along one line: its digits are
+                    # exact, and its L1 norm is at most the dividend's
+                    bound *= len(value.packed)
+                    if bound >= lim:
+                        bound = exact(value)
+                        if bound >= lim:
+                            raise _Widen
+                neg_c = (-value, bound)
+                return value, bound
 
-        def basis_entries(pivot):
-            return {
-                w: pivot_entry if w is pivot else entry(w, c)
-                for w, c in self.basis_class(basis, pivot).coeffs.items()
-            }
+            def basis_entries(pivot):
+                out = {}
+                for w, c in self.basis_class(basis, pivot).coeffs.items():
+                    if w is pivot:
+                        out[w] = pivot_entry
+                        continue
+                    e = out[w] = entry(w, c)
+                    if any(map(ypow_of, e.packed)):
+                        raise StructuralError(f"basis class of {pivot.name()} carries y")
+                return out
 
-        def subtract(cur, e, c):
-            # the exact divisions in solve prove value = c * pivot_entry
-            if e is pivot_entry:
-                return None
-            return cur.add_product(e, neg_c) or None
+            def subtract(cur, e, c):
+                # the exact divisions in solve prove value = c * pivot_entry
+                if e is pivot_entry:
+                    return None
+                nonlocal neg_c
+                (p, bp), (q, bq) = cur, neg_c
+                scale = _l1(e)
+                bound = bp + scale * bq
+                if bound >= lim:
+                    bp, bq = exact(p), exact(q)
+                    neg_c = q, bq
+                    bound = bp + scale * bq
+                    if bound >= lim:
+                        raise _Widen
+                p = p.add_product(e, q)
+                return (p, bound) if p else None
 
-        coeffs = triangular_solve(
-            {w: entry(w, c) for w, c in a.coeffs.items()},
-            min if opposite else max,
-            basis_entries,
-            solve,
-            subtract,
-            LaurentPolynomial.zero(self.nvars),
-            StructuralError,
-        )
+            return triangular_solve(
+                {w: image(p) for w, p in vector.items()},
+                min if opposite else max,
+                basis_entries,
+                solve,
+                subtract,
+                (LaurentPolynomial.zero(self.nvars), 0),
+                StructuralError,
+            )
+
+        bits = _IMAGE_BITS
+        while True:
+            try:
+                images = solve_at(bits)
+                break
+            except _Widen:
+                bits *= 2
+        coeffs = {w: img.y_decoded(bits, oy, ybound) for w, (img, _) in images.items()}
         return SchubertExpansion(a.ctx, basis, coeffs)
 
     def local_factors(self, support, opposite=False):

@@ -103,7 +103,10 @@ class LaurentPolynomial:
         )
 
     def __sub__(self, other):
-        return self + -self._coerce(other)
+        other = self._coerce(other)
+        return _lp(
+            _impl.lp_sub(self.packed, other.packed), self.nvars, max(self._bound, other._bound)
+        )
 
     def __neg__(self):
         return _lp(_impl.lp_neg(self.packed), self.nvars, self._bound)
@@ -123,6 +126,18 @@ class LaurentPolynomial:
         kernel call; a and b are polynomials of the same rank."""
         bound = max(self._bound, product_bound(a, b))
         return _lp(_impl.lp_mul(a.packed, b.packed, dict(self.packed)), self.nvars, bound)
+
+    def y_image(self, bits, off):
+        """The image at y = 2^bits over y^off: one integer per x-monomial,
+        keyed with y digit 0 (``_kernel_py.y_pack``).  Every y power is at
+        least off, and every coefficient below 2^(bits-1) in size."""
+        return _lp(_impl.y_pack(self.packed, bits, off), self.nvars, self._bound)
+
+    def y_decoded(self, bits, off, ybound):
+        """The polynomial whose image at y = 2^bits over y^off is self, read in
+        balanced digits (``_kernel_py.y_unpack``); its y powers are at most
+        ybound in size."""
+        return _lp(_impl.y_unpack(self.packed, bits, off), self.nvars, max(self._bound, ybound))
 
     def _coerce(self, other):
         if isinstance(other, LaurentPolynomial):

@@ -376,21 +376,26 @@ def _lifted(p):
     return _poly(t, p.nvars, p._bound, d)
 
 
-def _lifted_sum(a, b):
-    """a + b for lifted a and b: D aligned, then the kernel's sum."""
+def _lifted_sum(a, b, sign=1):
+    """a + sign * b for lifted a and b, sign +-1: D aligned, then the kernel's
+    sum or difference."""
     ta, tb = a._t, b._t
     if not tb:
         return a
     if not ta:
-        return b
+        return b if sign == 1 else -b
     da, db = a._d, b._d
     if da != db:
         g = gcd(da, db)
         ma, mb = db // g, da // g
         ta = {key: c * ma for key, c in ta.items()}
+        mb *= sign
         tb = {key: c * mb for key, c in tb.items()}
         da *= ma
-    return _normal(_impl.lp_add(ta, tb), da, a.nvars, max(a._bound, b._bound))
+        t = _impl.lp_add(ta, tb)
+    else:
+        t = _impl.lp_add(ta, tb) if sign == 1 else _impl.lp_sub(ta, tb)
+    return _normal(t, da, a.nvars, max(a._bound, b._bound))
 
 
 # -- lifted products on packed t-integers (Kronecker substitution in t) ----------------
@@ -721,7 +726,14 @@ class Poly:
         return _poly(_impl.lp_neg(self._t), self.nvars, self._bound, self._d)
 
     def __sub__(self, other):
-        return self + (-other)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        if self._d is None and other._d is None:
+            return _poly(
+                _impl.lp_sub(self._t, other._t), self.nvars, max(self._bound, other._bound)
+            )
+        return _lifted_sum(_lifted(self), _lifted(other), -1)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -1023,7 +1035,16 @@ class GradedSeries:
         return _series(-self.poly, self.cap)
 
     def __sub__(self, other):
-        return self + (-other)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return GradedSeries.from_poly(self.poly - other.poly, min(self.cap, other.cap))
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, YFrac)):

@@ -274,7 +274,7 @@ def _differential_classes(rs, kt):
         ("A", 2, ("O", "I", "Oop", "Iop")),
         ("B", 2, ("O", "I", "Oop", "Iop")),
         ("G", 2, ("O", "I", "Oop", "Iop")),
-        ("A", 3, ("O",)),
+        ("A", 3, ("O", "I", "Oop", "Iop")),
     ],
 )
 def test_local_solve_matches_fraction_solve(t, r, bases):
@@ -291,6 +291,82 @@ def test_local_solve_matches_fraction_solve(t, r, bases):
             got = kt.expand(cls, basis)
             assert list(got.coeffs.items()) == list(want.coeffs.items())
             assert json.dumps(got.to_json_obj()) == json.dumps(want.to_json_obj())
+
+
+@pytest.mark.parametrize("t,r", [("A", 2), ("B", 2)])
+def test_scaled_classes_expand_to_scaled_coefficients(t, r):
+    # 3**50 > 2**63: the first images would not fit 64-bit digits, so the
+    # solve restarts wider, and its tracked bounds are tightened on the way;
+    # y**-2 puts the least y power below zero
+    rs = root_system(t, r)
+    kt = ktheory(rs)
+    scales = (LaurentPolynomial.const(3**50, r), LaurentPolynomial.y(r, -2))
+    classes = [motivic_chern(kt, w) for w in rs.weyl_group()]
+    classes += [dual_motivic_chern(kt, w, opposite=True) for w in rs.weyl_group()]
+    for basis in ("O", "I", "Oop", "Iop"):
+        for cls in classes:
+            want = kt.expand(cls, basis).coeffs
+            for s in scales:
+                got = kt.expand(cls.scale(s), basis).coeffs
+                assert list(got.items()) == [(w, c * s) for w, c in want.items()]
+
+
+@pytest.mark.parametrize("start", [2, 5, 1024])
+@pytest.mark.parametrize("t,r", [("A", 2), ("B", 2), ("G", 2)])
+def test_every_tracked_bound_covers_its_image(monkeypatch, t, r, start):
+    # real classes stay far inside the bounds, so an undercounting rule would
+    # not show in their expansions: every (image, bound) pair the solve hands
+    # on is decoded at its width, and its bound checked against the L1 norm
+    # of its polynomial and against half the width.  From a narrow first
+    # width nearly every solve restarts and many images are tightened, and
+    # the expansions stay those from the first width of 64 bits.
+    rs = root_system(t, r)
+    kt = ktheory(rs)
+    classes = _differential_classes(rs, kt)
+    want = {}
+    for basis in ("O", "I", "Oop", "Iop"):
+        for i, cls in enumerate(classes):
+            try:
+                want[basis, i] = list(kt.expand(cls, basis).coeffs.items())
+            except IntegralityError:
+                pass
+    runs = []
+
+    def spy_solve(vector, pick, basis, solve, subtract, zero, error):
+        # a solve doubles its width from start until its entries fit, and
+        # again on each restart
+        if runs:
+            bits = 2 * runs[-1][0]
+        else:
+            bits = start
+            while any(b >= 2 ** (bits - 1) for _, b in vector.values()):
+                bits *= 2
+        pairs = list(vector.values())
+        runs.append((bits, pairs))
+
+        def spy(step):
+            def run(*args):
+                out = step(*args)
+                if out is not None:
+                    pairs.append(out)
+                return out
+
+            return run
+
+        return triangular_solve(vector, pick, basis, spy(solve), spy(subtract), zero, error)
+
+    monkeypatch.setattr(kclasses, "_IMAGE_BITS", start)
+    monkeypatch.setattr(kclasses, "triangular_solve", spy_solve)
+    checked = 0
+    for (basis, i), coeffs in want.items():
+        runs.clear()
+        assert list(kt.expand(classes[i], basis).coeffs.items()) == coeffs
+        for bits, pairs in runs:
+            for img, bound in pairs:
+                l1 = sum(map(abs, img.y_decoded(bits, 0, 0).packed.values()))
+                assert l1 <= bound < 2 ** (bits - 1)
+                checked += 1
+    assert checked > 100
 
 
 @pytest.mark.parametrize("t,r", [("A", 2), ("B", 2)])

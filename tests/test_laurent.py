@@ -284,6 +284,41 @@ def test_pack_unpack_round_trip(exps, ypow):
             pack(exps, bad)
 
 
+y_terms = st.dictionaries(
+    st.tuples(exps, st.integers(-3, 6)), st.integers(-(2**100), 2**100).filter(bool), max_size=8
+)
+
+
+@given(y_terms, st.integers(0, 3), st.integers(0, 2))
+@settings(max_examples=200, deadline=None)
+def test_y_image_round_trip(terms, below, extra):
+    # any offset at most the least y power, any width with every coefficient
+    # below 2^(S-1): one integer per x-monomial, read back digit for digit
+    p = L(terms)
+    off = min((y for _, y in terms), default=0) - below
+    S = max((abs(c).bit_length() for c in terms.values()), default=0) + 1 + extra
+    img = p.y_image(S, off)
+    want = {}
+    for (e, y), c in terms.items():
+        k = pack(e, 0)
+        want[k] = want.get(k, 0) + c * 2 ** (S * (y - off))
+    assert img.packed == want and all(want.values())
+    assert img.y_decoded(S, off, max(6, -off)) == p
+
+
+@pytest.mark.parametrize("mode", ["other", "overlap", "same"])
+@given(polys, polys)
+@settings(max_examples=100, deadline=None)
+def test_sub_adds_the_negation(mode, p, q):
+    b = {"other": q, "overlap": p + q, "same": p}[mode]
+    a_terms, b_terms = dict(p.packed), dict(b.packed)
+    got = _kernel_py.lp_sub(p.packed, b.packed)
+    assert got == _kernel_py.lp_add(p.packed, _kernel_py.lp_neg(b.packed))
+    assert all(got.values()) and (mode != "same" or got == {})
+    assert p.packed == a_terms and b.packed == b_terms
+    assert p - b == p + (-b)
+
+
 @given(st.lists(st.tuples(st.tuples(digits, digits), digits), max_size=8, unique=True), polys)
 @settings(max_examples=200, deadline=None)
 def test_packed_order_is_lex_order(monos, p):

@@ -15,6 +15,23 @@ with left translation by w0, so the opposite structure and ideal sheaves
 (the Oop and Iop bases) are grown down from the point class at w0 by the
 same steps.
 
+The bases O and I form a pair, as do Oop and Iop: [O_u] is the sum of [I_v]
+over v <= u (over v >= u for the opposite pair), so one member's
+coefficients are the other's Bruhat zeta sums, and the inverse sums carry
+Verma's Moebius function (-1)^(l(v) - l(u)).  The change of basis is
+unitriangular over Z, so ``rebase`` between the members is exact, and a
+class is integral in one member exactly when it is in the other.  An MC
+class has its small coefficients in I and Iop (at y = 0 it is the ideal
+sheaf of its cell's boundary), a dual MC class in O and Oop, and the
+triangular solve costs about half as much in the member with the small
+coefficients.  So ``KTheory.expand`` solves in the member that a probe
+picks from the class itself and rebases to the basis asked for.  The probe
+is the ideal member's first pivot step on the first layer of the top pivot,
+the cells of the support that it covers; both members share that pivot and
+its coefficient d0, and at a layer cell v their residuals differ by d0 times
+v's own entry, the same in both.  The member whose layer residuals have
+fewer terms is solved, and its first step takes those residuals.
+
 ``KTheory.expand`` solves against the triangular bases O, I, Oop and Iop on
 local restrictions, not on fractions.  The restriction a|_v = c_v times
 prod(1 - e^{v beta}) over the positive roots beta; the local restriction
@@ -79,6 +96,26 @@ class _Widen(Exception):
 # the digit width, in bits, of the first attempt of a solve on y-images
 _IMAGE_BITS = 64
 
+# the bases in pairs, a pair's members adjacent: [O_u] = sum of [I_v] over
+# v <= u, and [Oop_u] = sum of [Iop_v] over v >= u
+_PAIRED = ("O", "I", "Oop", "Iop")
+
+
+def _partner(basis):
+    """The other member of basis's pair."""
+    if basis not in _PAIRED:
+        raise ValueError(f"unknown basis {basis!r}")
+    return _PAIRED[_PAIRED.index(basis) ^ 1]
+
+
+class _Seed:
+    """A residual entry that the probe has already computed for the first pivot."""
+
+    __slots__ = ("residual",)
+
+    def __init__(self, residual):
+        self.residual = residual
+
 
 def _l1(p):
     """The sum of the absolute values of a polynomial's coefficients."""
@@ -116,6 +153,41 @@ def _match_associates(den, local):
         return rest, left, None
     unit = LaurentPolynomial.monomial(tuple(map(sum, zip(*units))), coeff=(-1) ** len(units))
     return rest, left, unit
+
+
+def rebase(space, coeffs, source, target):
+    """The coefficients in ``target`` of the class with coefficients ``coeffs``
+    in ``source``, the other member of its pair ({O, I} or {Oop, Iop}).
+
+    With [O_u] the sum of [I_v] over v <= u, the I coefficient at v is the sum
+    of the O coefficients at the u >= v (zeta), and the O coefficient at u is
+    the sum of (-1)^(l(v) - l(u)) times the I coefficients at the v >= u, the
+    Moebius function of Bruhat order being (-1)^(l(v) - l(u)) (Verma, Ann.
+    Sci. ENS 4, 1971); the opposite pair reverses the order.  Each source
+    cell scatters over its interval, so the sums run over the down-closure of
+    ``coeffs`` (up-closure, for the opposite pair).  Zero coefficients are
+    dropped, and the rest listed in descending ``cell_order`` (ascending, for
+    the opposite pair), the order of the triangular solve.  The Moebius
+    function of W^P is not (-1)^(l(v) - l(u)), so ``space`` is G/B.
+    """
+    if space.parabolic is not None:
+        raise ValueError("the Bruhat change of basis is for G/B, not a quotient")
+    if _partner(source) != target:
+        raise ValueError(f"{source!r} and {target!r} are not a basis pair")
+    rs = space.rs
+    opposite = source in ("Oop", "Iop")
+    signed = source in ("I", "Iop")
+    interval = rs.upper_interval if opposite else rs.lower_interval
+    sums = {}
+    for v, c in coeffs.items():
+        for u in interval(v):
+            prev = sums.get(u)
+            if signed and (v.length - u.length) % 2:
+                sums[u] = -c if prev is None else prev - c
+            else:
+                sums[u] = c if prev is None else prev + c
+    order = sorted(sums, key=cell_order, reverse=not opposite)
+    return {u: sums[u] for u in order if sums[u]}
 
 
 class Space:
@@ -334,27 +406,22 @@ class KTheory:
             ),
         )
 
-    def dl_dual_inverse(self, i, a):
-        n = self.nvars
-        z = (0,) * n
-        minus_one_plus_yinv = LaurentPolynomial({(z, 0): -1, (z, -1): -1}, n)
-
-        def off_num(va):
-            return LaurentPolynomial({(z, -1): -1, (tuple(va), 0): -1}, n)
-
-        return self._apply(
-            a,
-            i,
-            lambda va: FactoredFraction(minus_one_plus_yinv, (one_minus_e(va),)),
-            lambda va: FactoredFraction(off_num(va), (one_minus_e(neg_weight(va)),)),
-        )
-
     def l_operator(self, i, a):
-        """The shifted dual operator: dual DL plus (1+y) times the identity."""
+        """The shifted dual operator, dual DL plus (1+y) times the identity, in
+        one pass: its diagonal (-1-y)/(1 - e^{-v alpha}) + 1 + y is
+        (1+y)/(1 - e^{v alpha})."""
         n = self.nvars
         z = (0,) * n
         one_plus_y = LaurentPolynomial({(z, 0): 1, (z, 1): 1}, n)
-        return self.dl_dual(i, a) + a.scale(one_plus_y)
+        return self._apply(
+            a,
+            i,
+            lambda va: FactoredFraction(one_plus_y, (one_minus_e(va),)),
+            lambda va: FactoredFraction(
+                product_of_factors((one_plus_ye(va),), self.nvars),
+                (one_minus_e(neg_weight(va)),),
+            ),
+        )
 
     def line_bundle_mul(self, lam, a):
         lam = tuple(lam)
@@ -400,7 +467,16 @@ class KTheory:
         return self.rs.along_word(("k", "I"), w, self.iota, self._ideal_step)
 
     def _ideal_step(self, i, prev):
-        return (self.demazure(i, prev) - prev).reduce()
+        """The Demazure operator minus the identity, in one pass: its diagonal
+        1/(1 - e^{v alpha}) - 1 is e^{v alpha}/(1 - e^{v alpha})."""
+        n = self.nvars
+        one = LaurentPolynomial.const(1, n)
+        return self._apply(
+            prev,
+            i,
+            lambda va: FactoredFraction(LaurentPolynomial.e(va), (one_minus_e(va),)),
+            lambda va: FactoredFraction(one, (one_minus_e(neg_weight(va)),)),
+        )
 
     def opp_structure_sheaf(self, v):
         """Structure sheaf of the opposite Schubert variety of v, grown down
@@ -447,30 +523,61 @@ class KTheory:
         """Coefficients of a in a Schubert-type basis.
 
         In the ``iota`` basis these are a's own coefficients, reduced to
-        Laurent polynomials (``IntegralityError`` when one is not).  The bases O,
-        I, Oop and Iop are triangular in Bruhat order, and the solve runs on
-        local restrictions (see ``local_factors``): every entry, of the
-        residual and of the basis classes alike, is a Laurent polynomial, so
-        a subtraction is ``cur - d * c`` with no fraction arithmetic.  The
-        coefficient at a pivot p is p's entry divided by its local normal
-        factors, the local factors that do not divide the basis class's own
-        restriction at p; these exact binomial divisions succeed for every
-        integral class, and otherwise raise ``IntegralityError``.  The basis
-        class's own entry at p is an associate unit times those factors,
-        read off the same factorization, so the exact divisions prove that
-        the coefficient times it is p's entry: ``subtract`` drops the pivot
-        from the residual without that product, and subtracts every other
-        entry.
+        Laurent polynomials (``IntegralityError`` when one is not).  The other
+        bases come in pairs, {O, I} and {Oop, Iop}, whose members differ by a
+        unitriangular change of basis over Z.  ``_solve`` runs the triangular
+        solve in the member that its probe picks from the class: the one whose
+        residuals on the top pivot's first layer have fewer terms, so I or
+        Iop for an MC class and O or Oop for a dual one.  When that member is
+        not ``basis``, ``rebase`` reads ``basis`` off by the Bruhat zeta sum
+        or its Moebius inverse, over the down-closure (up-closure) of the
+        support.  Both steps are exact, so the coefficients, their order and
+        the ``IntegralityError`` cases are those of the solve in ``basis``
+        itself, ``_solve(a, (basis,))``.
+        """
+        if basis == "iota":
+            return SchubertExpansion(a.ctx, basis, {w: _integral(w, c) for w, c in a.coeffs.items()})
+        exp = self._solve(a, (basis, _partner(basis)))
+        if exp.basis == basis:
+            return exp
+        return SchubertExpansion(a.ctx, basis, rebase(a.ctx, exp.coeffs, exp.basis, basis))
+
+    def _solve(self, a, members):
+        """The triangular solve of a in ``members[0]``, or, given both members
+        of a pair, in whichever the probe picks; a ``SchubertExpansion`` in
+        the member solved.
+
+        The solve runs on local restrictions (see ``local_factors``): every
+        entry, of the residual and of the basis classes alike, is a Laurent
+        polynomial, so a subtraction is ``cur - d * c`` with no fraction
+        arithmetic.  The coefficient at a pivot p is p's entry divided by its
+        local normal factors, the local factors that do not divide the basis
+        class's own restriction at p; these exact binomial divisions succeed
+        for every integral class, and otherwise raise ``IntegralityError``.
+        The basis class's own entry at p is an associate unit times those
+        factors, read off the same factorization, so the exact divisions
+        prove that the coefficient times it is p's entry: ``subtract`` drops
+        the pivot from the residual without that product, and subtracts every
+        other entry.
 
         The solve runs on the entries' images at y = 2^S over their least y
         power, each with an L1 bound (see the module docstring), and decodes
         each coefficient once.  A bound that would reach 2^(S-1) is first
         tightened by decoding; if it still would, the solve restarts at 2S.
         A basis entry with y raises ``StructuralError``.
+
+        Given a pair, the first pivot p0 runs the probe of the module
+        docstring on its layer, the cells of the support that p0 covers (that
+        cover p0, for the opposite pair), with v's own entry read off
+        ``_own_factors``, so that no basis class of a layer cell is built.
+        The member whose layer residuals have fewer terms is solved,
+        ``members[0]`` on a tie or when p0 has no layer, and its first pivot
+        step takes those residuals as they are.
         """
-        if basis == "iota":
-            return SchubertExpansion(a.ctx, basis, {w: _integral(w, c) for w, c in a.coeffs.items()})
+        basis = members[0]
         opposite = basis in ("Oop", "Iop")
+        ideal = "Iop" if opposite else "I"
+        rs = self.rs
         local = self.local_factors(a.coeffs, opposite)
         # the product of each leftover local-factor tuple, memoized for this
         # solve only, so that none outlives it
@@ -493,14 +600,29 @@ class KTheory:
             num = scaled(c.num, rest, unit)
             return _integral(w, FactoredFraction(num, left)) if left else num
 
+        def basis_entry(pivot, w, c):
+            e = entry(w, c)
+            if any(map(ypow_of, e.packed)):
+                raise StructuralError(f"basis class of {pivot.name()} carries y")
+            return e
+
+        def own_entry(v):
+            """v's own entry in either member: the product of its local factors
+            over those of its basis classes' own restriction at v."""
+            rest, left, unit = _match_associates(self._own_factors(v, opposite), local(v))
+            if left:
+                raise StructuralError("basis pivot has a factor outside the local set")
+            return scaled(LaurentPolynomial.const(1, self.nvars), rest, unit)
+
         vector = {w: entry(w, c) for w, c in a.coeffs.items()}
         ys = [ypow_of(k) for p in vector.values() for k in p.packed]
         oy, ytop = min(ys, default=0), max(ys, default=0)
         ybound = max(abs(oy), abs(ytop))
 
         def solve_at(bits):
-            """The coefficients as (image at y = 2^bits, bound) pairs; _Widen
-            when a bound reaches 2^(bits-1) even from exact operands."""
+            """The member solved and its coefficients as (image at y = 2^bits,
+            bound) pairs; _Widen when a bound reaches 2^(bits-1) even from
+            exact operands."""
             lim = 1 << (bits - 1)
 
             def exact(img):
@@ -513,14 +635,51 @@ class KTheory:
                     raise _Widen
                 return p.y_image(bits, oy), bound
 
+            images = {w: image(p) for w, p in vector.items()}
             # triangular_solve subtracts a pivot's basis entries right after
             # solving the pivot, so its coefficient is negated once, here,
-            # and the pivot's own entry is kept to be told apart by identity
+            # and the pivot's own entry is kept to be told apart by identity;
+            # the probe, in the first solve, sets the member and the first
+            # pivot's residuals on its layer
             neg_c = pivot_entry = None
+            member, pending, seeds = basis, len(members) > 1, {}
+
+            def layer(p0):
+                step = 1 if opposite else -1
+                return [
+                    v
+                    for v in images
+                    if v.length == p0.length + step
+                    and (rs.bruhat_leq(p0, v) if opposite else rs.bruhat_leq(v, p0))
+                ]
+
+            def probe(p0, cells):
+                """The member whose residuals on p0's layer have fewer terms,
+                and those residuals."""
+                top = self.basis_class(ideal, p0).coeffs
+                by_ideal, by_structure = {}, {}
+                for v in cells:
+                    c = top.get(v)
+                    cur = images[v] if c is None else subtract(images[v], basis_entry(p0, v, c))
+                    by_ideal[v] = cur
+                    by_structure[v] = subtract(cur or zero, own_entry(v))
+
+                def terms(residuals):
+                    return sum(len(r[0].packed) for r in residuals.values() if r is not None)
+
+                n_ideal, n_structure = terms(by_ideal), terms(by_structure)
+                if n_ideal < n_structure or (n_ideal == n_structure and basis == ideal):
+                    return ideal, by_ideal
+                return _partner(ideal), by_structure
 
             def solve(pivot, value):
+                nonlocal neg_c, pivot_entry, member, pending, seeds
+                cells = layer(pivot) if pending else ()
+                pending = False
                 value, bound = value
-                pivot_coeff = self.basis_class(basis, pivot).coefficient(pivot)
+                # the members' own coefficients at the pivot agree; the probe
+                # reads the ideal member's, whose class it needs
+                pivot_coeff = self.basis_class(ideal if cells else member, pivot).coefficient(pivot)
                 if pivot_coeff.num != 1:
                     pivot_coeff = pivot_coeff.reduce()
                     if pivot_coeff.num != 1:
@@ -532,7 +691,6 @@ class KTheory:
                 # so that no other entry is the same object; d = value / entry:
                 # the inverse of the unit (star inverts a monomial +-e^lam),
                 # then the local normal factors, all free of y
-                nonlocal neg_c, pivot_entry
                 pivot_entry = scaled(LaurentPolynomial.const(1, self.nvars), rest, unit)
                 if unit is not None:
                     value = value * unit.star()
@@ -551,23 +709,30 @@ class KTheory:
                         if bound >= lim:
                             raise _Widen
                 neg_c = (-value, bound)
+                if cells:
+                    member, seeds = probe(pivot, cells)
                 return value, bound
 
             def basis_entries(pivot):
+                nonlocal seeds
                 out = {}
-                for w, c in self.basis_class(basis, pivot).coeffs.items():
+                for w, c in self.basis_class(member, pivot).coeffs.items():
                     if w is pivot:
                         out[w] = pivot_entry
-                        continue
-                    e = out[w] = entry(w, c)
-                    if any(map(ypow_of, e.packed)):
-                        raise StructuralError(f"basis class of {pivot.name()} carries y")
+                    elif w not in seeds:
+                        out[w] = basis_entry(pivot, w, c)
+                # the probe's residuals close the first pivot's step on its layer
+                for w, r in seeds.items():
+                    out[w] = _Seed(r)
+                seeds = {}
                 return out
 
-            def subtract(cur, e, c):
+            def subtract(cur, e, c=None):
                 # the exact divisions in solve prove value = c * pivot_entry
                 if e is pivot_entry:
                     return None
+                if type(e) is _Seed:
+                    return e.residual
                 nonlocal neg_c
                 (p, bp), (q, bq) = cur, neg_c
                 scale = _l1(e)
@@ -581,25 +746,37 @@ class KTheory:
                 p = p.add_product(e, q)
                 return (p, bound) if p else None
 
-            return triangular_solve(
-                {w: image(p) for w, p in vector.items()},
+            zero = (LaurentPolynomial.zero(self.nvars), 0)
+            coeffs = triangular_solve(
+                images,
                 min if opposite else max,
                 basis_entries,
                 solve,
                 subtract,
-                (LaurentPolynomial.zero(self.nvars), 0),
+                zero,
                 StructuralError,
             )
+            return member, coeffs
 
         bits = _IMAGE_BITS
         while True:
             try:
-                images = solve_at(bits)
+                member, images = solve_at(bits)
                 break
             except _Widen:
                 bits *= 2
         coeffs = {w: img.y_decoded(bits, oy, ybound) for w, (img, _) in images.items()}
-        return SchubertExpansion(a.ctx, basis, coeffs)
+        return SchubertExpansion(a.ctx, member, coeffs)
+
+    def _own_factors(self, v, opposite):
+        """The denominator of every basis class of v at v itself (O and I, or
+        Oop and Iop): the keys 1 - e^{v beta} over the positive roots beta with
+        v beta negative (positive, for the opposite pair), the restriction at
+        v of the structure sheaf of v's Schubert variety being lambda_-1 of
+        its conormal space there."""
+        rs = self.rs
+        weights = (v.act(beta) for beta in rs.positive_roots)
+        return tuple(one_minus_e(mu) for mu in weights if rs.is_positive_root(mu) == opposite)
 
     def local_factors(self, support, opposite=False):
         """The local factor sets of a triangular solve over ``support``.
@@ -637,12 +814,6 @@ class KTheory:
             return keys
 
         return local
-
-    def from_expansion(self, expansion):
-        out = self.zero()
-        for w, c in expansion.coeffs.items():
-            out = out + self.basis_class(expansion.basis, w).scale(c)
-        return out
 
 
 def ktheory(rs):

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import hecke
 from .cohomology import GKMError
-from .kclasses import KClass, SchubertExpansion, Space
+from .kclasses import KClass, SchubertExpansion, Space, rebase
 from .laurent import (
     FactoredFraction,
     LaurentPolynomial,
@@ -51,28 +51,22 @@ def mc_expansion(kt, w, basis="O"):
     the root system, so every command and checker expands a cell once.
 
     The O coefficients are read off the Hecke right-normal form of
-    T_{w^-1} (``hecke.mc_coefficients_oracle``), with no fixed-point solve.
-    Since [O_u] is the sum of [I_v] over v <= u, the I coefficient at v is
-    the sum of the O coefficients at the u >= v.  The other bases keep the
+    T_{w^-1} (``hecke.mc_coefficients_oracle``), with no fixed-point solve,
+    and the I coefficients off the O ones by the Bruhat zeta sum of
+    ``kclasses.rebase``, over [id, w] only.  The other bases keep the
     triangular solve of ``KTheory.expand``.  Coefficients are listed in
     descending ``cell_order``, the order in which that solve finds them.
     """
 
     def build():
-        rs = kt.rs
         if basis == "O":
-            coeffs = hecke.mc_coefficients_oracle(rs, w)
-        elif basis == "I":
+            coeffs = hecke.mc_coefficients_oracle(kt.rs, w)
+            order = sorted(coeffs, key=cell_order, reverse=True)
+            return SchubertExpansion(kt.space, basis, {u: coeffs[u] for u in order})
+        if basis == "I":
             o = mc_expansion(kt, w, "O").coeffs
-            coeffs = {}
-            for v in kt.space.points:
-                c = sum((p for u, p in o.items() if rs.bruhat_leq(v, u)), LaurentPolynomial.zero(rs.rank))
-                if c:
-                    coeffs[v] = c
-        else:
-            return kt.expand(motivic_chern(kt, w), basis)
-        order = sorted(coeffs, key=cell_order, reverse=True)
-        return SchubertExpansion(kt.space, basis, {u: coeffs[u] for u in order})
+            return SchubertExpansion(kt.space, basis, rebase(kt.space, o, "O", "I"))
+        return kt.expand(motivic_chern(kt, w), basis)
 
     return kt.rs.memo(("k", "MCexp", basis, w), build)
 

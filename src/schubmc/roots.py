@@ -610,6 +610,32 @@ class RootSystem:
         self._bruhat[key] = res
         return res
 
+    def lower_interval(self, w):
+        """The Bruhat interval [id, w] as a tuple, memoized.
+
+        With s the last letter of w's word, [id, w] is L together with L s for
+        L = [id, w s]: by the lifting property u <= w exactly when the shorter
+        of u and u s is at most w s (Bjorner-Brenti, GTM 231, 2.2.7).
+        """
+
+        def build():
+            if w.length == 0:
+                return (w,)
+            s = self.simple_reflection(w.word[-1])
+            below = self.lower_interval(w * s)
+            seen = set(below)
+            return below + tuple(x for x in (u * s for u in below) if x not in seen)
+
+        return self.memo(("roots", "below", w), build)
+
+    def upper_interval(self, v):
+        """The Bruhat interval [v, w0] as a tuple, memoized: left translation
+        by w0 reverses Bruhat order, so it is w0 [id, w0 v]."""
+        w0 = self.longest_element()
+        return self.memo(
+            ("roots", "above", v), lambda: tuple(w0 * x for x in self.lower_interval(w0 * v))
+        )
+
     def parabolic(self, subset):
         return ParabolicDatum(self, subset)
 

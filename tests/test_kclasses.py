@@ -3,11 +3,14 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_kclass
 from fraction_solve_reference import expand_by_fractions
+from kclass_reference import dl_dual_inverse, from_expansion
 from schubmc import kclasses, laurent
-from schubmc.kclasses import IntegralityError, ktheory
+from schubmc.kclasses import IntegralityError, ktheory, rebase
 from schubmc.laurent import (
     FactoredFraction,
     LaurentPolynomial,
@@ -15,8 +18,8 @@ from schubmc.laurent import (
     one_plus_ye,
     product_of_factors,
 )
-from schubmc.mc import dual_motivic_chern, motivic_chern
-from schubmc.roots import neg_weight, root_system, triangular_solve
+from schubmc.mc import dual_motivic_chern, motivic_chern, quotient_space
+from schubmc.roots import cell_order, neg_weight, root_system, triangular_solve
 
 
 def one_plus_y(n):
@@ -81,11 +84,11 @@ def test_dl_inverse_formula(rng):
     for _ in range(3):
         a = random_kclass(rs, rng, y_inverted=True)
         for i in (1, 2):
-            forward = kt.dl_dual(i, kt.dl_dual_inverse(i, a))
+            forward = kt.dl_dual(i, dl_dual_inverse(kt, i, a))
             assert forward == a
             # T^-1 = -(1/y) T - ((1+y)/y) id
             rhs = kt.dl_dual(i, a).scale(-1 * yinv) - a.scale(yinv * (one + LaurentPolynomial.y(2)))
-            assert kt.dl_dual_inverse(i, a) == rhs
+            assert dl_dual_inverse(kt, i, a) == rhs
 
 
 def test_l_operator_two_routes(rng):
@@ -96,8 +99,22 @@ def test_l_operator_two_routes(rng):
         a = random_kclass(rs, rng)
         for i in (1, 2):
             direct = kt.l_operator(i, a)
-            via_inverse = kt.dl_dual_inverse(i, a).scale(-1 * y)
+            via_inverse = dl_dual_inverse(kt, i, a).scale(-1 * y)
             assert direct == via_inverse
+
+
+@pytest.mark.parametrize("t,r", [("A", 2), ("B", 2), ("G", 2), ("A", 3)])
+def test_one_pass_operators_match_their_two_pass_definitions(t, r, rng):
+    # the ideal step is demazure minus the identity, and the shifted dual
+    # operator is dual DL plus (1+y) times the identity; each runs as one
+    # _apply with a single diagonal
+    rs = root_system(t, r)
+    kt = ktheory(rs)
+    opy = one_plus_y(r)
+    for a in (random_kclass(rs, rng), random_kclass(rs, rng)):
+        for i in range(1, r + 1):
+            assert kt._ideal_step(i, a) == kt.demazure(i, a) - a
+            assert kt.l_operator(i, a) == kt.dl_dual(i, a) + a.scale(opy)
 
 
 def test_dl_specializations():
@@ -214,14 +231,14 @@ def test_expand_roundtrip_all_bases(rng):
     )
     for basis in ("O", "I", "Oop", "Iop"):
         exp = kt.expand(cls, basis)
-        back = kt.from_expansion(exp)
+        back = from_expansion(kt, exp)
         assert back == cls
     assert kt.expand(kt.structure_sheaf(w), "O").coeffs == {w: LaurentPolynomial.const(1, 2)}
     # the iota coefficients are the class's own, here Laurent polynomials
     fixed = kt.iota(w).scale(LaurentPolynomial.y(2)) + kt.iota(rs.simple_reflection(1)).scale(
         LaurentPolynomial.const(3, 2)
     )
-    assert kt.from_expansion(kt.expand(fixed, "iota")) == fixed
+    assert from_expansion(kt, kt.expand(fixed, "iota")) == fixed
 
 
 def test_expand_triangular_support():
@@ -287,10 +304,113 @@ def test_local_solve_matches_fraction_solve(t, r, bases):
             except IntegralityError:
                 with pytest.raises(IntegralityError):
                     kt.expand(cls, basis)
+                with pytest.raises(IntegralityError):
+                    kt._solve(cls, (basis,))
                 continue
             got = kt.expand(cls, basis)
             assert list(got.coeffs.items()) == list(want.coeffs.items())
             assert json.dumps(got.to_json_obj()) == json.dumps(want.to_json_obj())
+            # expand may solve in the other member of the pair and rebase;
+            # the solve in the requested basis itself gives the same bytes
+            direct = kt._solve(cls, (basis,))
+            assert direct.basis == basis
+            assert list(direct.coeffs.items()) == list(got.coeffs.items())
+            assert json.dumps(direct.to_json_obj()) == json.dumps(got.to_json_obj())
+
+
+@pytest.mark.parametrize("t,r", BRAID_SYSTEMS)
+def test_the_probe_solves_mc_classes_in_i_and_dual_classes_in_o(t, r, monkeypatch):
+    # an MC class has the smaller coefficients in I and Iop, a dual MC class
+    # in O and Oop; the probe reads this off the first layer of the top
+    # pivot, and a class whose top pivot has no layer keeps the basis asked
+    rs = root_system(t, r)
+    kt = ktheory(rs)
+    solve, solved = kt._solve, []
+
+    def spy(a, members):
+        exp = solve(a, members)
+        solved.append(exp.basis)
+        return exp
+
+    monkeypatch.setattr(kt, "_solve", spy)
+
+    def has_layer(cls, opposite):
+        p0 = (min if opposite else max)(cls.coeffs, key=cell_order)
+        if opposite:
+            return any(v.length == p0.length + 1 and rs.bruhat_leq(p0, v) for v in cls.coeffs)
+        return any(v.length == p0.length - 1 and rs.bruhat_leq(v, p0) for v in cls.coeffs)
+
+    layered = 0
+    for w in rs.weyl_group():
+        for cls, ideal in (
+            (motivic_chern(kt, w), True),
+            (dual_motivic_chern(kt, w, opposite=True), False),
+            (dual_motivic_chern(kt, w, opposite=False), False),
+        ):
+            for basis in ("O", "I", "Oop", "Iop"):
+                opposite = basis.endswith("op")
+                solved.clear()
+                kt.expand(cls, basis)
+                if has_layer(cls, opposite):
+                    layered += 1
+                    want = ("I" if ideal else "O") + ("op" if opposite else "")
+                else:
+                    want = basis
+                assert solved == [want], (w.name(), basis, ideal)
+    # only the cells at an end of the Bruhat order have no layer
+    assert layered == 3 * 4 * (len(rs.weyl_group()) - 1)
+
+
+@pytest.mark.parametrize("t,r", BRAID_SYSTEMS)
+def test_own_factors_are_the_basis_pivots(t, r):
+    # the probe's entry at a layer cell is read off _own_factors, with no
+    # basis class built: it is the denominator, as a multiset of keys, of
+    # every basis class of that cell at the cell itself
+    rs = root_system(t, r)
+    kt = ktheory(rs)
+    for v in rs.weyl_group():
+        for basis in ("O", "I", "Oop", "Iop"):
+            own = kt._own_factors(v, basis.endswith("op"))
+            pivot = kt.basis_class(basis, v).coefficient(v)
+            assert pivot.num == 1 and sorted(pivot.den) == sorted(own)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([("A", 3), ("B", 3)]), st.data())
+def test_zeta_and_moebius_are_inverse(system, data):
+    rs = root_system(*system)
+    kt = ktheory(rs)
+    W = rs.weyl_group()
+    values = data.draw(
+        st.dictionaries(st.sampled_from(W), st.integers(-9, 9).filter(bool), max_size=len(W))
+    )
+    vec = {w: LaurentPolynomial.const(c, rs.rank) for w, c in values.items()}
+    for structure, ideal in (("O", "I"), ("Oop", "Iop")):
+        opposite = structure == "Oop"
+        # zeta by its definition: [O_u] = sum of [I_v] over v <= u (v >= u)
+        zeta = {}
+        for v in W:
+            c = sum(
+                (d for u, d in vec.items() if (rs.bruhat_leq(u, v) if opposite else rs.bruhat_leq(v, u))),
+                LaurentPolynomial.zero(rs.rank),
+            )
+            if c:
+                zeta[v] = c
+        assert rebase(kt.space, vec, structure, ideal) == zeta
+        for source, target in ((structure, ideal), (ideal, structure)):
+            back = rebase(kt.space, rebase(kt.space, vec, source, target), target, source)
+            assert back == vec
+            assert list(back) == sorted(vec, key=cell_order, reverse=not opposite)
+
+
+def test_rebase_refuses_a_quotient_and_a_mixed_pair():
+    rs = root_system("A", 2)
+    kt = ktheory(rs)
+    coeffs = {rs.identity: LaurentPolynomial.const(1, 2)}
+    with pytest.raises(ValueError):
+        rebase(quotient_space(kt, rs.parabolic((1,))), coeffs, "O", "I")
+    with pytest.raises(ValueError):
+        rebase(kt.space, coeffs, "O", "Iop")
 
 
 @pytest.mark.parametrize("t,r", [("A", 2), ("B", 2)])

@@ -215,6 +215,18 @@ def test_bruhat_basics():
     assert not rs.bruhat_leq(s1, s2)
 
 
+@pytest.mark.parametrize("t,r", [("A", 3), ("B", 3), ("G", 2)])
+def test_intervals_are_the_bruhat_intervals(t, r):
+    rs = root_system(t, r)
+    W = rs.weyl_group()
+    for w in W:
+        below = rs.lower_interval(w)
+        above = rs.upper_interval(w)
+        assert len(set(below)) == len(below) and len(set(above)) == len(above)
+        assert set(below) == {u for u in W if rs.bruhat_leq(u, w)}
+        assert set(above) == {u for u in W if rs.bruhat_leq(w, u)}
+
+
 def test_bruhat_antiautomorphism():
     for t, r in [("A", 2), ("B", 2), ("A", 3)]:
         rs = root_system(t, r)

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 from math import comb, factorial, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lifted_reference as lifted_ref
@@ -705,6 +705,8 @@ def test_packed_poly_matches_tuple_reference(operands):
 
 @given(_operands(), st.integers(0, 3))
 @settings(max_examples=100, deadline=None)
+# a divisor lifted by its constant term alone: its linear part is lifted too
+@example((1, [{}, {(1,): 1}, {}, {(0,): YFrac.const(1), (1,): 1}]), 0)
 def test_packed_series_match_tuple_reference(operands, cap):
     n, dicts = operands
     (a, ra), (b, rb), _, (d, rd) = (_both(t, n) for t in dicts)
@@ -713,8 +715,9 @@ def test_packed_series_match_tuple_reference(operands, cap):
     sb, rsb = GradedSeries.from_poly(b, cap + 1), tuple_ref.GradedSeries.from_poly(rb, cap + 1)
     _same_series(sa * sb, rsa * rsb, la or lb)
     # the linear part of the divisor d
+    # which is lifted when d is, even if d's YFrac coefficients are all outside it
     top, rtop = d.homogeneous_component(1), rd.homogeneous_component(1)
-    lt = _has_yfrac(rtop.terms)
+    lt = _has_yfrac(dicts[3])
     st_, rst = GradedSeries.from_poly(top, cap + 2), tuple_ref.GradedSeries.from_poly(rtop, cap + 2)
     prod, rprod = sa * st_, rsa * rst
     _same_series(prod.divide_exact(top), rprod.divide_exact(rtop), la or lt)

@@ -10,28 +10,31 @@ order on (e, k).  A digit out of range would carry into its neighbour:
 vectors, Monagan-Pearce, CASC 2007).
 
 ``laurent.LaurentPolynomial`` (integer coefficients) and ``polyring.Poly``
-(``int``, ``Fraction`` or ``YFrac`` coefficients, the total degree in the
-lowest digit) both run on these loops.  The loops never look at a
-coefficient's type: a missing key is tested with ``None`` and a zero with
-truth, so no coefficient meets an ``int`` 0.  A lifted ``Poly`` holds its
-Hirzebruch variable as t = 1 + y, not y: its top digit is a balanced power
-of t, so a (1+y) denominator is a negative exponent there, as a negative
-exponent of e^mu is here.  ``lp_mul`` also multiplies packed t-integers:
-``polyring`` keys a lifted series by x-monomial alone and stores its
-t-polynomial, over its least power of t, as one integer N = n_0 + n_1 2^S +
-..., and with digits bounded below 2^(S-1) an N is zero exactly when its
-polynomial is.  The loops run the same way on the y-images of
-``kclasses.KTheory.expand``: ``y_pack`` writes each x-monomial's
-y-polynomial, over the least y power, as one integer at y = 2^S, under a
-key whose y digit is 0, and ``y_unpack`` reads it back in balanced S-bit
-digits.  The one division,
-``lp_divide_exact``, divides by a monomial or by a binomial with
-coefficients +-1, the only divisors the denominators ``1 - e^mu`` and
-``1 + y e^mu`` create.  By a binomial it sweeps each line of the dividend
-once, and a line is exact iff the running quotient at its last term is zero;
-on y-images its line sums are the images of the y-polynomials' line sums.
-A monomial with a coefficient other than +-1 divides an image's integers,
-not their digits, so no such division reaches an image.
+(``int`` or ``Fraction`` coefficients, or, lifted, integer terms over one
+denominator; the total degree in the lowest digit) both run on these loops.
+The loops never look at a coefficient's type: a missing key is tested with
+``None`` and a zero with truth, so no coefficient meets an ``int`` 0.  A
+lifted ``Poly`` holds its Hirzebruch variable as t = 1 + y: its top digit is
+a power of t, so a (1+y) denominator is a negative exponent there, as a
+negative exponent of e^mu is here.
+
+One codec serves both rings, by Kronecker substitution in one digit
+(``kron_pack``, ``kron_unpack``; Harvey, J. Symb. Comp. 44, 2009): each
+x-monomial's polynomial in that digit, over a least power, becomes one
+integer at 2^S under its key with the digit cleared, and is read back in
+balanced S-bit digits.  With every coefficient below 2^(S-1) an image is
+zero exactly when its polynomial is, and the loops run on images unchanged:
+the y-images of ``kclasses.KTheory.expand`` (the lowest digit) and the
+t-images of ``polyring``'s series products (the top digit).  Each caller
+proves its S from ``l1`` bounds.
+
+The one division, ``lp_divide_exact``, divides by a monomial or by a
+binomial with coefficients +-1, the only divisors the denominators
+``1 - e^mu`` and ``1 + y e^mu`` create.  By a binomial it sweeps each line of
+the dividend once, and a line is exact iff the running quotient at its last
+term is zero; on y-images its line sums are the images of the y-polynomials'
+line sums.  A monomial with a coefficient other than +-1 divides an image's
+integers, not their digits, so no such division reaches an image.
 """
 
 from struct import Struct
@@ -244,33 +247,50 @@ def lp_divide_exact(a, b, nvars):
     return out
 
 
-def y_pack(a, S, off):
-    """The image of integer terms at y = 2^S over y^off, as {x-key: N}.
+def l1(terms):
+    """The sum of the absolute values of a term dict's coefficients."""
+    return sum(map(abs, terms.values()))
 
-    Each x-monomial's y-polynomial sum_k n_k y^k becomes the one integer
-    N = sum_k n_k 2^(S (k - off)), keyed by the term's key with its y digit
-    zeroed.  The caller keeps off at most every y power and every |n_k|
-    below 2^(S-1), so N is zero exactly when its polynomial is.
+
+def kron_pack(terms, sh, S, off):
+    """The image of integer terms at 2^S in the digit at bit offset sh, over
+    its power off, as {x-key: N}.
+
+    Each x-monomial's polynomial sum_e n_e z^e in that digit becomes the one
+    integer N = sum_e n_e 2^(S (e - off)), keyed by the term's key with the
+    digit cleared.  The digit is a Laurent y (sh = 0: the lowest digit, under
+    balanced x digits) or a lifted t (sh > 0: the top digit, over x digits
+    that are nonnegative).  Either way (key + HALF 2^sh) & field is (e +
+    HALF) 2^sh, with field the digit's own bits for y and every bit from sh
+    up for t, so a power of t is read whole, never out of range.  The caller
+    keeps off at most every power and every |n_e| below 2^(S-1), so N is
+    zero exactly when its polynomial is.
     """
+    field = (MASK if not sh else -1) << sh
+    bias = HALF << sh
+    lead = HALF + off
     out = {}
     get = out.get
-    for k, c in a.items():
-        y = ((k + HALF) & MASK) - HALF
-        x = k - y
-        n = c << S * (y - off)
+    for k, c in terms.items():
+        k += bias
+        f = k & field
+        n = c << S * ((f >> sh) - lead)
+        x = k - f
         prev = get(x)
         out[x] = n if prev is None else prev + n
     return out
 
 
-def y_unpack(packed, S, off):
-    """The integer terms whose image at y = 2^S over y^off is {x-key: N}:
-    each N read in balanced S-bit digits, the lowest at y^off."""
+def kron_unpack(packed, sh, S, off):
+    """The integer terms whose image at 2^S in the digit at bit offset sh,
+    over its power off, is {x-key: N} (``kron_pack``): each N read in
+    balanced S-bit digits, the lowest at power off."""
     half = 1 << (S - 1)
     mask = (1 << S) - 1
+    step, base = 1 << sh, off << sh
     out = {}
     for k, n in packed.items():
-        k += off
+        k += base
         while n:
             c = n & mask
             n >>= S
@@ -279,5 +299,5 @@ def y_unpack(packed, S, off):
                 n += 1
             if c:
                 out[k] = c
-            k += 1
+            k += step
     return out

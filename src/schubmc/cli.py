@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 from json.encoder import encode_basestring_ascii as _escape
 
@@ -187,14 +188,30 @@ def _emit(args, payload):
     out = getattr(args, "out", None)
     try:
         if out:
-            with open(out, "w") as fh:
-                _stream(payload, fh.write)
+            fh = open(out, "w")
+            try:
+                with fh:
+                    _stream(payload, fh.write)
+            except BaseException:
+                # a failure midway leaves no partial artifact
+                _remove(out)
+                raise
         else:
             _stream(payload, sys.stdout.write)
             sys.stdout.flush()
     except OSError as exc:
         where = f"--out {out}" if out else "the artifact to stdout"
         raise ConfigError(f"cannot write {where}: {exc.strerror}")
+
+
+def _remove(path):
+    """Delete a partly written file: never a device, a pipe or a link, such
+    as ``--out /dev/null``."""
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.remove(path)
+    except OSError:
+        pass
 
 
 def _stream(payload, put):
@@ -256,8 +273,11 @@ def _cached_json(kind, key, builder):
         with open(tmp, "w") as fh:
             _write(payload, "\n", fh.write)
         os.replace(tmp, path)
-    except OSError as exc:
-        raise ConfigError(f"cannot write cache file {path}: {exc.strerror}")
+    except BaseException as exc:
+        _remove(tmp)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write cache file {path}: {exc.strerror}")
+        raise
     return path
 
 
@@ -597,6 +617,13 @@ def main(argv=None):
     except AssertionError as exc:
         print(f"internal assertion failure: {exc}", file=sys.stderr)
         return 2
+    except (MemoryError, RecursionError) as exc:
+        # a command past this process's memory or stack is refused, not refuted
+        failure = f"{type(exc).__name__}: {str(exc) or 'out of memory'}"
+    # reported once the except clause has dropped the traceback, and with it
+    # the frames that held the memory
+    print(f"error: {failure}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

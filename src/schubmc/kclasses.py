@@ -68,7 +68,7 @@ c0 other than +-1 meets an image: it would divide N, not its digits.
 from __future__ import annotations
 
 from . import laurent
-from ._kernel_py import ypow_of
+from ._kernel_py import l1, ypow_of
 from .cohomology import RestrictionMap
 from .laurent import (
     FactoredFraction,
@@ -115,11 +115,6 @@ class _Seed:
 
     def __init__(self, residual):
         self.residual = residual
-
-
-def _l1(p):
-    """The sum of the absolute values of a polynomial's coefficients."""
-    return sum(map(abs, p.packed.values()))
 
 
 def _integral(w, c):
@@ -627,10 +622,10 @@ class KTheory:
 
             def exact(img):
                 # below lim every digit of an image is its polynomial's own
-                return _l1(img.y_decoded(bits, oy, ybound))
+                return l1(img.y_decoded(bits, oy, ybound).packed)
 
             def image(p):
-                bound = _l1(p)
+                bound = l1(p.packed)
                 if bound >= lim:
                     raise _Widen
                 return p.y_image(bits, oy), bound
@@ -735,7 +730,7 @@ class KTheory:
                     return e.residual
                 nonlocal neg_c
                 (p, bp), (q, bq) = cur, neg_c
-                scale = _l1(e)
+                scale = l1(e.packed)
                 bound = bp + scale * bq
                 if bound >= lim:
                     bp, bq = exact(p), exact(q)

@@ -129,15 +129,17 @@ class LaurentPolynomial:
 
     def y_image(self, bits, off):
         """The image at y = 2^bits over y^off: one integer per x-monomial,
-        keyed with y digit 0 (``_kernel_py.y_pack``).  Every y power is at
-        least off, and every coefficient below 2^(bits-1) in size."""
-        return _lp(_impl.y_pack(self.packed, bits, off), self.nvars, self._bound)
+        keyed with y digit 0 (``_kernel_py.kron_pack`` at the lowest digit).
+        Every y power is at least off, and every coefficient below
+        2^(bits-1) in size."""
+        return _lp(_impl.kron_pack(self.packed, 0, bits, off), self.nvars, self._bound)
 
     def y_decoded(self, bits, off, ybound):
         """The polynomial whose image at y = 2^bits over y^off is self, read in
-        balanced digits (``_kernel_py.y_unpack``); its y powers are at most
+        balanced digits (``_kernel_py.kron_unpack``); its y powers are at most
         ybound in size."""
-        return _lp(_impl.y_unpack(self.packed, bits, off), self.nvars, max(self._bound, ybound))
+        terms = _impl.kron_unpack(self.packed, 0, bits, off)
+        return _lp(terms, self.nvars, max(self._bound, ybound))
 
     def _coerce(self, other):
         if isinstance(other, LaurentPolynomial):

@@ -45,23 +45,24 @@ A ``Poly`` with a ``YFrac`` coefficient is lifted: it is stored as one integer
 Laurent polynomial in the variables and t, over one positive integer D.  t is
 one more packed digit, above the variables' digits, so ``key & MASK`` is
 still the degree and every degree-block and truncation path reads lifted
-keys unchanged.  The t digit is the most significant, and it is balanced: a
-negative power of t makes a negative key, and ``key >> shift`` reads its
-exponent back, since every digit below it is nonnegative; no product carries
-out of it.  The normal form is D sharing no factor with all of the
-coefficients.  It is unique, so equality and hashing read it directly.  A
-product is the kernel's ``lp_mul`` over D_a D_b, a sum aligns D and calls
-``lp_add``, a power of t is a key shift (``GradedSeries.shift_t``, the Adams
-normalization of the Hirzebruch layer), and each result is normalized by one
-gcd.  A lifted series product (``GradedSeries.__mul__``) and the Horner loop
-of ``times_series_of_linear`` substitute in t (Kronecker): each
-x-monomial's t-polynomial, over the least power of t of its operand, is
-packed into one integer N = n_0 + n_1 2^S + ..., with S proven wide enough
-for every coefficient of every partial sum, so ``lp_mul`` multiplies {x-key:
-N} dicts, and the result is read back into balanced S-bit digits once before
-it is normalized.  ``Poly.__mul__`` and ``series_combination`` multiply short
-t-polynomials and stay on the lifted terms, where packing measured slower.
-The one division divides a lifted numerator in integers
+keys unchanged.  The t digit is the most significant: a negative power of t
+makes a negative key, and ``key >> shift`` reads its exponent back, since
+every digit below it is nonnegative; no product carries out of it.  The
+normal form is D sharing no factor with all of the coefficients.  It is
+unique, so equality and hashing read it directly.  A product is the kernel's
+``lp_mul`` over D_a D_b, a sum aligns D and calls ``lp_add``, a power of t is
+a key shift (``GradedSeries.shift_t``, the Adams normalization of the
+Hirzebruch layer), and each result is normalized by one gcd.  A lifted
+series product (``GradedSeries.__mul__``) and the Horner loop of
+``times_series_of_linear`` substitute in t (Kronecker): the kernel's codec
+(``kron_pack`` at the t digit's offset) packs each x-monomial's
+t-polynomial, over the least power of t of its operand, into one integer
+N = n_0 + n_1 2^S + ..., with S (``_t_width``) proven wide enough for every
+coefficient of every partial sum, so ``lp_mul`` multiplies {x-key: N} dicts,
+and ``kron_unpack`` reads the result back into balanced S-bit digits once
+before it is normalized.  ``Poly.__mul__`` and ``series_combination``
+multiply short t-polynomials and stay on the lifted terms, where packing
+measured slower.  The one division divides a lifted numerator in integers
 (``_lifted_divisor``) and normalizes once.  The ``YFrac`` of each monomial is
 a view, built only when read (``packed``, ``terms``, ``sorted_terms``), so
 nothing is lifted before or lowered after an operation.  ``int``/``Fraction``
@@ -84,7 +85,8 @@ from math import comb, factorial, gcd, lcm
 # kernel calls go through ``_impl.<name>``, so that a tracer can wrap them
 from . import _kernel_py as _impl
 from ._kernel_py import (
-    HALF, MASK, WIDTH, digits, pack, product_bound, sorted_digits,
+    HALF, MASK, WIDTH, digits, kron_pack, kron_unpack, l1, pack, product_bound,
+    sorted_digits,
 )
 
 
@@ -401,11 +403,6 @@ def _lifted_sum(a, b, sign=1):
 # -- lifted products on packed t-integers (Kronecker substitution in t) ----------------
 
 
-def _l1(t):
-    """The sum of the absolute values of a term dict's coefficients."""
-    return sum(map(abs, t.values()))
-
-
 def _t_width(bound):
     """The bits S of one t-digit of a packed t-integer whose coefficients are
     at most ``bound`` in absolute value: a balanced digit holds |n| < 2^(S-1)."""
@@ -415,45 +412,6 @@ def _t_width(bound):
 def _least_t(t, nvars):
     """The least power of t among lifted terms (0 for none)."""
     return min(t, default=0) >> _t_shift(nvars)
-
-
-def _t_pack(t, nvars, S, off):
-    """Lifted terms, no power of t below ``off``, as {x-key: N}: each
-    x-monomial's t-polynomial sum_e n_e t^e over t^off at t = 2^S,
-    N = sum_e n_e 2^(S (e - off))."""
-    sh = _t_shift(nvars)
-    mask = (1 << sh) - 1
-    out = {}
-    get = out.get
-    for key, c in t.items():
-        x = key & mask
-        n = c << S * ((key >> sh) - off)
-        prev = get(x)
-        out[x] = n if prev is None else prev + n
-    return out
-
-
-def _t_unpack(packed, nvars, S, off):
-    """The lifted terms of {x-key: N} times t^off, each N read in balanced
-    S-bit digits."""
-    sh = _t_shift(nvars)
-    step, base = 1 << sh, off << sh
-    half = 1 << (S - 1)
-    mask = (1 << S) - 1
-    t = {}
-    for key, n in packed.items():
-        key += base
-        # |N| < 2^b takes at most b // S + 1 balanced digits
-        for _ in range(n.bit_length() // S + 1):
-            c = n & mask
-            n >>= S
-            if c >= half:
-                c -= mask + 1
-                n += 1
-            if c:
-                t[key] = c
-            key += step
-    return t
 
 
 def _t_product(ta, tb, nvars, cap):
@@ -472,10 +430,11 @@ def _t_product(ta, tb, nvars, cap):
     if not ta or not tb:
         return {}
     top_a, top_b = max(map(abs, ta.values())), max(map(abs, tb.values()))
-    S = _t_width(min(_l1(ta) * top_b, top_a * _l1(tb)))
+    S = _t_width(min(l1(ta) * top_b, top_a * l1(tb)))
     oa, ob = _least_t(ta, nvars), _least_t(tb, nvars)
-    out = _truncated_product(_t_pack(ta, nvars, S, oa), _t_pack(tb, nvars, S, ob), cap)
-    return _t_unpack(out, nvars, S, oa + ob)
+    sh = _t_shift(nvars)
+    out = _truncated_product(kron_pack(ta, sh, S, oa), kron_pack(tb, sh, S, ob), cap)
+    return kron_unpack(out, sh, S, oa + ob)
 
 
 def _by_degree(terms):
@@ -588,7 +547,7 @@ class Poly:
     With ``int`` and ``Fraction`` coefficients the stored terms map each key
     to its coefficient.  With ``YFrac`` coefficients the polynomial is
     lifted: one integer Laurent polynomial in the variables and t = 1 + y
-    over one positive integer D, t a balanced digit above the variables' (see
+    over one positive integer D, t the top digit, above the variables' (see
     the module docstring).  ``packed`` maps each key to its coefficient in both
     cases, a view built on each access when lifted; ``terms`` is the same
     polynomial keyed by exponent tuples.  Each ``Poly`` carries an upper
@@ -1131,7 +1090,7 @@ def times_series_of_linear(s, coeff_list, linear, cap):
     D E^m.  The partial sum that u^k will multiply only needs its terms of
     degree at most the cap minus k, so each step is one kernel product by u
     and one by a t-polynomial, no power of L is expanded, and the result is
-    normalized once.  Every operand is packed in t (``_t_pack``), over the
+    normalized once.  Every operand is packed in t (``kron_pack``), over the
     least power of t of its kind, so a kernel term product is one per
     x-monomial pair.
     """
@@ -1143,21 +1102,22 @@ def times_series_of_linear(s, coeff_list, linear, cap):
     m = min(cap, len(coeff_list) - 1)
     parts = [_parts(c) for c in coeff_list[: m + 1]]
     D = lcm(*(d for *_, d in parts))
+    sh = _t_shift(nvars)
     r = _least_t(lin._t, nvars)
-    u = {key - (r << _t_shift(nvars)): c for key, c in lin._t.items()}
+    u = {key - (r << sh): c for key, c in lin._t.items()}
     ys = [
         _t_terms([x * (D // d) * lin._d ** (m - k) for x in n], lo + k * r, nvars)
         for k, (n, lo, d) in enumerate(parts)
     ]
     # the partial sum after step k is sum_{j >= k} n_j u^(j-k) s_j, s_j some
     # terms of s, so none of its coefficients exceeds sum_j L1(n_j) L1(u)^j L1(s)
-    l1_lin = max(_l1(u), 1)
-    S = _t_width(_l1(p._t) * sum(_l1(n) * l1_lin**k for k, n in enumerate(ys)))
+    l1_lin = max(l1(u), 1)
+    S = _t_width(l1(p._t) * sum(l1(n) * l1_lin**k for k, n in enumerate(ys)))
     off = min((_least_t(n, nvars) for n in ys if n), default=0)
-    ys = [_t_pack(n, nvars, S, off) for n in ys]
-    u = _t_pack(u, nvars, S, 0)
+    ys = [kron_pack(n, sh, S, off) for n in ys]
+    u = kron_pack(u, sh, S, 0)
     least = _least_t(p._t, nvars)
-    blocks = _by_degree(_t_pack(p._t, nvars, S, least))
+    blocks = _by_degree(kron_pack(p._t, sh, S, least))
     # the terms of s of degree at most cap - k, grown as k falls
     low = {}
     for d, block in blocks.items():
@@ -1172,7 +1132,7 @@ def times_series_of_linear(s, coeff_list, linear, cap):
             low.update(block)
         if ys[k] and low:
             _impl.lp_mul(low, ys[k], out)
-    out = _t_unpack(out, nvars, S, least + off)
+    out = kron_unpack(out, sh, S, least + off)
     return _series(_normal(out, p._d * D * lin._d**m, nvars, max(cap, 0)), cap)
 
 

@@ -494,6 +494,53 @@ def test_a_failed_stdout_write_is_a_bad_configuration(fail, monkeypatch, capsys)
     ]
 
 
+@pytest.mark.parametrize("exc", [MemoryError(), RecursionError("maximum recursion depth exceeded")])
+def test_running_out_of_memory_or_stack_is_exit_2(exc, tmp_path, monkeypatch, capsys):
+    # a builder past the process's memory or stack: one error line, no
+    # traceback, exit 2 (1 means refuted), and no --out file
+    def builder(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "hirzebruch", builder)
+    out = tmp_path / "hz.json"
+    assert main(["hirzebruch", "--type", "A2", "--cell", "w0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {type(exc).__name__}: {str(exc) or 'out of memory'}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("exc", [MemoryError, RecursionError, OSError])
+@pytest.mark.parametrize("cached", [False, True])
+def test_an_artifact_that_fails_midway_leaves_no_file(exc, cached, tmp_path, monkeypatch, capsys):
+    # the envelope is written, then a coefficient's text fails: neither the
+    # --out file nor a cache file (nor its temporary) is left behind
+    def fail(*args):
+        raise exc(errno.ENOSPC, os.strerror(errno.ENOSPC)) if exc is OSError else exc()
+
+    cache = tmp_path / "cache"
+    if cached:
+        monkeypatch.setenv("SCHUBMC_CACHE_DIR", str(cache))
+    monkeypatch.setattr(cli, "_laurent_text", fail)
+    out = tmp_path / "mc.json"
+    assert main(["mc", "compute", "--type", "A2", "--cell", "s1", "--out", str(out)]) == 2
+    assert [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert not out.exists()
+    assert not cache.exists() or not any(cache.iterdir())
+
+
+def test_a_failed_artifact_removes_no_link(tmp_path, monkeypatch):
+    # --out through a link (or a device such as /dev/null) is not the
+    # program's own file: a failure midway leaves the link in place
+    def fail(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_laurent_text", fail)
+    link = tmp_path / "link.json"
+    link.symlink_to(tmp_path / "target.json")
+    assert main(["mc", "compute", "--type", "A2", "--cell", "s1", "--out", str(link)]) == 2
+    assert link.is_symlink()
+
+
 # -- every subcommand under random flag sets, malformed values included --------------------
 
 _cell = st.sampled_from(["id", "s1", "s2", "s1s2", "s2s1", "w0", "s9", "s1s1", "x"])

@@ -239,13 +239,6 @@ class LaurentPolynomial:
             for (e, yp), c in self.sorted_terms()
         ]
 
-    @classmethod
-    def from_json_obj(cls, obj, nvars):
-        terms = {}
-        for t in obj:
-            terms[(tuple(t["exp"]), int(t["y"]))] = int(t["coeff"])
-        return cls({k: v for k, v in terms.items() if v}, nvars)
-
     def __repr__(self):
         if not self.packed:
             return "0"
@@ -342,10 +335,16 @@ def one_plus_ye(mu):
 
 
 def product_of_factors(factors, nvars):
-    out = LaurentPolynomial.const(1, nvars)
+    """The product of the factors with keys ``factors``, 1 for none.
+
+    The product starts from the first factor, so a tuple of k factors costs
+    k - 1 kernel products, and one factor is its interned polynomial itself.
+    """
+    out = None
     for f in factors:
-        out = out * factor_polynomial(f)
-    return out
+        p = factor_polynomial(f)
+        out = p if out is None else out * p
+    return LaurentPolynomial.const(1, nvars) if out is None else out
 
 
 class FactoredFraction:

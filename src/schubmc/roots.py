@@ -16,10 +16,13 @@ image, so equality is identity.  A left step s_i (w rho) = w rho -
 product, each element's length its level and its word (i,) + word(s_i w).
 An element made elsewhere gets its word and length on first use, down its
 chain of smallest left descents, and the matrix it induces on the weight
-lattice, which ``act`` and products read, the same way when first asked
-for.  ``RootSystem.memo`` is the one memo of every engine built on a root
-system (K-theory, cohomology, numeric, Hirzebruch, Hecke), and
-``clear_memo`` empties it.
+lattice, the same way when first asked for.  Each element keeps two tables,
+filled on first use: its images of the roots and its products by the
+reflections, at most one entry per root each.  ``act`` and products read
+them, and reach for the matrix only on a miss or for an argument that is
+neither a root nor a reflection.  ``RootSystem.memo`` is the one memo of
+every engine built on a root system (K-theory, cohomology, numeric,
+Hirzebruch, Hecke), and ``clear_memo`` empties it.
 ``RootSystem.along_word`` is the one memoized recursion along a reduced
 word, which grows every class family; ``RootSystem.down_from_w0`` is the one
 rule for a family grown down from the longest element w0, which stores the
@@ -136,13 +139,21 @@ class WeylElement:
     A root system interns one element per image, so equality is identity
     and the hash is the default one.  ``length``, ``word`` (the
     lexicographically minimal reduced word), ``mat`` (the integer matrix of
-    w on the weight lattice, which ``act`` applies) and ``_inv`` (w^-1, which
-    ``inverse`` returns) are slots, filled by the enumeration or on first
-    use: ``__getattr__`` runs only while a slot is unset, and after that each
-    is a plain read.
+    w on the weight lattice), ``_inv`` (w^-1, which ``inverse`` returns),
+    ``_images`` and ``_times`` are slots, filled by the enumeration or on
+    first use: ``__getattr__`` runs only while a slot is unset, and after
+    that each is a plain read.
+
+    ``_images`` maps a root beta to w beta, and ``_times`` a reflection s_beta
+    (simple or not) to w s_beta, whose rho-image w rho - <rho, beta^vee> w beta
+    is read off the first table with no matrix.  Both start empty and take an
+    entry the first time ``act`` meets that root or a product meets that
+    reflection, so they hold at most one entry per root (2N and N, for N
+    positive roots), keyed and valued by interned roots and elements.  Any
+    other weight or factor goes through ``mat`` and is not stored.
     """
 
-    __slots__ = ("rs", "image", "length", "word", "mat", "_inv")
+    __slots__ = ("rs", "image", "length", "word", "mat", "_inv", "_images", "_times")
 
     def __init__(self, rs, image):
         self.rs = rs
@@ -157,6 +168,8 @@ class WeylElement:
             # w^-1 = s_{i_k} ... s_{i_1}, by l(w) left steps; set both ways
             inv = self._inv = self.rs.from_word(reversed(self.word))
             inv._inv = self
+        elif name in ("_images", "_times"):
+            setattr(self, name, {})
         else:
             raise AttributeError(name)
         return _peek(self, name)
@@ -165,14 +178,38 @@ class WeylElement:
         rs = self.rs
         if rs is not other.rs:
             raise RootSystemError("elements from different root systems")
-        # (u v) rho = u (v rho): one matrix-vector product, one lookup
-        return rs._element(_mat_vec(self.mat, other.image))
+        reflected = rs._reflected.get(other)
+        if reflected is None:
+            # (u v) rho = u (v rho): one matrix-vector product, one lookup
+            return rs._element(_mat_vec(self.mat, other.image))
+        prod = self._times.get(other)
+        if prod is None:
+            beta, height = reflected
+            img = self._images.get(beta) or self._matrix_act(beta)
+            prod = self._times[other] = rs._element(
+                tuple([a - height * b for a, b in zip(self.image, img)])
+            )
+        return prod
 
     def act(self, weight):
         """Image of a weight (fundamental-weight coordinates) under self."""
-        if len(weight) != self.rs.rank:
+        try:
+            img = self._images.get(weight)
+        except TypeError:  # an unhashable sequence, never a table key
+            weight = tuple(weight)
+            img = None
+        return self._matrix_act(weight) if img is None else img
+
+    def _matrix_act(self, weight):
+        """w weight by the matrix, stored in ``_images`` when weight is a root."""
+        rs = self.rs
+        if len(weight) != rs.rank:
             raise RootSystemError("weight rank mismatch")
-        return _mat_vec(self.mat, weight)
+        img = _mat_vec(self.mat, weight)
+        root = rs._roots.get(weight)
+        if root is not None:
+            img = self._images[root] = rs._roots[img]
+        return img
 
     def inverse(self):
         return self._inv
@@ -261,6 +298,9 @@ class RootSystem:
         # the interned elements, by rho-image
         self._elements = {self.rho: identity}
         self._simple = {}
+        # each reflection made by simple_reflection or reflection, mapped to
+        # (beta, <rho, beta^vee>): s_beta rho = rho - <rho, beta^vee> beta
+        self._reflected = {}
         self._bruhat = {}
         self._memo = {}
         self._weyl = None
@@ -305,6 +345,9 @@ class RootSystem:
         self.positive_roots = tuple(fund for _, fund in pos)
         self.positive_root_coords = tuple(coords for coords, _ in pos)
         self._positive_set = set(self.positive_roots)
+        # every root, mapped to itself: the interned keys and values of the
+        # elements' root tables
+        self._roots = {fund: fund for fund in seen}
         if 2 * len(self.positive_roots) != len(seen):
             raise RootSystemError("root closure is not symmetric")
 
@@ -471,6 +514,7 @@ class RootSystem:
             if i < 1 or i > self.rank:
                 raise RootSystemError(f"no simple reflection s{i}")
             s = self._simple[i] = self._element(self._left_step(self.rho, i - 1))
+            self._reflected[s] = (self._simple_roots[i - 1], 1)
         return s
 
     def reflection(self, beta):
@@ -488,7 +532,11 @@ class RootSystem:
                 return self.simple_reflection(self._simple_roots.index(beta) + 1)
             i = next(j for j, b in enumerate(beta, 1) if b > 0)
             s = self.simple_reflection(i)
-            return s * self.reflection(s.act(beta)) * s
+            r = s * self.reflection(s.act(beta)) * s
+            # rho is all ones, so <rho, beta^vee> is (1 - (s_beta rho)_j) / beta_j
+            j = next(j for j, b in enumerate(beta) if b)
+            self._reflected[r] = (self._roots[beta], (1 - r.image[j]) // beta[j])
+            return r
 
         return self.memo(("roots", "reflection", beta), build)
 

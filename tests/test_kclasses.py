@@ -19,7 +19,7 @@ from schubmc.laurent import (
     product_of_factors,
 )
 from schubmc.mc import dual_motivic_chern, motivic_chern, quotient_space
-from schubmc.roots import cell_order, neg_weight, root_system, triangular_solve
+from schubmc.roots import RootSystem, cell_order, neg_weight, root_system, triangular_solve
 
 
 def one_plus_y(n):
@@ -487,6 +487,52 @@ def test_every_tracked_bound_covers_its_image(monkeypatch, t, r, start):
                 assert l1 <= bound < 2 ** (bits - 1)
                 checked += 1
     assert checked > 100
+
+
+def test_expansions_outlive_the_memo_and_the_cell_order():
+    # the factor products and reflections in the root system's memo, and the
+    # root and reflection tables of its elements, change no expansion
+    rs = RootSystem("A", 3)
+    families = (motivic_chern, dual_motivic_chern)
+    bases = ("O", "I", "Oop", "Iop")
+
+    def expand_all(cells):
+        kt = ktheory(rs)
+        out = {}
+        for w in cells:
+            for family in families:
+                cls = family(kt, w)
+                for basis in bases:
+                    exp = kt.expand(cls, basis)
+                    out[family.__name__, w, basis] = (exp.items(), exp.to_json_obj())
+        return out
+
+    cells = rs.weyl_group()
+    first = expand_all(cells)
+    assert any(key[:2] == ("k", "product") for key in rs._memo)
+    rs.clear_memo()
+    assert not rs._memo
+    again = expand_all(reversed(cells))
+    assert list(again) != list(first) and again == first
+    assert len(first) == len(cells) * len(families) * len(bases)
+
+
+def test_factor_products_are_built_once_per_root_system(monkeypatch):
+    # one product per factor tuple across every solve and restriction
+    rs = RootSystem("A", 3)
+    kt = ktheory(rs)
+    built = []
+    product = kclasses.product_of_factors
+    monkeypatch.setattr(
+        kclasses, "product_of_factors", lambda f, n: built.append(f) or product(f, n)
+    )
+    for w in rs.weyl_group():
+        cls = motivic_chern(kt, w)
+        for basis in ("O", "Iop"):
+            kt.expand(cls, basis)
+        kt.pair(cls, kt.iota(w))
+    assert built and len(built) == len(set(built))
+    assert {f for f in built} >= {kt.space.selfint_factors(w) for w in rs.weyl_group()}
 
 
 @pytest.mark.parametrize("t,r", [("A", 2), ("B", 2)])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schubmc
+from laurent_reference import from_json_obj
 from long_division_reference import line_sum_division, long_division
 from schubmc import _kernel_py, root_system
 from schubmc._kernel_py import HALF, pack, unpack
@@ -462,6 +463,26 @@ def test_fraction_reduce_preserves_value():
     assert frac.as_polynomial() if not red.den else True
 
 
+def test_a_product_of_factors_starts_from_its_first_factor(monkeypatch):
+    calls = []
+    lp_mul = _kernel_py.lp_mul
+    # laurent calls the kernel as _impl.lp_mul, _impl being _kernel_py
+    monkeypatch.setattr(
+        _kernel_py, "lp_mul", lambda a, b, out=None: calls.append(1) or lp_mul(a, b, out)
+    )
+    keys = [one_minus_e((2, -1)), one_plus_ye((-1, 0)), one_minus_e((2, -1)), one_plus_ye((1, 1))]
+    assert product_of_factors((), 2) == LaurentPolynomial.const(1, 2) and not calls
+    assert product_of_factors(keys[:1], 2) is factor_polynomial(keys[0]) and not calls
+    for k in range(2, len(keys) + 1):
+        calls.clear()
+        got = product_of_factors(iter(keys[:k]), 2)
+        assert len(calls) == k - 1
+        want = LaurentPolynomial.const(1, 2)
+        for f in keys[:k]:
+            want = want * factor_polynomial(f)
+        assert got == want
+
+
 def test_fraction_zero_factor_rejected():
     with pytest.raises(ZeroDivisionError):
         factor_polynomial(one_minus_e((0, 0)))
@@ -491,7 +512,7 @@ def test_json_canonical_order():
     p = L({((0, 1), 0): 3, ((1, 0), 2): -1, ((0, 1), 1): 7})
     obj = p.to_json_obj()
     assert obj == sorted(obj, key=lambda t: (t["exp"], t["y"]), reverse=True)
-    assert LaurentPolynomial.from_json_obj(obj, 2) == p
+    assert from_json_obj(obj, 2) == p
     json.dumps(obj)
 
 

@@ -4,8 +4,9 @@
 and reads words, lengths, products, inverses, reflections and the Bruhat
 order off the matrices.  Every element of A3, B3, G2 and F4, and a seeded
 sample of E6, must agree with it; the structural tests pin what the
-rho-image route is for: interned elements, equal by identity, and an
-enumeration that makes no matrix product.
+rho-image route is for: interned elements, equal by identity, an
+enumeration that makes no matrix product, and root and reflection tables
+that fill on first use and are read after it.
 """
 
 import itertools
@@ -54,6 +55,47 @@ def test_every_element_matches_the_matrix_route(t, r):
         assert W[a] * W[b] is by_mat(mat_mul(mats[a], mats[b]))
     for beta in rs.positive_roots:
         assert rs.reflection(beta) is by_mat(ref.reflection(beta))
+
+
+@pytest.mark.parametrize("t,r", [("A", 3), ("B", 3), ("G", 2), ("F", 4)])
+def test_root_images_and_reflection_products_match_the_matrix_route(monkeypatch, t, r):
+    rs = RootSystem(t, r)
+    ref = MatrixWeylGroup(rs)
+    mats = ref.elements()
+    W = rs.weyl_group()
+    by_mat = dict(zip(mats, W)).__getitem__
+    # set-up, enumeration and names, fills no table
+    [w.name() for w in W]
+    for name in ("_images", "_times"):
+        assert [w for w in W if roots._known(w, name) is not None] == []
+    all_roots = list(rs.positive_roots) + [tuple(-x for x in b) for b in rs.positive_roots]
+    reflections = [(rs.reflection(b), ref.reflection(b)) for b in rs.positive_roots]
+    for w, m in zip(W, mats):
+        for _ in range(2):  # the first pass fills the tables, the second reads them
+            for beta in all_roots:
+                assert w.act(beta) == mat_vec(m, beta)
+            for s, sm in reflections:
+                assert w * s is by_mat(mat_mul(m, sm))
+        # one entry per root and per reflection, interned, and nothing else
+        assert set(w._images) == set(all_roots)
+        assert set(w._times) == {s for s, _ in reflections}
+        assert all(rs._roots[k] is k and rs._roots[v] is v for k, v in w._images.items())
+    # every further root image and reflection product is a table read
+    calls = []
+    mat_vec_ = roots._mat_vec
+    monkeypatch.setattr(roots, "_mat_vec", lambda mm, v: calls.append(v) or mat_vec_(mm, v))
+    for w in W:
+        for beta in all_roots:
+            w.act(beta)
+        for s, _ in reflections:
+            w * s
+    assert calls == []
+    # any other weight takes the matrix and is not stored, whatever its type
+    w = W[-1]
+    others = [om for om in _fundamental_weights(r) + [rs.rho] if om not in rs._roots]
+    for om in others:
+        assert w.act(om) == w.act(list(om)) == mat_vec(w.mat, om)
+    assert len(w._images) == len(all_roots) and len(calls) == 2 * len(others) > 0
 
 
 @pytest.mark.parametrize("t,r", [("A", 3), ("B", 3), ("G", 2), ("F", 4)])
